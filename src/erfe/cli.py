@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import dataclasses
 import json
 import math
 import sys
@@ -25,11 +25,12 @@ from .expectiles import sample_expectile
 from .linalg import annihilated_columns
 from .montecarlo import (
     SimulationConfig,
+    _fmt,
     estimates_to_csv,
     metrics_to_csv,
     run_monte_carlo,
 )
-from .panel import _assemble_panel, read_panel_csv, validate_tau
+from .panel import read_csv_column, read_panel_csv, validate_tau
 from .within import apply_within, subject_weights
 
 EXIT_OK = 0
@@ -49,15 +50,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageExit(f"{self.prog}: error: {message}")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "NA"
-    value = float(value)
-    if math.isnan(value):
-        return "NA"
-    return format(value, ".17g")
 
 
 def _parse_taus(text: str) -> tuple[float, ...]:
@@ -82,36 +74,44 @@ def _write_text(text: str, out: str | None):
             fh.write(text)
 
 
-def _rows_to_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+# Output tables are passed as columns: sequences of Python values, or numpy
+# arrays of floats.  CSV is formatted a column at a time, in blocks of rows
+# so that only one block of cell strings is alive at once.
+_CSV_BLOCK_ROWS = 65536
+
+
+def _write_csv(fh, header, columns):
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([
-            _fmt(v) if isinstance(v, float) else
-            ("" if v is None else str(v))
-            for v in row
-        ])
-    return buf.getvalue()
+    n_rows = len(columns[0]) if columns else 0
+    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+        block = [col[start:start + _CSV_BLOCK_ROWS] for col in columns]
+        writer.writerows(zip(*(
+            list(map(_fmt, col.tolist())) if isinstance(col, np.ndarray)
+            else [_fmt(v) if isinstance(v, float) else str(v) for v in col]
+            for col in block
+        )))
 
 
-def _rows_to_json(header, rows) -> str:
-    records = []
-    for row in rows:
-        record = {}
-        for key, value in zip(header, row):
-            if isinstance(value, float) and math.isnan(value):
-                value = None
-            record[key] = value
-        records.append(record)
+def _columns_to_json(header, columns) -> str:
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col
+               for col in columns]
+    records = [
+        {key: None if isinstance(value, float) and math.isnan(value) else value
+         for key, value in zip(header, row)}
+        for row in zip(*columns)
+    ]
     return json.dumps(records, indent=2) + "\n"
 
 
-def _emit(header, rows, fmt: str, out: str | None):
+def _emit(header, columns, fmt: str, out: str | None):
     if fmt == "json":
-        _write_text(_rows_to_json(header, rows), out)
+        _write_text(_columns_to_json(header, columns), out)
+    elif out in (None, "-"):
+        _write_csv(sys.stdout, header, columns)
     else:
-        _write_text(_rows_to_csv(header, rows), out)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, header, columns)
 
 
 def _split_estimable(panel):
@@ -131,10 +131,12 @@ def _split_estimable(panel):
 
 
 def _reduced_panel(panel, kept):
-    return _assemble_panel(
-        panel.subject_ids, panel.y, panel.X[:, kept],
-        [panel.column_names[j] for j in kept],
-    )
+    """The panel with only the regressor columns ``kept``; other fields are shared."""
+    # C order, as the fits' BLAS calls round differently on other layouts.
+    X = np.ascontiguousarray(panel.X[:, kept])
+    X.flags.writeable = False
+    return dataclasses.replace(
+        panel, X=X, column_names=tuple(panel.column_names[j] for j in kept))
 
 
 _FIT_HEADER = ["tau", "term", "estimate", "std_error", "ci_lower", "ci_upper",
@@ -209,7 +211,7 @@ def cmd_fit(args) -> int:
               f"{list(names)}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    _emit(_FIT_HEADER, rows, args.format, args.out)
+    _emit(_FIT_HEADER, list(zip(*rows)), args.format, args.out)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 
@@ -224,10 +226,8 @@ def cmd_simulate(args) -> int:
         header = ["tau", "coefficient", "true_value", "mean_estimate", "bias",
                   "sd", "mean_se", "se_sd_ratio", "replications_used",
                   "failures"]
-        rows = [[r.tau, r.coefficient, r.true_value, r.mean_estimate, r.bias,
-                 r.sd, r.mean_se, r.se_sd_ratio, r.replications_used,
-                 r.failures] for r in metrics.rows]
-        _write_text(_rows_to_json(header, rows), args.out)
+        columns = [[getattr(r, name) for r in metrics.rows] for name in header]
+        _emit(header, columns, "json", args.out)
     else:
         _write_text(metrics_to_csv(metrics), args.out)
     if args.dump_estimates:
@@ -236,25 +236,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_expectile(args) -> int:
-    values = []
-    with open(args.input, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            print(f"error: {args.input} is empty", file=sys.stderr)
-            return EXIT_ERROR
-        header = [h.strip() for h in header]
-        if args.response_col not in header:
-            print(f"error: column {args.response_col!r} not in {header}",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        idx = header.index(args.response_col)
-        for row in reader:
-            if row:
-                values.append(float(row[idx]))
-    rows = [[float(tau), float(sample_expectile(values, tau))]
-            for tau in args.tau]
-    _emit(["tau", "expectile"], rows, args.format, args.out)
+    values = read_csv_column(args.input, args.response_col)
+    expectiles = [float(sample_expectile(values, tau)) for tau in args.tau]
+    _emit(["tau", "expectile"], [list(args.tau), expectiles], args.format, args.out)
     return EXIT_OK
 
 
@@ -262,7 +246,7 @@ def cmd_transform(args) -> int:
     panel = read_panel_csv(args.input, args.subject_col, args.response_col)
     kept, _dropped = _split_estimable(panel)
     partial = False
-    rows = []
+    y_blocks, x_blocks = [], []
     for tau in args.tau:
         if tau == 0.5 or not kept:
             if tau != 0.5 and not kept:
@@ -278,15 +262,15 @@ def cmd_transform(args) -> int:
                 fit = exc.result
                 partial = True
             weights = subject_weights(fit.residuals_star, tau, reduced)
-        y_star = apply_within(panel.y, weights, panel)
-        x_star = apply_within(panel.X, weights, panel)
-        for i in range(panel.n_obs):
-            rows.append([float(tau), str(panel.subject_ids[i]),
-                         float(y_star[i]),
-                         *(float(x_star[i, j]) for j in range(panel.n_regressors))])
+        y_blocks.append(apply_within(panel.y, weights, panel))
+        x_blocks.append(apply_within(panel.X, weights, panel))
     header = ["tau", "subject", f"{args.response_col}_star",
               *(f"{name}_star" for name in panel.column_names)]
-    _emit(header, rows, args.format, args.out)
+    columns = [np.repeat(np.asarray(args.tau, dtype=float), panel.n_obs),
+               list(map(str, panel.subject_ids.tolist())) * len(args.tau),
+               np.concatenate(y_blocks),
+               *np.concatenate(x_blocks).T]
+    _emit(header, columns, args.format, args.out)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

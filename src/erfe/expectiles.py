@@ -82,6 +82,8 @@ def sample_expectile(values, tau, config: IrlsConfig | None = None) -> float:
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size == 0:
         raise EmptyInputError("cannot take the expectile of an empty sample")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sample contains missing or non-finite values")
 
     theta = float(np.mean(vals))
     delta = np.inf

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -301,8 +302,9 @@ def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetri
 
 
 def _fmt(value) -> str:
+    """A number as CSV text: 17 significant digits, NaN as NA."""
     value = float(value)
-    if np.isnan(value):
+    if math.isnan(value):
         return "NA"
     return format(value, ".17g")
 

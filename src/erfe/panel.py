@@ -4,6 +4,14 @@ A panel holds one row per (subject, occasion) observation.  Subjects are
 identified by an integer code array rather than an N x n incidence matrix:
 every projection downstream reduces to grouped sums over the codes, which
 keeps all transforms O(N).
+
+CSV input is UTF-8 text with a header row, ``,`` as the delimiter and
+``"`` as the quote character: a quoted field starts right after a
+delimiter or at the start of a line, may hold delimiters and doubled
+quotes (``""``), and ends on its own line.  There are no comment lines,
+empty lines are skipped, and numbers use ``.`` as the decimal separator.
+Each column is parsed once, by ``np.loadtxt``; a malformed line, a field
+that does not parse and a non-finite value are reported as ``path:line``.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ __all__ = [
     "asymmetric_loss",
     "build_panel",
     "check_weight",
+    "read_csv_column",
     "read_panel_csv",
     "validate_tau",
 ]
@@ -142,19 +151,17 @@ def _assemble_panel(subject_ids, y, X, column_names) -> PanelData:
                 f"{len(column_names)} column names for {X.shape[1]} regressors"
             )
 
-    code_of: dict = {}
-    codes = np.empty(n_obs, dtype=np.int64)
-    labels = []
-    for i, label in enumerate(subject_ids.tolist()):
-        code = code_of.get(label)
-        if code is None:
-            code = len(labels)
-            code_of[label] = code
-            labels.append(label)
-        codes[i] = code
+    # Number the distinct labels in order of first appearance.
+    distinct, first, inverse = np.unique(
+        subject_ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    codes = rank[inverse]
+    labels = distinct[order]
 
-    counts = np.bincount(codes, minlength=len(labels))
-    singles = [labels[i] for i in np.nonzero(counts < 2)[0]]
+    counts = np.bincount(codes, minlength=labels.size)
+    singles = labels[counts < 2].tolist()
     if singles:
         raise SingletonSubjectError(
             f"subject(s) with a single observation: {singles!r}"
@@ -167,7 +174,7 @@ def _assemble_panel(subject_ids, y, X, column_names) -> PanelData:
         column_names=column_names,
         codes=_freeze(codes),
         counts=_freeze(counts),
-        subject_labels=_freeze(np.asarray(labels)),
+        subject_labels=_freeze(labels),
     )
 
 
@@ -201,46 +208,162 @@ def build_panel(records, column_names=None) -> PanelData:
     return _assemble_panel(subjects, ys, np.asarray(rows, dtype=float), column_names)
 
 
+# np.loadtxt arguments for the accepted CSV dialect (see the module docstring).
+_DIALECT = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8")
+_SCAN_BLOCK = 1 << 22
+
+
+def _read_header(path) -> list[str]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise EmptyInputError(f"{path}: file is empty")
+    return [h.strip() for h in header]
+
+
+def _column_index(path, header, name) -> int:
+    if name not in header:
+        raise ValueError(f"{path}: column {name!r} not in header {header}")
+    return header.index(name)
+
+
+def _scan(path, n_fields, label_col):
+    """Line numbers of the data lines, and the widest ``label_col`` field in bytes.
+
+    Fields are counted per line from the raw bytes: delimiters on lines
+    without a quote, the csv module on the few lines with one.  A line with
+    too few or too many fields raises RaggedRowError; np.loadtxt alone would
+    silently drop the extra fields of a long line.  The width bounds the
+    characters of every field of ``label_col`` (a whole line's bytes where
+    quotes hide which delimiters are real), so a str column of that width
+    loses nothing.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # Positions of every line break and delimiter, between sentinels for the
+    # start and the end of the file; blocks keep the byte masks in cache.
+    parts = [[-1]]
+    for at in range(0, raw.size, _SCAN_BLOCK):
+        block = raw[at:at + _SCAN_BLOCK]
+        parts.append(np.flatnonzero((block == ord("\n")) | (block == ord(","))) + at)
+    parts.append([raw.size])
+    seps = np.concatenate(parts)
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(raw[seps[1:-1]] == ord("\n")) + 1, [seps.size - 1]))
+    starts = seps[bounds[:-1]] + 1
+    ends = seps[bounds[1:]]
+    ends -= (ends > starts) & (raw[np.maximum(ends - 1, 0)] == ord("\r"))
+    fields = np.diff(bounds)
+
+    quoted = np.zeros(starts.size, dtype=bool)
+    if data.find(b'"') >= 0:
+        quotes = np.flatnonzero(raw == ord('"'))
+        quoted[np.searchsorted(starts, quotes, side="right") - 1] = True
+        fields[quoted] = [
+            len(next(csv.reader([data[a:b].decode("utf-8")])))
+            for a, b in zip(starts[quoted].tolist(), ends[quoted].tolist())
+        ]
+
+    rows = np.flatnonzero(ends[1:] > starts[1:]) + 1
+    ragged = rows[fields[rows] != n_fields]
+    if ragged.size:
+        i = ragged[0]
+        raise RaggedRowError(
+            f"{path}:{i + 1}: {fields[i]} fields, expected {n_fields}"
+        )
+    if not rows.size:
+        raise EmptyInputError(f"{path}: no data rows")
+    if label_col is None:
+        return rows + 1, 0
+
+    left = bounds[rows] + label_col
+    width = np.where(quoted[rows], ends[rows] - starts[rows],
+                     seps[left + 1] - seps[left] - 1)
+    return rows + 1, max(1, int(width.max()))
+
+
+def _parses(lines, usecols) -> bool:
+    try:
+        np.loadtxt(lines, usecols=usecols, **_DIALECT)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_error(path, header, usecols, lines) -> ValueError:
+    """The error for the first data line whose ``usecols`` np.loadtxt rejects.
+
+    Runs only after a parse failed: bisects the data lines with np.loadtxt
+    itself, so the line it names is the one the parser rejected.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read().split("\n")
+    rows = [text[line - 1] for line in lines.tolist()]
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:  # rows[lo:hi] holds the first unparsable line
+        mid = (lo + hi) // 2
+        if _parses(rows[lo:mid], usecols):
+            lo = mid
+        else:
+            hi = mid
+    fields = next(csv.reader([rows[lo].rstrip("\r")]))
+    for j in usecols:
+        if not _parses(rows[lo:hi], [j]):
+            return ValueError(f"{path}:{lines[lo]}: column {header[j]!r}: "
+                              f"cannot parse {fields[j]!r} as a number")
+    return ValueError(f"{path}:{lines[lo]}: cannot parse {rows[lo]!r}")
+
+
+def _read_table(path, header, float_cols, label_col=None):
+    """Columns ``float_cols`` of the data lines as floats, shape (rows, k),
+    and column ``label_col`` as str (None when not asked for), in one pass.
+    """
+    lines, width = _scan(path, len(header), label_col)
+    dtype = [("v", float, (len(float_cols),))]
+    usecols = list(float_cols)
+    if label_col is not None:
+        dtype.insert(0, ("s", f"<U{width}"))
+        usecols.insert(0, label_col)
+    try:
+        table = np.loadtxt(path, dtype=dtype, usecols=usecols, skiprows=1,
+                           ndmin=1, **_DIALECT)
+    except ValueError:
+        raise _parse_error(path, header, float_cols, lines) from None
+    if table.shape[0] != lines.size:
+        raise ValueError(f"{path}: {lines.size} data lines hold {table.shape[0]} "
+                         "rows; a quoted field spans lines")
+    values = table["v"]
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"{path}:{lines[row]}: column {header[float_cols[col]]!r}: "
+                         f"non-finite value {float(values[row, col])}")
+    return values, (table["s"] if label_col is not None else None)
+
+
+def read_csv_column(path, column: str) -> np.ndarray:
+    """Read one numeric column of a CSV file with a header row."""
+    header = _read_header(path)
+    values, _ = _read_table(path, header, [_column_index(path, header, column)])
+    return values[:, 0]
+
+
 def read_panel_csv(path, subject_col: str, response_col: str) -> PanelData:
     """Read a long-format panel from a CSV file.
 
     The file must have a header row.  ``subject_col`` holds the subject
-    label (string or integer), ``response_col`` the response, and every
-    remaining column is parsed as a numeric regressor ('.' decimal
-    separator, UTF-8 encoding).
+    label (string or integer; surrounding whitespace is stripped),
+    ``response_col`` the response, and every remaining column is parsed as
+    a numeric regressor.  A malformed line, unparsable number or non-finite
+    value raises an error naming ``path:line``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        for required in (subject_col, response_col):
-            if required not in header:
-                raise ValueError(f"{path}: column {required!r} not in header {header}")
-        s_idx = header.index(subject_col)
-        y_idx = header.index(response_col)
-        x_idx = [i for i in range(len(header)) if i not in (s_idx, y_idx)]
-        names = [header[i] for i in x_idx]
-
-        subjects = []
-        ys = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise RaggedRowError(
-                    f"{path}:{lineno}: {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                ys.append(float(row[y_idx]))
-                rows.append([float(row[i]) for i in x_idx])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            subjects.append(row[s_idx].strip())
-
-    if not subjects:
-        raise EmptyInputError(f"{path}: no data rows")
-    return _assemble_panel(subjects, ys, np.asarray(rows, dtype=float), names)
+    header = _read_header(path)
+    s_idx = _column_index(path, header, subject_col)
+    y_idx = _column_index(path, header, response_col)
+    x_idx = [i for i in range(len(header)) if i not in (s_idx, y_idx)]
+    values, labels = _read_table(path, header, [y_idx, *x_idx], s_idx)
+    labels = np.char.strip(labels)
+    # Width of the longest stripped label, as np.asarray gives a list of str.
+    labels = labels.astype(f"<U{max(1, int(np.char.str_len(labels).max()))}")
+    return _assemble_panel(labels, values[:, 0], values[:, 1:],
+                           [header[i] for i in x_idx])

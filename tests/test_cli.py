@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,27 @@ def panel_csv(tmp_path):
 def _read_rows(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["fit", "--tau", "0.2,0.5,0.8"], "golden_fit.csv"),
+    (["fit", "--tau", "0.2,0.8", "--joint"], "golden_fit_joint.csv"),
+    (["transform", "--tau", "0.5,0.8"], "golden_transform.csv"),
+])
+def test_csv_output_bytes_are_pinned(args, golden, tmp_path):
+    # small_panel.csv has interleaved subjects, a blank line, quoted labels
+    # holding a comma and a quote, a padded label and a subject-constant
+    # column.  The golden files pin the output bytes: regenerate them only
+    # for a deliberate change of the output.
+    out = tmp_path / "out.csv"
+    code = main([*args, "--input", str(DATA / "small_panel.csv"),
+                 "--subject-col", "id", "--response-col", "y",
+                 "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 # ---------------------------------------------------------------------
@@ -206,6 +228,18 @@ def test_expectile_two_point_file(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert float(out.strip().split("\n")[1].split(",")[1]) == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("abc", "column 'v': cannot parse 'abc' as a number"),
+    ("nan", "column 'v': non-finite value nan"),
+])
+def test_expectile_bad_value_names_line(tmp_path, capsys, value, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"v\n0\n1\n{value}\n", encoding="utf-8")
+    code = main(["expectile", "--input", str(path), "--response-col", "v"])
+    assert code == 1
+    assert f"bad.csv:4: {message}" in capsys.readouterr().err
 
 
 def test_expectile_outputs_nondecreasing(panel_csv, capsys):

@@ -37,6 +37,12 @@ def test_empty_sample_rejected():
         erfe.sample_expectile([], 0.5)
 
 
+def test_non_finite_sample_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            erfe.sample_expectile([1.0, bad, 2.0], 0.7)
+
+
 def test_monotone_in_tau():
     rng = np.random.default_rng(5)
     for _ in range(100):

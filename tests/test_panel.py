@@ -1,7 +1,13 @@
 """Panel data model, check-function primitives, CSV ingestion."""
 
+import csv
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erfe
 from erfe.errors import (
@@ -194,6 +200,102 @@ def test_read_panel_csv_ragged(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,3.0\n")
     with pytest.raises(RaggedRowError):
         erfe.read_panel_csv(path, "id", "y")
+
+
+def test_read_panel_csv_overlong_row(tmp_path):
+    path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n\n1,3.0,2.0,9\n")
+    with pytest.raises(RaggedRowError, match=r"p\.csv:4: 4 fields, expected 3"):
+        erfe.read_panel_csv(path, "id", "y")
+
+
+def test_read_panel_csv_non_finite(tmp_path):
+    path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,3.0,inf\n")
+    with pytest.raises(ValueError, match=r"p\.csv:3: column 'a': non-finite value inf"):
+        erfe.read_panel_csv(path, "id", "y")
+    path = _write_csv(tmp_path / "q.csv", "id,y,a\r\n1,2.0,1.0\r\n1,nan,2.0\r\n")
+    with pytest.raises(ValueError, match=r"q\.csv:3: column 'y': non-finite value nan"):
+        erfe.read_panel_csv(path, "id", "y")
+
+
+def test_read_panel_csv_quoted_labels(tmp_path):
+    # The longest label sits on a quoted line whose comma is not a delimiter.
+    path = _write_csv(tmp_path / "p.csv",
+                      'y,id,a\n1,"s, long label",2\n2,s,3\n'
+                      '3,"s, long label",4\n4, s ,5\n')
+    panel = erfe.read_panel_csv(path, "id", "y")
+    assert panel.subject_ids.tolist() == ["s, long label", "s"] * 2
+    assert panel.subject_ids.dtype == np.dtype("<U13")
+    assert list(panel.codes) == [0, 1, 0, 1]
+
+
+def _reference_read(path, subject_col, response_col):
+    """Row-by-row csv-module reader: the fields read_panel_csv must produce."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    s_idx, y_idx = header.index(subject_col), header.index(response_col)
+    x_idx = [i for i in range(len(header)) if i not in (s_idx, y_idx)]
+    rows = [row for row in rows[1:] if row]
+    labels = [row[s_idx].strip() for row in rows]
+    code_of = {}
+    codes = [code_of.setdefault(label, len(code_of)) for label in labels]
+    return {
+        "subject_ids": np.asarray(labels),
+        "y": np.array([float(row[y_idx]) for row in rows]),
+        "X": np.array([[float(row[i]) for i in x_idx] for row in rows],
+                      dtype=float).reshape(len(rows), len(x_idx)),
+        "codes": np.array(codes, dtype=np.int64),
+        "counts": np.bincount(codes),
+        "subject_labels": np.asarray(list(code_of)),
+    }
+
+
+_LABEL_TEXT = st.text(alphabet='ab7 ,"\t\u00e9-', min_size=1, max_size=6)
+_LABEL_INT = st.integers(0, 10**6).map(str)
+
+
+@st.composite
+def _csv_panels(draw):
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.one_of(_LABEL_TEXT, _LABEL_INT), min_size=n,
+                           max_size=n, unique_by=str.strip))
+    pads = st.sampled_from(["", " ", "  ", "\t"])
+    p = draw(st.integers(0, 3))
+    numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = []
+    for label in labels:
+        for _ in range(draw(st.integers(2, 4))):
+            rows.append([draw(pads) + label + draw(pads), draw(numbers),
+                         *(draw(numbers) for _ in range(p))])
+    rows = draw(st.permutations(rows))
+    names = ["id", "y", *(f"x{j}" for j in range(p))]
+    order = draw(st.permutations(range(len(names))))
+    blanks = draw(st.sets(st.integers(0, len(rows)), max_size=3))
+    return names, order, rows, blanks, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_csv_panels())
+def test_read_panel_csv_matches_csv_module_reference(case):
+    names, order, rows, blanks, newline = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=newline)
+            writer.writerow([names[i] for i in order])
+            for k, row in enumerate(rows):
+                if k in blanks:
+                    fh.write(newline)
+                writer.writerow([row[i] for i in order])
+        panel = erfe.read_panel_csv(path, "id", "y")
+        expected = _reference_read(path, "id", "y")
+    assert panel.column_names == tuple(n for n in (names[i] for i in order)
+                                       if n not in ("id", "y"))
+    for field, want in expected.items():
+        got = getattr(panel, field)
+        assert got.dtype == want.dtype, field
+        assert got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes(), field
 
 
 def test_read_panel_csv_bad_number(tmp_path):
