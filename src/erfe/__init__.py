@@ -65,6 +65,7 @@ from .panel import (
     check_weight,
     read_panel_csv,
     validate_tau,
+    validate_taus,
 )
 from .within import (
     PooledSubjectWeights,
@@ -129,5 +130,6 @@ __all__ = [
     "subject_weights",
     "true_coefficients",
     "validate_tau",
+    "validate_taus",
     "within_ols",
 ]

@@ -30,7 +30,7 @@ from .montecarlo import (
     metrics_to_csv,
     run_monte_carlo,
 )
-from .panel import read_csv_column, read_panel_csv, validate_tau
+from .panel import read_csv_column, read_panel_csv, validate_taus
 from .within import apply_within, subject_weights
 
 EXIT_OK = 0
@@ -53,13 +53,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_taus(text: str) -> tuple[float, ...]:
-    taus = tuple(validate_tau(part) for part in text.split(","))
-    if not taus:
-        raise ValueError("need at least one asymmetric point")
-    for a, b in zip(taus, taus[1:]):
-        if b <= a:
-            raise ValueError("asymmetric points must be strictly increasing")
-    return taus
+    try:
+        return validate_taus(text.split(","))
+    except ValueError as exc:  # argparse would replace the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:

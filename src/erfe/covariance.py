@@ -19,10 +19,10 @@ from .errors import (
     SingularBreadError,
     SingularGramError,
 )
-from .estimator import FitResult, MultiFitResult, pooled_transform
+from .estimator import FitResult, MultiFitResult
 from .linalg import spd_inverse
 from .panel import PanelData, check_weight
-from .within import apply_within, pooled_subject_weights, subject_weights
+from .within import subject_demeaned, weighted_subject_sums
 
 __all__ = [
     "SandwichCovariance",
@@ -45,11 +45,36 @@ class SandwichCovariance:
     se: np.ndarray
 
 
-def _subject_scores(x_star, weighted_resid, panel: PanelData) -> np.ndarray:
-    """Per-subject score vectors: rows of X* times psi-weighted residuals."""
-    scores = np.zeros((panel.n_subjects, x_star.shape[1]))
-    np.add.at(scores, panel.codes, x_star * weighted_resid[:, None])
-    return scores
+def _breads_and_scores(panel: PanelData, resid, taus, v):
+    """Per-block weighted Grams of the transformed X, and per-subject scores.
+
+    The transform subtracts from each subject's rows of X its average m
+    under the check weights psi_k of the final residual blocks ``resid``
+    (q x N), pooled over the blocks with the influence weights ``v``; for
+    one block it is the single-tau weighted within transform.  Everything
+    comes from per-subject sums (D_k of psi_k, C_k of psi_k x, s_k of
+    psi_k r_k, S_k of psi_k r_k x): X*' Psi_k X* = G_k - C_k m' - m C_k' +
+    m D_k m' and subject i's block-k score is S_ki - m_i s_ki.  The
+    transform ignores subject-constant shifts of X, so it runs on the
+    demeaned X, where these differences do not cancel.  Returns the breads
+    (p x p each) and the scores (p x n each), one per block.
+    """
+    x0 = subject_demeaned(panel.X.T, panel)
+    psi = [check_weight(r, tau) for r, tau in zip(resid, taus)]
+    sums, grams = [], []
+    for w in psi:
+        sums_k, weighted = weighted_subject_sums(x0, w, panel)
+        sums.append(sums_k)
+        grams.append(weighted @ x0.T)
+    mean = (sum(vk * s[1:] for vk, s in zip(v, sums))
+            / sum(vk * s[0] for vk, s in zip(v, sums)))
+    breads, scores = [], []
+    for w, r, s, gram in zip(psi, resid, sums, grams):
+        cross = s[1:] @ mean.T
+        breads.append(gram - cross - cross.T + (mean * s[0]) @ mean.T)
+        score_sums, _ = weighted_subject_sums(x0, w * r, panel)
+        scores.append(score_sums[1:] - mean * score_sums[0])
+    return breads, scores
 
 
 def _finalize(d0, d1, n_obs, block_sizes=None) -> SandwichCovariance:
@@ -88,16 +113,12 @@ def sandwich_single(panel: PanelData, fit: FitResult) -> SandwichCovariance:
     the transform uses their check weights, the meat sums per-subject
     score outer products, the bread is the weighted Gram.
     """
-    psi = check_weight(fit.residuals_star, fit.tau)
-    sw = subject_weights(fit.residuals_star, fit.tau, panel)
-    x_star = apply_within(panel.X, sw, panel)
     n_obs = panel.n_obs
-
-    scores = _subject_scores(x_star, psi * fit.residuals_star, panel)
-    d0 = scores.T @ scores / n_obs
+    (bread,), (scores,) = _breads_and_scores(
+        panel, fit.residuals_star[None, :], (fit.tau,), np.ones(1))
+    d0 = scores @ scores.T / n_obs
     d0 = (d0 + d0.T) / 2.0
-    d1 = x_star.T @ (x_star * psi[:, None]) / n_obs
-    return _finalize(d0, d1, n_obs)
+    return _finalize(d0, bread / n_obs, n_obs)
 
 
 def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
@@ -111,28 +132,19 @@ def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
     q = len(fit.taus)
     p = panel.n_regressors
     n_obs = panel.n_obs
-    pw = pooled_subject_weights(fit.residuals_star, fit.taus, fit.v, panel)
-    _, x_star = pooled_transform(panel, pw)
-
-    score_blocks = []
-    for k in range(q):
-        psi_k = pw.psi_blocks[k]
-        score_blocks.append(
-            _subject_scores(x_star, psi_k * fit.residuals_star[k], panel)
-        )
-
+    breads, scores = _breads_and_scores(panel, fit.residuals_star, fit.taus,
+                                        fit.v)
     d0 = np.zeros((q * p, q * p))
     d1 = np.zeros((q * p, q * p))
     for k in range(q):
         rows = slice(k * p, (k + 1) * p)
         for l in range(k, q):
             cols = slice(l * p, (l + 1) * p)
-            block = fit.v[k] * fit.v[l] * (score_blocks[k].T @ score_blocks[l]) / n_obs
+            block = fit.v[k] * fit.v[l] * (scores[k] @ scores[l].T) / n_obs
             d0[rows, cols] = block
             if l != k:
                 d0[cols, rows] = block.T
-        psi_k = pw.psi_blocks[k]
-        d1[rows, rows] = fit.v[k] * (x_star.T @ (x_star * psi_k[:, None])) / n_obs
+        d1[rows, rows] = fit.v[k] * breads[k] / n_obs
     return _finalize(d0, d1, n_obs, block_sizes=[p] * q)
 
 

@@ -1,15 +1,39 @@
-"""Iterative within-transformation estimators for panel expectile regression.
+"""Panel expectile fits by one concentrated iterated weighted least squares engine.
 
-Each round recomputes check weights from the current transformed
-residuals and eliminates the subject effects with them: the single-point
-fit rebuilds the weighted within transform and takes one weighted least
-squares step on the freshly transformed data, the joint fit solves the
-stacked weighted normal equations with the common effect concentrated
-out.  The weights depend only on residual signs, so once the sign
-pattern stabilizes the step lands exactly on the fixed point and the
-loop stops; the converged point satisfies the first-order conditions of
-the asymmetric least squares objective in both the slopes and the
-subject effects.
+Every fit solves the same problem: slopes beta_1..beta_q, one per
+asymmetric point tau_k with influence weight v_k, and one subject effect
+shared by all of them.  Each round takes the check weights psi_k of the
+current residuals and, per tau, one pass over the data: the weighted Gram
+matrix of the design rows [X; y] and, by grouped sums over the subject
+codes, each subject's sums of psi_k, psi_k x and psi_k y.  Those sums are
+all the subject effects need.  With D_k = diag(subject sums of psi_k),
+C_k = subject sums of psi_k x, D = sum_k v_k D_k and G_k = X' Psi_k X, the
+normal equations with the effect concentrated out (a Schur complement) are
+
+    v_k G_k beta_k - v_k C_k' D^-1 sum_l v_l C_l beta_l
+        = v_k (X' Psi_k y - C_k' D^-1 sum_l v_l c_l),
+
+with c_l the subject sums of psi_l y: one symmetric positive definite
+system of size q*p, solved by one Cholesky factorization.  The effect is
+alpha = D^-1 sum_l v_l (c_l - C_l beta_l), and the new residuals are
+y - alpha - X beta_k.  No N x p transformed design is ever built.
+
+The single-tau fit (q = 1) is the weighted within transform of the
+paper.  That transform subtracts subject averages, so shifting a
+regressor by a subject constant changes nothing, and the single fit runs
+on the plainly demeaned (X, y) that its start value needs anyway; this
+keeps G - C' D^-1 C free of cancellation when regressors carry large
+subject-level offsets.  The joint fit (q > 1) must keep the raw X: its
+shared effect cannot absorb a shift a_i of x, which moves block k by
+a_i' beta_k, differently for each tau.  A shift of y is absorbed, so y is
+demeaned there too.
+
+The weights depend only on residual signs, so once the sign pattern
+stabilizes the solve lands exactly on the fixed point and the loop stops;
+the converged point satisfies the first-order conditions of the
+asymmetric least squares objective in both the slopes and the subject
+effects.  Both fits start from the cross-sectional expectile regression
+on the demeaned data.
 """
 
 from __future__ import annotations
@@ -20,21 +44,13 @@ import numpy as np
 
 from .errors import (
     NoConvergenceError,
-    NonincreasingTausError,
     SingularGramError,
     WeightDimensionMismatchError,
 )
 from .expectiles import IrlsConfig, expectile_regression
 from .linalg import annihilated_columns, spd_solve
-from .panel import PanelData, asymmetric_loss, check_weight, validate_tau
-from .within import (
-    PooledSubjectWeights,
-    SubjectWeights,
-    apply_pooled_within,
-    apply_within,
-    pooled_subject_weights,
-    subject_weights,
-)
+from .panel import PanelData, asymmetric_loss, check_weight, validate_tau, validate_taus
+from .within import SubjectWeights, subject_demeaned, subject_weights, weighted_subject_sums
 
 __all__ = [
     "FitResult",
@@ -69,8 +85,8 @@ class MultiFitResult:
     """Joint fit over a sequence of asymmetric points.
 
     ``betas`` stacks one coefficient vector per asymmetric point (q x p);
-    ``residuals_star`` the matching transformed-scale residual blocks
-    (q x N), all sharing the pooled within transform.
+    ``residuals_star`` the matching residual blocks (q x N), net of the
+    common subject effect.
     """
 
     taus: tuple[float, ...]
@@ -81,48 +97,120 @@ class MultiFitResult:
     converged: bool
 
 
-def _uniform_weights(panel: PanelData) -> SubjectWeights:
-    return subject_weights(np.zeros(panel.n_obs), 0.5, panel)
+def _demeaned_design(panel: PanelData) -> np.ndarray:
+    """Rows [X; y] of the panel, demeaned per subject, shape (p + 1, N).
 
-
-def _column_scales(panel: PanelData) -> np.ndarray:
-    return np.linalg.norm(panel.X, axis=0)
-
-
-def _check_annihilated(x_star, panel: PanelData, iteration=None):
-    bad = annihilated_columns(x_star, _column_scales(panel))
+    Raises SingularGramError for a regressor that demeaning annihilates:
+    one constant within every subject, which no weighted within transform
+    can identify either.
+    """
+    design = subject_demeaned([*panel.X.T, panel.y], panel)
+    scale = np.sqrt(np.einsum("ij,ij->j", panel.X, panel.X))
+    bad = annihilated_columns(design[:-1].T, scale)
     if bad.size:
         names = [panel.column_names[j] for j in bad]
         raise SingularGramError(
             f"regressor(s) {names!r} are constant within subjects and are "
             "annihilated by the within transform",
-            columns=names, iteration=iteration,
+            columns=names,
         )
+    return design
 
 
-def _grad_scale(panel: PanelData) -> float:
-    return 1.0 + float(np.max(np.abs(panel.y)))
+def _start(design, taus, config: IrlsConfig):
+    """Start values from the cross-sectional expectile regression on the
+    demeaned ``design``: slopes (q x p) and residuals (q x N)."""
+    x0, y0 = design[:-1].T, design[-1]
+    betas = np.empty((len(taus), x0.shape[1]))
+    for k, tau in enumerate(taus):
+        try:
+            betas[k] = expectile_regression(x0, y0, tau, config).beta
+        except NoConvergenceError as exc:
+            betas[k] = exc.result.beta
+    return betas, y0 - betas @ design[:-1]
+
+
+def _round(design, panel: PanelData, taus, v, resid, iteration=None):
+    """One concentrated weighted least squares round (see the module docstring).
+
+    ``design`` holds the rows [X; y]; ``resid`` the current residual
+    blocks (q x N), whose check weights drive the round.  Returns the new
+    slopes (q x p) and residual blocks.
+    """
+    q, p = len(taus), design.shape[0] - 1
+    sums = np.empty((q, p + 2, panel.n_subjects))
+    system = np.zeros((q * p, q * p))
+    rhs = np.zeros(q * p)
+    for k in range(q):
+        sums[k], weighted = weighted_subject_sums(
+            design, check_weight(resid[k], taus[k]), panel)
+        gram = weighted[:p] @ design.T
+        rows = slice(k * p, (k + 1) * p)
+        system[rows, rows] = v[k] * gram[:, :p]
+        rhs[rows] = v[k] * gram[:, p]
+    denom = v @ sums[:, 0]
+    pooled_y = v @ sums[:, p + 1]
+    couplings = (v[:, None, None] * sums[:, 1:p + 1]).reshape(q * p, -1)
+    system -= (couplings / denom) @ couplings.T
+    rhs -= couplings @ (pooled_y / denom)
+    betas = spd_solve(system, rhs, columns=panel.column_names,
+                      iteration=iteration).reshape(q, p)
+    alpha = (pooled_y - betas.ravel() @ couplings) / denom
+    return betas, design[p] - alpha[panel.codes] - betas @ design[:p]
+
+
+def _scores_vanish(design, panel: PanelData, taus, v, resid, tol) -> bool:
+    """Whether every block's slope score and the pooled subject-effect score
+    are within ``tol`` at the residuals ``resid``."""
+    effect = np.zeros(panel.n_subjects)
+    for k, tau in enumerate(taus):
+        weighted = check_weight(resid[k], tau) * resid[k]
+        if float(np.max(np.abs(design[:-1] @ weighted))) > tol:
+            return False
+        effect += v[k] * np.bincount(panel.codes, weights=weighted,
+                                     minlength=panel.n_subjects)
+    return float(np.max(np.abs(effect))) <= tol
+
+
+def _irls(design, panel: PanelData, taus, v, betas, resid, config: IrlsConfig):
+    """Concentrated rounds from (betas, resid) until the sup-norm step is
+    within ``config.tol`` and the scores vanish, or the budget runs out.
+
+    Returns (betas, resid, iterations, converged).
+    """
+    grad_tol = config.tol_grad * (1.0 + float(np.max(np.abs(panel.y))))
+    for r in range(1, int(config.max_iter) + 1):
+        new_betas, resid = _round(design, panel, taus, v, resid, iteration=r)
+        delta = float(np.max(np.abs(new_betas - betas)))
+        betas = new_betas
+        if delta <= config.tol and _scores_vanish(design, panel, taus, v,
+                                                  resid, grad_tol):
+            return betas, resid, r, True
+    return betas, resid, r, False
+
+
+def _single_result(panel: PanelData, tau, beta, resid, iterations,
+                   converged) -> FitResult:
+    alpha = recover_fixed_effects(panel, beta, tau,
+                                  subject_weights(resid, tau, panel))
+    objective = float(np.sum(asymmetric_loss(
+        panel.y - panel.X @ beta - alpha[panel.codes], tau)))
+    return FitResult(tau=tau, beta=beta, alpha=alpha, residuals_star=resid,
+                     iterations=iterations, converged=converged,
+                     objective_value=objective)
 
 
 def within_ols(panel: PanelData) -> FitResult:
     """Within estimator at tau = 0.5: demean per subject, then least squares.
 
-    Single pass, no iteration.  Raises SingularGramError when the demeaned
-    design loses rank (e.g. a regressor constant within every subject).
+    One concentrated round with the constant midpoint weights, no
+    iteration.  Raises SingularGramError when the demeaned design loses
+    rank (e.g. a regressor constant within every subject).
     """
-    w = _uniform_weights(panel)
-    y_star = apply_within(panel.y, w, panel)
-    x_star = apply_within(panel.X, w, panel)
-    _check_annihilated(x_star, panel)
-    beta = spd_solve(x_star.T @ x_star, x_star.T @ y_star,
-                     columns=panel.column_names)
-    residuals_star = y_star - x_star @ beta
-    alpha = recover_fixed_effects(panel, beta, 0.5, w)
-    objective = float(np.sum(asymmetric_loss(
-        panel.y - panel.X @ beta - alpha[panel.codes], 0.5)))
-    return FitResult(tau=0.5, beta=beta, alpha=alpha,
-                     residuals_star=residuals_star, iterations=0,
-                     converged=True, objective_value=objective)
+    design = _demeaned_design(panel)
+    betas, resid = _round(design, panel, (0.5,), np.ones(1),
+                          np.zeros((1, panel.n_obs)))
+    return _single_result(panel, 0.5, betas[0], resid[0], 0, True)
 
 
 def recover_fixed_effects(panel: PanelData, beta, tau, weights: SubjectWeights):
@@ -142,53 +230,18 @@ def fit_erfe_single(panel: PanelData, tau, config: IrlsConfig | None = None) -> 
     """Single-tau panel expectile fit by the iterative within transform.
 
     Starts from the cross-sectional expectile regression on within-demeaned
-    data, then loops: check weights from the current transformed residuals,
-    rebuild the weighted transform of (y, X), one weighted least squares
-    step, refresh the residuals.  Stops when the sup-norm step is within
-    tolerance and the weighted score is negligible.
+    data, then runs concentrated rounds on the demeaned data (the q = 1
+    case of the module docstring) until the sup-norm step is within
+    tolerance and the slope and subject-effect scores are negligible.
     """
     config = config or IrlsConfig()
     tau = validate_tau(tau)
-
-    w0 = _uniform_weights(panel)
-    y0 = apply_within(panel.y, w0, panel)
-    x0 = apply_within(panel.X, w0, panel)
-    _check_annihilated(x0, panel)
-    try:
-        beta = expectile_regression(x0, y0, tau, config).beta
-    except NoConvergenceError as exc:
-        beta = exc.result.beta
-    residuals_star = y0 - x0 @ beta
-
-    grad_tol = config.tol_grad * _grad_scale(panel)
-    iterations = 0
-    converged = False
-    for r in range(1, int(config.max_iter) + 1):
-        psi = check_weight(residuals_star, tau)
-        sw = subject_weights(residuals_star, tau, panel)
-        y_star = apply_within(panel.y, sw, panel)
-        x_star = apply_within(panel.X, sw, panel)
-        _check_annihilated(x_star, panel, iteration=r)
-        wx = x_star * psi[:, None]
-        step = spd_solve(x_star.T @ wx, wx.T @ (y_star - x_star @ beta),
-                         columns=panel.column_names, iteration=r)
-        delta = float(np.max(np.abs(step)))
-        beta = beta + step
-        residuals_star = y_star - x_star @ beta
-        iterations = r
-        if delta <= config.tol:
-            score = x_star.T @ (check_weight(residuals_star, tau) * residuals_star)
-            if float(np.max(np.abs(score))) <= grad_tol:
-                converged = True
-                break
-
-    sw_final = subject_weights(residuals_star, tau, panel)
-    alpha = recover_fixed_effects(panel, beta, tau, sw_final)
-    objective = float(np.sum(asymmetric_loss(
-        panel.y - panel.X @ beta - alpha[panel.codes], tau)))
-    result = FitResult(tau=tau, beta=beta, alpha=alpha,
-                       residuals_star=residuals_star, iterations=iterations,
-                       converged=converged, objective_value=objective)
+    design = _demeaned_design(panel)
+    betas, resid = _start(design, (tau,), config)
+    betas, resid, iterations, converged = _irls(
+        design, panel, (tau,), np.ones(1), betas, resid, config)
+    result = _single_result(panel, tau, betas[0], resid[0], iterations,
+                            converged)
     if not converged:
         raise NoConvergenceError(
             f"fit at tau={tau} did not converge in {config.max_iter} iterations",
@@ -197,51 +250,21 @@ def fit_erfe_single(panel: PanelData, tau, config: IrlsConfig | None = None) -> 
     return result
 
 
-def _validate_taus(taus) -> tuple[float, ...]:
-    taus = tuple(validate_tau(t) for t in np.atleast_1d(taus))
-    if not taus:
-        raise ValueError("need at least one asymmetric point")
-    for a, b in zip(taus, taus[1:]):
-        if b < a:
-            raise NonincreasingTausError(
-                f"asymmetric points must be non-decreasing, got {taus}"
-            )
-    return taus
-
-
-def pooled_transform(panel: PanelData, pw: PooledSubjectWeights):
-    """Common transformed (y, X) under the pooled projection.
-
-    The pooled transform subtracts the same subject average from every tau
-    block; applied to data replicated across blocks it therefore yields one
-    shared transformed copy, which is what the joint fit regresses on.
-    """
-    q = len(pw.taus)
-    y_rep = np.broadcast_to(panel.y, (q, panel.n_obs))
-    x_rep = np.broadcast_to(panel.X, (q,) + panel.X.shape)
-    y_star = apply_pooled_within(y_rep, pw, panel)[0]
-    x_star = apply_pooled_within(x_rep, pw, panel)[0]
-    return y_star, x_star
-
-
 def fit_erfe_multi(panel: PanelData, taus, v=None,
                    config: IrlsConfig | None = None) -> MultiFitResult:
-    """Joint fit over a sequence of asymmetric points.
+    """Joint fit over a strictly increasing sequence of asymmetric points.
 
     The blocks share one subject effect, so each round solves the stacked
-    weighted least squares problem with that effect concentrated out: the
-    pooled per-subject normalizers eliminate the effect exactly (a Schur
-    complement of the block-diagonal slope system), every block's slopes
-    update jointly, and the residual blocks are refreshed net of the
-    common effect.  For a single asymmetric point the concentrated system
-    reduces algebraically to the single-tau transformed system.  ``v``
-    holds the strictly positive influence weights (uniform by default).
-    Convergence requires every block's sup-norm step to be within
-    tolerance and the stacked first-order conditions (slope scores per
-    block plus the pooled subject-effect score) to be negligible.
+    weighted least squares problem with that effect concentrated out (see
+    the module docstring), on the raw X.  For a single asymmetric point
+    this is the single-tau fit.  ``v`` holds the strictly positive
+    influence weights (uniform by default).  Convergence requires the
+    sup-norm step of every block to be within tolerance and the stacked
+    first-order conditions (slope scores per block plus the pooled
+    subject-effect score) to be negligible.
     """
     config = config or IrlsConfig()
-    taus = _validate_taus(taus)
+    taus = validate_taus(taus)
     q = len(taus)
     if v is None:
         v = np.ones(q)
@@ -253,89 +276,11 @@ def fit_erfe_multi(panel: PanelData, taus, v=None,
     if np.any(v <= 0.0):
         raise ValueError("influence weights must be strictly positive")
 
-    w0 = _uniform_weights(panel)
-    y0 = apply_within(panel.y, w0, panel)
-    x0 = apply_within(panel.X, w0, panel)
-    _check_annihilated(x0, panel)
-    p = panel.n_regressors
-    n = panel.n_subjects
-    codes = panel.codes
-    y = panel.y
-    X = panel.X
-    betas = np.empty((q, p))
-    for k in range(q):
-        try:
-            betas[k] = expectile_regression(x0, y0, taus[k], config).beta
-        except NoConvergenceError as exc:
-            betas[k] = exc.result.beta
-    resid = np.vstack([y0 - x0 @ betas[k] for k in range(q)])
-
-    grad_tol = config.tol_grad * _grad_scale(panel)
-    iterations = 0
-    converged = False
-    for r in range(1, int(config.max_iter) + 1):
-        pw = pooled_subject_weights(resid, taus, v, panel)
-        denom = pw.pooled_normalizer
-
-        # Per-block pieces of the stacked normal equations: slope Grams,
-        # per-subject weighted design sums (the effect coupling), and the
-        # pooled per-subject weighted response sums.
-        grams = np.empty((q, p, p))
-        couplings = np.empty((q, n, p))
-        xty = np.empty((q, p))
-        pooled_y = np.zeros(n)
-        for k in range(q):
-            psi = pw.psi_blocks[k]
-            wx = X * psi[:, None]
-            grams[k] = X.T @ wx
-            xty[k] = wx.T @ y
-            for j in range(p):
-                couplings[k][:, j] = np.bincount(codes, weights=wx[:, j],
-                                                 minlength=n)
-            pooled_y += v[k] * np.bincount(codes, weights=psi * y, minlength=n)
-
-        system = np.empty((q * p, q * p))
-        rhs = np.empty(q * p)
-        ybar = pooled_y / denom
-        for k in range(q):
-            rows = slice(k * p, (k + 1) * p)
-            rhs[rows] = v[k] * (xty[k] - couplings[k].T @ ybar)
-            for l in range(q):
-                cols = slice(l * p, (l + 1) * p)
-                block = -v[k] * v[l] * (
-                    couplings[k].T @ (couplings[l] / denom[:, None]))
-                if l == k:
-                    block = block + v[k] * grams[k]
-                system[rows, cols] = block
-
-        stacked = spd_solve(system, rhs, columns=panel.column_names,
-                            iteration=r)
-        new_betas = stacked.reshape(q, p)
-        delta = float(np.max(np.abs(new_betas - betas)))
-        betas = new_betas
-
-        # Common subject effect implied by the new slopes, then residuals.
-        alpha = (pooled_y - sum(v[k] * couplings[k] @ betas[k]
-                                for k in range(q))) / denom
-        adjusted = y - alpha[codes]
-        for k in range(q):
-            resid[k] = adjusted - X @ betas[k]
-        iterations = r
-
-        if delta <= config.tol:
-            effect_score = np.zeros(n)
-            score_ok = True
-            for k in range(q):
-                psi = check_weight(resid[k], taus[k])
-                if float(np.max(np.abs(X.T @ (psi * resid[k])))) > grad_tol:
-                    score_ok = False
-                    break
-                effect_score += v[k] * np.bincount(
-                    codes, weights=psi * resid[k], minlength=n)
-            if score_ok and float(np.max(np.abs(effect_score))) <= grad_tol:
-                converged = True
-                break
-
+    design = _demeaned_design(panel)
+    betas, resid = _start(design, taus, config)
+    design[:-1] = panel.X.T  # raw X, demeaned y
+    betas, resid, iterations, converged = _irls(
+        design, panel, taus, v, betas, resid, config)
     result = MultiFitResult(taus=taus, v=v, betas=betas, residuals_star=resid,
                             iterations=iterations, converged=converged)
     if not converged:

@@ -70,6 +70,6 @@ def annihilated_columns(transformed, reference_scale):
     flagged when its transformed norm is negligible relative to that.
     """
     transformed = np.asarray(transformed, dtype=float)
-    norms = np.linalg.norm(transformed, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", transformed, transformed))
     ref = np.maximum(np.asarray(reference_scale, dtype=float), 1e-300)
     return np.nonzero(norms <= 1e-10 * ref)[0]

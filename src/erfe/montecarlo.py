@@ -24,7 +24,7 @@ from .covariance import sandwich_multi, sandwich_single
 from .errors import BudgetExceededError, ErfeError
 from .estimator import fit_erfe_multi, fit_erfe_single
 from .expectiles import chi_squared, distribution_expectile, gaussian, student_t
-from .panel import PanelData, _assemble_panel
+from .panel import PanelData, _assemble_panel, validate_taus
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -83,6 +83,7 @@ class SimulationConfig:
             raise ValueError(f"error_dist must be one of {_ERROR_DISTS}")
         if not 0.0 < self.x2_subject_share < 1.0:
             raise ValueError("x2_subject_share must lie in (0, 1)")
+        validate_taus(self.taus)
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         loading = self.alpha_x2_corr / np.sqrt(self.x2_subject_share)

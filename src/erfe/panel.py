@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
+    NonincreasingTausError,
     RaggedRowError,
     ShapeMismatchError,
     SingletonSubjectError,
@@ -36,6 +37,7 @@ __all__ = [
     "read_csv_column",
     "read_panel_csv",
     "validate_tau",
+    "validate_taus",
 ]
 
 
@@ -47,6 +49,20 @@ def validate_tau(tau: float) -> float:
             f"asymmetric point must lie in the open interval (0, 1), got {tau!r}"
         )
     return t
+
+
+def validate_taus(taus) -> tuple[float, ...]:
+    """Validate a sequence of asymmetric points: each in (0, 1), strictly increasing.
+
+    Accepts a scalar as a one-point sequence and returns a tuple of floats.
+    """
+    taus = tuple(validate_tau(t) for t in ([taus] if np.ndim(taus) == 0 else taus))
+    if not taus:
+        raise ValueError("need at least one asymmetric point")
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise NonincreasingTausError(
+            f"asymmetric points must be strictly increasing, got {taus}")
+    return taus
 
 
 def check_weight(t, tau):
@@ -243,14 +259,19 @@ def _scan(path, n_fields, label_col):
     raw = np.frombuffer(data, dtype=np.uint8)
     # Positions of every line break and delimiter, between sentinels for the
     # start and the end of the file; blocks keep the byte masks in cache.
-    parts = [[-1]]
+    # Positions are int32 below 2 GiB, which halves the largest arrays here.
+    index = np.int32 if raw.size < 2**31 else np.int64
+    parts = [np.array([-1], dtype=index)]
     for at in range(0, raw.size, _SCAN_BLOCK):
         block = raw[at:at + _SCAN_BLOCK]
-        parts.append(np.flatnonzero((block == ord("\n")) | (block == ord(","))) + at)
-    parts.append([raw.size])
+        hits = np.flatnonzero((block == ord("\n")) | (block == ord(",")))
+        parts.append(hits.astype(index) + at)
+    parts.append(np.array([raw.size], dtype=index))
     seps = np.concatenate(parts)
+    del parts
     bounds = np.concatenate(
-        ([0], np.flatnonzero(raw[seps[1:-1]] == ord("\n")) + 1, [seps.size - 1]))
+        ([0], np.flatnonzero(raw[seps[1:-1]] == ord("\n")) + 1, [seps.size - 1]),
+        dtype=index)
     starts = seps[bounds[:-1]] + 1
     ends = seps[bounds[1:]]
     ends -= (ends > starts) & (raw[np.maximum(ends - 1, 0)] == ord("\r"))

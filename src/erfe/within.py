@@ -6,6 +6,10 @@ average of its own subject subtracted.  The single-tau transform centers
 at the subject's check-weighted mean; the pooled multi-tau transform
 subtracts one common subject average from every tau block, computed from
 all blocks' check weights and the influence weights.
+
+The fits and the sandwich covariance never build a transformed copy of
+the data: they work from per-subject sums (``weighted_subject_sums``),
+mostly of plainly demeaned rows (``subject_demeaned``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ __all__ = [
     "apply_pooled_within",
     "apply_within",
     "pooled_subject_weights",
+    "subject_demeaned",
     "subject_weights",
+    "weighted_subject_sums",
 ]
 
 
@@ -58,6 +64,34 @@ class PooledSubjectWeights:
 
 def _subject_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
     return np.bincount(panel.codes, weights=values, minlength=panel.n_subjects)
+
+
+def subject_demeaned(rows, panel: PanelData) -> np.ndarray:
+    """A C-ordered copy of ``rows`` (k x N, or a list of k N-vectors) with
+    each subject's plain mean subtracted from every row: the unweighted
+    within transform."""
+    out = np.array(rows, dtype=float, order="C", ndmin=2)
+    for row in out:
+        row -= (_subject_sums(row, panel) / panel.counts)[panel.codes]
+    return out
+
+
+def weighted_subject_sums(rows, weights, panel: PanelData):
+    """Per-subject sums of ``rows`` (k x N) under ``weights``.
+
+    Returns ``sums`` of shape (k + 1, n), whose row 0 holds each subject's
+    sum of the weights and row j + 1 its sum of the weights times
+    ``rows[j]``, and the weighted rows themselves, from which callers form
+    the weighted Gram matrix.  These are the sufficient statistics of every
+    weighted within transform: the weighted subject means are
+    ``sums[1:] / sums[0]``.
+    """
+    weighted = rows * weights
+    sums = np.empty((rows.shape[0] + 1, panel.n_subjects))
+    sums[0] = _subject_sums(weights, panel)
+    for j, row in enumerate(weighted):
+        sums[j + 1] = _subject_sums(row, panel)
+    return sums, weighted
 
 
 def subject_weights(residuals, tau, panel: PanelData) -> SubjectWeights:

@@ -203,6 +203,51 @@ def clustered_within_ols(y, X, codes, n_subjects):
 
 
 # ---------------------------------------------------------------------
+# Sandwich covariance from an explicitly transformed design.
+# ---------------------------------------------------------------------
+
+def explicit_sandwich(X, codes, n_subjects, resid_blocks, taus, v):
+    """Sandwich pieces (d0, d1, vc) from the explicit transformed design.
+
+    X* = X minus each subject's average pooling every block's check
+    weights (scaled by ``v``); for one block this is the single-tau
+    weighted within transform.  Per-subject scores are accumulated row by
+    row with np.add.at; the meat is blocked v_k v_l S_k' S_l, the bread
+    block diagonal v_k X*' Psi_k X*, both over the observation count, and
+    vc = B^-1 d0 B^-1 / N.
+    """
+    X = np.asarray(X, dtype=float)
+    codes = np.asarray(codes)
+    resid = np.atleast_2d(np.asarray(resid_blocks, dtype=float))
+    v = np.asarray(v, dtype=float).ravel()
+    q, n_obs = resid.shape
+    p = X.shape[1]
+    psi = np.vstack([psi_ref(resid[k], taus[k]) for k in range(q)])
+    num = np.zeros((n_subjects, p))
+    den = np.zeros(n_subjects)
+    for k in range(q):
+        np.add.at(num, codes, v[k] * psi[k][:, None] * X)
+        np.add.at(den, codes, v[k] * psi[k])
+    x_star = X - (num / den[:, None])[codes]
+    scores = []
+    for k in range(q):
+        s = np.zeros((n_subjects, p))
+        np.add.at(s, codes, x_star * (psi[k] * resid[k])[:, None])
+        scores.append(s)
+    d0 = np.zeros((q * p, q * p))
+    d1 = np.zeros((q * p, q * p))
+    for k in range(q):
+        rows = slice(k * p, (k + 1) * p)
+        for l in range(q):
+            cols = slice(l * p, (l + 1) * p)
+            d0[rows, cols] = v[k] * v[l] * scores[k].T @ scores[l] / n_obs
+        d1[rows, rows] = v[k] * x_star.T @ (psi[k][:, None] * x_star) / n_obs
+    bread = np.linalg.inv(d1)
+    vc = bread @ d0 @ bread / n_obs
+    return d0, d1, (vc + vc.T) / 2.0
+
+
+# ---------------------------------------------------------------------
 # Distributional references.
 # ---------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ import pytest
 
 import erfe
 from erfe.cli import main
-from erfe.errors import NoConvergenceError
+from erfe.errors import NoConvergenceError, NonincreasingTausError
 
 import oracles
 
@@ -188,6 +188,16 @@ def test_fit_invalid_tau_is_usage_error(panel_csv):
     code = main(["fit", "--input", path, "--subject-col", "id",
                  "--response-col", "y", "--tau", "0.9,0.5"])
     assert code == 1
+
+
+def test_fit_repeated_tau_fails_with_library_message(panel_csv, capsys):
+    path, panel = panel_csv
+    with pytest.raises(NonincreasingTausError) as excinfo:
+        erfe.fit_erfe_multi(panel, (0.5, 0.5))
+    code = main(["fit", "--input", path, "--subject-col", "id",
+                 "--response-col", "y", "--tau", "0.5,0.5"])
+    assert code == 1
+    assert str(excinfo.value) in capsys.readouterr().err
 
 
 def test_fit_json_and_csv_carry_identical_values(panel_csv, tmp_path):

@@ -232,6 +232,51 @@ def test_multi_vc_symmetric_psd():
 
 
 # ---------------------------------------------------------------------
+# Both sandwiches against the explicit transformed design
+# ---------------------------------------------------------------------
+
+def _offset_panel(rng):
+    # Unbalanced panel whose first regressor carries a large subject-level
+    # offset, 100 * alpha_i, so sums over raw X would cancel badly.
+    sizes = rng.integers(2, 7, int(rng.integers(4, 25)))
+    codes = np.repeat(np.arange(sizes.size), sizes)
+    alpha = rng.standard_normal(sizes.size)
+    X = rng.standard_normal((codes.size, int(rng.integers(1, 4))))
+    X[:, 0] += 100.0 * alpha[codes]
+    y = X @ np.linspace(0.5, -0.5, X.shape[1]) + alpha[codes] + rng.standard_normal(codes.size)
+    return erfe.build_panel([(int(codes[i]), float(y[i]), X[i])
+                             for i in rng.permutation(codes.size)])
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sandwiches_match_explicit_transform_oracle():
+    rng = np.random.default_rng(83)
+    for trial in range(12):
+        panel = (_offset_panel(rng) if trial % 2 else
+                 oracles.unbalanced_panel(rng, rng.integers(2, 7, 10), p=2)[0])
+        for tau in (0.2, 0.5, 0.9):
+            fit = erfe.fit_erfe_single(panel, tau)
+            cov = erfe.sandwich_single(panel, fit)
+            d0, d1, vc = oracles.explicit_sandwich(
+                panel.X, panel.codes, panel.n_subjects, fit.residuals_star,
+                (tau,), (1.0,))
+            _assert_close(cov.d0_hat, d0)
+            _assert_close(cov.d1_hat, d1)
+            _assert_close(cov.vc, vc)
+        taus, v = (0.1, 0.5, 0.9), (1.0, 2.0, 0.5)
+        fit = erfe.fit_erfe_multi(panel, taus, v)
+        cov = erfe.sandwich_multi(panel, fit)
+        d0, d1, vc = oracles.explicit_sandwich(
+            panel.X, panel.codes, panel.n_subjects, fit.residuals_star, taus, v)
+        _assert_close(cov.d0_hat, d0)
+        _assert_close(cov.d1_hat, d1)
+        _assert_close(cov.vc, vc)
+
+
+# ---------------------------------------------------------------------
 # conf_intervals and normal_quantile
 # ---------------------------------------------------------------------
 

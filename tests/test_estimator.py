@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import erfe
 from erfe.errors import (
@@ -232,15 +234,12 @@ def test_single_block_equals_single_fit():
     assert np.max(np.abs(multi.residuals_star[0] - single.residuals_star)) <= 1e-8
 
 
-def test_duplicated_midpoints_equal_within_ols():
+def test_midpoint_block_equals_within_ols():
     rng = np.random.default_rng(56)
     panel, _, _ = oracles.random_panel(rng, 10, 4, 2)
     ols = erfe.within_ols(panel)
     single = erfe.fit_erfe_multi(panel, [0.5])
-    double = erfe.fit_erfe_multi(panel, [0.5, 0.5], [0.5, 0.5])
     assert np.max(np.abs(single.betas[0] - ols.beta)) <= 1e-8
-    for k in range(2):
-        assert np.max(np.abs(double.betas[k] - ols.beta)) <= 1e-8
 
 
 def test_toy_joint_fit_matches_pooled_minimizer():
@@ -290,6 +289,13 @@ def test_decreasing_taus_rejected():
         erfe.fit_erfe_multi(panel, [0.8, 0.3])
 
 
+def test_repeated_taus_rejected():
+    rng = np.random.default_rng(60)
+    panel, _, _ = oracles.random_panel(rng, 5, 3, 1)
+    with pytest.raises(NonincreasingTausError, match="strictly increasing"):
+        erfe.fit_erfe_multi(panel, (0.5, 0.5))
+
+
 def test_influence_weight_validation():
     rng = np.random.default_rng(61)
     panel, _, _ = oracles.random_panel(rng, 5, 3, 1)
@@ -307,3 +313,85 @@ def test_multi_within_constant_regressor_raises():
         [(int(codes[i]), float(y[i]), [x[i]]) for i in range(12)])
     with pytest.raises(SingularGramError):
         erfe.fit_erfe_multi(panel, [0.3, 0.7])
+
+
+# ---------------------------------------------------------------------
+# Invariance properties of both fits over unbalanced panels
+# ---------------------------------------------------------------------
+
+@st.composite
+def _panels(draw):
+    """(codes, y, X, rng): 3 to 12 subjects of 2 to 6 rows, p <= 5."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=3, max_size=12))
+    p = draw(st.integers(1, 5))
+    assume(sum(sizes) - len(sizes) >= p + 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    alpha = rng.standard_normal(len(sizes))
+    X = rng.standard_normal((codes.size, p)) + 0.5 * alpha[codes, None]
+    y = X @ rng.standard_normal(p) + alpha[codes] + rng.standard_normal(codes.size)
+    return codes, y, X, rng
+
+
+def _build(labels, y, X):
+    return erfe.build_panel(zip(labels, y.tolist(), X))
+
+
+def _fits(panel, taus, v):
+    """Slopes (q x p) of the single fits at ``taus`` and of the joint fit."""
+    single = np.array([erfe.fit_erfe_single(panel, t).beta for t in taus])
+    return single, erfe.fit_erfe_multi(panel, taus, v).betas
+
+
+_TAUS = st.sampled_from([(0.1, 0.5, 0.9), (0.2, 0.7), (0.35,)])
+_PROPERTY = settings(max_examples=25, deadline=None)
+
+
+def _close(a, b, tol):
+    assert np.max(np.abs(a - b)) <= tol * (1.0 + np.max(np.abs(b)))
+
+
+@_PROPERTY
+@given(_panels(), _TAUS)
+def test_reflection_negates_slopes(data, taus):
+    # rho_{1-tau}(-u) = rho_tau(u): reflecting y and every tau negates the
+    # slopes.  The joint fit's taus and influence weights are reversed to
+    # keep the taus increasing.
+    codes, y, X, _ = data
+    v = np.arange(1.0, len(taus) + 1.0)
+    single, joint = _fits(_build(codes, y, X), taus, v)
+    mirror = _build(codes, -y, X)
+    flipped = tuple(1.0 - t for t in reversed(taus))
+    m_single, m_joint = _fits(mirror, flipped, v[::-1])
+    _close(-m_single[::-1], single, 1e-12)
+    _close(-m_joint[::-1], joint, 1e-12)
+
+
+@_PROPERTY
+@given(_panels(), _TAUS)
+def test_invariant_to_relabeling_and_row_permutation(data, taus):
+    codes, y, X, rng = data
+    v = np.ones(len(taus))
+    single, joint = _fits(_build(codes, y, X), taus, v)
+    names = rng.permutation(codes.max() + 1)
+    rows = rng.permutation(codes.size)
+    moved = _build([f"s{names[c]}" for c in codes[rows]], y[rows], X[rows])
+    m_single, m_joint = _fits(moved, taus, v)
+    _close(m_single, single, 1e-9)
+    _close(m_joint, joint, 1e-9)
+
+
+@_PROPERTY
+@given(_panels(), _TAUS, st.floats(0.1, 10.0))
+def test_affine_equivariance_in_y(data, taus, scale):
+    # y -> scale * y + X c + subject constants + b maps every slope vector
+    # beta_k to scale * beta_k + c: the effects absorb the constants.
+    codes, y, X, rng = data
+    v = np.ones(len(taus))
+    single, joint = _fits(_build(codes, y, X), taus, v)
+    c = rng.standard_normal(X.shape[1])
+    shift = rng.standard_normal(codes.max() + 1)[codes] + 3.0
+    m_single, m_joint = _fits(_build(codes, scale * y + X @ c + shift, X),
+                              taus, v)
+    _close(m_single, scale * single + c, 1e-9)
+    _close(m_joint, scale * joint + c, 1e-9)

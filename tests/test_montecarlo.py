@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import erfe
-from erfe.errors import BudgetExceededError
+from erfe.errors import BudgetExceededError, NonincreasingTausError
 from erfe.montecarlo import estimates_to_csv, metrics_to_csv
 
 
@@ -134,6 +134,8 @@ def test_config_validation():
         erfe.SimulationConfig(x2_subject_share=0.0)
     with pytest.raises(ValueError):
         erfe.SimulationConfig(x2_subject_share=0.04, alpha_x2_corr=0.5)
+    with pytest.raises(NonincreasingTausError):
+        erfe.SimulationConfig(taus=(0.5, 0.5))
 
 
 # ---------------------------------------------------------------------
