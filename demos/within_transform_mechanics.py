@@ -11,12 +11,7 @@ transform is classical demeaning.
 import numpy as np
 
 import erfe
-from erfe.within import (
-    apply_pooled_within,
-    apply_within,
-    pooled_subject_weights,
-    subject_weights,
-)
+from erfe.within import apply_within, subject_weights
 
 
 def main():
@@ -65,9 +60,9 @@ def main():
     print("\nPooled transform across asymmetry levels (one shared average):")
     taus = (0.3, 0.7)
     blocks = np.vstack([residuals, rng.standard_normal(panel.n_obs)])
-    pw = pooled_subject_weights(blocks, taus, [1.0, 1.0], panel)
+    pw = subject_weights(blocks, taus, panel, [1.0, 1.0])
     replicated = np.tile(const, (2, 1))
-    out = apply_pooled_within(replicated, pw, panel)
+    out = apply_within(replicated, pw, panel)
     print(f"  replicated subject constant -> max |output| = "
           f"{np.max(np.abs(out)):.2e}")
 

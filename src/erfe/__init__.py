@@ -67,14 +67,7 @@ from .panel import (
     validate_tau,
     validate_taus,
 )
-from .within import (
-    PooledSubjectWeights,
-    SubjectWeights,
-    apply_pooled_within,
-    apply_within,
-    pooled_subject_weights,
-    subject_weights,
-)
+from .within import SubjectWeights, apply_within, subject_weights
 
 __version__ = "0.1.0"
 
@@ -93,7 +86,6 @@ __all__ = [
     "NonincreasingTausError",
     "NotPositiveSemidefiniteError",
     "PanelData",
-    "PooledSubjectWeights",
     "RaggedRowError",
     "SandwichCovariance",
     "ScenarioMetrics",
@@ -104,7 +96,6 @@ __all__ = [
     "SingularGramError",
     "SubjectWeights",
     "WeightDimensionMismatchError",
-    "apply_pooled_within",
     "apply_within",
     "asymmetric_loss",
     "build_panel",
@@ -119,7 +110,6 @@ __all__ = [
     "generate_dgp",
     "metrics_to_csv",
     "normal_quantile",
-    "pooled_subject_weights",
     "read_panel_csv",
     "recover_fixed_effects",
     "run_monte_carlo",

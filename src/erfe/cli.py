@@ -22,16 +22,19 @@ from .covariance import conf_intervals, sandwich_multi, sandwich_single
 from .errors import ErfeError, NoConvergenceError, SingularGramError
 from .estimator import fit_erfe_multi, fit_erfe_single
 from .expectiles import sample_expectile
-from .linalg import annihilated_columns
 from .montecarlo import (
     SimulationConfig,
-    _fmt,
     estimates_to_csv,
     metrics_to_csv,
     run_monte_carlo,
 )
-from .panel import read_csv_column, read_panel_csv, validate_taus
-from .within import apply_within, subject_weights
+from .panel import format_number, read_csv_column, read_panel_csv, validate_taus
+from .within import (
+    apply_within,
+    subject_demeaned,
+    subject_weights,
+    within_constant_columns,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -72,59 +75,69 @@ def _write_text(text: str, out: str | None):
 
 
 # Output tables are passed as columns: sequences of Python values, or numpy
-# arrays of floats.  CSV is formatted a column at a time, in blocks of rows
-# so that only one block of cell strings is alive at once.
-_CSV_BLOCK_ROWS = 65536
+# arrays of floats.  Both formats are written a block of rows at a time, so
+# that only one block of cells is alive at once.
+_BLOCK_ROWS = 65536
+
+
+def _blocks(columns):
+    n_rows = len(columns[0]) if columns else 0
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        yield [col[start:start + _BLOCK_ROWS] for col in columns]
 
 
 def _write_csv(fh, header, columns):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    n_rows = len(columns[0]) if columns else 0
-    for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-        block = [col[start:start + _CSV_BLOCK_ROWS] for col in columns]
+    for block in _blocks(columns):
         writer.writerows(zip(*(
-            list(map(_fmt, col.tolist())) if isinstance(col, np.ndarray)
-            else [_fmt(v) if isinstance(v, float) else str(v) for v in col]
+            list(map(format_number, col.tolist())) if isinstance(col, np.ndarray)
+            else [format_number(v) if isinstance(v, float) else str(v) for v in col]
             for col in block
         )))
 
 
-def _columns_to_json(header, columns) -> str:
-    columns = [col.tolist() if isinstance(col, np.ndarray) else col
-               for col in columns]
-    records = [
-        {key: None if isinstance(value, float) and math.isnan(value) else value
-         for key, value in zip(header, row)}
-        for row in zip(*columns)
-    ]
-    return json.dumps(records, indent=2) + "\n"
+def _write_json(fh, header, columns):
+    """The rows as ``json.dumps(records, indent=2) + "\\n"``, one record
+    per row with NaN as null, written a block of records at a time."""
+    opening = "[\n"
+    for block in _blocks(columns):
+        records = [
+            {key: None if isinstance(value, float) and math.isnan(value) else value
+             for key, value in zip(header, row)}
+            for row in zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                             for col in block))
+        ]
+        # Strip the list's own "[\n" and "\n]": the records in between are
+        # laid out as in a dump of the whole table.
+        fh.write(opening)
+        fh.write(json.dumps(records, indent=2)[2:-2])
+        opening = ",\n"
+    fh.write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def _emit(header, columns, fmt: str, out: str | None):
-    if fmt == "json":
-        _write_text(_columns_to_json(header, columns), out)
-    elif out in (None, "-"):
-        _write_csv(sys.stdout, header, columns)
+    write = _write_json if fmt == "json" else _write_csv
+    if out in (None, "-"):
+        write(sys.stdout, header, columns)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, header, columns)
+            write(fh, header, columns)
 
 
 def _split_estimable(panel):
     """Partition regressors into estimable and within-constant columns."""
-    uniform = subject_weights(np.zeros(panel.n_obs), 0.5, panel)
-    demeaned = apply_within(panel.X, uniform, panel)
-    dropped = set(annihilated_columns(demeaned, np.linalg.norm(panel.X, axis=0)).tolist())
+    dropped = within_constant_columns(
+        panel, subject_demeaned(panel.X.T, panel)).tolist()
     kept = [j for j in range(panel.n_regressors) if j not in dropped]
     if dropped:
-        names = [panel.column_names[j] for j in sorted(dropped)]
+        names = [panel.column_names[j] for j in dropped]
         print(
             f"warning: regressor(s) {names} are constant within subjects; "
             "dropped from estimation (reported as NA)",
             file=sys.stderr,
         )
-    return kept, sorted(dropped)
+    return kept, dropped
 
 
 def _reduced_panel(panel, kept):

@@ -77,24 +77,31 @@ def _breads_and_scores(panel: PanelData, resid, taus, v):
     return breads, scores
 
 
-def _finalize(d0, d1, n_obs, block_sizes=None) -> SandwichCovariance:
-    if block_sizes is None:
+def _assemble(panel: PanelData, resid, taus, v) -> SandwichCovariance:
+    """The sandwich of ``sandwich_multi`` from residual blocks ``resid``
+    (q x N) and influence weights ``v``; its block-diagonal bread is
+    inverted block by block."""
+    q = len(taus)
+    p = panel.n_regressors
+    n_obs = panel.n_obs
+    breads, scores = _breads_and_scores(panel, resid, taus, v)
+    d0 = np.zeros((q * p, q * p))
+    d1 = np.zeros((q * p, q * p))
+    bread_inv = np.zeros((q * p, q * p))
+    for k in range(q):
+        rows = slice(k * p, (k + 1) * p)
+        for l in range(k, q):
+            cols = slice(l * p, (l + 1) * p)
+            block = v[k] * v[l] * (scores[k] @ scores[l].T) / n_obs
+            d0[rows, cols] = block
+            if l != k:
+                d0[cols, rows] = block.T
+        d1[rows, rows] = v[k] * breads[k] / n_obs
         try:
-            bread = spd_inverse(d1)
+            bread_inv[rows, rows] = spd_inverse(d1[rows, rows])
         except SingularGramError as exc:
             raise SingularBreadError(str(exc)) from None
-    else:
-        # d1 is block diagonal; invert block by block.
-        bread = np.zeros_like(d1)
-        start = 0
-        for size in block_sizes:
-            stop = start + size
-            try:
-                bread[start:stop, start:stop] = spd_inverse(d1[start:stop, start:stop])
-            except SingularGramError as exc:
-                raise SingularBreadError(str(exc)) from None
-            start = stop
-    vc = bread @ d0 @ bread / n_obs
+    vc = bread_inv @ d0 @ bread_inv / n_obs
     vc = (vc + vc.T) / 2.0
     eigmin = float(np.min(np.linalg.eigvalsh(vc)))
     floor = -1e-10 * max(float(np.trace(vc)), np.finfo(float).tiny)
@@ -107,18 +114,14 @@ def _finalize(d0, d1, n_obs, block_sizes=None) -> SandwichCovariance:
 
 
 def sandwich_single(panel: PanelData, fit: FitResult) -> SandwichCovariance:
-    """Cluster-robust covariance of a single-tau fit.
+    """Cluster-robust covariance of a single-tau fit: the q = 1 case of
+    ``sandwich_multi``.
 
     Both matrices are rebuilt from the converged transformed residuals:
     the transform uses their check weights, the meat sums per-subject
     score outer products, the bread is the weighted Gram.
     """
-    n_obs = panel.n_obs
-    (bread,), (scores,) = _breads_and_scores(
-        panel, fit.residuals_star[None, :], (fit.tau,), np.ones(1))
-    d0 = scores @ scores.T / n_obs
-    d0 = (d0 + d0.T) / 2.0
-    return _finalize(d0, bread / n_obs, n_obs)
+    return _assemble(panel, fit.residuals_star[None], (fit.tau,), np.ones(1))
 
 
 def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
@@ -129,23 +132,7 @@ def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
     asymmetric points.  The stacked variance matrix covers the q*p
     coefficients in block order.
     """
-    q = len(fit.taus)
-    p = panel.n_regressors
-    n_obs = panel.n_obs
-    breads, scores = _breads_and_scores(panel, fit.residuals_star, fit.taus,
-                                        fit.v)
-    d0 = np.zeros((q * p, q * p))
-    d1 = np.zeros((q * p, q * p))
-    for k in range(q):
-        rows = slice(k * p, (k + 1) * p)
-        for l in range(k, q):
-            cols = slice(l * p, (l + 1) * p)
-            block = fit.v[k] * fit.v[l] * (scores[k] @ scores[l].T) / n_obs
-            d0[rows, cols] = block
-            if l != k:
-                d0[cols, rows] = block.T
-        d1[rows, rows] = fit.v[k] * breads[k] / n_obs
-    return _finalize(d0, d1, n_obs, block_sizes=[p] * q)
+    return _assemble(panel, fit.residuals_star, fit.taus, fit.v)
 
 
 def normal_quantile(prob: float) -> float:

@@ -48,9 +48,15 @@ from .errors import (
     WeightDimensionMismatchError,
 )
 from .expectiles import IrlsConfig, expectile_regression
-from .linalg import annihilated_columns, spd_solve
+from .linalg import spd_solve
 from .panel import PanelData, asymmetric_loss, check_weight, validate_tau, validate_taus
-from .within import SubjectWeights, subject_demeaned, subject_weights, weighted_subject_sums
+from .within import (
+    SubjectWeights,
+    subject_demeaned,
+    subject_weights,
+    weighted_subject_sums,
+    within_constant_columns,
+)
 
 __all__ = [
     "FitResult",
@@ -105,8 +111,7 @@ def _demeaned_design(panel: PanelData) -> np.ndarray:
     can identify either.
     """
     design = subject_demeaned([*panel.X.T, panel.y], panel)
-    scale = np.sqrt(np.einsum("ij,ij->j", panel.X, panel.X))
-    bad = annihilated_columns(design[:-1].T, scale)
+    bad = within_constant_columns(panel, design[:-1])
     if bad.size:
         names = [panel.column_names[j] for j in bad]
         raise SingularGramError(

@@ -184,10 +184,14 @@ def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
     ``dist`` is a frozen scipy.stats continuous distribution with a finite
     variance.  The expectile is the root theta of
 
-        tau * E[(Y - theta)+] - (1 - tau) * E[(theta - Y)+] = 0,
+        tau * E[(Y - theta)+] - (1 - tau) * E[(theta - Y)+] = 0.
 
-    where the two partial moments are evaluated by adaptive quadrature over
-    the tails and the root is isolated with an expanding bracket.
+    As E[(Y - theta)+] = mean - theta + E[(theta - Y)+], this is
+
+        tau * (mean - theta) + (2 * tau - 1) * E[(theta - Y)+] = 0,
+
+    with the one partial moment evaluated by adaptive quadrature over the
+    lower tail; the root is isolated with an expanding bracket.
     """
     tau = validate_tau(tau)
     mean = float(dist.mean())
@@ -196,16 +200,6 @@ def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
         raise ValueError("distribution must have finite mean and variance")
     lo_support, hi_support = (float(b) for b in dist.support())
     pdf = dist.pdf
-
-    def upper_moment(theta: float) -> float:
-        a = max(theta, lo_support)
-        if a >= hi_support:
-            return 0.0
-        val, _ = integrate.quad(
-            lambda yv: (yv - theta) * pdf(yv), a, hi_support,
-            epsabs=1e-12, epsrel=1e-11, limit=200,
-        )
-        return val
 
     def lower_moment(theta: float) -> float:
         b = min(theta, hi_support)
@@ -218,7 +212,7 @@ def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
         return val
 
     def balance(theta: float) -> float:
-        return tau * upper_moment(theta) - (1.0 - tau) * lower_moment(theta)
+        return tau * (mean - theta) + (2.0 * tau - 1.0) * lower_moment(theta)
 
     # balance() is strictly decreasing; expand around the mean until it
     # changes sign, then bisect with Brent's method.

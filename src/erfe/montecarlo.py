@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .covariance import sandwich_multi, sandwich_single
 from .errors import BudgetExceededError, ErfeError
 from .estimator import fit_erfe_multi, fit_erfe_single
 from .expectiles import chi_squared, distribution_expectile, gaussian, student_t
-from .panel import PanelData, _assemble_panel, validate_taus
+from .panel import PanelData, _assemble_panel, format_number, validate_taus
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -302,14 +301,6 @@ def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetri
                            standard_errors=ses, iterations=iters)
 
 
-def _fmt(value) -> str:
-    """A number as CSV text: 17 significant digits, NaN as NA."""
-    value = float(value)
-    if math.isnan(value):
-        return "NA"
-    return format(value, ".17g")
-
-
 def metrics_to_csv(metrics: ScenarioMetrics) -> str:
     """Serialize the summary rows as CSV (17 significant digits)."""
     buf = io.StringIO()
@@ -319,9 +310,10 @@ def metrics_to_csv(metrics: ScenarioMetrics) -> str:
                      "replications_used", "failures"])
     for row in metrics.rows:
         writer.writerow([
-            _fmt(row.tau), row.coefficient, _fmt(row.true_value),
-            _fmt(row.mean_estimate), _fmt(row.bias), _fmt(row.sd),
-            _fmt(row.mean_se), _fmt(row.se_sd_ratio),
+            format_number(row.tau), row.coefficient,
+            format_number(row.true_value), format_number(row.mean_estimate),
+            format_number(row.bias), format_number(row.sd),
+            format_number(row.mean_se), format_number(row.se_sd_ratio),
             row.replications_used, row.failures,
         ])
     return buf.getvalue()
@@ -338,9 +330,9 @@ def estimates_to_csv(config: SimulationConfig, metrics: ScenarioMetrics) -> str:
         for k, tau in enumerate(config.taus):
             for j, name in enumerate(names):
                 writer.writerow([
-                    rep, _fmt(tau), name,
-                    _fmt(metrics.estimates[rep, k, j]),
-                    _fmt(metrics.standard_errors[rep, k, j]),
-                    _fmt(metrics.iterations[rep, k]),
+                    rep, format_number(tau), name,
+                    format_number(metrics.estimates[rep, k, j]),
+                    format_number(metrics.standard_errors[rep, k, j]),
+                    format_number(metrics.iterations[rep, k]),
                 ])
     return buf.getvalue()

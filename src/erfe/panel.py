@@ -17,6 +17,7 @@ that does not parse and a non-finite value are reported as ``path:line``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "asymmetric_loss",
     "build_panel",
     "check_weight",
+    "format_number",
     "read_csv_column",
     "read_panel_csv",
     "validate_tau",
@@ -227,6 +229,14 @@ def build_panel(records, column_names=None) -> PanelData:
 # np.loadtxt arguments for the accepted CSV dialect (see the module docstring).
 _DIALECT = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8")
 _SCAN_BLOCK = 1 << 22
+
+
+def format_number(value) -> str:
+    """A number as CSV text: 17 significant digits, NaN as NA."""
+    value = float(value)
+    if math.isnan(value):
+        return "NA"
+    return format(value, ".17g")
 
 
 def _read_header(path) -> list[str]:

@@ -2,10 +2,10 @@
 
 The fixed-effect projection is block diagonal in subjects, so applying it
 never requires an N x N matrix: each observation just has the weighted
-average of its own subject subtracted.  The single-tau transform centers
-at the subject's check-weighted mean; the pooled multi-tau transform
-subtracts one common subject average from every tau block, computed from
-all blocks' check weights and the influence weights.
+average of its own subject subtracted.  For one residual vector that is
+the subject's check-weighted mean; for q residual blocks (one per
+asymmetric point) it is one common subject average, pooling every block's
+check weights scaled by the influence weights, subtracted from all blocks.
 
 The fits and the sandwich covariance never build a transformed copy of
 the data: they work from per-subject sums (``weighted_subject_sums``),
@@ -19,51 +19,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, WeightDimensionMismatchError
+from .linalg import annihilated_columns
 from .panel import PanelData, check_weight, validate_tau
 
 __all__ = [
-    "PooledSubjectWeights",
     "SubjectWeights",
-    "apply_pooled_within",
     "apply_within",
-    "pooled_subject_weights",
     "subject_demeaned",
     "subject_weights",
     "weighted_subject_sums",
+    "within_constant_columns",
 ]
 
 
 @dataclass(frozen=True)
 class SubjectWeights:
-    """Normalized check weights for one asymmetric point.
+    """Normalized check weights of one residual vector or of q residual blocks.
 
-    ``normalized`` sums to one within every subject (renormalized after
-    the division so the unit sums hold to machine precision);
-    ``raw_subject_sums`` keeps the per-subject sums of the raw check
-    weights for fixed-effect recovery.
-    """
-
-    tau: float
-    normalized: np.ndarray
-    raw_subject_sums: np.ndarray
-
-
-@dataclass(frozen=True)
-class PooledSubjectWeights:
-    """Check weights of every tau block plus the pooled subject normalizers.
-
-    ``pooled_normalizer[i]`` is sum_k v_k * (subject i's sum of the block-k
-    check weights); it is strictly positive because check weights are.
+    ``normalized`` has the shape of the residuals, (N,) or (q, N), and
+    holds each observation's check weight (times its block's influence
+    weight) over its subject's total, so that summed over a subject's rows
+    of every block it is one; it is renormalized after the division so the
+    unit sums hold to machine precision.
     """
 
     taus: tuple[float, ...]
-    v: np.ndarray
-    psi_blocks: np.ndarray
-    pooled_normalizer: np.ndarray
+    normalized: np.ndarray
 
 
 def _subject_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
     return np.bincount(panel.codes, weights=values, minlength=panel.n_subjects)
+
+
+def _block_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
+    """Per-subject sums of an N-vector, or over the rows of every block of
+    q blocks (q x N), accumulated from block 0 on."""
+    if values.ndim == 1:
+        return _subject_sums(values, panel)
+    total = _subject_sums(values[0], panel)
+    for block in values[1:]:
+        total += _subject_sums(block, panel)
+    return total
 
 
 def subject_demeaned(rows, panel: PanelData) -> np.ndarray:
@@ -74,6 +70,19 @@ def subject_demeaned(rows, panel: PanelData) -> np.ndarray:
     for row in out:
         row -= (_subject_sums(row, panel) / panel.counts)[panel.codes]
     return out
+
+
+def within_constant_columns(panel: PanelData, demeaned_X) -> np.ndarray:
+    """Indices of the regressors that are constant within every subject.
+
+    ``demeaned_X`` holds the panel's regressors demeaned per subject, one
+    row per regressor (as from ``subject_demeaned``); a regressor is
+    within-constant when demeaning leaves a negligible norm relative to
+    its raw norm.  No weighted within transform can identify such a
+    regressor.
+    """
+    scale = np.sqrt(np.einsum("ij,ij->j", panel.X, panel.X))
+    return annihilated_columns(np.asarray(demeaned_X).T, scale)
 
 
 def weighted_subject_sums(rows, weights, panel: PanelData):
@@ -94,99 +103,61 @@ def weighted_subject_sums(rows, weights, panel: PanelData):
     return sums, weighted
 
 
-def subject_weights(residuals, tau, panel: PanelData) -> SubjectWeights:
-    """Check weights of the residuals, normalized to unit sums per subject."""
-    tau = validate_tau(tau)
-    residuals = np.asarray(residuals, dtype=float).ravel()
-    if residuals.shape[0] != panel.n_obs:
+def subject_weights(residuals, taus, panel: PanelData, v=None) -> SubjectWeights:
+    """Check weights of the residuals, normalized to unit sums per subject.
+
+    ``residuals`` is one N-vector with one asymmetric point ``taus``, or
+    q residual blocks (q x N) with q asymmetric points and the strictly
+    positive influence weights ``v`` (uniform by default); the blocks'
+    points may repeat.  Block weights pool every block of a subject.
+    """
+    blocks = np.asarray(residuals, dtype=float)
+    taus = tuple(validate_tau(t) for t in np.atleast_1d(taus))
+    q = len(taus)
+    expected = (panel.n_obs,) if blocks.ndim == 1 else (q, panel.n_obs)
+    if blocks.shape != expected or (blocks.ndim == 1 and q != 1):
         raise ShapeMismatchError(
-            f"{residuals.shape[0]} residuals for a panel of {panel.n_obs} rows"
+            f"residuals {blocks.shape} for {q} asymmetric point(s) do not "
+            f"match a panel of {panel.n_obs} rows"
         )
-    psi = check_weight(residuals, tau)
-    raw = _subject_sums(psi, panel)
-    w = psi / raw[panel.codes]
-    w /= _subject_sums(w, panel)[panel.codes]
-    return SubjectWeights(tau=tau, normalized=w, raw_subject_sums=raw)
+    psi = np.empty_like(blocks)
+    rows = psi.reshape(q, -1)
+    for row, r, tau in zip(rows, blocks.reshape(q, -1), taus):
+        row[:] = check_weight(r, tau)
+    if v is not None:
+        v = np.asarray(v, dtype=float).ravel()
+        if v.shape[0] != q:
+            raise WeightDimensionMismatchError(
+                f"{v.shape[0]} influence weights for {q} asymmetric points"
+            )
+        if np.any(v <= 0.0):
+            raise ValueError("influence weights must be strictly positive")
+        rows *= v[:, None]
+    psi /= _block_sums(psi, panel)[panel.codes]
+    psi /= _block_sums(psi, panel)[panel.codes]
+    return SubjectWeights(taus=taus, normalized=psi)
 
 
 def apply_within(values, weights: SubjectWeights, panel: PanelData):
     """Subtract each subject's weighted average from its observations.
 
-    Works on an N-vector or column-wise on an N x p matrix; linear in the
-    input, idempotent for fixed weights, and exactly annihilates anything
-    constant within each subject.
+    With one-vector weights ``values`` is an N-vector or an N x p matrix;
+    with block weights it is q blocks of either, (q, N) or (q, N, p), and
+    the one pooled subject average is subtracted from every block.  Works
+    column by column; linear in the input, idempotent for fixed weights,
+    and exactly annihilates anything constant within each subject (and
+    replicated across the blocks).
     """
-    v = np.asarray(values, dtype=float)
-    if v.shape[:1] != (panel.n_obs,):
-        raise ShapeMismatchError(
-            f"input with {v.shape[0] if v.ndim else 0} rows does not match "
-            f"panel of {panel.n_obs} observations"
-        )
+    u = np.asarray(values, dtype=float)
     w = weights.normalized
-    if v.ndim == 1:
-        avg = _subject_sums(w * v, panel)
-        return v - avg[panel.codes]
-    if v.ndim == 2:
-        out = np.empty_like(v)
-        for j in range(v.shape[1]):
-            avg = _subject_sums(w * v[:, j], panel)
-            out[:, j] = v[:, j] - avg[panel.codes]
-        return out
-    raise ShapeMismatchError("expected a vector or a matrix")
-
-
-def pooled_subject_weights(residual_blocks, taus, v, panel: PanelData) -> PooledSubjectWeights:
-    """Check weights per tau block and the pooled per-subject normalizers.
-
-    ``residual_blocks`` stacks one residual vector per asymmetric point
-    (shape (q, N)); ``v`` holds the strictly positive influence weights.
-    """
-    blocks = np.atleast_2d(np.asarray(residual_blocks, dtype=float))
-    taus = tuple(validate_tau(t) for t in np.atleast_1d(taus))
-    q = len(taus)
-    if blocks.shape != (q, panel.n_obs):
+    if u.shape[:w.ndim] != w.shape or u.ndim > w.ndim + 1:
         raise ShapeMismatchError(
-            f"residual blocks {blocks.shape} do not match "
-            f"({q}, {panel.n_obs})"
+            f"input {u.shape} does not match within weights {w.shape} "
+            "(with an optional trailing column axis)"
         )
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape[0] != q:
-        raise WeightDimensionMismatchError(
-            f"{v.shape[0]} influence weights for {q} asymmetric points"
-        )
-    if np.any(v <= 0.0):
-        raise ValueError("influence weights must be strictly positive")
-
-    psi = np.empty_like(blocks)
-    normalizer = np.zeros(panel.n_subjects)
-    for k in range(q):
-        psi[k] = check_weight(blocks[k], taus[k])
-        normalizer += v[k] * _subject_sums(psi[k], panel)
-    return PooledSubjectWeights(taus=taus, v=v, psi_blocks=psi,
-                                pooled_normalizer=normalizer)
-
-
-def apply_pooled_within(value_blocks, pw: PooledSubjectWeights, panel: PanelData):
-    """Pooled within transform: one common subject average per observation.
-
-    For each subject the average pooling every block's check weights
-    (scaled by the influence weights) is subtracted from all q blocks, so
-    inputs that are subject-constant and replicated across blocks map to
-    zero.  Accepts blocks of vectors (q, N) or of matrices (q, N, p).
-    """
-    u = np.asarray(value_blocks, dtype=float)
-    q = len(pw.taus)
-    if u.ndim not in (2, 3) or u.shape[0] != q or u.shape[1] != panel.n_obs:
-        raise ShapeMismatchError(
-            f"value blocks {u.shape} do not match ({q}, {panel.n_obs}, ...)"
-        )
-    if u.ndim == 2:
-        num = np.zeros(panel.n_subjects)
-        for k in range(q):
-            num += pw.v[k] * _subject_sums(pw.psi_blocks[k] * u[k], panel)
-        avg = num / pw.pooled_normalizer
-        return u - avg[panel.codes][None, :]
-    out = np.empty_like(u)
-    for j in range(u.shape[2]):
-        out[:, :, j] = apply_pooled_within(u[:, :, j], pw, panel)
-    return out
+    columns = u[..., None] if u.ndim == w.ndim else u
+    out = np.empty_like(columns)
+    for j in range(columns.shape[-1]):
+        col = columns[..., j]
+        out[..., j] = col - _block_sums(w * col, panel)[panel.codes]
+    return out.reshape(u.shape)

@@ -9,8 +9,8 @@ paths, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special, stats
-from scipy.optimize import minimize
+from scipy import integrate, special, stats
+from scipy.optimize import brentq, minimize
 
 import erfe
 
@@ -263,6 +263,36 @@ def standard_normal_expectile_equation(theta, tau):
     upper = stats.norm.pdf(theta) - theta * (1.0 - stats.norm.cdf(theta))
     lower = upper - (0.0 - theta)
     return tau * upper - (1.0 - tau) * lower
+
+
+def two_moment_distribution_expectile(dist, tau):
+    """Expectile of a frozen scipy distribution as the root of the direct
+    condition tau * E[(Y - t)+] - (1 - tau) * E[(t - Y)+] = 0, each partial
+    moment by its own quadrature; the package folds the upper moment into
+    the mean and integrates the lower one only."""
+    lo_support, hi_support = (float(b) for b in dist.support())
+
+    def moment(theta, a, b, sign):
+        if a >= b:
+            return 0.0
+        return integrate.quad(lambda y: sign * (y - theta) * dist.pdf(y), a, b,
+                              epsabs=1e-12, epsrel=1e-11, limit=200)[0]
+
+    def balance(theta):
+        upper = moment(theta, max(theta, lo_support), hi_support, 1.0)
+        lower = moment(theta, lo_support, min(theta, hi_support), -1.0)
+        return tau * upper - (1.0 - tau) * lower
+
+    mean, step = float(dist.mean()), max(float(dist.std()), 1.0)
+    lo, hi = mean - step, mean + step
+    while balance(lo) < 0.0:
+        lo -= step
+        step *= 2.0
+    step = max(float(dist.std()), 1.0)
+    while balance(hi) > 0.0:
+        hi += step
+        step *= 2.0
+    return float(brentq(balance, lo, hi, xtol=1e-12, rtol=8.9e-16))
 
 
 # ---------------------------------------------------------------------

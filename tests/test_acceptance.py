@@ -15,7 +15,7 @@ import pytest
 
 import erfe
 from erfe.cli import main
-from erfe.within import apply_pooled_within, apply_within, pooled_subject_weights, subject_weights
+from erfe.within import apply_within, subject_weights
 
 import oracles
 
@@ -120,9 +120,9 @@ def test_criterion_03_dense_projection_oracle():
                 psis = np.vstack([oracles.psi_ref(blocks[k], taus[k])
                                   for k in range(q)])
                 dense, _ = oracles.dense_pooled_matrices(panel.codes, n, psis, v)
-                pw = pooled_subject_weights(blocks, taus, v, panel)
+                pw = subject_weights(blocks, taus, panel, v)
                 probe = rng.standard_normal((q, panel.n_obs))
-                impl = apply_pooled_within(probe, pw, panel).reshape(-1)
+                impl = apply_within(probe, pw, panel).reshape(-1)
                 worst = max(worst, float(np.max(np.abs(
                     dense @ probe.reshape(-1) - impl))))
     _report("criterion-03", worst <= 1e-10, f"max |diff| = {worst:.2e}")
@@ -234,14 +234,14 @@ def test_criterion_09_annihilation_and_idempotency():
                 apply_within(once, sw, panel) - once))))
         taus = (0.25, 0.75)
         blocks = rng.standard_normal((2, panel.n_obs))
-        pw = pooled_subject_weights(blocks, taus, [1.0, 2.0], panel)
+        pw = subject_weights(blocks, taus, panel, [1.0, 2.0])
         rep = np.tile(const, (2, 1))
         worst_ann = max(worst_ann, float(np.max(np.abs(
-            apply_pooled_within(rep, pw, panel)))))
+            apply_within(rep, pw, panel)))))
         probe = rng.standard_normal((2, panel.n_obs))
-        once = apply_pooled_within(probe, pw, panel)
+        once = apply_within(probe, pw, panel)
         worst_idem = max(worst_idem, float(np.max(np.abs(
-            apply_pooled_within(once, pw, panel) - once))))
+            apply_within(once, pw, panel) - once))))
     ok = worst_ann <= 1e-12 and worst_idem <= 1e-12
     _report("criterion-09", ok,
             f"annihilation {worst_ann:.1e}, idempotency {worst_idem:.1e}")

@@ -1,7 +1,9 @@
 """Command-line interface: fit, simulate, expectile, transform."""
 
 import csv
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import erfe
-from erfe.cli import main
+from erfe.cli import _write_json, main
 from erfe.errors import NoConvergenceError, NonincreasingTausError
 
 import oracles
@@ -65,6 +67,48 @@ def test_csv_output_bytes_are_pinned(args, golden, tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def _json_reference(csv_path):
+    """json.dumps of the CSV table's records: NA as null, iterations as
+    integers, labels and flags as strings, every other cell a float."""
+    def cell(key, text):
+        if text == "NA":
+            return None
+        if key == "iterations":
+            return int(text)
+        if key in ("term", "subject", "converged"):
+            return text
+        return float(text)
+    records = [{key: cell(key, text) for key, text in row.items()}
+               for row in _read_rows(csv_path)]
+    return json.dumps(records, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [65536, 3, 1])
+@pytest.mark.parametrize("args", [["fit", "--tau", "0.2,0.5,0.8"],
+                                  ["transform", "--tau", "0.5,0.8"]])
+def test_json_output_is_one_dump_of_the_records(args, block_rows, tmp_path,
+                                                monkeypatch):
+    # Records are written a block of rows at a time; the bytes must equal
+    # one json.dumps of the whole table, whatever the block size.  The
+    # subject-constant column gives NA (null) rows in the fit output.
+    monkeypatch.setattr("erfe.cli._BLOCK_ROWS", block_rows)
+    common = [*args, "--input", str(DATA / "small_panel.csv"),
+              "--subject-col", "id", "--response-col", "y"]
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main([*common, "--out", str(csv_out)]) == 0
+    assert main([*common, "--format", "json", "--out", str(json_out)]) == 0
+    expected = _json_reference(csv_out)
+    assert json_out.read_text(encoding="utf-8") == expected
+    if args[0] == "fit":
+        assert "null" in expected
+
+
+def test_json_output_of_an_empty_table():
+    out = io.StringIO()
+    _write_json(out, ["tau", "expectile"], [[], []])
+    assert out.getvalue() == json.dumps([], indent=2) + "\n" == "[]\n"
 
 
 # ---------------------------------------------------------------------
@@ -393,10 +437,14 @@ def test_simulate_budget_guard(tmp_path, monkeypatch):
 def test_module_entry_point_runs(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("v\n0\n1\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(erfe.__file__).parent.parent),
+         *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "erfe.cli", "expectile", "--input", str(path),
          "--response-col", "v", "--tau", "0.9"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n")[1].startswith("0.9")
 

@@ -195,6 +195,16 @@ def test_monotone_in_tau_distributional():
     assert vals[0] < vals[1] < vals[2]
 
 
+@pytest.mark.parametrize("dist", ["gaussian", "t3", "chi2_3"])
+def test_one_moment_balance_matches_two_moment_form(dist):
+    frozen = {"gaussian": erfe.gaussian(0, 1), "t3": erfe.student_t(3),
+              "chi2_3": erfe.chi_squared(3)}[dist]
+    for tau in (0.01, 0.1, 0.5, 0.9, 0.99):
+        theta = erfe.distribution_expectile(frozen, tau)
+        reference = oracles.two_moment_distribution_expectile(frozen, tau)
+        assert abs(theta - reference) <= 1e-10, (tau, theta, reference)
+
+
 def test_student_t_low_df_rejected():
     with pytest.raises(ValueError):
         erfe.student_t(2.0)

@@ -5,12 +5,7 @@ import pytest
 
 import erfe
 from erfe.errors import ShapeMismatchError, WeightDimensionMismatchError
-from erfe.within import (
-    apply_pooled_within,
-    apply_within,
-    pooled_subject_weights,
-    subject_weights,
-)
+from erfe.within import apply_within, subject_weights
 
 import oracles
 
@@ -35,7 +30,7 @@ def test_sign_split_weights():
     panel = erfe.build_panel([(1, 0.0, [0.0]), (1, 0.0, [1.0])])
     sw = subject_weights(np.array([1.0, -1.0]), 0.9, panel)
     assert np.allclose(sw.normalized, [0.9, 0.1], atol=1e-15)
-    assert np.allclose(sw.raw_subject_sums, [1.0])
+    assert sw.taus == (0.9,)
 
 
 def test_weights_sum_to_one_per_subject():
@@ -157,24 +152,28 @@ def test_matches_dense_projector():
 
 def test_pooled_single_block_reduces_to_subject_weights():
     rng = np.random.default_rng(31)
-    panel = _toy_panel(rng)
+    panel = _toy_panel(rng, p=2)
     resid = rng.standard_normal(panel.n_obs)
-    pw = pooled_subject_weights(resid[None, :], (0.7,), [1.0], panel)
+    pw = subject_weights(resid[None, :], (0.7,), panel, [1.0])
     sw = subject_weights(resid, 0.7, panel)
+    assert np.array_equal(pw.normalized[0], sw.normalized)
     v = rng.standard_normal(panel.n_obs)
-    pooled = apply_pooled_within(v[None, :], pw, panel)[0]
+    pooled = apply_within(v[None, :], pw, panel)[0]
     single = apply_within(v, sw, panel)
-    assert np.max(np.abs(pooled - single)) <= 1e-12
+    assert np.array_equal(pooled, single)
+    M = rng.standard_normal((panel.n_obs, 2))
+    assert np.array_equal(apply_within(M[None], pw, panel)[0],
+                          apply_within(M, sw, panel))
 
 
 def test_pooled_midpoint_any_v_is_demeaning():
     rng = np.random.default_rng(32)
     panel = _toy_panel(rng)
     resid = rng.standard_normal((2, panel.n_obs))
-    pw = pooled_subject_weights(resid, (0.5, 0.5), [0.25, 4.0], panel)
+    pw = subject_weights(resid, (0.5, 0.5), panel, [0.25, 4.0])
     y = rng.standard_normal(panel.n_obs)
     rep = np.tile(y, (2, 1))
-    out = apply_pooled_within(rep, pw, panel)
+    out = apply_within(rep, pw, panel)
     means = np.bincount(panel.codes, weights=y) / panel.counts
     expected = y - means[panel.codes]
     for k in range(2):
@@ -185,10 +184,10 @@ def test_pooled_annihilates_replicated_subject_constants():
     rng = np.random.default_rng(33)
     panel, _, _ = oracles.unbalanced_panel(rng, [3, 2, 4], p=1)
     resid = rng.standard_normal((3, panel.n_obs))
-    pw = pooled_subject_weights(resid, (0.2, 0.5, 0.9), [1.0, 2.0, 0.5], panel)
+    pw = subject_weights(resid, (0.2, 0.5, 0.9), panel, [1.0, 2.0, 0.5])
     const = rng.standard_normal(panel.n_subjects)[panel.codes]
     rep = np.tile(const, (3, 1))
-    out = apply_pooled_within(rep, pw, panel)
+    out = apply_within(rep, pw, panel)
     assert np.max(np.abs(out)) <= 1e-12
 
 
@@ -196,8 +195,11 @@ def test_pooled_normalizers_positive():
     rng = np.random.default_rng(34)
     panel = _toy_panel(rng)
     resid = rng.standard_normal((2, panel.n_obs))
-    pw = pooled_subject_weights(resid, (0.1, 0.9), [0.5, 0.5], panel)
-    assert np.all(pw.pooled_normalizer > 0)
+    pw = subject_weights(resid, (0.1, 0.9), panel, [0.5, 0.5])
+    assert pw.normalized.shape == (2, panel.n_obs)
+    assert np.all(pw.normalized > 0)
+    sums = np.bincount(panel.codes, weights=pw.normalized.sum(axis=0))
+    assert np.max(np.abs(sums - 1.0)) <= 1e-15
 
 
 def test_pooled_weight_dimension_mismatch():
@@ -205,9 +207,30 @@ def test_pooled_weight_dimension_mismatch():
     panel = _toy_panel(rng)
     resid = rng.standard_normal((2, panel.n_obs))
     with pytest.raises(WeightDimensionMismatchError):
-        pooled_subject_weights(resid, (0.3, 0.7), [1.0], panel)
+        subject_weights(resid, (0.3, 0.7), panel, [1.0])
     with pytest.raises(ValueError):
-        pooled_subject_weights(resid, (0.3, 0.7), [1.0, -1.0], panel)
+        subject_weights(resid, (0.3, 0.7), panel, [1.0, -1.0])
+
+
+def test_pooled_shapes_checked():
+    rng = np.random.default_rng(40)
+    panel = _toy_panel(rng)
+    resid = rng.standard_normal((2, panel.n_obs))
+    with pytest.raises(ShapeMismatchError):
+        subject_weights(resid, (0.3, 0.5, 0.7), panel)
+    with pytest.raises(ShapeMismatchError):
+        subject_weights(resid[:, 1:], (0.3, 0.7), panel)
+    with pytest.raises(ShapeMismatchError):
+        subject_weights(resid[0], (0.3, 0.7), panel)
+    with pytest.raises(ValueError):
+        subject_weights(resid, (0.3, 1.0), panel)
+    pw = subject_weights(resid, (0.4, 0.4), panel)  # repeated taus are legal
+    with pytest.raises(ShapeMismatchError):
+        apply_within(rng.standard_normal(panel.n_obs), pw, panel)
+    with pytest.raises(ShapeMismatchError):
+        apply_within(rng.standard_normal((3, panel.n_obs)), pw, panel)
+    with pytest.raises(ShapeMismatchError):
+        apply_within(np.zeros((2, panel.n_obs, 2, 2)), pw, panel)
 
 
 def test_pooled_matches_dense_oracle_uniform_v():
@@ -222,9 +245,9 @@ def test_pooled_matches_dense_oracle_uniform_v():
         psis = np.vstack([oracles.psi_ref(resid[k], taus[k]) for k in range(q)])
         verbatim, shared = oracles.dense_pooled_matrices(panel.codes, n, psis, v)
         assert np.max(np.abs(verbatim - shared)) <= 1e-12
-        pw = pooled_subject_weights(resid, taus, v, panel)
+        pw = subject_weights(resid, taus, panel, v)
         u = rng.standard_normal((q, panel.n_obs))
-        impl = apply_pooled_within(u, pw, panel).reshape(-1)
+        impl = apply_within(u, pw, panel).reshape(-1)
         assert np.max(np.abs(verbatim @ u.reshape(-1) - impl)) <= 1e-10
 
 
@@ -246,9 +269,9 @@ def test_pooled_dense_reading_discrepancy_recorded():
     psis = np.vstack([oracles.psi_ref(resid[k], taus[k]) for k in range(2)])
     verbatim, shared = oracles.dense_pooled_matrices(panel.codes, 3, psis, v)
 
-    pw = pooled_subject_weights(resid, taus, v, panel)
+    pw = subject_weights(resid, taus, panel, v)
     u = rng.standard_normal((2, panel.n_obs))
-    impl = apply_pooled_within(u, pw, panel).reshape(-1)
+    impl = apply_within(u, pw, panel).reshape(-1)
 
     # implementation == shared-average reading, everywhere
     assert np.max(np.abs(shared @ u.reshape(-1) - impl)) <= 1e-10
@@ -270,10 +293,10 @@ def test_pooled_idempotent_with_frozen_weights():
     rng = np.random.default_rng(38)
     panel = _toy_panel(rng)
     resid = rng.standard_normal((2, panel.n_obs))
-    pw = pooled_subject_weights(resid, (0.25, 0.75), [1.0, 2.0], panel)
+    pw = subject_weights(resid, (0.25, 0.75), panel, [1.0, 2.0])
     u = rng.standard_normal((2, panel.n_obs))
-    once = apply_pooled_within(u, pw, panel)
-    twice = apply_pooled_within(once, pw, panel)
+    once = apply_within(u, pw, panel)
+    twice = apply_within(once, pw, panel)
     assert np.max(np.abs(twice - once)) <= 1e-12
 
 
@@ -281,9 +304,9 @@ def test_pooled_matrix_blocks():
     rng = np.random.default_rng(39)
     panel = _toy_panel(rng, p=2)
     resid = rng.standard_normal((2, panel.n_obs))
-    pw = pooled_subject_weights(resid, (0.4, 0.6), [1.0, 1.0], panel)
+    pw = subject_weights(resid, (0.4, 0.6), panel, [1.0, 1.0])
     blocks = rng.standard_normal((2, panel.n_obs, 2))
-    out = apply_pooled_within(blocks, pw, panel)
+    out = apply_within(blocks, pw, panel)
     for j in range(2):
-        expected = apply_pooled_within(blocks[:, :, j], pw, panel)
+        expected = apply_within(blocks[:, :, j], pw, panel)
         assert np.array_equal(out[:, :, j], expected)
