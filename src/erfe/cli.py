@@ -29,12 +29,7 @@ from .montecarlo import (
     run_monte_carlo,
 )
 from .panel import format_number, read_csv_column, read_panel_csv, validate_taus
-from .within import (
-    apply_within,
-    subject_demeaned,
-    subject_weights,
-    within_constant_columns,
-)
+from .within import apply_within, subject_weights, within_constant_columns
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -127,8 +122,7 @@ def _emit(header, columns, fmt: str, out: str | None):
 
 def _split_estimable(panel):
     """Partition regressors into estimable and within-constant columns."""
-    dropped = within_constant_columns(
-        panel, subject_demeaned(panel.X.T, panel)).tolist()
+    dropped = within_constant_columns(panel).tolist()
     kept = [j for j in range(panel.n_regressors) if j not in dropped]
     if dropped:
         names = [panel.column_names[j] for j in dropped]
@@ -141,7 +135,8 @@ def _split_estimable(panel):
 
 
 def _reduced_panel(panel, kept):
-    """The panel with only the regressor columns ``kept``; other fields are shared."""
+    """The panel with only the regressor columns ``kept``; other fields are
+    shared.  Its demeaned rows are computed anew when first used."""
     # C order, as the fits' BLAS calls round differently on other layouts.
     X = np.ascontiguousarray(panel.X[:, kept])
     X.flags.writeable = False
@@ -160,7 +155,7 @@ def cmd_fit(args) -> int:
     if not kept:
         print("error: no estimable regressors remain", file=sys.stderr)
         return EXIT_ERROR
-    reduced = _reduced_panel(panel, kept)
+    reduced = _reduced_panel(panel, kept) if dropped else panel
 
     rows = []
     partial = False
@@ -254,7 +249,8 @@ def cmd_expectile(args) -> int:
 
 def cmd_transform(args) -> int:
     panel = read_panel_csv(args.input, args.subject_col, args.response_col)
-    kept, _dropped = _split_estimable(panel)
+    kept, dropped = _split_estimable(panel)
+    reduced = _reduced_panel(panel, kept) if dropped else panel
     partial = False
     y_blocks, x_blocks = [], []
     for tau in args.tau:
@@ -265,7 +261,6 @@ def cmd_transform(args) -> int:
                 return EXIT_ERROR
             weights = subject_weights(np.zeros(panel.n_obs), 0.5, panel)
         else:
-            reduced = _reduced_panel(panel, kept)
             try:
                 fit = fit_erfe_single(reduced, tau)
             except NoConvergenceError as exc:

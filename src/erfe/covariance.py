@@ -22,7 +22,7 @@ from .errors import (
 from .estimator import FitResult, MultiFitResult
 from .linalg import spd_inverse
 from .panel import PanelData, check_weight
-from .within import subject_demeaned, weighted_subject_sums
+from .within import weighted_subject_sums
 
 __all__ = [
     "SandwichCovariance",
@@ -56,10 +56,10 @@ def _breads_and_scores(panel: PanelData, resid, taus, v):
     psi_k r_k, S_k of psi_k r_k x): X*' Psi_k X* = G_k - C_k m' - m C_k' +
     m D_k m' and subject i's block-k score is S_ki - m_i s_ki.  The
     transform ignores subject-constant shifts of X, so it runs on the
-    demeaned X, where these differences do not cancel.  Returns the breads
-    (p x p each) and the scores (p x n each), one per block.
+    panel's demeaned X, where these differences do not cancel.  Returns the
+    breads (p x p each) and the scores (p x n each), one per block.
     """
-    x0 = subject_demeaned(panel.X.T, panel)
+    x0 = panel.demeaned[:-1]
     psi = [check_weight(r, tau) for r, tau in zip(resid, taus)]
     sums, grams = [], []
     for w in psi:

@@ -21,19 +21,22 @@ y - alpha - X beta_k.  No N x p transformed design is ever built.
 The single-tau fit (q = 1) is the weighted within transform of the
 paper.  That transform subtracts subject averages, so shifting a
 regressor by a subject constant changes nothing, and the single fit runs
-on the plainly demeaned (X, y) that its start value needs anyway; this
-keeps G - C' D^-1 C free of cancellation when regressors carry large
+on the panel's plainly demeaned rows [X; y] (``PanelData.demeaned``,
+computed once per panel and shared with the sandwiches); this keeps
+G - C' D^-1 C free of cancellation when regressors carry large
 subject-level offsets.  The joint fit (q > 1) must keep the raw X: its
 shared effect cannot absorb a shift a_i of x, which moves block k by
-a_i' beta_k, differently for each tau.  A shift of y is absorbed, so y is
-demeaned there too.
+a_i' beta_k, differently for each tau.  A shift of y is absorbed, so the
+joint fit builds its own design of raw X and demeaned y.
 
 The weights depend only on residual signs, so once the sign pattern
 stabilizes the solve lands exactly on the fixed point and the loop stops;
 the converged point satisfies the first-order conditions of the
 asymmetric least squares objective in both the slopes and the subject
-effects.  Both fits start from the cross-sectional expectile regression
-on the demeaned data.
+effects.  Every fit starts from the within round: one round at tau = 0.5
+with constant weights on the demeaned design, which is ``within_ols``,
+its slopes and residuals repeated for every block.  Any start that
+reaches the final sign pattern gives the same bits.
 """
 
 from __future__ import annotations
@@ -47,12 +50,11 @@ from .errors import (
     SingularGramError,
     WeightDimensionMismatchError,
 )
-from .expectiles import IrlsConfig, expectile_regression
+from .expectiles import IrlsConfig
 from .linalg import spd_solve
 from .panel import PanelData, asymmetric_loss, check_weight, validate_tau, validate_taus
 from .within import (
     SubjectWeights,
-    subject_demeaned,
     subject_weights,
     weighted_subject_sums,
     within_constant_columns,
@@ -104,14 +106,13 @@ class MultiFitResult:
 
 
 def _demeaned_design(panel: PanelData) -> np.ndarray:
-    """Rows [X; y] of the panel, demeaned per subject, shape (p + 1, N).
+    """The panel's demeaned rows [X; y], shape (p + 1, N), read-only.
 
     Raises SingularGramError for a regressor that demeaning annihilates:
     one constant within every subject, which no weighted within transform
     can identify either.
     """
-    design = subject_demeaned([*panel.X.T, panel.y], panel)
-    bad = within_constant_columns(panel, design[:-1])
+    bad = within_constant_columns(panel)
     if bad.size:
         names = [panel.column_names[j] for j in bad]
         raise SingularGramError(
@@ -119,20 +120,16 @@ def _demeaned_design(panel: PanelData) -> np.ndarray:
             "annihilated by the within transform",
             columns=names,
         )
-    return design
+    return panel.demeaned
 
 
-def _start(design, taus, config: IrlsConfig):
-    """Start values from the cross-sectional expectile regression on the
-    demeaned ``design``: slopes (q x p) and residuals (q x N)."""
-    x0, y0 = design[:-1].T, design[-1]
-    betas = np.empty((len(taus), x0.shape[1]))
-    for k, tau in enumerate(taus):
-        try:
-            betas[k] = expectile_regression(x0, y0, tau, config).beta
-        except NoConvergenceError as exc:
-            betas[k] = exc.result.beta
-    return betas, y0 - betas @ design[:-1]
+def _within_round(panel: PanelData, q: int = 1):
+    """The within round: one round at tau = 0.5 with constant weights on
+    the demeaned design.  Returns its slopes and residuals, each repeated
+    for ``q`` blocks."""
+    betas, resid = _round(_demeaned_design(panel), panel, (0.5,), np.ones(1),
+                          np.zeros((1, panel.n_obs)))
+    return np.repeat(betas, q, axis=0), np.repeat(resid, q, axis=0)
 
 
 def _round(design, panel: PanelData, taus, v, resid, iteration=None):
@@ -208,13 +205,11 @@ def _single_result(panel: PanelData, tau, beta, resid, iterations,
 def within_ols(panel: PanelData) -> FitResult:
     """Within estimator at tau = 0.5: demean per subject, then least squares.
 
-    One concentrated round with the constant midpoint weights, no
-    iteration.  Raises SingularGramError when the demeaned design loses
-    rank (e.g. a regressor constant within every subject).
+    The within round, no iteration.  Raises SingularGramError when the
+    demeaned design loses rank (e.g. a regressor constant within every
+    subject).
     """
-    design = _demeaned_design(panel)
-    betas, resid = _round(design, panel, (0.5,), np.ones(1),
-                          np.zeros((1, panel.n_obs)))
+    betas, resid = _within_round(panel)
     return _single_result(panel, 0.5, betas[0], resid[0], 0, True)
 
 
@@ -234,17 +229,16 @@ def recover_fixed_effects(panel: PanelData, beta, tau, weights: SubjectWeights):
 def fit_erfe_single(panel: PanelData, tau, config: IrlsConfig | None = None) -> FitResult:
     """Single-tau panel expectile fit by the iterative within transform.
 
-    Starts from the cross-sectional expectile regression on within-demeaned
-    data, then runs concentrated rounds on the demeaned data (the q = 1
-    case of the module docstring) until the sup-norm step is within
-    tolerance and the slope and subject-effect scores are negligible.
+    Starts from the within round, then runs concentrated rounds on the
+    demeaned data (the q = 1 case of the module docstring) until the
+    sup-norm step is within tolerance and the slope and subject-effect
+    scores are negligible.
     """
     config = config or IrlsConfig()
     tau = validate_tau(tau)
-    design = _demeaned_design(panel)
-    betas, resid = _start(design, (tau,), config)
+    betas, resid = _within_round(panel)
     betas, resid, iterations, converged = _irls(
-        design, panel, (tau,), np.ones(1), betas, resid, config)
+        panel.demeaned, panel, (tau,), np.ones(1), betas, resid, config)
     result = _single_result(panel, tau, betas[0], resid[0], iterations,
                             converged)
     if not converged:
@@ -261,12 +255,12 @@ def fit_erfe_multi(panel: PanelData, taus, v=None,
 
     The blocks share one subject effect, so each round solves the stacked
     weighted least squares problem with that effect concentrated out (see
-    the module docstring), on the raw X.  For a single asymmetric point
-    this is the single-tau fit.  ``v`` holds the strictly positive
-    influence weights (uniform by default).  Convergence requires the
-    sup-norm step of every block to be within tolerance and the stacked
-    first-order conditions (slope scores per block plus the pooled
-    subject-effect score) to be negligible.
+    the module docstring), on the raw X, from the within round.  For a
+    single asymmetric point this is the single-tau fit.  ``v`` holds the
+    strictly positive influence weights (uniform by default).  Convergence
+    requires the sup-norm step of every block to be within tolerance and
+    the stacked first-order conditions (slope scores per block plus the
+    pooled subject-effect score) to be negligible.
     """
     config = config or IrlsConfig()
     taus = validate_taus(taus)
@@ -281,9 +275,8 @@ def fit_erfe_multi(panel: PanelData, taus, v=None,
     if np.any(v <= 0.0):
         raise ValueError("influence weights must be strictly positive")
 
-    design = _demeaned_design(panel)
-    betas, resid = _start(design, taus, config)
-    design[:-1] = panel.X.T  # raw X, demeaned y
+    betas, resid = _within_round(panel, q)
+    design = np.array([*panel.X.T, panel.demeaned[-1]], order="C")  # raw X, demeaned y
     betas, resid, iterations, converged = _irls(
         design, panel, taus, v, betas, resid, config)
     result = MultiFitResult(taus=taus, v=v, betas=betas, residuals_star=resid,

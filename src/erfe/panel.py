@@ -17,6 +17,7 @@ that does not parse and a non-finite value are reported as ``path:line``.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,6 +110,10 @@ class PanelData:
         Observations per subject; every entry is at least 2.
     subject_labels : ndarray, shape (n,)
         Distinct subject labels in order of first appearance.
+
+    Every array is read-only, and so is the derived ``demeaned``: the rows
+    [X; y] with each subject's plain mean subtracted, computed once, on
+    first use, and shared by every fit, sandwich and screen of the panel.
     """
 
     subject_ids: np.ndarray
@@ -130,6 +135,17 @@ class PanelData:
     @property
     def n_regressors(self) -> int:
         return int(self.X.shape[1])
+
+    @functools.cached_property
+    def demeaned(self) -> np.ndarray:
+        """Rows [X; y], shape (p + 1, N) in C order, each with every subject's
+        plain mean subtracted: the unweighted within transform."""
+        # C order, as the fits' BLAS calls round differently on other layouts.
+        rows = np.array([*self.X.T, self.y], order="C")
+        for row in rows:
+            row -= (np.bincount(self.codes, weights=row,
+                                minlength=self.n_subjects) / self.counts)[self.codes]
+        return _freeze(rows)
 
     def groups(self) -> list[np.ndarray]:
         """Row indices of each subject, in subject-code order."""

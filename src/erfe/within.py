@@ -9,7 +9,7 @@ check weights scaled by the influence weights, subtracted from all blocks.
 
 The fits and the sandwich covariance never build a transformed copy of
 the data: they work from per-subject sums (``weighted_subject_sums``),
-mostly of plainly demeaned rows (``subject_demeaned``).
+mostly of the panel's plainly demeaned rows (``PanelData.demeaned``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .panel import PanelData, check_weight, validate_tau
 __all__ = [
     "SubjectWeights",
     "apply_within",
-    "subject_demeaned",
     "subject_weights",
     "weighted_subject_sums",
     "within_constant_columns",
@@ -62,27 +61,15 @@ def _block_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
     return total
 
 
-def subject_demeaned(rows, panel: PanelData) -> np.ndarray:
-    """A C-ordered copy of ``rows`` (k x N, or a list of k N-vectors) with
-    each subject's plain mean subtracted from every row: the unweighted
-    within transform."""
-    out = np.array(rows, dtype=float, order="C", ndmin=2)
-    for row in out:
-        row -= (_subject_sums(row, panel) / panel.counts)[panel.codes]
-    return out
-
-
-def within_constant_columns(panel: PanelData, demeaned_X) -> np.ndarray:
+def within_constant_columns(panel: PanelData) -> np.ndarray:
     """Indices of the regressors that are constant within every subject.
 
-    ``demeaned_X`` holds the panel's regressors demeaned per subject, one
-    row per regressor (as from ``subject_demeaned``); a regressor is
-    within-constant when demeaning leaves a negligible norm relative to
-    its raw norm.  No weighted within transform can identify such a
-    regressor.
+    A regressor is within-constant when demeaning (``panel.demeaned``)
+    leaves a negligible norm relative to its raw norm.  No weighted within
+    transform can identify such a regressor.
     """
     scale = np.sqrt(np.einsum("ij,ij->j", panel.X, panel.X))
-    return annihilated_columns(np.asarray(demeaned_X).T, scale)
+    return annihilated_columns(panel.demeaned[:-1].T, scale)
 
 
 def weighted_subject_sums(rows, weights, panel: PanelData):

@@ -248,6 +248,66 @@ def explicit_sandwich(X, codes, n_subjects, resid_blocks, taus, v):
 
 
 # ---------------------------------------------------------------------
+# The joint fit's Schur-complement system in extended precision.
+# ---------------------------------------------------------------------
+
+def _eliminate(a, b):
+    """Solve a x = b by Gaussian elimination with partial pivoting, in the
+    arrays' own dtype."""
+    a, b = a.copy(), b.copy()
+    n = b.shape[0]
+    for j in range(n):
+        pivot = j + int(np.argmax(np.abs(a[j:, j])))
+        a[[j, pivot]] = a[[pivot, j]]
+        b[[j, pivot]] = b[[pivot, j]]
+        factors = a[j + 1:, j] / a[j, j]
+        a[j + 1:, j:] -= factors[:, None] * a[j, j:]
+        b[j + 1:] -= factors * b[j]
+    x = np.zeros_like(b)
+    for j in range(n - 1, -1, -1):
+        x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
+    return x
+
+
+def longdouble_schur(y, X, codes, n_subjects, taus, v, resid_blocks):
+    """Joint slopes at the check weights of ``resid_blocks``, in np.longdouble.
+
+    The normal equations of sum_k v_k sum psi_k (y - alpha - X beta_k)^2
+    with alpha solved out: with dense incidence Z, D = sum_k v_k Z' Psi_k Z,
+    C_k = Z' Psi_k X, G_k = X' Psi_k X and c_k = Z' Psi_k y, block (k, l)
+    of the system is delta_kl v_k G_k - v_k v_l C_k' D^-1 C_l and block k
+    of the right-hand side v_k (X' Psi_k y - C_k' D^-1 sum_l v_l c_l).
+    Built from raw X and y and solved by elimination, all in extended
+    precision.  Returns the slopes (q x p, longdouble) and the condition
+    number of the system rescaled to a unit diagonal.
+    """
+    ld = np.longdouble
+    X = np.asarray(X, dtype=ld)
+    y = np.asarray(y, dtype=ld)
+    Z = incidence_matrix(codes, n_subjects).astype(ld)
+    resid = np.atleast_2d(np.asarray(resid_blocks, dtype=float))
+    v = np.asarray(v, dtype=ld).ravel()
+    q, p = resid.shape[0], X.shape[1]
+    psi = [psi_ref(resid[k], taus[k]).astype(ld) for k in range(q)]
+    D = sum(v[k] * (Z.T @ psi[k]) for k in range(q))
+    C = [Z.T @ (psi[k][:, None] * X) for k in range(q)]
+    c = [Z.T @ (psi[k] * y) for k in range(q)]
+    pooled_c = sum(v[k] * c[k] for k in range(q))
+    system = np.zeros((q * p, q * p), dtype=ld)
+    rhs = np.zeros(q * p, dtype=ld)
+    for k in range(q):
+        rows = slice(k * p, (k + 1) * p)
+        system[rows, rows] = v[k] * (X.T @ (psi[k][:, None] * X))
+        rhs[rows] = v[k] * (X.T @ (psi[k] * y) - C[k].T @ (pooled_c / D))
+        for l in range(q):
+            cols = slice(l * p, (l + 1) * p)
+            system[rows, cols] -= v[k] * v[l] * (C[k].T @ (C[l] / D[:, None]))
+    scale = 1.0 / np.sqrt(np.diag(system))
+    kappa = float(np.linalg.cond((system * scale[:, None] * scale).astype(float)))
+    return _eliminate(system, rhs).reshape(q, p), kappa
+
+
+# ---------------------------------------------------------------------
 # Distributional references.
 # ---------------------------------------------------------------------
 

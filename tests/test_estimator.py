@@ -395,3 +395,88 @@ def test_affine_equivariance_in_y(data, taus, scale):
                               taus, v)
     _close(m_single, scale * single + c, 1e-9)
     _close(m_joint, scale * joint + c, 1e-9)
+
+
+# ---------------------------------------------------------------------
+# The panel's shared demeaned rows
+# ---------------------------------------------------------------------
+
+def _offset_panel(rng, offset, n=12, p=2):
+    """Unbalanced panel whose first regressor is offset * alpha_i + noise."""
+    sizes = rng.integers(2, 7, size=n)
+    codes = np.repeat(np.arange(n), sizes)
+    alpha = rng.standard_normal(n)
+    X = rng.standard_normal((codes.size, p))
+    X[:, 0] += offset * alpha[codes]
+    y = X @ (0.5 - np.arange(p)) + alpha[codes] + rng.standard_normal(codes.size)
+    return codes, y, X
+
+
+def test_shared_design_does_not_leak_between_fits():
+    # One panel serves a joint fit, a single fit and its sandwich; each
+    # must give the bits it gives on a panel of its own.  The offset makes
+    # the joint fit's raw X differ from the shared demeaned X.
+    codes, y, X = _offset_panel(np.random.default_rng(62), 100.0)
+    shared = _build(codes, y, X)
+    multi = erfe.fit_erfe_multi(shared, (0.2, 0.8))
+    single = erfe.fit_erfe_single(shared, 0.7)
+    cov = erfe.sandwich_single(shared, single)
+    fresh_multi = erfe.fit_erfe_multi(_build(codes, y, X), (0.2, 0.8))
+    fresh_single = erfe.fit_erfe_single(_build(codes, y, X), 0.7)
+    fresh_cov = erfe.sandwich_single(_build(codes, y, X), fresh_single)
+    for a, b in [(multi.betas, fresh_multi.betas),
+                 (multi.residuals_star, fresh_multi.residuals_star),
+                 (single.beta, fresh_single.beta),
+                 (single.alpha, fresh_single.alpha),
+                 (single.residuals_star, fresh_single.residuals_star),
+                 (cov.vc, fresh_cov.vc),
+                 (shared.demeaned, _build(codes, y, X).demeaned)]:
+        assert np.array_equal(a, b)
+    assert multi.iterations == fresh_multi.iterations
+    assert single.iterations == fresh_single.iterations
+
+
+def test_demeaned_rows_are_read_only():
+    rng = np.random.default_rng(63)
+    panel, _, _ = oracles.random_panel(rng, 5, 3, 2)
+    with pytest.raises(ValueError):
+        panel.demeaned[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        panel.demeaned = np.zeros_like(panel.demeaned)
+    assert panel.demeaned is panel.demeaned
+
+
+def test_demeaned_rows_match_dense_within_matrix():
+    rng = np.random.default_rng(64)
+    panel, _, _ = oracles.unbalanced_panel(rng, [2, 6, 3, 5, 4], p=3)
+    within = oracles.dense_within_matrix(panel.codes, panel.n_subjects,
+                                         np.ones(panel.n_obs))
+    expected = within @ np.column_stack([panel.X, panel.y])
+    assert panel.demeaned.shape == (panel.n_regressors + 1, panel.n_obs)
+    assert np.max(np.abs(panel.demeaned - expected.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0, 1e4])
+def test_joint_error_within_conditioning_bound(offset):
+    # A regressor offset * alpha_i + noise makes the joint fit's raw-X
+    # Schur system ill-conditioned: slopes that differ across the taus
+    # are identified between subjects too, so the rescaled condition
+    # number kappa grows like offset^2.  The error against an extended-
+    # precision solve at the same signs must stay within what a backward
+    # stable solve of that system allows.  Cholesky of an n x n system
+    # (n = q p = 6 here) has backward error below (3n + 1) eps (Higham,
+    # Accuracy and Stability of Numerical Algorithms, Thm 10.4), forming
+    # each entry rounds a sum of at most a few dozen products, and the
+    # forward error is at most kappa times the backward error: 100 kappa
+    # eps covers both.
+    rng = np.random.default_rng(65)
+    taus, v = (0.2, 0.5, 0.8), np.ones(3)
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        panel = _build(*_offset_panel(rng, offset))
+        fit = erfe.fit_erfe_multi(panel, taus, v)
+        ref, kappa = oracles.longdouble_schur(
+            panel.y, panel.X, panel.codes, panel.n_subjects, taus, v,
+            fit.residuals_star)
+        error = np.max(np.abs(fit.betas - ref)) / np.max(np.abs(ref))
+        assert error <= 100.0 * kappa * eps

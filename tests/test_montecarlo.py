@@ -221,6 +221,29 @@ def test_location_shift_slopes_stable_across_taus():
         assert abs(ra.mean_estimate - rb.mean_estimate) <= 3.0 * pooled
 
 
+def test_fixed_effects_beat_pooled_expectile_regression():
+    # The abstract's "outperforms its competitors", in the default design:
+    # corr(alpha, x2) = 0.5, so a pooled expectile regression with one
+    # intercept and no subject effects loads part of alpha onto x2, while
+    # the fixed-effect fit concentrates alpha out.
+    config = erfe.SimulationConfig(taus=(0.5,), replications=200)
+    _, beta2 = erfe.true_coefficients(0.5, config)
+    pooled, within = [], []
+    for rep in range(config.replications):
+        panel, _ = erfe.generate_dgp(config, rep)
+        design = np.column_stack([np.ones(panel.n_obs), panel.X])
+        pooled.append(erfe.expectile_regression(design, panel.y, 0.5).beta[2])
+        within.append(erfe.fit_erfe_single(panel, 0.5).beta[1])
+
+    def bias_z(estimates):
+        estimates = np.asarray(estimates)
+        mc_se = estimates.std(ddof=1) / np.sqrt(estimates.size)
+        return (estimates.mean() - beta2) / mc_se
+
+    assert abs(bias_z(pooled)) > 4.0
+    assert abs(bias_z(within)) <= 4.0
+
+
 def test_location_scale_slope_monotone_in_tau():
     config = erfe.SimulationConfig(n=100, m=5, gamma=0.3,
                                    taus=(0.1, 0.3, 0.5, 0.8, 0.9),
