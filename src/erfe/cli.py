@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from .montecarlo import (
     run_monte_carlo,
 )
 from .panel import format_number, read_csv_column, read_panel_csv, validate_taus
-from .within import apply_within, subject_weights, within_constant_columns
+from .within import apply_within, subject_weights, within_constant
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,7 +121,7 @@ def _emit(header, columns, fmt: str, out: str | None):
 
 def _split_estimable(panel):
     """Partition regressors into estimable and within-constant columns."""
-    dropped = within_constant_columns(panel).tolist()
+    dropped = np.flatnonzero(within_constant(panel)).tolist()
     kept = [j for j in range(panel.n_regressors) if j not in dropped]
     if dropped:
         names = [panel.column_names[j] for j in dropped]
@@ -132,16 +131,6 @@ def _split_estimable(panel):
             file=sys.stderr,
         )
     return kept, dropped
-
-
-def _reduced_panel(panel, kept):
-    """The panel with only the regressor columns ``kept``; other fields are
-    shared.  Its demeaned rows are computed anew when first used."""
-    # C order, as the fits' BLAS calls round differently on other layouts.
-    X = np.ascontiguousarray(panel.X[:, kept])
-    X.flags.writeable = False
-    return dataclasses.replace(
-        panel, X=X, column_names=tuple(panel.column_names[j] for j in kept))
 
 
 _FIT_HEADER = ["tau", "term", "estimate", "std_error", "ci_lower", "ci_upper",
@@ -155,7 +144,7 @@ def cmd_fit(args) -> int:
     if not kept:
         print("error: no estimable regressors remain", file=sys.stderr)
         return EXIT_ERROR
-    reduced = _reduced_panel(panel, kept) if dropped else panel
+    reduced = panel.keep_regressors(kept) if dropped else panel
 
     rows = []
     partial = False
@@ -250,7 +239,7 @@ def cmd_expectile(args) -> int:
 def cmd_transform(args) -> int:
     panel = read_panel_csv(args.input, args.subject_col, args.response_col)
     kept, dropped = _split_estimable(panel)
-    reduced = _reduced_panel(panel, kept) if dropped else panel
+    reduced = panel.keep_regressors(kept) if dropped else panel
     partial = False
     y_blocks, x_blocks = [], []
     for tau in args.tau:

@@ -19,9 +19,9 @@ from .errors import (
     SingularBreadError,
     SingularGramError,
 )
-from .estimator import FitResult, MultiFitResult
+from .estimator import FitResult, MultiFitResult, StackFit
 from .linalg import spd_inverse
-from .panel import PanelData, check_weight
+from .panel import PanelData, PanelStack, check_weight, stack_panels
 from .within import weighted_subject_sums
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "normal_quantile",
     "sandwich_multi",
     "sandwich_single",
+    "sandwich_stack",
 ]
 
 
@@ -37,7 +38,8 @@ __all__ = [
 class SandwichCovariance:
     """Assembled sandwich: meat ``d0_hat``, bread factor ``d1_hat``,
     variance matrix ``vc`` of the stacked coefficients and its
-    square-root diagonal ``se``."""
+    square-root diagonal ``se``; from ``sandwich_stack``, each array has a
+    leading panel axis."""
 
     d0_hat: np.ndarray
     d1_hat: np.ndarray
@@ -45,72 +47,94 @@ class SandwichCovariance:
     se: np.ndarray
 
 
-def _breads_and_scores(panel: PanelData, resid, taus, v):
-    """Per-block weighted Grams of the transformed X, and per-subject scores.
+def _breads_and_scores(x0, codes, n_subjects, resid, taus, v):
+    """Per-block weighted Grams of the transformed X, and per-subject scores,
+    of A stacked panels.
 
     The transform subtracts from each subject's rows of X its average m
     under the check weights psi_k of the final residual blocks ``resid``
-    (q x N), pooled over the blocks with the influence weights ``v``; for
-    one block it is the single-tau weighted within transform.  Everything
-    comes from per-subject sums (D_k of psi_k, C_k of psi_k x, s_k of
-    psi_k r_k, S_k of psi_k r_k x): X*' Psi_k X* = G_k - C_k m' - m C_k' +
-    m D_k m' and subject i's block-k score is S_ki - m_i s_ki.  The
-    transform ignores subject-constant shifts of X, so it runs on the
-    panel's demeaned X, where these differences do not cancel.  Returns the
-    breads (p x p each) and the scores (p x n each), one per block.
+    (A x q x N), pooled over the blocks with the influence weights ``v``;
+    for one block it is the single-tau weighted within transform.
+    Everything comes from per-subject sums (D_k of psi_k, C_k of psi_k x,
+    s_k of psi_k r_k, S_k of psi_k r_k x): X*' Psi_k X* = G_k - C_k m' -
+    m C_k' + m D_k m' and subject i's block-k score is S_ki - m_i s_ki.
+    The transform ignores subject-constant shifts of X, so it runs on the
+    demeaned X ``x0`` (A x p x N, subject codes ``codes`` offset as in
+    ``PanelStack``), where these differences do not cancel.  Returns the
+    breads (A x p x p each) and the scores (A x p x n each), one per block.
     """
-    x0 = panel.demeaned[:-1]
-    psi = [check_weight(r, tau) for r, tau in zip(resid, taus)]
+    psi = [check_weight(resid[:, k], tau) for k, tau in enumerate(taus)]
     sums, grams = [], []
     for w in psi:
-        sums_k, weighted = weighted_subject_sums(x0, w, panel)
+        sums_k, weighted = weighted_subject_sums(x0, w, codes, n_subjects)
         sums.append(sums_k)
-        grams.append(weighted @ x0.T)
-    mean = (sum(vk * s[1:] for vk, s in zip(v, sums))
-            / sum(vk * s[0] for vk, s in zip(v, sums)))
+        grams.append(weighted @ x0.transpose(0, 2, 1))
+    mean = (sum(vk * s[:, 1:] for vk, s in zip(v, sums))
+            / sum(vk * s[:, :1] for vk, s in zip(v, sums)))
+    mean_t = mean.transpose(0, 2, 1)
     breads, scores = [], []
-    for w, r, s, gram in zip(psi, resid, sums, grams):
-        cross = s[1:] @ mean.T
-        breads.append(gram - cross - cross.T + (mean * s[0]) @ mean.T)
-        score_sums, _ = weighted_subject_sums(x0, w * r, panel)
-        scores.append(score_sums[1:] - mean * score_sums[0])
+    for k, (w, s, gram) in enumerate(zip(psi, sums, grams)):
+        cross = s[:, 1:] @ mean_t
+        breads.append(gram - cross - cross.transpose(0, 2, 1)
+                      + (mean * s[:, :1]) @ mean_t)
+        score_sums, _ = weighted_subject_sums(x0, w * resid[:, k], codes, n_subjects)
+        scores.append(score_sums[:, 1:] - mean * score_sums[:, :1])
     return breads, scores
 
 
-def _assemble(panel: PanelData, resid, taus, v) -> SandwichCovariance:
-    """The sandwich of ``sandwich_multi`` from residual blocks ``resid``
-    (q x N) and influence weights ``v``; its block-diagonal bread is
-    inverted block by block."""
-    q = len(taus)
-    p = panel.n_regressors
-    n_obs = panel.n_obs
-    breads, scores = _breads_and_scores(panel, resid, taus, v)
-    d0 = np.zeros((q * p, q * p))
-    d1 = np.zeros((q * p, q * p))
-    bread_inv = np.zeros((q * p, q * p))
+def _assemble(stack: PanelStack, idx, resid, taus, v):
+    """The sandwiches of ``sandwich_multi`` for the panels ``idx`` of
+    ``stack``, from their residual blocks ``resid`` (A x q x N) and the
+    influence weights ``v``; the block-diagonal breads are inverted block
+    by block.
+
+    Returns one SandwichCovariance whose arrays have a leading panel axis,
+    and per panel the error that stopped its sandwich (None where none did).
+    """
+    q, p = len(taus), stack.X.shape[-1]
+    n_obs = stack.y.shape[1]
+    codes, x0 = stack.part(idx, stack.demeaned[:, :-1])
+    breads, scores = _breads_and_scores(x0, codes, stack.n_subjects, resid, taus, v)
+    errors = [None] * idx.size
+    d0 = np.zeros((idx.size, q * p, q * p))
+    d1 = np.zeros((idx.size, q * p, q * p))
+    bread_inv = np.zeros((idx.size, q * p, q * p))
     for k in range(q):
         rows = slice(k * p, (k + 1) * p)
         for l in range(k, q):
             cols = slice(l * p, (l + 1) * p)
-            block = v[k] * v[l] * (scores[k] @ scores[l].T) / n_obs
-            d0[rows, cols] = block
+            block = v[k] * v[l] * (scores[k] @ scores[l].transpose(0, 2, 1)) / n_obs
+            d0[:, rows, cols] = block
             if l != k:
-                d0[cols, rows] = block.T
-        d1[rows, rows] = v[k] * breads[k] / n_obs
+                d0[:, cols, rows] = block.transpose(0, 2, 1)
+        d1[:, rows, rows] = v[k] * breads[k] / n_obs
         try:
-            bread_inv[rows, rows] = spd_inverse(d1[rows, rows])
+            bread_inv[:, rows, rows] = spd_inverse(d1[:, rows, rows])
         except SingularGramError as exc:
-            raise SingularBreadError(str(exc)) from None
+            bread_inv[:, rows, rows] = exc.result
+            for i in np.flatnonzero(exc.failed).tolist():
+                errors[i] = errors[i] or SingularBreadError(str(exc))
     vc = bread_inv @ d0 @ bread_inv / n_obs
-    vc = (vc + vc.T) / 2.0
-    eigmin = float(np.min(np.linalg.eigvalsh(vc)))
-    floor = -1e-10 * max(float(np.trace(vc)), np.finfo(float).tiny)
-    if eigmin < floor:
-        raise NotPositiveSemidefiniteError(
-            f"variance matrix has eigenvalue {eigmin:.3e} below {floor:.3e}"
+    vc = (vc + vc.transpose(0, 2, 1)) / 2.0
+    ok = np.array([e is None for e in errors], dtype=bool)
+    eigmin = np.full(idx.size, np.nan)
+    eigmin[ok] = np.min(np.linalg.eigvalsh(vc[ok]), axis=1)
+    floor = -1e-10 * np.maximum(np.trace(vc, axis1=1, axis2=2), np.finfo(float).tiny)
+    for i in np.flatnonzero(ok & (eigmin < floor)).tolist():
+        errors[i] = NotPositiveSemidefiniteError(
+            f"variance matrix has eigenvalue {eigmin[i]:.3e} below {floor[i]:.3e}"
         )
-    se = np.sqrt(np.maximum(np.diag(vc), 0.0))
-    return SandwichCovariance(d0_hat=d0, d1_hat=d1, vc=vc, se=se)
+    se = np.sqrt(np.maximum(np.diagonal(vc, axis1=1, axis2=2), 0.0))
+    return SandwichCovariance(d0_hat=d0, d1_hat=d1, vc=vc, se=se), tuple(errors)
+
+
+def _one(cov: SandwichCovariance, errors) -> SandwichCovariance:
+    """The sandwich of a one-panel stack from ``_assemble``, or its error
+    raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return SandwichCovariance(d0_hat=cov.d0_hat[0], d1_hat=cov.d1_hat[0],
+                              vc=cov.vc[0], se=cov.se[0])
 
 
 def sandwich_single(panel: PanelData, fit: FitResult) -> SandwichCovariance:
@@ -121,7 +145,8 @@ def sandwich_single(panel: PanelData, fit: FitResult) -> SandwichCovariance:
     the transform uses their check weights, the meat sums per-subject
     score outer products, the bread is the weighted Gram.
     """
-    return _assemble(panel, fit.residuals_star[None], (fit.tau,), np.ones(1))
+    return _one(*_assemble(stack_panels([panel]), np.arange(1),
+                          fit.residuals_star[None, None], (fit.tau,), np.ones(1)))
 
 
 def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
@@ -132,7 +157,30 @@ def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
     asymmetric points.  The stacked variance matrix covers the q*p
     coefficients in block order.
     """
-    return _assemble(panel, fit.residuals_star, fit.taus, fit.v)
+    return _one(*_assemble(stack_panels([panel]), np.arange(1),
+                          fit.residuals_star[None], fit.taus, fit.v))
+
+
+def sandwich_stack(stack: PanelStack, fit: StackFit):
+    """The sandwich of every panel of ``stack`` whose fit converged, as
+    ``sandwich_single`` (one asymmetric point) or ``sandwich_multi`` builds
+    it, in one pass.
+
+    Returns one SandwichCovariance whose arrays have a leading panel axis,
+    NaN for a panel without a sandwich, and per panel the error that
+    stopped its fit or its sandwich (None where neither was stopped).
+    """
+    idx = np.flatnonzero([e is None for e in fit.errors])
+    part, part_errors = _assemble(stack, idx, fit.residuals_star[idx], fit.taus, fit.v)
+    errors = list(fit.errors)
+    for i, error in zip(idx.tolist(), part_errors):
+        errors[i] = error
+    fields = {}
+    for name in ("d0_hat", "d1_hat", "vc", "se"):
+        values = getattr(part, name)
+        fields[name] = np.full((stack.size, *values.shape[1:]), np.nan)
+        fields[name][idx] = values
+    return SandwichCovariance(**fields), tuple(errors)
 
 
 def normal_quantile(prob: float) -> float:

@@ -37,6 +37,17 @@ effects.  Every fit starts from the within round: one round at tau = 0.5
 with constant weights on the demeaned design, which is ``within_ols``,
 its slopes and residuals repeated for every block.  Any start that
 reaches the final sign pattern gives the same bits.
+
+The engine works on a stack of B equal-shaped panels (``PanelStack``), a
+leading replication axis on every array: the design is (B, p + 1, N), the
+subject codes of panel b are offset by b * n so that one ``np.bincount``
+serves the whole stack, the Grams come from one stacked ``np.matmul`` and
+the systems from one stacked Cholesky (``linalg.spd_solve``).  Each panel
+has its own convergence test and takes no round after it stops; a panel
+whose system turns singular or that runs out of rounds gets its own error
+and leaves the others' bits unchanged.  ``fit_stack`` fits a Monte Carlo
+block that way; ``fit_erfe_single`` and ``fit_erfe_multi`` are its call
+with one panel.
 """
 
 from __future__ import annotations
@@ -52,19 +63,29 @@ from .errors import (
 )
 from .expectiles import IrlsConfig
 from .linalg import spd_solve
-from .panel import PanelData, asymmetric_loss, check_weight, validate_tau, validate_taus
+from .panel import (
+    PanelData,
+    PanelStack,
+    asymmetric_loss,
+    check_weight,
+    stack_panels,
+    validate_tau,
+    validate_taus,
+)
 from .within import (
     SubjectWeights,
     subject_weights,
     weighted_subject_sums,
-    within_constant_columns,
+    within_constant,
 )
 
 __all__ = [
     "FitResult",
     "MultiFitResult",
+    "StackFit",
     "fit_erfe_multi",
     "fit_erfe_single",
+    "fit_stack",
     "recover_fixed_effects",
     "within_ols",
 ]
@@ -105,90 +126,155 @@ class MultiFitResult:
     converged: bool
 
 
-def _demeaned_design(panel: PanelData) -> np.ndarray:
-    """The panel's demeaned rows [X; y], shape (p + 1, N), read-only.
+@dataclass(frozen=True)
+class StackFit:
+    """Fits of the B panels of a ``PanelStack`` by one engine pass.
 
-    Raises SingularGramError for a regressor that demeaning annihilates:
-    one constant within every subject, which no weighted within transform
-    can identify either.
+    ``betas`` (B x q x p) and ``residuals_star`` (B x q x N) hold each
+    panel's slopes and residual blocks, ``iterations`` its rounds.
+    ``errors`` holds per panel the error that stopped its fit, None where
+    the fit converged: a SingularGramError, whose panel's numbers mean
+    nothing, or a NoConvergenceError, whose panel's numbers are its last
+    iterate.
     """
-    bad = within_constant_columns(panel)
-    if bad.size:
-        names = [panel.column_names[j] for j in bad]
-        raise SingularGramError(
+
+    taus: tuple[float, ...]
+    v: np.ndarray
+    betas: np.ndarray
+    residuals_star: np.ndarray
+    iterations: np.ndarray
+    errors: tuple
+
+
+def _screen(stack: PanelStack) -> list:
+    """Per panel, the SingularGramError for regressors that demeaning
+    annihilates (constant within every subject, which no weighted within
+    transform can identify either), or None."""
+    errors = []
+    for bad in within_constant(stack):
+        names = [stack.column_names[j] for j in np.flatnonzero(bad)]
+        errors.append(SingularGramError(
             f"regressor(s) {names!r} are constant within subjects and are "
             "annihilated by the within transform",
             columns=names,
-        )
-    return panel.demeaned
+        ) if names else None)
+    return errors
 
 
-def _within_round(panel: PanelData, q: int = 1):
-    """The within round: one round at tau = 0.5 with constant weights on
-    the demeaned design.  Returns its slopes and residuals, each repeated
-    for ``q`` blocks."""
-    betas, resid = _round(_demeaned_design(panel), panel, (0.5,), np.ones(1),
-                          np.zeros((1, panel.n_obs)))
-    return np.repeat(betas, q, axis=0), np.repeat(resid, q, axis=0)
+def _record(errors, idx, singular):
+    """Give each panel of ``idx`` that ``singular`` marks that error, unless
+    the panel has one already."""
+    if singular is not None:
+        for i in idx[singular.failed].tolist():
+            errors[i] = errors[i] or singular
 
 
-def _round(design, panel: PanelData, taus, v, resid, iteration=None):
-    """One concentrated weighted least squares round (see the module docstring).
+def _within_round(stack: PanelStack, q: int, errors):
+    """The within round of every panel: one round at tau = 0.5 with
+    constant weights on the demeaned design.  Returns its slopes and
+    residuals, each repeated for ``q`` blocks; a panel whose system is
+    singular gets that error in ``errors``."""
+    size, _, n_obs = stack.demeaned.shape
+    betas, resid, singular = _round(stack.demeaned, stack.codes, stack.n_subjects,
+                                    (0.5,), np.ones(1), np.zeros((size, 1, n_obs)),
+                                    stack.column_names)
+    _record(errors, np.arange(size), singular)
+    return np.repeat(betas, q, axis=1), np.repeat(resid, q, axis=1)
 
-    ``design`` holds the rows [X; y]; ``resid`` the current residual
-    blocks (q x N), whose check weights drive the round.  Returns the new
-    slopes (q x p) and residual blocks.
+
+def _round(design, codes, n_subjects, taus, v, resid, columns=None, iteration=None):
+    """One concentrated weighted least squares round of A stacked panels
+    (see the module docstring).
+
+    ``design`` holds each panel's rows [X; y] (A x (p + 1) x N), ``codes``
+    their offset subject codes (see ``PanelStack``) and ``resid`` their
+    current residual blocks (A x q x N), whose check weights drive the
+    round.  Returns the new slopes (A x q x p), the new residual blocks and
+    the SingularGramError of the panels whose system is singular (None if
+    none is); its ``failed`` marks them, and their slopes are NaN.
     """
-    q, p = len(taus), design.shape[0] - 1
-    sums = np.empty((q, p + 2, panel.n_subjects))
-    system = np.zeros((q * p, q * p))
-    rhs = np.zeros(q * p)
+    items, p, q = design.shape[0], design.shape[1] - 1, len(taus)
+    sums = np.empty((items, q, p + 2, n_subjects))
+    system = np.zeros((items, q * p, q * p))
+    rhs = np.zeros((items, q * p))
     for k in range(q):
-        sums[k], weighted = weighted_subject_sums(
-            design, check_weight(resid[k], taus[k]), panel)
-        gram = weighted[:p] @ design.T
+        sums[:, k], weighted = weighted_subject_sums(
+            design, check_weight(resid[:, k], taus[k]), codes, n_subjects)
+        gram = weighted[:, :p] @ design.transpose(0, 2, 1)
         rows = slice(k * p, (k + 1) * p)
-        system[rows, rows] = v[k] * gram[:, :p]
-        rhs[rows] = v[k] * gram[:, p]
-    denom = v @ sums[:, 0]
-    pooled_y = v @ sums[:, p + 1]
-    couplings = (v[:, None, None] * sums[:, 1:p + 1]).reshape(q * p, -1)
-    system -= (couplings / denom) @ couplings.T
-    rhs -= couplings @ (pooled_y / denom)
-    betas = spd_solve(system, rhs, columns=panel.column_names,
-                      iteration=iteration).reshape(q, p)
-    alpha = (pooled_y - betas.ravel() @ couplings) / denom
-    return betas, design[p] - alpha[panel.codes] - betas @ design[:p]
+        system[:, rows, rows] = v[k] * gram[:, :, :p]
+        rhs[:, rows] = v[k] * gram[:, :, p]
+    denom = v @ sums[:, :, 0]
+    pooled_y = v @ sums[:, :, p + 1]
+    couplings = (v[:, None, None] * sums[:, :, 1:p + 1]).reshape(items, q * p, -1)
+    system -= (couplings / denom[:, None]) @ couplings.transpose(0, 2, 1)
+    rhs -= (couplings @ (pooled_y / denom)[:, :, None])[:, :, 0]
+    singular = None
+    try:
+        betas = spd_solve(system, rhs, columns=columns, iteration=iteration)
+    except SingularGramError as exc:
+        betas, singular = exc.result, exc
+    alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
+    betas = betas.reshape(items, q, p)
+    effects = alpha.ravel()[codes.ravel()].reshape(items, -1)
+    return betas, (design[:, p] - effects)[:, None] - betas @ design[:, :p], singular
 
 
-def _scores_vanish(design, panel: PanelData, taus, v, resid, tol) -> bool:
-    """Whether every block's slope score and the pooled subject-effect score
-    are within ``tol`` at the residuals ``resid``."""
-    effect = np.zeros(panel.n_subjects)
+def _scores_vanish(design, codes, n_subjects, taus, v, resid, tol):
+    """Per panel, whether every block's slope score and the pooled
+    subject-effect score are within the panel's ``tol`` at the residuals
+    ``resid`` (stacked as in ``_round``)."""
+    items = design.shape[0]
+    small = np.ones(items, dtype=bool)
+    effect = np.zeros(items * n_subjects)
     for k, tau in enumerate(taus):
-        weighted = check_weight(resid[k], tau) * resid[k]
-        if float(np.max(np.abs(design[:-1] @ weighted))) > tol:
-            return False
-        effect += v[k] * np.bincount(panel.codes, weights=weighted,
-                                     minlength=panel.n_subjects)
-    return float(np.max(np.abs(effect))) <= tol
+        weighted = check_weight(resid[:, k], tau) * resid[:, k]
+        slopes = design[:, :-1] @ weighted[:, :, None]
+        small &= np.max(np.abs(slopes), axis=(1, 2)) <= tol
+        effect += v[k] * np.bincount(codes.ravel(), weights=weighted.ravel(),
+                                     minlength=effect.size)
+    return small & (np.max(np.abs(effect.reshape(items, -1)), axis=1) <= tol)
 
 
-def _irls(design, panel: PanelData, taus, v, betas, resid, config: IrlsConfig):
-    """Concentrated rounds from (betas, resid) until the sup-norm step is
-    within ``config.tol`` and the scores vanish, or the budget runs out.
+def _irls(stack: PanelStack, design, taus, v, betas, resid, config: IrlsConfig,
+          errors):
+    """Concentrated rounds from (betas, resid) for every panel without an
+    error, each until its sup-norm step is within ``config.tol`` and its
+    scores vanish, or the budget runs out.  A panel that stops takes no
+    further round; one whose system turns singular gets that error in
+    ``errors``.
 
-    Returns (betas, resid, iterations, converged).
+    Returns (betas, resid, iterations, converged), per panel.
     """
-    grad_tol = config.tol_grad * (1.0 + float(np.max(np.abs(panel.y))))
+    size, n_subjects = stack.size, stack.n_subjects
+    grad_tol = config.tol_grad * (1.0 + np.max(np.abs(stack.y), axis=1))
+    iterations = np.zeros(size, dtype=int)
+    converged = np.zeros(size, dtype=bool)
+    live = np.array([e is None for e in errors], dtype=bool)
     for r in range(1, int(config.max_iter) + 1):
-        new_betas, resid = _round(design, panel, taus, v, resid, iteration=r)
-        delta = float(np.max(np.abs(new_betas - betas)))
-        betas = new_betas
-        if delta <= config.tol and _scores_vanish(design, panel, taus, v,
-                                                  resid, grad_tol):
-            return betas, resid, r, True
-    return betas, resid, r, False
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        codes, rows, current, old = stack.part(idx, design, resid, betas)
+        new_betas, new_resid, singular = _round(rows, codes, n_subjects, taus, v,
+                                                current, stack.column_names, r)
+        delta = np.max(np.abs(new_betas - old), axis=(1, 2))
+        if idx.size == size:
+            betas, resid = new_betas, new_resid
+        else:
+            betas[idx], resid[idx] = new_betas, new_resid
+        iterations[idx] = r
+        _record(errors, idx, singular)
+        stop = singular.failed if singular is not None else np.zeros(idx.size, bool)
+        check = idx[(delta <= config.tol) & ~stop]
+        if check.size:
+            codes, rows, current = stack.part(check, design, resid)
+            done = check[_scores_vanish(rows, codes, n_subjects, taus, v, current,
+                                        grad_tol[check])]
+            converged[done] = True
+            live[done] = False
+        live[idx[stop]] = False
+    return betas, resid, iterations, converged
 
 
 def _single_result(panel: PanelData, tau, beta, resid, iterations,
@@ -209,8 +295,12 @@ def within_ols(panel: PanelData) -> FitResult:
     demeaned design loses rank (e.g. a regressor constant within every
     subject).
     """
-    betas, resid = _within_round(panel)
-    return _single_result(panel, 0.5, betas[0], resid[0], 0, True)
+    stack = stack_panels([panel])
+    errors = _screen(stack)
+    betas, resid = _within_round(stack, 1, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return _single_result(panel, 0.5, betas[0, 0], resid[0, 0], 0, True)
 
 
 def recover_fixed_effects(panel: PanelData, beta, tau, weights: SubjectWeights):
@@ -226,41 +316,15 @@ def recover_fixed_effects(panel: PanelData, beta, tau, weights: SubjectWeights):
                        minlength=panel.n_subjects)
 
 
-def fit_erfe_single(panel: PanelData, tau, config: IrlsConfig | None = None) -> FitResult:
-    """Single-tau panel expectile fit by the iterative within transform.
+def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
+              joint: bool = False) -> StackFit:
+    """Fit every panel of ``stack`` in one engine pass.
 
-    Starts from the within round, then runs concentrated rounds on the
-    demeaned data (the q = 1 case of the module docstring) until the
-    sup-norm step is within tolerance and the slope and subject-effect
-    scores are negligible.
-    """
-    config = config or IrlsConfig()
-    tau = validate_tau(tau)
-    betas, resid = _within_round(panel)
-    betas, resid, iterations, converged = _irls(
-        panel.demeaned, panel, (tau,), np.ones(1), betas, resid, config)
-    result = _single_result(panel, tau, betas[0], resid[0], iterations,
-                            converged)
-    if not converged:
-        raise NoConvergenceError(
-            f"fit at tau={tau} did not converge in {config.max_iter} iterations",
-            result=result,
-        )
-    return result
-
-
-def fit_erfe_multi(panel: PanelData, taus, v=None,
-                   config: IrlsConfig | None = None) -> MultiFitResult:
-    """Joint fit over a strictly increasing sequence of asymmetric points.
-
-    The blocks share one subject effect, so each round solves the stacked
-    weighted least squares problem with that effect concentrated out (see
-    the module docstring), on the raw X, from the within round.  For a
-    single asymmetric point this is the single-tau fit.  ``v`` holds the
-    strictly positive influence weights (uniform by default).  Convergence
-    requires the sup-norm step of every block to be within tolerance and
-    the stacked first-order conditions (slope scores per block plus the
-    pooled subject-effect score) to be negligible.
+    Without ``joint`` this is the fit of ``fit_erfe_single`` at the one
+    asymmetric point in ``taus``; with it, the joint fit of
+    ``fit_erfe_multi`` over ``taus`` with influence weights ``v``.  Each
+    panel gets the numbers its own fit gives, bit for bit, and a panel whose
+    fit fails gets its error in ``errors`` without changing the others.
     """
     config = config or IrlsConfig()
     taus = validate_taus(taus)
@@ -274,17 +338,70 @@ def fit_erfe_multi(panel: PanelData, taus, v=None,
         )
     if np.any(v <= 0.0):
         raise ValueError("influence weights must be strictly positive")
+    if joint:
+        design = np.empty(stack.demeaned.shape)  # raw X, demeaned y
+        design[:, :-1] = stack.X.transpose(0, 2, 1)
+        design[:, -1] = stack.demeaned[:, -1]
+        failure = (f"joint fit over taus={taus} did not converge in "
+                   f"{config.max_iter} iterations")
+    elif q == 1:
+        design = stack.demeaned
+        failure = f"fit at tau={taus[0]} did not converge in {config.max_iter} iterations"
+    else:
+        raise ValueError("a single fit takes one asymmetric point; fit several jointly")
 
-    betas, resid = _within_round(panel, q)
-    design = np.array([*panel.X.T, panel.demeaned[-1]], order="C")  # raw X, demeaned y
-    betas, resid, iterations, converged = _irls(
-        design, panel, taus, v, betas, resid, config)
-    result = MultiFitResult(taus=taus, v=v, betas=betas, residuals_star=resid,
-                            iterations=iterations, converged=converged)
-    if not converged:
-        raise NoConvergenceError(
-            f"joint fit over taus={taus} did not converge in "
-            f"{config.max_iter} iterations",
-            result=result,
-        )
-    return result
+    errors = _screen(stack)
+    betas, resid = _within_round(stack, q, errors)
+    betas, resid, iterations, converged = _irls(stack, design, taus, v, betas,
+                                                resid, config, errors)
+    errors = [e or (None if ok else NoConvergenceError(failure))
+              for e, ok in zip(errors, converged.tolist())]
+    return StackFit(taus=taus, v=v, betas=betas, residuals_star=resid,
+                    iterations=iterations, errors=tuple(errors))
+
+
+def _checked(fit: StackFit, result):
+    """``result``, the one-panel ``fit`` as a result object; or the fit's
+    error raised, with ``result`` attached when it ran out of rounds."""
+    error = fit.errors[0]
+    if error is None:
+        return result
+    if isinstance(error, NoConvergenceError):
+        error.result = result
+    raise error
+
+
+def fit_erfe_single(panel: PanelData, tau, config: IrlsConfig | None = None) -> FitResult:
+    """Single-tau panel expectile fit by the iterative within transform.
+
+    Starts from the within round, then runs concentrated rounds on the
+    demeaned data (the q = 1 case of the module docstring) until the
+    sup-norm step is within tolerance and the slope and subject-effect
+    scores are negligible.  The one-panel call of ``fit_stack``.
+    """
+    tau = validate_tau(tau)
+    fit = fit_stack(stack_panels([panel]), (tau,), config=config)
+    return _checked(fit, _single_result(
+        panel, tau, fit.betas[0, 0], fit.residuals_star[0, 0],
+        int(fit.iterations[0]), fit.errors[0] is None))
+
+
+def fit_erfe_multi(panel: PanelData, taus, v=None,
+                   config: IrlsConfig | None = None) -> MultiFitResult:
+    """Joint fit over a strictly increasing sequence of asymmetric points.
+
+    The blocks share one subject effect, so each round solves the stacked
+    weighted least squares problem with that effect concentrated out (see
+    the module docstring), on the raw X, from the within round.  For a
+    single asymmetric point this is the single-tau fit.  ``v`` holds the
+    strictly positive influence weights (uniform by default).  Convergence
+    requires the sup-norm step of every block to be within tolerance and
+    the stacked first-order conditions (slope scores per block plus the
+    pooled subject-effect score) to be negligible.  The one-panel call of
+    ``fit_stack``.
+    """
+    fit = fit_stack(stack_panels([panel]), taus, v, config, joint=True)
+    return _checked(fit, MultiFitResult(
+        taus=fit.taus, v=fit.v, betas=fit.betas[0],
+        residuals_star=fit.residuals_star[0], iterations=int(fit.iterations[0]),
+        converged=fit.errors[0] is None))

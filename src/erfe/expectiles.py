@@ -178,6 +178,43 @@ def chi_squared(df: float):
     return stats.chi2(df)
 
 
+def _closed_form_lower_moment(dist):
+    """theta -> E[(theta - Y)+] in closed form for a frozen normal, Student t
+    or chi-squared law, with any loc and scale; None for any other law.
+
+    With Y = loc + scale * Z and z = (theta - loc) / scale, the moment is
+    scale * E[(z - Z)+], where for the standard law (cdf F, density f):
+
+    - normal: E[(z - Z)+] = z F(z) + f(z);
+    - Student t with nu > 1 degrees of freedom: z F(z) + (nu + z^2) / (nu - 1) f(z);
+    - chi-squared with k degrees of freedom: z F_k(z) - k F_{k+2}(z).
+    """
+    law = getattr(dist, "dist", None)
+    name = getattr(law, "name", None)
+    if name not in ("norm", "t", "chi2"):
+        return None
+    names = law.shapes.split(", ") if law.shapes else []
+    given = dict(zip([*names, "loc", "scale"], dist.args))
+    given.update(dist.kwds)
+    shapes = [float(given[key]) for key in names]
+    loc, scale = float(given.get("loc", 0.0)), float(given.get("scale", 1.0))
+    standard = law(*shapes)
+    if name == "norm":
+        def moment(z):
+            return z * standard.cdf(z) + standard.pdf(z)
+    elif name == "t":
+        nu = shapes[0]
+
+        def moment(z):
+            return z * standard.cdf(z) + (nu + z * z) / (nu - 1.0) * standard.pdf(z)
+    else:
+        k, wider = shapes[0], stats.chi2(shapes[0] + 2.0)
+
+        def moment(z):
+            return z * standard.cdf(z) - k * wider.cdf(z)
+    return lambda theta: scale * float(moment((theta - loc) / scale))
+
+
 def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
     """Expectile of an analytic distribution by partial-moment root finding.
 
@@ -190,8 +227,9 @@ def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
 
         tau * (mean - theta) + (2 * tau - 1) * E[(theta - Y)+] = 0,
 
-    with the one partial moment evaluated by adaptive quadrature over the
-    lower tail; the root is isolated with an expanding bracket.
+    with the one partial moment in closed form for normal, Student t and
+    chi-squared laws and by adaptive quadrature over the lower tail for any
+    other; the root is isolated with an expanding bracket.
     """
     tau = validate_tau(tau)
     mean = float(dist.mean())
@@ -201,7 +239,7 @@ def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
     lo_support, hi_support = (float(b) for b in dist.support())
     pdf = dist.pdf
 
-    def lower_moment(theta: float) -> float:
+    def quadrature_moment(theta: float) -> float:
         b = min(theta, hi_support)
         if b <= lo_support:
             return 0.0
@@ -210,6 +248,8 @@ def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
             epsabs=1e-12, epsrel=1e-11, limit=200,
         )
         return val
+
+    lower_moment = _closed_form_lower_moment(dist) or quadrature_moment
 
     def balance(theta: float) -> float:
         return tau * (mean - theta) + (2.0 * tau - 1.0) * lower_moment(theta)

@@ -4,12 +4,17 @@ Gram systems are solved through a Cholesky factorization of the
 diagonally rescaled matrix.  Failure is surfaced as SingularGramError
 instead of silently falling back to a pseudo-inverse, so specification
 errors (annihilated or collinear regressors) are diagnosable.
+
+Every solve takes a stack of systems on leading axes, as the fits of a
+Monte Carlo block make them, and one system is the stack of one: the
+factorization is one stacked ``np.linalg.cholesky`` and the triangular
+solves are elementwise over the stack, so each system's solution has the
+same bits whatever else is stacked with it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import SingularGramError
 
@@ -17,59 +22,88 @@ from .errors import SingularGramError
 # matrix; below this the system is treated as numerically rank deficient.
 _MIN_PIVOT = 1e-7
 
-__all__ = ["annihilated_columns", "spd_solve", "spd_inverse"]
+__all__ = ["spd_inverse", "spd_solve"]
+
+
+def _factor(scaled):
+    """Lower Cholesky factors of the stacked matrices ``scaled`` (B x k x k),
+    and per matrix the reason it has none (None where it has one)."""
+    problems = [None] * scaled.shape[0]
+    try:
+        return np.linalg.cholesky(scaled), problems
+    except np.linalg.LinAlgError:
+        pass
+    # Some matrix is not positive definite: factor one by one to find it.
+    factors = np.empty_like(scaled)
+    for i, matrix in enumerate(scaled):
+        try:
+            factors[i] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            factors[i] = np.eye(matrix.shape[0])
+            problems[i] = "Cholesky factorization failed: Gram matrix is singular"
+    return factors, problems
 
 
 def spd_solve(G, b, iteration=None, columns=None):
     """Solve G x = b for symmetric positive definite G.
 
-    Raises SingularGramError when the factorization fails or the rescaled
-    matrix has a pivot below the rank threshold.
+    ``G`` is one k x k matrix or a stack (..., k, k); ``b`` holds one
+    right-hand side per system, (..., k), or several, (..., k, r).  Raises
+    SingularGramError when some system's factorization fails or its
+    rescaled matrix has a pivot below the rank threshold.  The message
+    describes the first such system; the error's ``failed`` marks every one
+    of them and its ``result`` holds the solutions, NaN for those systems.
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
-    d = np.sqrt(np.diag(G))
-    if G.size == 0:
+    lead, k = G.shape[:-2], G.shape[-1]
+    if k == 0:
         raise SingularGramError("empty Gram matrix", columns=columns,
                                 iteration=iteration)
-    if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-        raise SingularGramError(
-            "Gram matrix has a non-positive diagonal entry",
-            columns=columns, iteration=iteration,
-        )
-    scaled = G / d[:, None] / d[None, :]
-    try:
-        factor = sla.cho_factor(scaled, lower=True, check_finite=False)
-    except sla.LinAlgError:
-        raise SingularGramError(
-            "Cholesky factorization failed: Gram matrix is singular",
-            columns=columns, iteration=iteration,
-        ) from None
-    pivot = float(np.min(np.diag(factor[0])))
-    if pivot <= _MIN_PIVOT:
-        raise SingularGramError(
-            f"Gram matrix numerically rank deficient (pivot {pivot:.2e})",
-            columns=columns, iteration=iteration,
-        )
-    x = sla.cho_solve(factor, b / d if b.ndim == 1 else b / d[:, None],
-                      check_finite=False)
-    return x / d if b.ndim == 1 else x / d[:, None]
+    G = G.reshape(-1, k, k)
+    vector = b.ndim == len(lead) + 1
+    z = b.reshape(G.shape[0], k, 1 if vector else b.shape[-1])
+
+    d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+    bad_diagonal = ~np.all(np.isfinite(d) & (d > 0.0), axis=1)
+    d[bad_diagonal] = 1.0
+    scaled = G / d[:, :, None] / d[:, None, :]
+    scaled[bad_diagonal] = np.eye(k)
+    factors, problems = _factor(scaled)
+    pivots = np.min(np.diagonal(factors, axis1=1, axis2=2), axis=1)
+    for i, pivot in enumerate(pivots.tolist()):
+        if bad_diagonal[i]:
+            problems[i] = "Gram matrix has a non-positive diagonal entry"
+        elif problems[i] is None and pivot <= _MIN_PIVOT:
+            problems[i] = f"Gram matrix numerically rank deficient (pivot {pivot:.2e})"
+
+    # L L' x = b / d by forward, then backward substitution, column by
+    # column across the stack.
+    z = z / d[:, :, None]
+    for j in range(k):
+        z[:, j] /= factors[:, j, j, None]
+        z[:, j + 1:] -= factors[:, j + 1:, j, None] * z[:, j, None]
+    for j in reversed(range(k)):
+        z[:, j] /= factors[:, j, j, None]
+        z[:, :j] -= factors[:, j, :j, None] * z[:, j, None]
+    x = (z / d[:, :, None]).reshape(b.shape)
+
+    failed = np.array([p is not None for p in problems], dtype=bool).reshape(lead)
+    if failed.any():
+        x[failed] = np.nan
+        raise SingularGramError(next(p for p in problems if p), columns=columns,
+                                iteration=iteration, failed=failed, result=x)
+    return x
 
 
 def spd_inverse(G, iteration=None, columns=None):
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    eye = np.eye(G.shape[0])
-    inv = spd_solve(G, eye, iteration=iteration, columns=columns)
-    return (inv + inv.T) / 2.0
-
-
-def annihilated_columns(transformed, reference_scale):
-    """Indices of columns wiped out by a linear transform.
-
-    ``reference_scale`` holds the pre-transform column norms; a column is
-    flagged when its transformed norm is negligible relative to that.
-    """
-    transformed = np.asarray(transformed, dtype=float)
-    norms = np.sqrt(np.einsum("ij,ij->j", transformed, transformed))
-    ref = np.maximum(np.asarray(reference_scale, dtype=float), 1e-300)
-    return np.nonzero(norms <= 1e-10 * ref)[0]
+    """Inverse of a symmetric positive definite matrix, or of each matrix
+    of a stack (..., k, k), symmetrized; fails as ``spd_solve`` does."""
+    G = np.asarray(G, dtype=float)
+    try:
+        inv = spd_solve(G, np.broadcast_to(np.eye(G.shape[-1]), G.shape),
+                        iteration=iteration, columns=columns)
+    except SingularGramError as exc:
+        exc.result = (exc.result + np.swapaxes(exc.result, -1, -2)) / 2.0
+        raise
+    return (inv + np.swapaxes(inv, -1, -2)) / 2.0

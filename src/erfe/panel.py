@@ -17,6 +17,7 @@ that does not parse and a non-finite value are reported as ``path:line``.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -33,12 +34,14 @@ from .errors import (
 
 __all__ = [
     "PanelData",
+    "PanelStack",
     "asymmetric_loss",
     "build_panel",
     "check_weight",
     "format_number",
     "read_csv_column",
     "read_panel_csv",
+    "stack_panels",
     "validate_tau",
     "validate_taus",
 ]
@@ -142,16 +145,96 @@ class PanelData:
         plain mean subtracted: the unweighted within transform."""
         # C order, as the fits' BLAS calls round differently on other layouts.
         rows = np.array([*self.X.T, self.y], order="C")
-        for row in rows:
-            row -= (np.bincount(self.codes, weights=row,
-                                minlength=self.n_subjects) / self.counts)[self.codes]
+        _demean(rows, self.codes, self.counts)
         return _freeze(rows)
+
+    def keep_regressors(self, kept) -> "PanelData":
+        """The panel with only the regressor columns ``kept``, in that order.
+
+        Other fields are shared.  Each row of ``demeaned`` is demeaned on
+        its own, so the reduced panel's rows are this panel's kept X rows
+        and its y row, bit for bit: it takes them instead of demeaning again.
+        """
+        kept = list(kept)
+        # C order, as the fits' BLAS calls round differently on other layouts.
+        reduced = dataclasses.replace(
+            self, X=_freeze(np.ascontiguousarray(self.X[:, kept])),
+            column_names=tuple(self.column_names[j] for j in kept))
+        vars(reduced)["demeaned"] = _freeze(self.demeaned[[*kept, -1]])
+        return reduced
 
     def groups(self) -> list[np.ndarray]:
         """Row indices of each subject, in subject-code order."""
         order = np.argsort(self.codes, kind="stable")
         bounds = np.cumsum(self.counts)[:-1]
         return np.split(order, bounds)
+
+
+@dataclass(frozen=True)
+class PanelStack:
+    """B panels of one shape (N rows, n subjects, p regressors) on a leading
+    replication axis, as the fits of a Monte Carlo block read them.
+
+    ``y`` is (B, N), ``X`` (B, N, p) and ``demeaned`` (B, p + 1, N), each
+    panel's ``demeaned`` bit for bit.  ``codes`` (B, N) offsets panel b's
+    subject codes by b * n, so that one ``np.bincount`` over all of them
+    with B * n bins gives every panel's subject sums, each accumulated in
+    the order a bincount of that panel alone would take.  A stack of one
+    panel holds views of the panel's own arrays.
+    """
+
+    n_subjects: int
+    column_names: tuple[str, ...]
+    y: np.ndarray
+    X: np.ndarray
+    codes: np.ndarray
+    demeaned: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.y.shape[0]
+
+    def part(self, idx, *arrays):
+        """The subject codes of the panels ``idx`` (an index array), offset as
+        if those panels were the whole stack, followed by those panels of
+        each stacked array in ``arrays``.  When ``idx`` is every panel these
+        are the stack's codes and the arrays themselves, not copies."""
+        if idx.size == self.size:
+            return (self.codes, *arrays)
+        shift = self.n_subjects * (np.arange(idx.size) - idx)
+        return (self.codes[idx] + shift[:, None], *(a[idx] for a in arrays))
+
+
+def stack_panels(panels) -> PanelStack:
+    """Stack panels of one shape (see ``PanelStack``)."""
+    panels = tuple(panels)
+    first = panels[0]
+    if len(panels) == 1:
+        return PanelStack(first.n_subjects, first.column_names, first.y[None],
+                          first.X[None], first.codes[None], first.demeaned[None])
+    if any(p.X.shape != first.X.shape or p.n_subjects != first.n_subjects
+           for p in panels):
+        raise ShapeMismatchError("stacked panels must share rows, subjects "
+                                 "and regressors")
+    y = np.stack([p.y for p in panels])
+    X = np.stack([p.X for p in panels])
+    codes = (np.stack([p.codes for p in panels])
+             + first.n_subjects * np.arange(len(panels))[:, None])
+    demeaned = np.empty((len(panels), X.shape[2] + 1, X.shape[1]))
+    demeaned[:, :-1] = X.transpose(0, 2, 1)
+    demeaned[:, -1] = y
+    _demean(demeaned, codes, np.concatenate([p.counts for p in panels]))
+    return PanelStack(first.n_subjects, first.column_names, _freeze(y), _freeze(X),
+                      _freeze(codes), _freeze(demeaned))
+
+
+def _demean(rows, codes, counts):
+    """Subtract in place from each row of ``rows`` (..., k, N) every subject's
+    plain mean; ``codes`` (..., N) numbers the subjects 0 .. counts.size - 1."""
+    for j in range(rows.shape[-2]):
+        row = rows[..., j, :]
+        row -= (np.bincount(codes.ravel(), weights=row.ravel(),
+                            minlength=counts.size) / counts)[codes]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

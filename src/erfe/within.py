@@ -9,7 +9,8 @@ check weights scaled by the influence weights, subtracted from all blocks.
 
 The fits and the sandwich covariance never build a transformed copy of
 the data: they work from per-subject sums (``weighted_subject_sums``),
-mostly of the panel's plainly demeaned rows (``PanelData.demeaned``).
+mostly of the plainly demeaned rows (``PanelData.demeaned``), and take
+them for a whole stack of panels (``PanelStack``) at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, WeightDimensionMismatchError
-from .linalg import annihilated_columns
 from .panel import PanelData, check_weight, validate_tau
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "apply_within",
     "subject_weights",
     "weighted_subject_sums",
-    "within_constant_columns",
+    "within_constant",
 ]
 
 
@@ -61,32 +61,41 @@ def _block_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
     return total
 
 
-def within_constant_columns(panel: PanelData) -> np.ndarray:
-    """Indices of the regressors that are constant within every subject.
+def within_constant(panel) -> np.ndarray:
+    """Which regressors are constant within every subject: a mask (p,) for
+    a ``PanelData``, (B, p) for a ``PanelStack``.
 
     A regressor is within-constant when demeaning (``panel.demeaned``)
-    leaves a negligible norm relative to its raw norm.  No weighted within
+    leaves a norm of at most 1e-10 times its raw norm.  No weighted within
     transform can identify such a regressor.
     """
-    scale = np.sqrt(np.einsum("ij,ij->j", panel.X, panel.X))
-    return annihilated_columns(panel.demeaned[:-1].T, scale)
+    raw = np.einsum("...ij,...ij->...j", panel.X, panel.X)
+    rows = panel.demeaned[..., :-1, :]
+    left = np.einsum("...jn,...jn->...j", rows, rows)
+    return np.sqrt(left) <= 1e-10 * np.maximum(np.sqrt(raw), 1e-300)
 
 
-def weighted_subject_sums(rows, weights, panel: PanelData):
-    """Per-subject sums of ``rows`` (k x N) under ``weights``.
+def weighted_subject_sums(rows, weights, codes, n_subjects: int):
+    """Per-subject sums of the rows of B stacked panels under ``weights``.
 
-    Returns ``sums`` of shape (k + 1, n), whose row 0 holds each subject's
-    sum of the weights and row j + 1 its sum of the weights times
-    ``rows[j]``, and the weighted rows themselves, from which callers form
-    the weighted Gram matrix.  These are the sufficient statistics of every
-    weighted within transform: the weighted subject means are
-    ``sums[1:] / sums[0]``.
+    ``rows`` is (B, k, N), ``weights`` (B, N) and ``codes`` the panels'
+    subject codes offset as in ``PanelStack`` (B x N, panel b's codes
+    starting at b * ``n_subjects``).  Returns ``sums`` of shape
+    (B, k + 1, n), whose row 0 holds each subject's sum of the weights and
+    row j + 1 its sum of the weights times ``rows[:, j]``, and the weighted
+    rows themselves, from which callers form the weighted Gram matrices.
+    These are the sufficient statistics of every weighted within
+    transform: the weighted subject means are ``sums[:, 1:] / sums[:, :1]``.
     """
-    weighted = rows * weights
-    sums = np.empty((rows.shape[0] + 1, panel.n_subjects))
-    sums[0] = _subject_sums(weights, panel)
-    for j, row in enumerate(weighted):
-        sums[j + 1] = _subject_sums(row, panel)
+    weighted = rows * weights[:, None, :]
+    n_items, n_bins = weights.shape[0], weights.shape[0] * n_subjects
+    codes = codes.ravel()
+    sums = np.empty((n_items, rows.shape[1] + 1, n_subjects))
+    sums[:, 0] = np.bincount(codes, weights=weights.ravel(),
+                             minlength=n_bins).reshape(n_items, n_subjects)
+    for j in range(rows.shape[1]):
+        sums[:, j + 1] = np.bincount(codes, weights=weighted[:, j].ravel(),
+                                     minlength=n_bins).reshape(n_items, n_subjects)
     return sums, weighted
 
 

@@ -160,6 +160,33 @@ def test_fit_drops_subject_constant_column(tmp_path, capsys):
     assert rows["x1"]["estimate"] != "NA"
 
 
+@pytest.mark.parametrize("joint", [[], ["--joint"]])
+def test_dropping_a_column_does_not_demean_again(joint, tmp_path, monkeypatch):
+    # small_panel.csv's zconst is dropped; the reduced panel takes its
+    # demeaned rows from the full panel's instead of demeaning again.
+    passes = []
+    demean = erfe.panel._demean
+    monkeypatch.setattr(erfe.panel, "_demean",
+                        lambda *args: passes.append(1) or demean(*args))
+    code = main(["fit", "--tau", "0.2,0.8", *joint,
+                 "--input", str(DATA / "small_panel.csv"), "--subject-col", "id",
+                 "--response-col", "y", "--out", str(tmp_path / "out.csv")])
+    assert code == 0
+    assert len(passes) == 1
+
+
+def test_kept_regressors_keep_their_demeaned_rows():
+    rng = np.random.default_rng(92)
+    panel, _, _ = oracles.random_panel(rng, 9, 4, 3)
+    reduced = panel.keep_regressors([2, 0])
+    fresh = erfe.build_panel(zip(panel.subject_ids, panel.y, panel.X[:, [2, 0]]),
+                             ["x3", "x1"])
+    assert reduced.column_names == ("x3", "x1")
+    assert np.array_equal(reduced.X, fresh.X)
+    assert np.array_equal(reduced.demeaned, fresh.demeaned)
+    assert reduced.demeaned.flags.c_contiguous and not reduced.demeaned.flags.writeable
+
+
 def test_fit_joint_mode(panel_csv, tmp_path):
     path, panel = panel_csv
     out = tmp_path / "fit.csv"

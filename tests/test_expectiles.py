@@ -205,6 +205,33 @@ def test_one_moment_balance_matches_two_moment_form(dist):
         assert abs(theta - reference) <= 1e-10, (tau, theta, reference)
 
 
+@pytest.mark.parametrize("dist", [stats.norm(1.5, 2.0),
+                                  stats.t(5.0, loc=-1.0, scale=0.5),
+                                  stats.chi2(4.0, loc=2.0, scale=3.0)],
+                         ids=["gaussian", "t5", "chi2_4"])
+def test_closed_form_moments_match_two_moment_quadrature(dist):
+    # Normal, t and chi-squared laws take the closed-form lower partial
+    # moment, with loc and scale standardised away.
+    assert erfe.expectiles._closed_form_lower_moment(dist) is not None
+    for tau in (0.01, 0.5, 0.99):
+        theta = erfe.distribution_expectile(dist, tau)
+        reference = oracles.two_moment_distribution_expectile(dist, tau)
+        assert abs(theta - reference) <= 1e-12 * abs(reference), (tau, theta, reference)
+
+
+def test_other_laws_take_quadrature(monkeypatch):
+    gamma = stats.gamma(2.5)
+    assert erfe.expectiles._closed_form_lower_moment(gamma) is None
+    calls = []
+    quad = erfe.expectiles.integrate.quad
+    monkeypatch.setattr(erfe.expectiles.integrate, "quad",
+                        lambda *a, **k: calls.append(1) or quad(*a, **k))
+    theta = erfe.distribution_expectile(gamma, 0.8)
+    assert calls
+    monkeypatch.undo()
+    assert abs(theta - oracles.two_moment_distribution_expectile(gamma, 0.8)) <= 1e-10
+
+
 def test_student_t_low_df_rejected():
     with pytest.raises(ValueError):
         erfe.student_t(2.0)

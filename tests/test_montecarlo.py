@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 import erfe
+from erfe import montecarlo
 from erfe.errors import BudgetExceededError, NonincreasingTausError
 from erfe.montecarlo import estimates_to_csv, metrics_to_csv
 
@@ -180,12 +181,82 @@ def test_metrics_match_reference_aggregation():
 
 
 def test_reproducible_across_worker_counts():
-    config = _small_config(replications=8)
+    # Not a multiple of the block size, so the last block is a short one.
+    config = _small_config(replications=montecarlo.BLOCK + 6)
     serial = erfe.run_monte_carlo(config, workers=1)
     parallel = erfe.run_monte_carlo(config, workers=3)
     assert np.array_equal(serial.estimates, parallel.estimates)
     assert np.array_equal(serial.standard_errors, parallel.standard_errors)
+    assert np.array_equal(serial.iterations, parallel.iterations)
     assert metrics_to_csv(serial) == metrics_to_csv(parallel)
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_each_replication_has_the_bits_of_its_own_fit(joint):
+    # A block fits its replications as one stack; each must come out as
+    # the one-panel fit and sandwich of its own generated panel.
+    config = _small_config(replications=montecarlo.BLOCK + 3, joint=joint)
+    metrics = erfe.run_monte_carlo(config)
+    for rep in range(config.replications):
+        panel, _ = erfe.generate_dgp(config, rep)
+        if joint:
+            fit = erfe.fit_erfe_multi(panel, config.taus)
+            cov = erfe.sandwich_multi(panel, fit)
+            betas, ses = fit.betas, cov.se.reshape(fit.betas.shape)
+            iterations = [fit.iterations] * len(config.taus)
+        else:
+            fits = [erfe.fit_erfe_single(panel, tau) for tau in config.taus]
+            betas = np.array([fit.beta for fit in fits])
+            ses = np.array([erfe.sandwich_single(panel, fit).se for fit in fits])
+            iterations = [fit.iterations for fit in fits]
+        assert np.array_equal(metrics.estimates[rep], betas)
+        assert np.array_equal(metrics.standard_errors[rep], ses)
+        assert np.array_equal(metrics.iterations[rep], iterations)
+
+
+# Ways to make a replication's x2 unusable: constant within subjects (the
+# fits' screen rejects it) or a multiple of x1 (the Cholesky pivot does).
+_BROKEN_X2 = {
+    "within_constant": lambda panel: 1.0 + panel.codes,
+    "collinear": lambda panel: 2.0 * panel.X[:, 0],
+}
+
+
+def _break_x2(monkeypatch, failing, how):
+    """Replace x2 by ``_BROKEN_X2[how]`` in the replications ``failing``."""
+    generate = montecarlo.generate_dgp
+
+    def patched(config, rep):
+        panel, truth = generate(config, rep)
+        if rep in failing:
+            X = panel.X.copy()
+            X[:, 1] = _BROKEN_X2[how](panel)
+            panel = erfe.build_panel(zip(panel.subject_ids, panel.y, X),
+                                     panel.column_names)
+        return panel, truth
+
+    monkeypatch.setattr(montecarlo, "generate_dgp", patched)
+
+
+@pytest.mark.parametrize("how", sorted(_BROKEN_X2))
+@pytest.mark.parametrize("joint", [False, True])
+def test_failures_are_counted_by_cause_and_leave_neighbours_alone(monkeypatch, joint,
+                                                                  how):
+    config = _small_config(replications=montecarlo.BLOCK + 3, joint=joint)
+    clean = erfe.run_monte_carlo(config)
+    failing = {2, montecarlo.BLOCK + 1}
+    _break_x2(monkeypatch, failing, how)
+    metrics = erfe.run_monte_carlo(config)
+
+    assert metrics.failure_causes == ({"SingularGramError": 2},) * len(config.taus)
+    assert clean.failure_causes == ({},) * len(config.taus)
+    assert all(row.failures == 2 for row in metrics.rows)
+    hit = np.isin(np.arange(config.replications), list(failing))
+    assert np.isnan(metrics.estimates[hit]).all()
+    assert np.isnan(metrics.standard_errors[hit]).all()
+    assert np.isnan(metrics.iterations[hit]).all()
+    for name in ("estimates", "standard_errors", "iterations"):
+        assert np.array_equal(getattr(metrics, name)[~hit], getattr(clean, name)[~hit])
 
 
 def test_budget_guard():
@@ -288,3 +359,15 @@ def test_estimates_dump_roundtrip():
     assert len(lines) == 1 + 3 * len(config.taus) * 2
     rep0 = lines[1].split(",")
     assert float(rep0[3]) == metrics.estimates[0, 0, 0]
+
+
+def test_replications_out_of_rounds_fail_as_no_convergence(monkeypatch):
+    # One round is too few for any fit here, so every block has no
+    # sandwich to build.
+    monkeypatch.setattr(erfe.estimator, "IrlsConfig",
+                        lambda: erfe.IrlsConfig(max_iter=1))
+    config = _small_config(replications=montecarlo.BLOCK + 3)
+    metrics = erfe.run_monte_carlo(config)
+    assert metrics.failure_causes == ({"NoConvergenceError": config.replications},) * 2
+    assert np.isnan(metrics.estimates).all() and np.isnan(metrics.iterations).all()
+    assert all(row.failures == config.replications for row in metrics.rows)
