@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .covariance import conf_intervals, sandwich_multi, sandwich_single
+from .covariance import conf_intervals, sandwich_stack
 from .errors import ErfeError, NoConvergenceError, SingularGramError
-from .estimator import fit_erfe_multi, fit_erfe_single
+from .estimator import fit_stack
 from .expectiles import sample_expectile
 from .montecarlo import (
     SimulationConfig,
@@ -27,7 +27,13 @@ from .montecarlo import (
     metrics_to_csv,
     run_monte_carlo,
 )
-from .panel import format_number, read_csv_column, read_panel_csv, validate_taus
+from .panel import (
+    format_number,
+    read_csv_column,
+    read_panel_csv,
+    stack_panels,
+    validate_taus,
+)
 from .within import apply_within, subject_weights, within_constant
 
 EXIT_OK = 0
@@ -137,76 +143,46 @@ _FIT_HEADER = ["tau", "term", "estimate", "std_error", "ci_lower", "ci_upper",
                "iterations", "converged"]
 
 
+def _stop_on_failure(errors):
+    """Raise the first of ``errors`` that stopped a fit or a sandwich for
+    another reason than running out of rounds."""
+    for error in errors:
+        if error is not None and not isinstance(error, NoConvergenceError):
+            raise error
+
+
 def cmd_fit(args) -> int:
     panel = read_panel_csv(args.input, args.subject_col, args.response_col)
-    taus = args.tau
     kept, dropped = _split_estimable(panel)
     if not kept:
         print("error: no estimable regressors remain", file=sys.stderr)
         return EXIT_ERROR
     reduced = panel.keep_regressors(kept) if dropped else panel
-
-    rows = []
-    partial = False
-
-    def emit_tau(tau, beta, se, ci, iterations, converged):
-        pos = 0
-        for j in range(panel.n_regressors):
-            name = panel.column_names[j]
-            if j in dropped:
-                rows.append([float(tau), name, float("nan"), float("nan"),
-                             float("nan"), float("nan"), iterations,
-                             str(bool(converged)).lower()])
-            else:
-                rows.append([
-                    float(tau), name, float(beta[pos]),
-                    float(se[pos]) if se is not None else float("nan"),
-                    float(ci[pos][0]) if ci is not None else float("nan"),
-                    float(ci[pos][1]) if ci is not None else float("nan"),
-                    iterations, str(bool(converged)).lower(),
-                ])
-                pos += 1
-
+    stack = stack_panels([reduced])
+    fit = fit_stack(stack, args.tau, args.v, joint=args.joint)
+    cov, errors = sandwich_stack(stack, fit)
     try:
-        if args.joint and len(taus) > 1:
-            v = args.v if args.v is not None else tuple([1.0] * len(taus))
-            if len(v) != len(taus):
-                print("error: --v length must match --tau", file=sys.stderr)
-                return EXIT_ERROR
-            try:
-                fit = fit_erfe_multi(reduced, taus, v)
-                cov = sandwich_multi(reduced, fit)
-                ci = conf_intervals(fit, cov, args.level)
-            except NoConvergenceError as exc:
-                fit, cov, ci = exc.result, None, None
-                partial = True
-            p = reduced.n_regressors
-            for k, tau in enumerate(taus):
-                se_k = cov.se[k * p:(k + 1) * p] if cov is not None else None
-                ci_k = ci[k * p:(k + 1) * p] if ci is not None else None
-                emit_tau(tau, fit.betas[k], se_k, ci_k,
-                         fit.iterations, fit.converged)
-        else:
-            for tau in taus:
-                try:
-                    fit = fit_erfe_single(reduced, tau)
-                    cov = sandwich_single(reduced, fit)
-                    ci = conf_intervals(fit, cov, args.level)
-                    emit_tau(tau, fit.beta, cov.se, ci,
-                             fit.iterations, fit.converged)
-                except NoConvergenceError as exc:
-                    partial = True
-                    fit = exc.result
-                    emit_tau(tau, fit.beta, None, None,
-                             fit.iterations, fit.converged)
+        _stop_on_failure(errors[0])
     except SingularGramError as exc:
         names = exc.columns or reduced.column_names
         print(f"error: singular weighted Gram matrix involving columns "
               f"{list(names)}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    _emit(_FIT_HEADER, list(zip(*rows)), args.format, args.out)
-    return EXIT_PARTIAL if partial else EXIT_OK
+    # estimate, std_error, ci_lower, ci_upper per (tau, regressor): NaN for a
+    # dropped regressor; a fit that ran out of rounds has no sandwich, so
+    # only its estimates are numbers.
+    q, width = len(fit.taus), panel.n_regressors
+    values = np.full((q, width, 4), np.nan)
+    values[:, kept] = np.concatenate([
+        fit.betas[0, :, :, None], cov.se[0].reshape(q, -1, 1),
+        conf_intervals(fit, cov, args.level)[0].reshape(q, -1, 2)], axis=2)
+    converged = [str(error is None).lower() for error in fit.errors[0]]
+    columns = [np.repeat(fit.taus, width), list(panel.column_names) * q,
+               *values.reshape(-1, 4).T, np.repeat(fit.iterations[0], width).tolist(),
+               np.repeat(converged, width).tolist()]
+    _emit(_FIT_HEADER, columns, args.format, args.out)
+    return EXIT_PARTIAL if any(e is not None for e in fit.errors[0]) else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -240,22 +216,24 @@ def cmd_transform(args) -> int:
     panel = read_panel_csv(args.input, args.subject_col, args.response_col)
     kept, dropped = _split_estimable(panel)
     reduced = panel.keep_regressors(kept) if dropped else panel
+    # tau = 0.5 is the plain within transform; every other tau needs a fit.
+    fitted = tuple(tau for tau in args.tau if tau != 0.5)
     partial = False
+    if fitted:
+        if not kept:
+            print("error: no estimable regressors; weighted transform "
+                  "requires a fit", file=sys.stderr)
+            return EXIT_ERROR
+        fit = fit_stack(stack_panels([reduced]), fitted)
+        _stop_on_failure(fit.errors[0])
+        partial = any(e is not None for e in fit.errors[0])
     y_blocks, x_blocks = [], []
     for tau in args.tau:
-        if tau == 0.5 or not kept:
-            if tau != 0.5 and not kept:
-                print("error: no estimable regressors; weighted transform "
-                      "requires a fit", file=sys.stderr)
-                return EXIT_ERROR
+        if tau == 0.5:
             weights = subject_weights(np.zeros(panel.n_obs), 0.5, panel)
         else:
-            try:
-                fit = fit_erfe_single(reduced, tau)
-            except NoConvergenceError as exc:
-                fit = exc.result
-                partial = True
-            weights = subject_weights(fit.residuals_star, tau, reduced)
+            weights = subject_weights(fit.residuals_star[0, fitted.index(tau)], tau,
+                                      reduced)
         y_blocks.append(apply_within(panel.y, weights, panel))
         x_blocks.append(apply_within(panel.X, weights, panel))
     header = ["tau", "subject", f"{args.response_col}_star",

@@ -162,25 +162,33 @@ def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
 
 
 def sandwich_stack(stack: PanelStack, fit: StackFit):
-    """The sandwich of every panel of ``stack`` whose fit converged, as
-    ``sandwich_single`` (one asymmetric point) or ``sandwich_multi`` builds
-    it, in one pass.
+    """The sandwiches of every fit of ``fit`` that converged, in one call:
+    per panel the joint sandwich of ``sandwich_multi`` when ``fit.joint``,
+    else one sandwich of ``sandwich_single`` per asymmetric point.
 
     Returns one SandwichCovariance whose arrays have a leading panel axis,
-    NaN for a panel without a sandwich, and per panel the error that
-    stopped its fit or its sandwich (None where neither was stopped).
+    ``se`` (B x q*p) and the matrices (B x q*p x q*p) in block order, and
+    per (panel, point) the error that stopped its fit or its sandwich (None
+    where neither was stopped).  Entries of a fit without a sandwich are
+    NaN, and so are the matrices' blocks between two points fitted on their
+    own: their covariance is not estimated.
     """
-    idx = np.flatnonzero([e is None for e in fit.errors])
-    part, part_errors = _assemble(stack, idx, fit.residuals_star[idx], fit.taus, fit.v)
-    errors = list(fit.errors)
-    for i, error in zip(idx.tolist(), part_errors):
-        errors[i] = error
-    fields = {}
-    for name in ("d0_hat", "d1_hat", "vc", "se"):
-        values = getattr(part, name)
-        fields[name] = np.full((stack.size, *values.shape[1:]), np.nan)
-        fields[name][idx] = values
-    return SandwichCovariance(**fields), tuple(errors)
+    q, p = len(fit.taus), stack.X.shape[-1]
+    fields = {name: np.full((stack.size, q * p, q * p), np.nan)
+              for name in ("d0_hat", "d1_hat", "vc")}
+    fields["se"] = np.full((stack.size, q * p), np.nan)
+    errors = [list(row) for row in fit.errors]
+    for k, n in [(0, q)] if fit.joint else [(k, 1) for k in range(q)]:
+        points, rows = slice(k, k + n), slice(k * p, (k + n) * p)
+        idx = np.flatnonzero([row[k] is None for row in fit.errors])
+        _, resid = stack.part(idx, fit.residuals_star[:, points])
+        part, part_errors = _assemble(stack, idx, resid, fit.taus[points], fit.v[points])
+        for name in ("d0_hat", "d1_hat", "vc"):
+            fields[name][idx, rows, rows] = getattr(part, name)
+        fields["se"][idx, rows] = part.se
+        for i, error in zip(idx.tolist(), part_errors):
+            errors[i][points] = [error] * n
+    return SandwichCovariance(**fields), tuple(map(tuple, errors))
 
 
 def normal_quantile(prob: float) -> float:
@@ -194,17 +202,18 @@ def conf_intervals(fit, cov: SandwichCovariance, level: float = 0.95) -> np.ndar
     """Large-sample confidence intervals, one (lower, upper) row per coefficient.
 
     For a joint fit the rows follow the stacked block order of the
-    covariance.  ``level`` must lie strictly between 0 and 1.
+    covariance; for a ``StackFit`` with the covariance of
+    ``sandwich_stack`` there is one such table per panel.  ``level`` must
+    lie strictly between 0 and 1.
     """
     level = float(level)
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
-    if isinstance(fit, MultiFitResult):
-        estimates = fit.betas.ravel()
-    else:
-        estimates = np.asarray(fit.beta, dtype=float)
-    if estimates.shape[0] != cov.se.shape[0]:
+    estimates = np.asarray(fit.beta if isinstance(fit, FitResult) else fit.betas,
+                           dtype=float)
+    if estimates.size != cov.se.size:
         raise ValueError("fit and covariance disagree on coefficient count")
     z = normal_quantile((1.0 + level) / 2.0)
     half = z * cov.se
-    return np.column_stack([estimates - half, estimates + half])
+    estimates = estimates.reshape(half.shape)
+    return np.stack([estimates - half, estimates + half], axis=-1)

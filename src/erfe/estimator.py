@@ -45,9 +45,10 @@ serves the whole stack, the Grams come from one stacked ``np.matmul`` and
 the systems from one stacked Cholesky (``linalg.spd_solve``).  Each panel
 has its own convergence test and takes no round after it stops; a panel
 whose system turns singular or that runs out of rounds gets its own error
-and leaves the others' bits unchanged.  ``fit_stack`` fits a Monte Carlo
-block that way; ``fit_erfe_single`` and ``fit_erfe_multi`` are its call
-with one panel.
+and leaves the others' bits unchanged.  ``fit_stack`` fits every
+asymmetric point of a command, or of a Monte Carlo block, in one call: one
+screen and one within round, then the rounds of each fit.
+``fit_erfe_single`` and ``fit_erfe_multi`` are its call with one panel.
 """
 
 from __future__ import annotations
@@ -128,18 +129,21 @@ class MultiFitResult:
 
 @dataclass(frozen=True)
 class StackFit:
-    """Fits of the B panels of a ``PanelStack`` by one engine pass.
+    """Fits at every asymmetric point of the B panels of a ``PanelStack``.
 
-    ``betas`` (B x q x p) and ``residuals_star`` (B x q x N) hold each
-    panel's slopes and residual blocks, ``iterations`` its rounds.
-    ``errors`` holds per panel the error that stopped its fit, None where
-    the fit converged: a SingularGramError, whose panel's numbers mean
-    nothing, or a NoConvergenceError, whose panel's numbers are its last
-    iterate.
+    ``joint`` tells whether the points were fitted jointly or each on its
+    own.  ``betas`` (B x q x p) and ``residuals_star`` (B x q x N) hold each
+    panel's slopes and residual blocks.  Per (panel, point), ``iterations``
+    (B x q) holds the rounds of the fit that point belongs to, and
+    ``errors`` (B tuples of q) the error that stopped that fit, None where
+    it converged: a SingularGramError, whose numbers mean nothing, or a
+    NoConvergenceError, whose numbers are its last iterate.  The points of
+    a joint fit share its rounds and its error.
     """
 
     taus: tuple[float, ...]
     v: np.ndarray
+    joint: bool
     betas: np.ndarray
     residuals_star: np.ndarray
     iterations: np.ndarray
@@ -169,17 +173,17 @@ def _record(errors, idx, singular):
             errors[i] = errors[i] or singular
 
 
-def _within_round(stack: PanelStack, q: int, errors):
+def _within_round(stack: PanelStack, errors):
     """The within round of every panel: one round at tau = 0.5 with
-    constant weights on the demeaned design.  Returns its slopes and
-    residuals, each repeated for ``q`` blocks; a panel whose system is
-    singular gets that error in ``errors``."""
+    constant weights on the demeaned design.  Returns its slopes (B x 1 x p)
+    and residuals (B x 1 x N); a panel whose system is singular gets that
+    error in ``errors``."""
     size, _, n_obs = stack.demeaned.shape
     betas, resid, singular = _round(stack.demeaned, stack.codes, stack.n_subjects,
                                     (0.5,), np.ones(1), np.zeros((size, 1, n_obs)),
                                     stack.column_names)
     _record(errors, np.arange(size), singular)
-    return np.repeat(betas, q, axis=1), np.repeat(resid, q, axis=1)
+    return betas, resid
 
 
 def _round(design, codes, n_subjects, taus, v, resid, columns=None, iteration=None):
@@ -297,7 +301,7 @@ def within_ols(panel: PanelData) -> FitResult:
     """
     stack = stack_panels([panel])
     errors = _screen(stack)
-    betas, resid = _within_round(stack, 1, errors)
+    betas, resid = _within_round(stack, errors)
     if errors[0] is not None:
         raise errors[0]
     return _single_result(panel, 0.5, betas[0, 0], resid[0, 0], 0, True)
@@ -318,19 +322,24 @@ def recover_fixed_effects(panel: PanelData, beta, tau, weights: SubjectWeights):
 
 def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
               joint: bool = False) -> StackFit:
-    """Fit every panel of ``stack`` in one engine pass.
+    """Fit every asymmetric point of ``taus`` on every panel of ``stack``.
 
-    Without ``joint`` this is the fit of ``fit_erfe_single`` at the one
-    asymmetric point in ``taus``; with it, the joint fit of
-    ``fit_erfe_multi`` over ``taus`` with influence weights ``v``.  Each
-    panel gets the numbers its own fit gives, bit for bit, and a panel whose
-    fit fails gets its error in ``errors`` without changing the others.
+    Without ``joint`` each point gets its own fit, that of
+    ``fit_erfe_single``; with it, the points get the one joint fit of
+    ``fit_erfe_multi`` with the influence weights ``v``, which only a joint
+    fit takes (over one point, the joint fit is the single fit).  The
+    within-constant screen and the within round run once, and each fit's
+    rounds start from its own copy of that round.  Each panel gets the
+    numbers its own fits give, bit for bit, and a fit that fails gets its
+    error in ``errors`` without changing the others.
     """
     config = config or IrlsConfig()
     taus = validate_taus(taus)
     q = len(taus)
     if v is None:
         v = np.ones(q)
+    elif not joint:
+        raise ValueError("influence weights apply to a joint fit only")
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != q:
         raise WeightDimensionMismatchError(
@@ -338,32 +347,36 @@ def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
         )
     if np.any(v <= 0.0):
         raise ValueError("influence weights must be strictly positive")
-    if joint:
+    design = stack.demeaned
+    if joint and q > 1:
         design = np.empty(stack.demeaned.shape)  # raw X, demeaned y
         design[:, :-1] = stack.X.transpose(0, 2, 1)
         design[:, -1] = stack.demeaned[:, -1]
-        failure = (f"joint fit over taus={taus} did not converge in "
-                   f"{config.max_iter} iterations")
-    elif q == 1:
-        design = stack.demeaned
-        failure = f"fit at tau={taus[0]} did not converge in {config.max_iter} iterations"
-    else:
-        raise ValueError("a single fit takes one asymmetric point; fit several jointly")
 
-    errors = _screen(stack)
-    betas, resid = _within_round(stack, q, errors)
-    betas, resid, iterations, converged = _irls(stack, design, taus, v, betas,
-                                                resid, config, errors)
-    errors = [e or (None if ok else NoConvergenceError(failure))
-              for e, ok in zip(errors, converged.tolist())]
-    return StackFit(taus=taus, v=v, betas=betas, residuals_star=resid,
-                    iterations=iterations, errors=tuple(errors))
+    screened = _screen(stack)
+    start_betas, start_resid = _within_round(stack, screened)
+    parts, errors = [], [[] for _ in range(stack.size)]
+    for k, n in [(0, q)] if joint else [(k, 1) for k in range(q)]:
+        points, group = slice(k, k + n), list(screened)
+        # Each fit gets its start as new arrays that only its rounds hold, so
+        # each copy is freed once the first round replaces it.
+        betas, resid, rounds, converged = _irls(
+            stack, design, taus[points], v[points], np.repeat(start_betas, n, axis=1),
+            np.repeat(start_resid, n, axis=1), config, group)
+        parts.append((betas, resid, np.repeat(rounds[:, None], n, axis=1)))
+        for row, error, ok in zip(errors, group, converged.tolist()):
+            row += [error or (None if ok else NoConvergenceError(
+                f"fit at taus={taus[points]} did not converge in "
+                f"{config.max_iter} iterations"))] * n
+    betas, resid, iterations = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
+    return StackFit(taus=taus, v=v, joint=joint, betas=betas, residuals_star=resid,
+                    iterations=iterations, errors=tuple(map(tuple, errors)))
 
 
 def _checked(fit: StackFit, result):
     """``result``, the one-panel ``fit`` as a result object; or the fit's
     error raised, with ``result`` attached when it ran out of rounds."""
-    error = fit.errors[0]
+    error = fit.errors[0][0]
     if error is None:
         return result
     if isinstance(error, NoConvergenceError):
@@ -383,7 +396,7 @@ def fit_erfe_single(panel: PanelData, tau, config: IrlsConfig | None = None) -> 
     fit = fit_stack(stack_panels([panel]), (tau,), config=config)
     return _checked(fit, _single_result(
         panel, tau, fit.betas[0, 0], fit.residuals_star[0, 0],
-        int(fit.iterations[0]), fit.errors[0] is None))
+        int(fit.iterations[0, 0]), fit.errors[0][0] is None))
 
 
 def fit_erfe_multi(panel: PanelData, taus, v=None,
@@ -393,7 +406,8 @@ def fit_erfe_multi(panel: PanelData, taus, v=None,
     The blocks share one subject effect, so each round solves the stacked
     weighted least squares problem with that effect concentrated out (see
     the module docstring), on the raw X, from the within round.  For a
-    single asymmetric point this is the single-tau fit.  ``v`` holds the
+    single asymmetric point this is the single-tau fit, on the demeaned
+    design (with its bits when ``v`` is one).  ``v`` holds the
     strictly positive influence weights (uniform by default).  Convergence
     requires the sup-norm step of every block to be within tolerance and
     the stacked first-order conditions (slope scores per block plus the
@@ -403,5 +417,5 @@ def fit_erfe_multi(panel: PanelData, taus, v=None,
     fit = fit_stack(stack_panels([panel]), taus, v, config, joint=True)
     return _checked(fit, MultiFitResult(
         taus=fit.taus, v=fit.v, betas=fit.betas[0],
-        residuals_star=fit.residuals_star[0], iterations=int(fit.iterations[0]),
-        converged=fit.errors[0] is None))
+        residuals_star=fit.residuals_star[0], iterations=int(fit.iterations[0, 0]),
+        converged=fit.errors[0][0] is None))

@@ -215,7 +215,7 @@ def _closed_form_lower_moment(dist):
     return lambda theta: scale * float(moment((theta - loc) / scale))
 
 
-def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
+def distribution_expectile(dist, tau) -> float:
     """Expectile of an analytic distribution by partial-moment root finding.
 
     ``dist`` is a frozen scipy.stats continuous distribution with a finite
@@ -280,5 +280,5 @@ def distribution_expectile(dist, tau, atol: float = 1e-9) -> float:
         return lo
     if f_hi == 0.0:
         return hi
-    root = brentq(balance, lo, hi, xtol=min(atol, 1e-10) * 1e-2, rtol=8.9e-16)
+    root = brentq(balance, lo, hi, xtol=1e-12, rtol=8.9e-16)
     return float(root)

@@ -6,9 +6,9 @@ Gaussian regressor sharing a subject-level factor with the fixed effect
 grow with the second regressor.  Replications get independent random
 streams keyed by (seed, replication index).  They are fitted in fixed
 blocks of ``BLOCK`` replications by index, each block stacked on a leading
-replication axis and fitted by one engine pass per asymmetric point
-(``estimator.fit_stack``); every replication's numbers are the bits its own
-fit gives, so results are reproducible bitwise for any worker count.
+replication axis and fitted at every asymmetric point by one
+``estimator.fit_stack`` call; every replication's numbers are the bits its
+own fit gives, so results are reproducible bitwise for any worker count.
 """
 
 from __future__ import annotations
@@ -236,32 +236,22 @@ def _run_block(config: SimulationConfig, block: int):
     """Fit every asymmetric point on the panels of replications
     [block * BLOCK, (block + 1) * BLOCK), cut at the last replication.
 
-    The panels are fitted as one stack, by one engine pass per asymmetric
-    point (one pass in all for a joint fit), and so are their sandwiches.
-    Returns estimates and standard errors (b x q x p), iteration counts
-    (b x q) and failure causes (b x q, the class name of the error that
-    stopped the fit or its sandwich, None where both ran), with NaN marking
-    failed fits.
+    The panels are fitted as one stack, by one ``fit_stack`` call, and so
+    are their sandwiches.  Returns estimates and standard errors
+    (b x q x p), iteration counts (b x q) and failure causes (b x q, the
+    class name of the error that stopped the fit or its sandwich, None
+    where both ran), with NaN marking failed fits.
     """
     reps = range(block * BLOCK, min((block + 1) * BLOCK, config.replications))
     stack = stack_panels(generate_dgp(config, rep)[0] for rep in reps)
-    q, p = len(config.taus), stack.X.shape[-1]
-    est = np.full((len(reps), q, p), np.nan)
-    ses = np.full((len(reps), q, p), np.nan)
-    iters = np.full((len(reps), q), np.nan)
-    causes = np.full((len(reps), q), None, dtype=object)
-    if config.joint:
-        passes = [(slice(None), config.taus)]
-    else:
-        passes = [(slice(k, k + 1), (tau,)) for k, tau in enumerate(config.taus)]
-    for points, taus in passes:
-        fit = fit_stack(stack, taus, joint=config.joint)
-        cov, errors = sandwich_stack(stack, fit)
-        ok = np.array([e is None for e in errors], dtype=bool)
-        est[ok, points] = fit.betas[ok]
-        ses[ok, points] = cov.se[ok].reshape(-1, len(taus), p)
-        iters[ok, points] = fit.iterations[ok, None]
-        causes[:, points] = [[type(e).__name__ if e else None] for e in errors]
+    fit = fit_stack(stack, config.taus, joint=config.joint)
+    cov, errors = sandwich_stack(stack, fit)
+    ok = np.array([[e is None for e in row] for row in errors], dtype=bool)
+    est = np.where(ok[:, :, None], fit.betas, np.nan)
+    ses = np.where(ok[:, :, None], cov.se.reshape(fit.betas.shape), np.nan)
+    iters = np.where(ok, fit.iterations, np.nan)
+    causes = np.array([[type(e).__name__ if e else None for e in row] for row in errors],
+                      dtype=object)
     return est, ses, iters, causes
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: fit, simulate, expectile, transform."""
 
 import csv
+import functools
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import erfe
 from erfe.cli import _write_json, main
-from erfe.errors import NoConvergenceError, NonincreasingTausError
+from erfe.errors import NonincreasingTausError
 
 import oracles
 
@@ -175,6 +176,51 @@ def test_dropping_a_column_does_not_demean_again(joint, tmp_path, monkeypatch):
     assert len(passes) == 1
 
 
+_SMALL = ["--input", str(DATA / "small_panel.csv"), "--subject-col", "id",
+          "--response-col", "y"]
+_SIMULATE = ["simulate", "--n", "25", "--m", "4", "--tau", "0.1,0.5,0.9",
+             "--replications", str(erfe.montecarlo.BLOCK)]
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--tau", "0.1,0.5,0.9", *_SMALL],
+    ["fit", "--tau", "0.1,0.5,0.9", "--joint", *_SMALL],
+    ["transform", "--tau", "0.1,0.9", *_SMALL],
+    _SIMULATE,
+    [*_SIMULATE, "--joint"],
+])
+def test_a_command_runs_one_within_round(command, tmp_path, monkeypatch):
+    # Every tau of a command, or of a simulate block, starts from one
+    # within round: the round does not depend on tau.
+    rounds = []
+    within_round = erfe.estimator._within_round
+    monkeypatch.setattr(erfe.estimator, "_within_round",
+                        lambda *args: rounds.append(1) or within_round(*args))
+    assert main([*command, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(rounds) == 1
+
+
+@pytest.mark.parametrize("weights", [
+    ["--tau", "0.5", "--v", "1"],
+    ["--tau", "0.2,0.8", "--v", "1,1"],
+    ["--tau", "0.2,0.8", "--joint", "--v", "1"],
+    ["--tau", "0.5", "--joint", "--v", "1,2"],
+])
+def test_fit_v_needs_joint_and_one_weight_per_tau(weights, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["fit", *weights, *_SMALL, "--out", str(out)]) == 1
+    assert "influence weights" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_joint_fit_at_one_tau_is_the_plain_fit(tmp_path):
+    plain, joint = tmp_path / "plain.csv", tmp_path / "joint.csv"
+    assert main(["fit", "--tau", "0.8", *_SMALL, "--out", str(plain)]) == 0
+    assert main(["fit", "--tau", "0.8", "--joint", "--v", "1", *_SMALL,
+                 "--out", str(joint)]) == 0
+    assert joint.read_bytes() == plain.read_bytes()
+
+
 def test_kept_regressors_keep_their_demeaned_rows():
     rng = np.random.default_rng(92)
     panel, _, _ = oracles.random_panel(rng, 9, 4, 3)
@@ -231,24 +277,34 @@ def test_fit_all_constant_design_exits_one(tmp_path, capsys):
 
 
 def test_fit_partial_convergence_exits_two(panel_csv, tmp_path, monkeypatch):
-    path, panel = panel_csv
-    out = tmp_path / "fit.csv"
-
-    def fake_fit(panel_arg, tau, config=None):
-        result = erfe.FitResult(
-            tau=tau, beta=np.zeros(panel_arg.n_regressors),
-            alpha=np.zeros(panel_arg.n_subjects),
-            residuals_star=np.zeros(panel_arg.n_obs), iterations=100,
-            converged=False, objective_value=0.0)
-        raise NoConvergenceError("forced", result=result)
-
-    monkeypatch.setattr("erfe.cli.fit_erfe_single", fake_fit)
-    code = main(["fit", "--input", path, "--subject-col", "id",
-                 "--response-col", "y", "--tau", "0.5", "--out", str(out)])
+    # One round stops every fit short but the one at tau = 0.5, whose within
+    # start is already its fixed point.
+    path, _ = panel_csv
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr("erfe.estimator.IrlsConfig",
+                        functools.partial(erfe.IrlsConfig, max_iter=1))
+    args = ["--input", path, "--subject-col", "id", "--response-col", "y",
+            "--out", str(out)]
+    code = main(["fit", *args, "--tau", "0.9"])
     assert code == 2
     rows = _read_rows(out)
     assert all(r["converged"] == "false" for r in rows)
     assert all(r["std_error"] == "NA" for r in rows)
+
+    assert main(["fit", *args, "--tau", "0.1,0.5,0.9"]) == 2
+    for r in _read_rows(out):
+        done = r["tau"] == "0.5"
+        assert r["converged"] == str(done).lower()
+        assert all((r[key] != "NA") == done
+                   for key in ("std_error", "ci_lower", "ci_upper"))
+        assert r["estimate"] != "NA"
+
+    assert main(["fit", *args, "--tau", "0.1,0.5,0.9", "--joint"]) == 2
+    for r in _read_rows(out):
+        assert r["converged"] == "false"
+        assert all(r[key] == "NA" for key in ("std_error", "ci_lower", "ci_upper"))
+
+    assert main(["transform", *args, "--tau", "0.5,0.9"]) == 2
 
 
 def test_fit_invalid_tau_is_usage_error(panel_csv):

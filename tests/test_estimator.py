@@ -12,6 +12,8 @@ from erfe.errors import (
     SingularGramError,
     WeightDimensionMismatchError,
 )
+from erfe.estimator import fit_stack
+from erfe.panel import stack_panels
 
 import oracles
 
@@ -226,12 +228,14 @@ def test_recover_exact_on_noiseless_panel():
 # ---------------------------------------------------------------------
 
 def test_single_block_equals_single_fit():
+    # One block needs no raw X: the joint fit runs the single fit's rounds.
     rng = np.random.default_rng(55)
     panel, _, _ = oracles.random_panel(rng, 12, 4, 2)
     single = erfe.fit_erfe_single(panel, 0.8)
     multi = erfe.fit_erfe_multi(panel, [0.8], [1.0])
-    assert np.max(np.abs(multi.betas[0] - single.beta)) <= 1e-10
-    assert np.max(np.abs(multi.residuals_star[0] - single.residuals_star)) <= 1e-8
+    assert np.array_equal(multi.betas[0], single.beta)
+    assert np.array_equal(multi.residuals_star[0], single.residuals_star)
+    assert multi.iterations == single.iterations
 
 
 def test_midpoint_block_equals_within_ols():
@@ -303,6 +307,9 @@ def test_influence_weight_validation():
         erfe.fit_erfe_multi(panel, [0.3, 0.7], [1.0])
     with pytest.raises(ValueError):
         erfe.fit_erfe_multi(panel, [0.3, 0.7], [1.0, 0.0])
+    for taus in ([0.3], [0.3, 0.7]):
+        with pytest.raises(ValueError, match="joint fit only"):
+            fit_stack(stack_panels([panel]), taus, np.ones(len(taus)))
 
 
 def test_multi_within_constant_regressor_raises():
