@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .covariance import conf_intervals, sandwich_stack
+from .covariance import conf_intervals, sandwich_stack, validate_level
 from .errors import ErfeError, NoConvergenceError, SingularGramError
 from .estimator import fit_stack
 from .expectiles import sample_expectile
@@ -58,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
 def _parse_taus(text: str) -> tuple[float, ...]:
     try:
         return validate_taus(text.split(","))
+    except ValueError as exc:  # argparse would replace the message
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_level(text: str) -> float:
+    try:
+        return validate_level(text)
     except ValueError as exc:  # argparse would replace the message
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -274,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="influence weights for --joint (default uniform)")
     fit.add_argument("--joint", action="store_true",
                      help="fit all asymmetric points jointly")
-    fit.add_argument("--level", type=float, default=0.95,
+    fit.add_argument("--level", type=_parse_level, default=0.95,
                      help="confidence level (default 0.95)")
     fit.set_defaults(func=cmd_fit)
 

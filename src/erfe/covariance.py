@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     NotPositiveSemidefiniteError,
@@ -31,6 +30,7 @@ __all__ = [
     "sandwich_multi",
     "sandwich_single",
     "sandwich_stack",
+    "validate_level",
 ]
 
 
@@ -195,7 +195,18 @@ def normal_quantile(prob: float) -> float:
     """Quantile of the standard normal distribution."""
     if not 0.0 < prob < 1.0:
         raise ValueError("probability must lie in (0, 1)")
+    # Imported here: scipy.special takes ~0.3 s to import; only intervals use it.
+    from scipy import special
+
     return float(special.ndtri(prob))
+
+
+def validate_level(level) -> float:
+    """A confidence level as a float strictly between 0 and 1."""
+    level = float(level)
+    if not 0.0 < level < 1.0:
+        raise ValueError("confidence level must lie in (0, 1)")
+    return level
 
 
 def conf_intervals(fit, cov: SandwichCovariance, level: float = 0.95) -> np.ndarray:
@@ -206,9 +217,7 @@ def conf_intervals(fit, cov: SandwichCovariance, level: float = 0.95) -> np.ndar
     ``sandwich_stack`` there is one such table per panel.  ``level`` must
     lie strictly between 0 and 1.
     """
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise ValueError("confidence level must lie in (0, 1)")
+    level = validate_level(level)
     estimates = np.asarray(fit.beta if isinstance(fit, FitResult) else fit.betas,
                            dtype=float)
     if estimates.size != cov.se.size:

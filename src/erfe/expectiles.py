@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
-from scipy.optimize import brentq
 
 from .errors import (
     BracketFailureError,
@@ -161,6 +159,9 @@ def gaussian(mean: float = 0.0, sd: float = 1.0):
     """Frozen normal distribution with the given mean and standard deviation."""
     if not sd > 0:
         raise ValueError("standard deviation must be positive")
+    # Imported here: scipy.stats takes ~1 s to import; fit and transform never use it.
+    from scipy import stats
+
     return stats.norm(mean, sd)
 
 
@@ -168,6 +169,9 @@ def student_t(df: float):
     """Frozen Student t distribution; requires df > 2 for a finite variance."""
     if not df > 2:
         raise ValueError("student t needs more than 2 degrees of freedom")
+    # Imported here: scipy.stats takes ~1 s to import; fit and transform never use it.
+    from scipy import stats
+
     return stats.t(df)
 
 
@@ -175,6 +179,9 @@ def chi_squared(df: float):
     """Frozen chi-squared distribution with df > 0 degrees of freedom."""
     if not df > 0:
         raise ValueError("chi-squared needs positive degrees of freedom")
+    # Imported here: scipy.stats takes ~1 s to import; fit and transform never use it.
+    from scipy import stats
+
     return stats.chi2(df)
 
 
@@ -208,6 +215,9 @@ def _closed_form_lower_moment(dist):
         def moment(z):
             return z * standard.cdf(z) + (nu + z * z) / (nu - 1.0) * standard.pdf(z)
     else:
+        # Imported here, as in chi_squared: dist is already a scipy.stats law.
+        from scipy import stats
+
         k, wider = shapes[0], stats.chi2(shapes[0] + 2.0)
 
         def moment(z):
@@ -231,6 +241,9 @@ def distribution_expectile(dist, tau) -> float:
     chi-squared laws and by adaptive quadrature over the lower tail for any
     other; the root is isolated with an expanding bracket.
     """
+    # Imported here: scipy.optimize is slow to import; fit and transform never use it.
+    from scipy.optimize import brentq
+
     tau = validate_tau(tau)
     mean = float(dist.mean())
     var = float(dist.var())
@@ -243,6 +256,9 @@ def distribution_expectile(dist, tau) -> float:
         b = min(theta, hi_support)
         if b <= lo_support:
             return 0.0
+        # Imported here: only laws without a closed-form moment integrate.
+        from scipy import integrate
+
         val, _ = integrate.quad(
             lambda yv: (theta - yv) * pdf(yv), lo_support, b,
             epsabs=1e-12, epsrel=1e-11, limit=200,

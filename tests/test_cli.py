@@ -317,6 +317,22 @@ def test_fit_invalid_tau_is_usage_error(panel_csv):
     assert code == 1
 
 
+@pytest.mark.parametrize("level, message", [
+    ("1.5", "confidence level must lie in (0, 1)"),
+    ("0", "confidence level must lie in (0, 1)"),
+    ("nan", "confidence level must lie in (0, 1)"),
+    ("abc", "could not convert string to float"),
+])
+def test_fit_invalid_level_fails_before_reading(level, message, tmp_path, capsys):
+    # The level is checked when the arguments are parsed: a missing input
+    # is not even opened.
+    code = main(["fit", "--input", str(tmp_path / "nope.csv"), "--subject-col", "id",
+                 "--response-col", "y", "--level", level])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"argument --level: {message}" in err and "nope.csv" not in err
+
+
 def test_fit_repeated_tau_fails_with_library_message(panel_csv, capsys):
     path, panel = panel_csv
     with pytest.raises(NonincreasingTausError) as excinfo:
@@ -517,19 +533,58 @@ def test_simulate_budget_guard(tmp_path, monkeypatch):
 # entry point
 # ---------------------------------------------------------------------
 
-def test_module_entry_point_runs(tmp_path):
-    path = tmp_path / "two.csv"
-    path.write_text("v\n0\n1\n", encoding="utf-8")
+def _fresh_env():
+    """Environment for a fresh interpreter that imports this checkout's erfe."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(erfe.__file__).parent.parent),
          *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def test_module_entry_point_runs(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("v\n0\n1\n", encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "erfe.cli", "expectile", "--input", str(path),
          "--response-col", "v", "--tau", "0.9"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n")[1].startswith("0.9")
+
+
+# Imports erfe, runs the command given on its command line, if any, and
+# prints the scipy modules the interpreter then holds.
+_SCIPY_PROBE = """\
+import sys
+import erfe
+if sys.argv[1:]:
+    from erfe.cli import main
+    assert main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    [],
+    ["transform", "--tau", "0.1,0.9", *_SMALL],
+    ["expectile", "--input", str(DATA / "small_panel.csv"), "--response-col", "y",
+     "--tau", "0.1,0.5,0.9"],
+    ["fit", "--tau", "0.1,0.5,0.9", *_SMALL],
+], ids=["import", "transform", "expectile", "fit"])
+def test_scipy_is_imported_only_where_used(command, tmp_path):
+    # scipy.stats alone takes longer to import than erfe with numpy: import
+    # erfe, transform and expectile load no scipy, and fit at most
+    # scipy.special, for its normal quantile.
+    out = ["--out", str(tmp_path / "out.csv")] if command else []
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *command, *out],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    if command[:1] != ["fit"]:
+        assert loaded == []
+    for name in ("scipy.stats", "scipy.optimize", "scipy.integrate"):
+        assert not [m for m in loaded if m == name or m.startswith(name + ".")]
 
 
 def test_help_exits_zero():

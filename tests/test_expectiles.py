@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import erfe
 from erfe.errors import EmptyInputError, NoConvergenceError, SingularGramError
@@ -223,8 +223,8 @@ def test_other_laws_take_quadrature(monkeypatch):
     gamma = stats.gamma(2.5)
     assert erfe.expectiles._closed_form_lower_moment(gamma) is None
     calls = []
-    quad = erfe.expectiles.integrate.quad
-    monkeypatch.setattr(erfe.expectiles.integrate, "quad",
+    quad = integrate.quad
+    monkeypatch.setattr(integrate, "quad",
                         lambda *a, **k: calls.append(1) or quad(*a, **k))
     theta = erfe.distribution_expectile(gamma, 0.8)
     assert calls
