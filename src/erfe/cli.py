@@ -1,8 +1,7 @@
 """Command-line front-end: fit, simulate, expectile, transform.
 
-Outputs are deterministic functions of (input bytes, flags, seed): numbers
-are serialized with 17 significant digits so CSV and JSON carry identical
-values, and CSV rows always use "\\n" line endings.  Exit codes: 0 on
+Outputs are deterministic functions of (input bytes, flags, seed), each
+a table written by ``panel.write_table`` in CSV or JSON.  Exit codes: 0 on
 success with full convergence, 1 on file/parse/rank errors, 2 when some
 requested fit did not converge (best-effort estimates are still printed).
 """
@@ -10,9 +9,6 @@ requested fit did not converge (best-effort estimates are still printed).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import math
 import sys
 
 import numpy as np
@@ -22,17 +18,18 @@ from .errors import ErfeError, NoConvergenceError, SingularGramError
 from .estimator import fit_stack
 from .expectiles import sample_expectile
 from .montecarlo import (
+    ERROR_LAWS,
     SimulationConfig,
-    estimates_to_csv,
-    metrics_to_csv,
+    estimates_table,
+    metrics_table,
     run_monte_carlo,
 )
 from .panel import (
-    format_number,
     read_csv_column,
     read_panel_csv,
     stack_panels,
     validate_taus,
+    write_table,
 )
 from .within import apply_within, subject_weights, within_constant
 
@@ -55,81 +52,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageExit(f"{self.prog}: error: {message}")
 
 
-def _parse_taus(text: str) -> tuple[float, ...]:
-    try:
-        return validate_taus(text.split(","))
-    except ValueError as exc:  # argparse would replace the message
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_level(text: str) -> float:
-    try:
-        return validate_level(text)
-    except ValueError as exc:  # argparse would replace the message
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _write_text(text: str, out: str | None):
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-# Output tables are passed as columns: sequences of Python values, or numpy
-# arrays of floats.  Both formats are written a block of rows at a time, so
-# that only one block of cells is alive at once.
-_BLOCK_ROWS = 65536
-
-
-def _blocks(columns):
-    n_rows = len(columns[0]) if columns else 0
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        yield [col[start:start + _BLOCK_ROWS] for col in columns]
-
-
-def _write_csv(fh, header, columns):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    for block in _blocks(columns):
-        writer.writerows(zip(*(
-            list(map(format_number, col.tolist())) if isinstance(col, np.ndarray)
-            else [format_number(v) if isinstance(v, float) else str(v) for v in col]
-            for col in block
-        )))
-
-
-def _write_json(fh, header, columns):
-    """The rows as ``json.dumps(records, indent=2) + "\\n"``, one record
-    per row with NaN as null, written a block of records at a time."""
-    opening = "[\n"
-    for block in _blocks(columns):
-        records = [
-            {key: None if isinstance(value, float) and math.isnan(value) else value
-             for key, value in zip(header, row)}
-            for row in zip(*(col.tolist() if isinstance(col, np.ndarray) else col
-                             for col in block))
-        ]
-        # Strip the list's own "[\n" and "\n]": the records in between are
-        # laid out as in a dump of the whole table.
-        fh.write(opening)
-        fh.write(json.dumps(records, indent=2)[2:-2])
-        opening = ",\n"
-    fh.write("[]\n" if opening == "[\n" else "\n]\n")
+def _argument(parse):
+    """``parse`` as an argparse type that reports the message of the
+    ValueError it raises, which argparse would replace."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _emit(header, columns, fmt: str, out: str | None):
-    write = _write_json if fmt == "json" else _write_csv
     if out in (None, "-"):
-        write(sys.stdout, header, columns)
+        write_table(sys.stdout, header, columns, fmt)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            write(fh, header, columns)
+            write_table(fh, header, columns, fmt)
 
 
 def _split_estimable(panel):
@@ -199,16 +138,9 @@ def cmd_simulate(args) -> int:
         joint=args.joint,
     )
     metrics = run_monte_carlo(config, workers=args.workers)
-    if args.format == "json":
-        header = ["tau", "coefficient", "true_value", "mean_estimate", "bias",
-                  "sd", "mean_se", "se_sd_ratio", "replications_used",
-                  "failures"]
-        columns = [[getattr(r, name) for r in metrics.rows] for name in header]
-        _emit(header, columns, "json", args.out)
-    else:
-        _write_text(metrics_to_csv(metrics), args.out)
+    _emit(*metrics_table(metrics), args.format, args.out)
     if args.dump_estimates:
-        _write_text(estimates_to_csv(config, metrics), args.dump_estimates)
+        _emit(*estimates_table(config, metrics), "csv", args.dump_estimates)
     return EXIT_OK
 
 
@@ -265,23 +197,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--response-col", required=True)
 
     def add_common(p):
-        p.add_argument("--tau", type=_parse_taus, default=(0.5,),
+        p.add_argument("--tau", type=_argument(lambda s: validate_taus(s.split(","))),
+                       default=(0.5,),
                        help="comma-separated asymmetric points in (0,1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="random seed (simulate only)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers (governs simulate only)")
 
     fit = sub.add_parser("fit", help="fit the panel expectile model on a CSV")
     add_io(fit)
     add_common(fit)
-    fit.add_argument("--v", type=_parse_floats, default=None,
+    fit.add_argument("--v", type=_argument(lambda s: tuple(map(float, s.split(",")))),
+                     default=None,
                      help="influence weights for --joint (default uniform)")
     fit.add_argument("--joint", action="store_true",
                      help="fit all asymmetric points jointly")
-    fit.add_argument("--level", type=_parse_level, default=0.95,
+    fit.add_argument("--level", type=_argument(validate_level), default=0.95,
                      help="confidence level (default 0.95)")
     fit.set_defaults(func=cmd_fit)
 
@@ -290,13 +220,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--m", type=int, default=5, help="observations per subject")
     sim.add_argument("--gamma", type=float, default=0.0,
                      help="heteroskedasticity strength (0 = location shift)")
-    sim.add_argument("--error-dist", choices=("gaussian", "student_t3", "chi2_3"),
-                     default="gaussian")
+    sim.add_argument("--error-dist", choices=tuple(ERROR_LAWS), default="gaussian")
     sim.add_argument("--replications", type=int, default=200)
     sim.add_argument("--joint", action="store_true")
     sim.add_argument("--dump-estimates", default=None,
                      help="also write per-replication estimates to this path")
     add_common(sim)
+    sim.add_argument("--seed", type=int, default=0, help="random seed")
     sim.set_defaults(func=cmd_simulate, tau=(0.1, 0.3, 0.5, 0.8, 0.9))
 
     exp = sub.add_parser("expectile", help="expectiles of one CSV column")
@@ -309,6 +239,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(tr)
     add_common(tr)
     tr.set_defaults(func=cmd_transform)
+
+    # fit and transform accept --workers and ignore it, as the benchmark's
+    # command lines pass it to every command.
+    for p in (fit, sim, tr):
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel workers (governs simulate only)")
 
     return parser
 

@@ -57,11 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    SingularGramError,
-    WeightDimensionMismatchError,
-)
+from .errors import NoConvergenceError, SingularGramError
 from .expectiles import IrlsConfig
 from .linalg import spd_solve
 from .panel import (
@@ -72,6 +68,7 @@ from .panel import (
     stack_panels,
     validate_tau,
     validate_taus,
+    validate_v,
 )
 from .within import (
     SubjectWeights,
@@ -340,13 +337,7 @@ def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
         v = np.ones(q)
     elif not joint:
         raise ValueError("influence weights apply to a joint fit only")
-    v = np.asarray(v, dtype=float).ravel()
-    if v.shape[0] != q:
-        raise WeightDimensionMismatchError(
-            f"{v.shape[0]} influence weights for {q} asymmetric points"
-        )
-    if np.any(v <= 0.0):
-        raise ValueError("influence weights must be strictly positive")
+    v = validate_v(v, q)
     design = stack.demeaned
     if joint and q > 1:
         design = np.empty(stack.demeaned.shape)  # raw X, demeaned y

@@ -13,7 +13,7 @@ own fit gives, so results are reproducible bitwise for any worker count.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import io
 import os
 from collections import Counter
@@ -26,23 +26,20 @@ from .covariance import sandwich_stack
 from .errors import BudgetExceededError
 from .estimator import fit_stack
 from .expectiles import chi_squared, distribution_expectile, gaussian, student_t
-from .panel import (
-    PanelData,
-    _assemble_panel,
-    format_number,
-    stack_panels,
-    validate_taus,
-)
+from .panel import PanelData, _assemble_panel, stack_panels, validate_taus, write_table
 
 __all__ = [
     "BLOCK",
     "DEFAULT_BUDGET",
     "DgpTruth",
+    "ERROR_LAWS",
     "MetricsRow",
     "ScenarioMetrics",
     "SimulationConfig",
+    "estimates_table",
     "estimates_to_csv",
     "generate_dgp",
+    "metrics_table",
     "metrics_to_csv",
     "run_monte_carlo",
     "true_coefficients",
@@ -57,7 +54,18 @@ DEFAULT_BUDGET = 50_000_000
 BLOCK = 16
 _BUDGET_ENV = "ERFE_MAX_BUDGET"
 
-_ERROR_DISTS = ("gaussian", "student_t3", "chi2_3")
+# The error laws by name: a draw of ``size`` errors from ``rng``, and the
+# law itself, built on demand (its scipy.stats import takes about 1 s).
+ERROR_LAWS = {
+    "gaussian": (lambda rng, size: rng.standard_normal(size),
+                 lambda: gaussian(0.0, 1.0)),
+    "student_t3": (lambda rng, size: rng.standard_t(3.0, size),
+                   lambda: student_t(3.0)),
+    "chi2_3": (lambda rng, size: rng.chisquare(3.0, size),
+               lambda: chi_squared(3.0)),
+}
+# Names of the two regressors of every generated panel.
+_REGRESSORS = ("x1", "x2")
 
 
 @dataclass(frozen=True)
@@ -94,8 +102,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 2 or self.replications < 1:
             raise ValueError("need n >= 1, m >= 2, replications >= 1")
-        if self.error_dist not in _ERROR_DISTS:
-            raise ValueError(f"error_dist must be one of {_ERROR_DISTS}")
+        if self.error_dist not in ERROR_LAWS:
+            raise ValueError(f"error_dist must be one of {tuple(ERROR_LAWS)}")
         if not 0.0 < self.x2_subject_share < 1.0:
             raise ValueError("x2_subject_share must lie in (0, 1)")
         validate_taus(self.taus)
@@ -149,25 +157,9 @@ class ScenarioMetrics:
     failure_causes: tuple[dict[str, int], ...]
 
 
-def _error_sampler(name: str):
-    if name == "gaussian":
-        return lambda rng, size: rng.standard_normal(size)
-    if name == "student_t3":
-        return lambda rng, size: rng.standard_t(3.0, size)
-    return lambda rng, size: rng.chisquare(3.0, size)
-
-
-def _error_distribution(name: str):
-    if name == "gaussian":
-        return gaussian(0.0, 1.0)
-    if name == "student_t3":
-        return student_t(3.0)
-    return chi_squared(3.0)
-
-
 @lru_cache(maxsize=None)
 def _error_expectile(name: str, tau: float) -> float:
-    return distribution_expectile(_error_distribution(name), tau)
+    return distribution_expectile(ERROR_LAWS[name][1](), tau)
 
 
 def true_coefficients(tau, config: SimulationConfig) -> tuple[float, float]:
@@ -199,7 +191,7 @@ def generate_dgp(config: SimulationConfig, replication_index: int) -> tuple[Pane
     t_numerator = rng.standard_normal(n_obs)
     t_denominator = rng.chisquare(config.x1_df, n_obs)
     idiosyncratic = rng.standard_normal(n_obs)
-    errors = _error_sampler(config.error_dist)(rng, n_obs)
+    errors = ERROR_LAWS[config.error_dist][0](rng, n_obs)
 
     # Noncentral t variate: (Z + nc) / sqrt(chi2_df / df).
     x1 = (t_numerator + config.x1_noncentrality) / np.sqrt(
@@ -217,7 +209,7 @@ def generate_dgp(config: SimulationConfig, replication_index: int) -> tuple[Pane
          + (1.0 + config.gamma * x2) * errors)
 
     panel = _assemble_panel(
-        np.repeat(np.arange(n), m), y, np.column_stack([x1, x2]), ("x1", "x2"))
+        np.repeat(np.arange(n), m), y, np.column_stack([x1, x2]), _REGRESSORS)
     truth = DgpTruth(beta1=config.beta1, beta2=config.beta2,
                      gamma=config.gamma, alpha=alpha)
     return panel, truth
@@ -287,13 +279,12 @@ def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetri
     estimates, ses, iters, causes = (np.concatenate(parts) for parts in zip(*results))
 
     rows = []
-    names = ("x1", "x2")
     for k, tau in enumerate(config.taus):
         truth = true_coefficients(tau, config)
         ok = ~np.isnan(estimates[:, k, 0])
         used = int(np.sum(ok))
         failures = config.replications - used
-        for j, name in enumerate(names):
+        for j, name in enumerate(_REGRESSORS):
             col = estimates[ok, k, j]
             se_col = ses[ok, k, j]
             if used:
@@ -316,38 +307,37 @@ def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetri
                            failure_causes=failure_causes)
 
 
+def metrics_table(metrics: ScenarioMetrics):
+    """The summary as a table: its header, the fields of ``MetricsRow``, and
+    one column per field."""
+    header = [field.name for field in dataclasses.fields(MetricsRow)]
+    return header, [[getattr(row, name) for row in metrics.rows] for name in header]
+
+
+def estimates_table(config: SimulationConfig, metrics: ScenarioMetrics):
+    """The per-replication estimates as a table: its header and its columns,
+    one row per (replication, asymmetric point, coefficient)."""
+    reps, q, p = metrics.estimates.shape
+    header = ["replication", "tau", "coefficient", "estimate", "std_error",
+              "iterations"]
+    return header, [np.repeat(np.arange(reps), q * p).tolist(),
+                    np.tile(np.repeat(np.asarray(config.taus, dtype=float), p), reps),
+                    list(_REGRESSORS) * (reps * q), metrics.estimates.ravel(),
+                    metrics.standard_errors.ravel(),
+                    np.repeat(metrics.iterations.ravel(), p)]
+
+
+def _csv_text(header, columns) -> str:
+    buf = io.StringIO()
+    write_table(buf, header, columns)
+    return buf.getvalue()
+
+
 def metrics_to_csv(metrics: ScenarioMetrics) -> str:
     """Serialize the summary rows as CSV (17 significant digits)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tau", "coefficient", "true_value", "mean_estimate",
-                     "bias", "sd", "mean_se", "se_sd_ratio",
-                     "replications_used", "failures"])
-    for row in metrics.rows:
-        writer.writerow([
-            format_number(row.tau), row.coefficient,
-            format_number(row.true_value), format_number(row.mean_estimate),
-            format_number(row.bias), format_number(row.sd),
-            format_number(row.mean_se), format_number(row.se_sd_ratio),
-            row.replications_used, row.failures,
-        ])
-    return buf.getvalue()
+    return _csv_text(*metrics_table(metrics))
 
 
 def estimates_to_csv(config: SimulationConfig, metrics: ScenarioMetrics) -> str:
     """Per-replication estimate dump for external plotting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replication", "tau", "coefficient", "estimate",
-                     "std_error", "iterations"])
-    names = ("x1", "x2")
-    for rep in range(metrics.estimates.shape[0]):
-        for k, tau in enumerate(config.taus):
-            for j, name in enumerate(names):
-                writer.writerow([
-                    rep, format_number(tau), name,
-                    format_number(metrics.estimates[rep, k, j]),
-                    format_number(metrics.standard_errors[rep, k, j]),
-                    format_number(metrics.iterations[rep, k]),
-                ])
-    return buf.getvalue()
+    return _csv_text(*estimates_table(config, metrics))

@@ -1,4 +1,5 @@
-"""Long-format panel data model, check-function primitives and CSV ingestion.
+"""Long-format panel data model, check-function primitives, CSV ingestion and
+table output.
 
 A panel holds one row per (subject, occasion) observation.  Subjects are
 identified by an integer code array rather than an N x n incidence matrix:
@@ -12,6 +13,10 @@ quotes (``""``), and ends on its own line.  There are no comment lines,
 empty lines are skipped, and numbers use ``.`` as the decimal separator.
 Each column is parsed once, by ``np.loadtxt``; a malformed line, a field
 that does not parse and a non-finite value are reported as ``path:line``.
+
+Tables are written by ``write_table``, as CSV with "\\n" line endings and
+numbers in 17 significant digits, NaN as NA, or as the records of one
+``json.dumps(records, indent=2)``, NaN as null: both carry identical values.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -30,6 +36,7 @@ from .errors import (
     RaggedRowError,
     ShapeMismatchError,
     SingletonSubjectError,
+    WeightDimensionMismatchError,
 )
 
 __all__ = [
@@ -44,6 +51,8 @@ __all__ = [
     "stack_panels",
     "validate_tau",
     "validate_taus",
+    "validate_v",
+    "write_table",
 ]
 
 
@@ -69,6 +78,19 @@ def validate_taus(taus) -> tuple[float, ...]:
         raise NonincreasingTausError(
             f"asymmetric points must be strictly increasing, got {taus}")
     return taus
+
+
+def validate_v(v, q: int) -> np.ndarray:
+    """Validate influence weights: one finite, strictly positive weight per
+    asymmetric point of ``q``.  Returns them as a float vector."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.shape[0] != q:
+        raise WeightDimensionMismatchError(
+            f"{v.shape[0]} influence weights for {q} asymmetric points"
+        )
+    if not np.all(np.isfinite(v) & (v > 0.0)):
+        raise ValueError("influence weights must be finite and strictly positive")
+    return v
 
 
 def check_weight(t, tau):
@@ -99,8 +121,6 @@ class PanelData:
 
     Attributes
     ----------
-    subject_ids : ndarray, shape (N,)
-        Original subject label of each row (integers or strings).
     y : ndarray, shape (N,)
         Response vector.
     X : ndarray, shape (N, p)
@@ -114,12 +134,10 @@ class PanelData:
     subject_labels : ndarray, shape (n,)
         Distinct subject labels in order of first appearance.
 
-    Every array is read-only, and so is the derived ``demeaned``: the rows
-    [X; y] with each subject's plain mean subtracted, computed once, on
-    first use, and shared by every fit, sandwich and screen of the panel.
+    Every array is read-only, and so are the derived ``subject_ids`` and
+    ``demeaned``, each computed once, on first use.
     """
 
-    subject_ids: np.ndarray
     y: np.ndarray
     X: np.ndarray
     column_names: tuple[str, ...]
@@ -140,9 +158,15 @@ class PanelData:
         return int(self.X.shape[1])
 
     @functools.cached_property
+    def subject_ids(self) -> np.ndarray:
+        """Original subject label of each row, shape (N,): ``subject_labels[codes]``."""
+        return _freeze(self.subject_labels[self.codes])
+
+    @functools.cached_property
     def demeaned(self) -> np.ndarray:
         """Rows [X; y], shape (p + 1, N) in C order, each with every subject's
-        plain mean subtracted: the unweighted within transform."""
+        plain mean subtracted: the unweighted within transform, shared by
+        every fit, sandwich and screen of the panel."""
         # C order, as the fits' BLAS calls round differently on other layouts.
         rows = np.array([*self.X.T, self.y], order="C")
         _demean(rows, self.codes, self.counts)
@@ -285,7 +309,6 @@ def _assemble_panel(subject_ids, y, X, column_names) -> PanelData:
         )
 
     return PanelData(
-        subject_ids=_freeze(subject_ids.copy()),
         y=_freeze(y.copy()),
         X=_freeze(X.copy()),
         column_names=column_names,
@@ -336,6 +359,52 @@ def format_number(value) -> str:
     if math.isnan(value):
         return "NA"
     return format(value, ".17g")
+
+
+# Tables are passed as columns: sequences of Python values, or numpy arrays
+# of floats.  Both formats are written a block of rows at a time, so that
+# only one block of cells is alive at once.
+_BLOCK_ROWS = 65536
+
+
+def _blocks(columns):
+    n_rows = len(columns[0]) if columns else 0
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        yield [col[start:start + _BLOCK_ROWS] for col in columns]
+
+
+def _write_csv(fh, header, columns):
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for block in _blocks(columns):
+        writer.writerows(zip(*(
+            list(map(format_number, col.tolist())) if isinstance(col, np.ndarray)
+            else [format_number(v) if isinstance(v, float) else str(v) for v in col]
+            for col in block
+        )))
+
+
+def _write_json(fh, header, columns):
+    opening = "[\n"
+    for block in _blocks(columns):
+        records = [
+            {key: None if isinstance(value, float) and math.isnan(value) else value
+             for key, value in zip(header, row)}
+            for row in zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                             for col in block))
+        ]
+        # Strip the list's own "[\n" and "\n]": the records in between are
+        # laid out as in a dump of the whole table.
+        fh.write(opening)
+        fh.write(json.dumps(records, indent=2)[2:-2])
+        opening = ",\n"
+    fh.write("[]\n" if opening == "[\n" else "\n]\n")
+
+
+def write_table(fh, header, columns, fmt: str = "csv"):
+    """Write a table, given as its header and its columns, to ``fh`` as
+    ``fmt``, "csv" or "json" (see the module docstring)."""
+    (_write_json if fmt == "json" else _write_csv)(fh, header, columns)
 
 
 def _read_header(path) -> list[str]:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, WeightDimensionMismatchError
-from .panel import PanelData, check_weight, validate_tau
+from .errors import ShapeMismatchError
+from .panel import PanelData, check_weight, validate_tau, validate_v
 
 __all__ = [
     "SubjectWeights",
@@ -121,14 +121,7 @@ def subject_weights(residuals, taus, panel: PanelData, v=None) -> SubjectWeights
     for row, r, tau in zip(rows, blocks.reshape(q, -1), taus):
         row[:] = check_weight(r, tau)
     if v is not None:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.shape[0] != q:
-            raise WeightDimensionMismatchError(
-                f"{v.shape[0]} influence weights for {q} asymmetric points"
-            )
-        if np.any(v <= 0.0):
-            raise ValueError("influence weights must be strictly positive")
-        rows *= v[:, None]
+        rows *= validate_v(v, q)[:, None]
     psi /= _block_sums(psi, panel)[panel.codes]
     psi /= _block_sums(psi, panel)[panel.codes]
     return SubjectWeights(taus=taus, normalized=psi)

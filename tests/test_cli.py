@@ -7,14 +7,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import erfe
-from erfe.cli import _write_json, main
+from erfe.cli import main
 from erfe.errors import NonincreasingTausError
+from erfe.panel import write_table
 
 import oracles
 
@@ -94,7 +96,7 @@ def test_json_output_is_one_dump_of_the_records(args, block_rows, tmp_path,
     # Records are written a block of rows at a time; the bytes must equal
     # one json.dumps of the whole table, whatever the block size.  The
     # subject-constant column gives NA (null) rows in the fit output.
-    monkeypatch.setattr("erfe.cli._BLOCK_ROWS", block_rows)
+    monkeypatch.setattr("erfe.panel._BLOCK_ROWS", block_rows)
     common = [*args, "--input", str(DATA / "small_panel.csv"),
               "--subject-col", "id", "--response-col", "y"]
     csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
@@ -108,7 +110,7 @@ def test_json_output_is_one_dump_of_the_records(args, block_rows, tmp_path,
 
 def test_json_output_of_an_empty_table():
     out = io.StringIO()
-    _write_json(out, ["tau", "expectile"], [[], []])
+    write_table(out, ["tau", "expectile"], [[], []], "json")
     assert out.getvalue() == json.dumps([], indent=2) + "\n" == "[]\n"
 
 
@@ -211,6 +213,37 @@ def test_fit_v_needs_joint_and_one_weight_per_tau(weights, tmp_path, capsys):
     assert main(["fit", *weights, *_SMALL, "--out", str(out)]) == 1
     assert "influence weights" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weights", ["nan,1", "inf,1"])
+def test_fit_v_must_be_finite(weights, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--tau", "0.2,0.8", "--joint", "--v", weights, *_SMALL,
+                     "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "influence weights must be finite and strictly positive" in err
+    assert not out.exists()
+
+
+def test_fit_v_parse_error_names_the_value(capsys):
+    assert main(["fit", "--tau", "0.2,0.8", "--joint", "--v", "a,b", *_SMALL]) == 1
+    err = capsys.readouterr().err
+    assert "argument --v: could not convert string to float: 'a'" in err
+    assert "_parse" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--seed", "1", *_SMALL],
+    ["transform", "--seed", "1", *_SMALL],
+    ["expectile", "--workers", "1", "--input", str(DATA / "small_panel.csv"),
+     "--response-col", "y"],
+])
+def test_flags_are_declared_only_where_read(command, capsys):
+    assert main(command) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_joint_fit_at_one_tau_is_the_plain_fit(tmp_path):
@@ -520,6 +553,30 @@ def test_simulate_json_matches_csv_values(tmp_path):
     for c, j in zip(csv_rows, json_rows):
         assert float(c["mean_estimate"]) == j["mean_estimate"]
         assert float(c["sd"]) == j["sd"]
+
+
+_GOLDEN_SIMULATE = ["simulate", "--n", "15", "--m", "3", "--gamma", "0.3",
+                    "--error-dist", "chi2_3", "--replications", "20", "--seed", "8",
+                    "--tau", "0.3,0.7"]
+
+
+def test_simulate_bytes_are_pinned(tmp_path):
+    # The summary in both formats and the estimate dump: regenerate the
+    # golden files only for a deliberate change of the output.
+    out, dump = tmp_path / "m.csv", tmp_path / "reps.csv"
+    assert main([*_GOLDEN_SIMULATE, "--out", str(out),
+                 "--dump-estimates", str(dump)]) == 0
+    assert out.read_bytes() == (DATA / "golden_simulate.csv").read_bytes()
+    assert dump.read_bytes() == (DATA / "golden_simulate_estimates.csv").read_bytes()
+    assert main([*_GOLDEN_SIMULATE, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_simulate.json").read_bytes()
+
+
+def test_simulate_json_keys_are_the_csv_header():
+    records = json.loads((DATA / "golden_simulate.json").read_text(encoding="utf-8"))
+    with open(DATA / "golden_simulate.csv", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert records and all(list(record) == header for record in records)
 
 
 def test_simulate_budget_guard(tmp_path, monkeypatch):

@@ -312,6 +312,14 @@ def test_influence_weight_validation():
             fit_stack(stack_panels([panel]), taus, np.ones(len(taus)))
 
 
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_influence_weights_must_be_finite(weight):
+    rng = np.random.default_rng(61)
+    panel, _, _ = oracles.random_panel(rng, 5, 3, 1)
+    with pytest.raises(ValueError, match="strictly positive"):
+        erfe.fit_erfe_multi(panel, [0.3, 0.7], [weight, 1.0])
+
+
 def test_multi_within_constant_regressor_raises():
     codes = np.repeat(np.arange(4), 3)
     x = np.repeat(np.arange(4.0) + 1.0, 3)

@@ -228,6 +228,19 @@ def test_read_panel_csv_quoted_labels(tmp_path):
     assert list(panel.codes) == [0, 1, 0, 1]
 
 
+@pytest.mark.parametrize("labels", [[7, 3, 7, 3, 9, 9],
+                                    ["b", "a", "b", "a", "cc", "cc"]])
+def test_subject_ids_are_the_labels_of_the_codes(labels):
+    panel = erfe.build_panel((label, float(k), [float(k % 2)])
+                             for k, label in enumerate(labels))
+    ids = panel.subject_ids
+    assert ids.tolist() == labels
+    assert ids.dtype == np.asarray(labels).dtype == panel.subject_labels.dtype
+    assert np.array_equal(ids, panel.subject_labels[panel.codes])
+    assert not ids.flags.writeable
+    assert panel.subject_ids is ids
+
+
 def _reference_read(path, subject_col, response_col):
     """Row-by-row csv-module reader: the fields read_panel_csv must produce."""
     with open(path, "r", encoding="utf-8", newline="") as fh:

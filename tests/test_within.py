@@ -212,6 +212,15 @@ def test_pooled_weight_dimension_mismatch():
         subject_weights(resid, (0.3, 0.7), panel, [1.0, -1.0])
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_pooled_weights_must_be_finite(weight):
+    rng = np.random.default_rng(35)
+    panel = _toy_panel(rng)
+    resid = rng.standard_normal((2, panel.n_obs))
+    with pytest.raises(ValueError, match="strictly positive"):
+        subject_weights(resid, (0.3, 0.7), panel, [weight, 1.0])
+
+
 def test_pooled_shapes_checked():
     rng = np.random.default_rng(40)
     panel = _toy_panel(rng)
