@@ -1,5 +1,7 @@
 """Cluster-robust sandwich covariance, intervals, normal quantiles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,41 @@ def test_multi_vc_symmetric_psd():
     assert np.max(np.abs(cov.vc - cov.vc.T)) <= 1e-14
     eigs = np.linalg.eigvalsh(cov.vc)
     assert eigs.min() >= -1e-10 * np.trace(cov.vc)
+
+
+def calibration_z(seed, replications=1000, draws=400):
+    """Per (tau, coefficient), |joint SE/SD - per-tau SE/SD| over the paired
+    bootstrap standard error of that difference (replications resampled,
+    the same draws for both fits), on the chi-squared location-scale cell
+    n = 200, m = 5, gamma = 0.3."""
+    config = erfe.SimulationConfig(n=200, m=5, gamma=0.3, error_dist="chi2_3",
+                                   taus=(0.1, 0.5, 0.9),
+                                   replications=replications, seed=seed)
+    runs = [erfe.run_monte_carlo(dataclasses.replace(config, joint=joint))
+            for joint in (True, False)]
+    ok = ~np.any(np.isnan([r.standard_errors for r in runs]), axis=(0, 2, 3))
+    assert ok.sum() >= 0.99 * replications
+
+    def ratios(rows):
+        # rows (..., R): SE/SD per fit, with the harness's population SD.
+        est, se = runs[0].estimates[ok][rows], runs[0].standard_errors[ok][rows]
+        joint = np.mean(se, axis=-3) / np.std(est, axis=-3)
+        est, se = runs[1].estimates[ok][rows], runs[1].standard_errors[ok][rows]
+        return joint - np.mean(se, axis=-3) / np.std(est, axis=-3)
+
+    used = int(ok.sum())
+    boot = np.random.default_rng(2024).integers(0, used, (draws, used))
+    spread = np.std(ratios(boot), axis=0, ddof=1)
+    return np.abs(ratios(np.arange(used))) / spread
+
+
+def test_joint_sandwich_calibrated_like_per_tau_sandwiches():
+    # Joint and per-tau fits of the same replications estimate the same
+    # slopes with similar spread, so a calibrated joint sandwich has the
+    # SE/SD ratio of the per-tau ones up to Monte Carlo noise.  4.5 allows
+    # for the six (tau, coefficient) comparisons.
+    z = calibration_z(21)
+    assert np.max(z) <= 4.5, z
 
 
 # ---------------------------------------------------------------------
