@@ -2,8 +2,10 @@
 
 The meat clusters score outer products by subject (observations are
 dependent within a subject, independent across subjects); the bread is
-the check-weighted Gram of the transformed design.  The variance of the
-coefficient estimates divides the sandwich by the total observation
+the system the fit solves, ``estimator.concentrated_system`` at the final
+residuals, so the covariance is that of the fully profiled M-estimator
+(Stefanski and Boos, The calculus of M-estimation, 2002).  The variance of
+the coefficient estimates divides the sandwich by the total observation
 count, matching the root-(nm) normalization of the limit theory.
 """
 
@@ -18,7 +20,13 @@ from .errors import (
     SingularBreadError,
     SingularGramError,
 )
-from .estimator import FitResult, MultiFitResult, StackFit
+from .estimator import (
+    FitResult,
+    MultiFitResult,
+    StackFit,
+    concentrated_system,
+    fit_design,
+)
 from .linalg import spd_inverse
 from .panel import PanelData, PanelStack, check_weight, stack_panels
 from .within import weighted_subject_sums
@@ -36,10 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SandwichCovariance:
-    """Assembled sandwich: meat ``d0_hat``, bread factor ``d1_hat``,
-    variance matrix ``vc`` of the stacked coefficients and its
-    square-root diagonal ``se``; from ``sandwich_stack``, each array has a
-    leading panel axis."""
+    """Assembled sandwich: meat ``d0_hat``, bread ``d1_hat`` (the fit's
+    concentrated system over the observation count, which couples the
+    points of a joint fit), variance matrix ``vc`` of the stacked
+    coefficients and its square-root diagonal ``se``; from
+    ``sandwich_stack``, each array has a leading panel axis."""
 
     d0_hat: np.ndarray
     d1_hat: np.ndarray
@@ -47,73 +56,40 @@ class SandwichCovariance:
     se: np.ndarray
 
 
-def _breads_and_scores(x0, codes, n_subjects, resid, taus, v):
-    """Per-block weighted Grams of the transformed X, and per-subject scores,
-    of A stacked panels.
-
-    The transform subtracts from each subject's rows of X its average m
-    under the check weights psi_k of the final residual blocks ``resid``
-    (A x q x N), pooled over the blocks with the influence weights ``v``;
-    for one block it is the single-tau weighted within transform.
-    Everything comes from per-subject sums (D_k of psi_k, C_k of psi_k x,
-    s_k of psi_k r_k, S_k of psi_k r_k x): X*' Psi_k X* = G_k - C_k m' -
-    m C_k' + m D_k m' and subject i's block-k score is S_ki - m_i s_ki.
-    The transform ignores subject-constant shifts of X, so it runs on the
-    demeaned X ``x0`` (A x p x N, subject codes ``codes`` offset as in
-    ``PanelStack``), where these differences do not cancel.  Returns the
-    breads (A x p x p each) and the scores (A x p x n each), one per block.
-    """
-    psi = [check_weight(resid[:, k], tau) for k, tau in enumerate(taus)]
-    sums, grams = [], []
-    for w in psi:
-        sums_k, weighted = weighted_subject_sums(x0, w, codes, n_subjects)
-        sums.append(sums_k)
-        grams.append(weighted @ x0.transpose(0, 2, 1))
-    mean = (sum(vk * s[:, 1:] for vk, s in zip(v, sums))
-            / sum(vk * s[:, :1] for vk, s in zip(v, sums)))
-    mean_t = mean.transpose(0, 2, 1)
-    breads, scores = [], []
-    for k, (w, s, gram) in enumerate(zip(psi, sums, grams)):
-        cross = s[:, 1:] @ mean_t
-        breads.append(gram - cross - cross.transpose(0, 2, 1)
-                      + (mean * s[:, :1]) @ mean_t)
-        score_sums, _ = weighted_subject_sums(x0, w * resid[:, k], codes, n_subjects)
-        scores.append(score_sums[:, 1:] - mean * score_sums[:, :1])
-    return breads, scores
-
-
 def _assemble(stack: PanelStack, idx, resid, taus, v):
-    """The sandwiches of ``sandwich_multi`` for the panels ``idx`` of
-    ``stack``, from their residual blocks ``resid`` (A x q x N) and the
-    influence weights ``v``; the block-diagonal breads are inverted block
-    by block.
+    """The sandwiches of the panels ``idx`` of ``stack`` for their fit at
+    ``taus`` (one point, or several fitted jointly with the influence
+    weights ``v``), from the residual blocks ``resid`` (B x q x N).
 
-    Returns one SandwichCovariance whose arrays have a leading panel axis,
-    and per panel the error that stopped its sandwich (None where none did).
+    The bread is the fit's concentrated system over N, on the fit's own
+    design.  Subject i's block-k score is v_k (S_ki - C_ki D_i^-1 sum_l
+    v_l s_li), with S_ki and s_ki its sums of psi_k r_k x and psi_k r_k.
+    Returns one SandwichCovariance with a leading panel axis, and per panel
+    the error that stopped its sandwich (None where none did).
     """
     q, p = len(taus), stack.X.shape[-1]
-    n_obs = stack.y.shape[1]
-    codes, x0 = stack.part(idx, stack.demeaned[:, :-1])
-    breads, scores = _breads_and_scores(x0, codes, stack.n_subjects, resid, taus, v)
+    n_obs, n_subjects = stack.y.shape[1], stack.n_subjects
+    codes, design, resid = stack.part(idx, fit_design(stack, q), resid)
+    system, _, couplings, denom, _ = concentrated_system(
+        design, codes, n_subjects, taus, v, resid)
+    scores = np.empty(couplings.shape)
+    pooled = np.zeros(denom.shape)
+    for k, tau in enumerate(taus):
+        sums, _ = weighted_subject_sums(design[:, :p],
+                                        check_weight(resid[:, k], tau) * resid[:, k],
+                                        codes, n_subjects)
+        scores[:, k * p:(k + 1) * p] = v[k] * sums[:, 1:]
+        pooled += v[k] * sums[:, 0]
+    scores -= couplings * (pooled / denom)[:, None]
+    d0 = scores @ scores.transpose(0, 2, 1) / n_obs
+    d1 = system / n_obs
     errors = [None] * idx.size
-    d0 = np.zeros((idx.size, q * p, q * p))
-    d1 = np.zeros((idx.size, q * p, q * p))
-    bread_inv = np.zeros((idx.size, q * p, q * p))
-    for k in range(q):
-        rows = slice(k * p, (k + 1) * p)
-        for l in range(k, q):
-            cols = slice(l * p, (l + 1) * p)
-            block = v[k] * v[l] * (scores[k] @ scores[l].transpose(0, 2, 1)) / n_obs
-            d0[:, rows, cols] = block
-            if l != k:
-                d0[:, cols, rows] = block.transpose(0, 2, 1)
-        d1[:, rows, rows] = v[k] * breads[k] / n_obs
-        try:
-            bread_inv[:, rows, rows] = spd_inverse(d1[:, rows, rows])
-        except SingularGramError as exc:
-            bread_inv[:, rows, rows] = exc.result
-            for i in np.flatnonzero(exc.failed).tolist():
-                errors[i] = errors[i] or SingularBreadError(str(exc))
+    try:
+        bread_inv = spd_inverse(d1)
+    except SingularGramError as exc:
+        bread_inv = exc.result
+        errors = [SingularBreadError(str(exc)) if failed else None
+                  for failed in exc.failed.tolist()]
     vc = bread_inv @ d0 @ bread_inv / n_obs
     vc = (vc + vc.transpose(0, 2, 1)) / 2.0
     ok = np.array([e is None for e in errors], dtype=bool)
@@ -142,8 +118,8 @@ def sandwich_single(panel: PanelData, fit: FitResult) -> SandwichCovariance:
     ``sandwich_multi``.
 
     Both matrices are rebuilt from the converged transformed residuals:
-    the transform uses their check weights, the meat sums per-subject
-    score outer products, the bread is the weighted Gram.
+    the meat sums per-subject score outer products, the bread is the
+    check-weighted Gram of the weighted within transform of X.
     """
     return _one(*_assemble(stack_panels([panel]), np.arange(1),
                           fit.residuals_star[None, None], (fit.tau,), np.ones(1)))
@@ -153,9 +129,10 @@ def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
     """Cluster-robust covariance of a joint multi-tau fit.
 
     The meat is blocked over pairs of asymmetric points with the influence
-    weights multiplying each side; the bread is block diagonal in the
-    asymmetric points.  The stacked variance matrix covers the q*p
-    coefficients in block order.
+    weights multiplying each side; the bread is the fit's whole q*p
+    system, whose blocks between two points are the couplings through the
+    shared subject effect, and is inverted as one matrix.  The stacked
+    variance matrix covers the q*p coefficients in block order.
     """
     return _one(*_assemble(stack_panels([panel]), np.arange(1),
                           fit.residuals_star[None], fit.taus, fit.v))
@@ -181,8 +158,8 @@ def sandwich_stack(stack: PanelStack, fit: StackFit):
     for k, n in [(0, q)] if fit.joint else [(k, 1) for k in range(q)]:
         points, rows = slice(k, k + n), slice(k * p, (k + n) * p)
         idx = np.flatnonzero([row[k] is None for row in fit.errors])
-        _, resid = stack.part(idx, fit.residuals_star[:, points])
-        part, part_errors = _assemble(stack, idx, resid, fit.taus[points], fit.v[points])
+        part, part_errors = _assemble(stack, idx, fit.residuals_star[:, points],
+                                      fit.taus[points], fit.v[points])
         for name in ("d0_hat", "d1_hat", "vc"):
             fields[name][idx, rows, rows] = getattr(part, name)
         fields["se"][idx, rows] = part.se

@@ -16,18 +16,20 @@ normal equations with the effect concentrated out (a Schur complement) are
 with c_l the subject sums of psi_l y: one symmetric positive definite
 system of size q*p, solved by one Cholesky factorization.  The effect is
 alpha = D^-1 sum_l v_l (c_l - C_l beta_l), and the new residuals are
-y - alpha - X beta_k.  No N x p transformed design is ever built.
+y - alpha - X beta_k.  No N x p transformed design is ever built.  The
+system (``concentrated_system``) at the final residuals is the bread of
+the fit's sandwich.
 
 The single-tau fit (q = 1) is the weighted within transform of the
 paper.  That transform subtracts subject averages, so shifting a
 regressor by a subject constant changes nothing, and the single fit runs
 on the panel's plainly demeaned rows [X; y] (``PanelData.demeaned``,
-computed once per panel and shared with the sandwiches); this keeps
-G - C' D^-1 C free of cancellation when regressors carry large
-subject-level offsets.  The joint fit (q > 1) must keep the raw X: its
-shared effect cannot absorb a shift a_i of x, which moves block k by
-a_i' beta_k, differently for each tau.  A shift of y is absorbed, so the
-joint fit builds its own design of raw X and demeaned y.
+computed once per panel); this keeps G - C' D^-1 C free of cancellation
+when regressors carry large subject-level offsets.  The joint fit
+(q > 1) must keep the raw X: its shared effect cannot absorb a shift a_i
+of x, which moves block k by a_i' beta_k, differently for each tau.  A
+shift of y is absorbed, so the joint fit's design is raw X and demeaned
+y.  ``fit_design`` picks the design, for the fit and its sandwich.
 
 The weights depend only on residual signs, so once the sign pattern
 stabilizes the solve lands exactly on the fixed point and the loop stops;
@@ -81,6 +83,8 @@ __all__ = [
     "FitResult",
     "MultiFitResult",
     "StackFit",
+    "concentrated_system",
+    "fit_design",
     "fit_erfe_multi",
     "fit_erfe_single",
     "fit_stack",
@@ -183,16 +187,26 @@ def _within_round(stack: PanelStack, errors):
     return betas, resid
 
 
-def _round(design, codes, n_subjects, taus, v, resid, columns=None, iteration=None):
-    """One concentrated weighted least squares round of A stacked panels
-    (see the module docstring).
+def fit_design(stack: PanelStack, q: int) -> np.ndarray:
+    """The rows [X; y] (B x (p + 1) x N) that a fit of ``q`` asymmetric
+    points and its sandwich work on: the demeaned rows for one point; for
+    a joint fit of several, raw X and demeaned y, built on each call so
+    that no result keeps the copy alive."""
+    if q == 1:
+        return stack.demeaned
+    design = np.empty(stack.demeaned.shape)
+    design[:, :-1] = stack.X.transpose(0, 2, 1)
+    design[:, -1] = stack.demeaned[:, -1]
+    return design
 
-    ``design`` holds each panel's rows [X; y] (A x (p + 1) x N), ``codes``
-    their offset subject codes (see ``PanelStack``) and ``resid`` their
-    current residual blocks (A x q x N), whose check weights drive the
-    round.  Returns the new slopes (A x q x p), the new residual blocks and
-    the SingularGramError of the panels whose system is singular (None if
-    none is); its ``failed`` marks them, and their slopes are NaN.
+
+def concentrated_system(design, codes, n_subjects, taus, v, resid):
+    """The concentrated normal equations (see the module docstring) of A
+    stacked panels with rows [X; y] ``design`` (A x (p + 1) x N) and offset
+    subject codes ``codes`` (see ``PanelStack``), at the check weights of
+    the residual blocks ``resid`` (A x q x N).  Returns the system
+    (A x q*p x q*p), its right-hand side, the couplings v_k C_k stacked
+    over the blocks (A x q*p x n), D and sum_k v_k c_k (A x n each).
     """
     items, p, q = design.shape[0], design.shape[1] - 1, len(taus)
     sums = np.empty((items, q, p + 2, n_subjects))
@@ -207,18 +221,30 @@ def _round(design, codes, n_subjects, taus, v, resid, columns=None, iteration=No
         rhs[:, rows] = v[k] * gram[:, :, p]
     denom = v @ sums[:, :, 0]
     pooled_y = v @ sums[:, :, p + 1]
-    couplings = (v[:, None, None] * sums[:, :, 1:p + 1]).reshape(items, q * p, -1)
+    couplings = (v[:, None, None] * sums[:, :, 1:p + 1]).reshape(-1, q * p, n_subjects)
     system -= (couplings / denom[:, None]) @ couplings.transpose(0, 2, 1)
     rhs -= (couplings @ (pooled_y / denom)[:, :, None])[:, :, 0]
+    return system, rhs, couplings, denom, pooled_y
+
+
+def _round(design, codes, n_subjects, taus, v, resid, columns=None, iteration=None):
+    """One round of A stacked panels: ``concentrated_system`` (same
+    arguments), solved.  Returns the new slopes (A x q x p), the new
+    residual blocks and the SingularGramError of the panels whose system is
+    singular (None if none is); its ``failed`` marks them, and their slopes
+    are NaN.
+    """
+    system, rhs, couplings, denom, pooled_y = concentrated_system(
+        design, codes, n_subjects, taus, v, resid)
     singular = None
     try:
         betas = spd_solve(system, rhs, columns=columns, iteration=iteration)
     except SingularGramError as exc:
         betas, singular = exc.result, exc
     alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
-    betas = betas.reshape(items, q, p)
-    effects = alpha.ravel()[codes.ravel()].reshape(items, -1)
-    return betas, (design[:, p] - effects)[:, None] - betas @ design[:, :p], singular
+    betas = betas.reshape(*resid.shape[:2], -1)
+    effects = alpha.ravel()[codes.ravel()].reshape(codes.shape)
+    return betas, (design[:, -1] - effects)[:, None] - betas @ design[:, :-1], singular
 
 
 def _scores_vanish(design, codes, n_subjects, taus, v, resid, tol):
@@ -338,11 +364,7 @@ def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
     elif not joint:
         raise ValueError("influence weights apply to a joint fit only")
     v = validate_v(v, q)
-    design = stack.demeaned
-    if joint and q > 1:
-        design = np.empty(stack.demeaned.shape)  # raw X, demeaned y
-        design[:, :-1] = stack.X.transpose(0, 2, 1)
-        design[:, -1] = stack.demeaned[:, -1]
+    design = fit_design(stack, q if joint else 1)
 
     screened = _screen(stack)
     start_betas, start_resid = _within_round(stack, screened)

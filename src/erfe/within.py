@@ -8,9 +8,9 @@ asymmetric point) it is one common subject average, pooling every block's
 check weights scaled by the influence weights, subtracted from all blocks.
 
 The fits and the sandwich covariance never build a transformed copy of
-the data: they work from per-subject sums (``weighted_subject_sums``),
-mostly of the plainly demeaned rows (``PanelData.demeaned``), and take
-them for a whole stack of panels (``PanelStack``) at once.
+the data: the estimator concentrates the effects out of per-subject sums
+(``weighted_subject_sums``) of the rows ``estimator.fit_design`` picks,
+taken for a whole stack of panels (``PanelStack``) at once.
 """
 
 from __future__ import annotations

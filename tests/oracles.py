@@ -8,6 +8,8 @@ paths, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate, special, stats
 from scipy.optimize import brentq, minimize
@@ -203,48 +205,80 @@ def clustered_within_ols(y, X, codes, n_subjects):
 
 
 # ---------------------------------------------------------------------
-# Sandwich covariance from an explicitly transformed design.
+# Sandwich covariances from an explicitly transformed design, and from
+# the full parameter vector.
 # ---------------------------------------------------------------------
 
-def explicit_sandwich(X, codes, n_subjects, resid_blocks, taus, v):
-    """Sandwich pieces (d0, d1, vc) from the explicit transformed design.
+def explicit_sandwich(X, codes, n_subjects, resid, tau):
+    """Single-tau sandwich pieces (d0, d1, vc) from the explicit transformed
+    design.
 
-    X* = X minus each subject's average pooling every block's check
-    weights (scaled by ``v``); for one block this is the single-tau
-    weighted within transform.  Per-subject scores are accumulated row by
-    row with np.add.at; the meat is blocked v_k v_l S_k' S_l, the bread
-    block diagonal v_k X*' Psi_k X*, both over the observation count, and
+    X* = X minus each subject's check-weighted average.  Per-subject
+    scores are accumulated row by row with np.add.at; the meat is S' S and
+    the bread X*' Psi X*, both over the observation count, and
     vc = B^-1 d0 B^-1 / N.
     """
     X = np.asarray(X, dtype=float)
     codes = np.asarray(codes)
-    resid = np.atleast_2d(np.asarray(resid_blocks, dtype=float))
-    v = np.asarray(v, dtype=float).ravel()
-    q, n_obs = resid.shape
-    p = X.shape[1]
-    psi = np.vstack([psi_ref(resid[k], taus[k]) for k in range(q)])
+    resid = np.asarray(resid, dtype=float)
+    n_obs, p = X.shape
+    psi = psi_ref(resid, tau)
     num = np.zeros((n_subjects, p))
     den = np.zeros(n_subjects)
-    for k in range(q):
-        np.add.at(num, codes, v[k] * psi[k][:, None] * X)
-        np.add.at(den, codes, v[k] * psi[k])
+    np.add.at(num, codes, psi[:, None] * X)
+    np.add.at(den, codes, psi)
     x_star = X - (num / den[:, None])[codes]
-    scores = []
-    for k in range(q):
-        s = np.zeros((n_subjects, p))
-        np.add.at(s, codes, x_star * (psi[k] * resid[k])[:, None])
-        scores.append(s)
-    d0 = np.zeros((q * p, q * p))
-    d1 = np.zeros((q * p, q * p))
-    for k in range(q):
-        rows = slice(k * p, (k + 1) * p)
-        for l in range(q):
-            cols = slice(l * p, (l + 1) * p)
-            d0[rows, cols] = v[k] * v[l] * scores[k].T @ scores[l] / n_obs
-        d1[rows, rows] = v[k] * x_star.T @ (psi[k][:, None] * x_star) / n_obs
+    scores = np.zeros((n_subjects, p))
+    np.add.at(scores, codes, x_star * (psi * resid)[:, None])
+    d0 = scores.T @ scores / n_obs
+    d1 = x_star.T @ (psi[:, None] * x_star) / n_obs
     bread = np.linalg.inv(d1)
     vc = bread @ d0 @ bread / n_obs
     return d0, d1, (vc + vc.T) / 2.0
+
+
+def dense_joint_sandwich(X, codes, n_subjects, resid_blocks, taus, v):
+    """Sandwich pieces (d0, d1, vc) of the slopes of a joint fit, from the
+    M-estimation sandwich of the full parameter theta = (beta_1..beta_q,
+    alpha_1..alpha_n), in extended precision.
+
+    The stacked estimating equations are v_k X' Psi_k r_k = 0 per block
+    and sum_k v_k Z' Psi_k r_k = 0 for the effects, r_k the residual
+    blocks.  A is their dense Jacobian in theta (Psi held fixed) and B the
+    sum over subjects of the outer products of each subject's stacked
+    score, accumulated row by row.  vc is the beta block of
+    A^-1 B A^-1; d1 = (beta block of A^-1)^-1 / N is the bread of the
+    profiled slopes and d0 = N d1 vc d1 their meat.  For one block this is
+    the single-tau sandwich.
+    """
+    ld = np.longdouble
+    X = np.asarray(X, dtype=ld)
+    codes = np.asarray(codes)
+    resid = np.atleast_2d(np.asarray(resid_blocks, dtype=float))
+    v = np.asarray(v, dtype=ld).ravel()
+    (q, n_obs), p = resid.shape, X.shape[1]
+    Z = incidence_matrix(codes, n_subjects).astype(ld)
+    dim = q * p + n_subjects
+    A = np.zeros((dim, dim), dtype=ld)
+    scores = np.zeros((n_subjects, dim), dtype=ld)
+    effects = slice(q * p, dim)
+    for k in range(q):
+        rows = slice(k * p, (k + 1) * p)
+        psi = psi_ref(resid[k], taus[k]).astype(ld)
+        A[rows, rows] = v[k] * (X.T @ (psi[:, None] * X))
+        A[rows, effects] = v[k] * (X.T @ (psi[:, None] * Z))
+        A[effects, rows] = A[rows, effects].T
+        A[effects, effects] += v[k] * (Z.T @ (psi[:, None] * Z))
+        for j in range(n_obs):
+            i, e = codes[j], psi[j] * ld(resid[k, j])
+            scores[i, rows] += v[k] * e * X[j]
+            scores[i, q * p + i] += v[k] * e
+    B = scores.T @ scores
+    columns = _eliminate(A, np.eye(dim, dtype=ld)[:, :q * p])
+    vc = columns.T @ B @ columns
+    d1 = _eliminate(columns[:q * p], np.eye(q * p, dtype=ld)) / n_obs
+    d0 = n_obs * d1 @ vc @ d1
+    return tuple(np.asarray((m + m.T) / 2.0, dtype=float) for m in (d0, d1, vc))
 
 
 # ---------------------------------------------------------------------
@@ -252,8 +286,8 @@ def explicit_sandwich(X, codes, n_subjects, resid_blocks, taus, v):
 # ---------------------------------------------------------------------
 
 def _eliminate(a, b):
-    """Solve a x = b by Gaussian elimination with partial pivoting, in the
-    arrays' own dtype."""
+    """Solve a x = b, for one right-hand side b or a matrix of them, by
+    Gaussian elimination with partial pivoting, in the arrays' own dtype."""
     a, b = a.copy(), b.copy()
     n = b.shape[0]
     for j in range(n):
@@ -262,7 +296,7 @@ def _eliminate(a, b):
         b[[j, pivot]] = b[[pivot, j]]
         factors = a[j + 1:, j] / a[j, j]
         a[j + 1:, j:] -= factors[:, None] * a[j, j:]
-        b[j + 1:] -= factors * b[j]
+        b[j + 1:] -= np.multiply.outer(factors, b[j])
     x = np.zeros_like(b)
     for j in range(n - 1, -1, -1):
         x[j] = (b[j] - a[j, j + 1:] @ x[j + 1:]) / a[j, j]
@@ -325,17 +359,49 @@ def standard_normal_expectile_equation(theta, tau):
     return tau * upper - (1.0 - tau) * lower
 
 
+# Log-densities of the standardized laws, z = (y - loc) / scale, by scipy
+# name; the chi-squared and gamma ones for z > 0 only.
+_LOG_DENSITIES = {
+    "norm": lambda z: -0.5 * z * z - 0.5 * math.log(2.0 * math.pi),
+    "t": lambda z, df: (math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
+                        - 0.5 * math.log(df * math.pi)
+                        - (df + 1.0) / 2.0 * math.log1p(z * z / df)),
+    "chi2": lambda z, df: ((df / 2.0 - 1.0) * math.log(z) - z / 2.0
+                           - df / 2.0 * math.log(2.0) - math.lgamma(df / 2.0)),
+    "gamma": lambda z, a: (a - 1.0) * math.log(z) - z - math.lgamma(a),
+}
+
+
+def law_density(dist):
+    """The density of a frozen scipy normal, t, chi-squared or gamma law,
+    written out with ``math``: a frozen law's own ``pdf`` costs about
+    0.2 ms a scalar call, and the quadratures below make thousands."""
+    shapes, loc, scale = dist.dist._parse_args(*dist.args, **dist.kwds)
+    log_density = _LOG_DENSITIES[dist.dist.name]
+    positive = dist.dist.name in ("chi2", "gamma")
+    log_scale = math.log(scale)
+
+    def density(y):
+        z = (y - loc) / scale
+        if positive and z <= 0.0:
+            return 0.0
+        return math.exp(log_density(z, *shapes) - log_scale)
+
+    return density
+
+
 def two_moment_distribution_expectile(dist, tau):
     """Expectile of a frozen scipy distribution as the root of the direct
     condition tau * E[(Y - t)+] - (1 - tau) * E[(t - Y)+] = 0, each partial
     moment by its own quadrature; the package folds the upper moment into
     the mean and integrates the lower one only."""
     lo_support, hi_support = (float(b) for b in dist.support())
+    pdf = law_density(dist)
 
     def moment(theta, a, b, sign):
         if a >= b:
             return 0.0
-        return integrate.quad(lambda y: sign * (y - theta) * dist.pdf(y), a, b,
+        return integrate.quad(lambda y: sign * (y - theta) * pdf(y), a, b,
                               epsabs=1e-12, epsrel=1e-11, limit=200)[0]
 
     def balance(theta):

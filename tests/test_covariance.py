@@ -171,39 +171,18 @@ def test_cross_blocks_are_transposes():
 
 
 def test_matches_dense_kronecker_oracle():
-    # Dense per-subject assembly with explicit Kronecker factors: meat
-    # blocks v_k v_l X_i*' Psi_k e_k e_l' Psi_l X_i*, block-diagonal bread
-    # v_k X*' Psi_k X*, sandwich scaled by the observation count.
+    # The M-estimation sandwich of the full parameter (slopes of every
+    # block and every subject effect), from the dense Jacobian of the
+    # stacked estimating equations and per-subject scores, with the slope
+    # block taken out: the profiled sandwich must be that block.
     rng = np.random.default_rng(79)
     panel, _, _ = oracles.random_panel(rng, 2, 3, 1)
     taus = (0.3, 0.7)
     v = np.array([1.0, 2.0])
     fit = erfe.fit_erfe_multi(panel, taus, v)
     cov = erfe.sandwich_multi(panel, fit)
-
-    q, p, n_obs = 2, 1, panel.n_obs
-    psis = np.vstack([oracles.psi_ref(fit.residuals_star[k], taus[k])
-                      for k in range(q)])
-    _, shared = oracles.dense_pooled_matrices(
-        panel.codes, panel.n_subjects, psis, v)
-    x_rep = np.kron(np.ones((q, 1)), panel.X)
-    x_star = (shared @ x_rep)[:n_obs]
-
-    V = np.diag(v)
-    d0 = np.zeros((q * p, q * p))
-    d1 = np.zeros((q * p, q * p))
-    for g in [np.nonzero(panel.codes == i)[0] for i in range(panel.n_subjects)]:
-        xi = x_star[g]
-        vx = np.kron(V, xi)
-        psi_i = np.concatenate([psis[k][g] for k in range(q)])
-        eps_i = np.concatenate([fit.residuals_star[k][g] for k in range(q)])
-        weighted = psi_i * eps_i
-        d0 += vx.T @ np.outer(weighted, weighted) @ vx
-        ix = np.kron(np.eye(q), xi)
-        d1 += ix.T @ np.diag(psi_i) @ vx
-    d0 /= n_obs
-    d1 /= n_obs
-    vc = np.linalg.inv(d1) @ d0 @ np.linalg.inv(d1) / n_obs
+    d0, d1, vc = oracles.dense_joint_sandwich(
+        panel.X, panel.codes, panel.n_subjects, fit.residuals_star, taus, v)
 
     assert np.max(np.abs(cov.d0_hat - d0)) <= 1e-10
     assert np.max(np.abs(cov.d1_hat - d1)) <= 1e-10
@@ -285,12 +264,19 @@ def _offset_panel(rng):
                              for i in rng.permutation(codes.size)])
 
 
-def _assert_close(got, want):
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def _assert_close(got, want, tol=1e-12):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 def test_sandwiches_match_explicit_transform_oracle():
+    # Per tau, the explicit weighted within transform.  Jointly, the dense
+    # full-parameter sandwich, within what a backward stable solve of the
+    # joint fit's raw-X system allows: kappa, its condition number after
+    # rescaling to a unit diagonal, grows with the offsets of
+    # ``_offset_panel``, and 100 kappa eps is the bound of
+    # ``test_joint_error_within_conditioning_bound``.
     rng = np.random.default_rng(83)
+    eps = np.finfo(float).eps
     for trial in range(12):
         panel = (_offset_panel(rng) if trial % 2 else
                  oracles.unbalanced_panel(rng, rng.integers(2, 7, 10), p=2)[0])
@@ -298,19 +284,20 @@ def test_sandwiches_match_explicit_transform_oracle():
             fit = erfe.fit_erfe_single(panel, tau)
             cov = erfe.sandwich_single(panel, fit)
             d0, d1, vc = oracles.explicit_sandwich(
-                panel.X, panel.codes, panel.n_subjects, fit.residuals_star,
-                (tau,), (1.0,))
+                panel.X, panel.codes, panel.n_subjects, fit.residuals_star, tau)
             _assert_close(cov.d0_hat, d0)
             _assert_close(cov.d1_hat, d1)
             _assert_close(cov.vc, vc)
         taus, v = (0.1, 0.5, 0.9), (1.0, 2.0, 0.5)
         fit = erfe.fit_erfe_multi(panel, taus, v)
         cov = erfe.sandwich_multi(panel, fit)
-        d0, d1, vc = oracles.explicit_sandwich(
+        _, kappa = oracles.longdouble_schur(
+            panel.y, panel.X, panel.codes, panel.n_subjects, taus, v,
+            fit.residuals_star)
+        expected = oracles.dense_joint_sandwich(
             panel.X, panel.codes, panel.n_subjects, fit.residuals_star, taus, v)
-        _assert_close(cov.d0_hat, d0)
-        _assert_close(cov.d1_hat, d1)
-        _assert_close(cov.vc, vc)
+        for got, want in zip((cov.d0_hat, cov.d1_hat, cov.vc), expected):
+            _assert_close(got, want, 100.0 * kappa * eps)
 
 
 # ---------------------------------------------------------------------

@@ -195,6 +195,17 @@ def test_monotone_in_tau_distributional():
     assert vals[0] < vals[1] < vals[2]
 
 
+@pytest.mark.parametrize("dist", [stats.norm(1.5, 2.0),
+                                  stats.t(3.0, loc=-1.0, scale=0.5),
+                                  stats.chi2(4.0, loc=2.0, scale=3.0),
+                                  stats.gamma(2.5, 1.0, 2.0)],
+                         ids=["gaussian", "t3", "chi2_4", "gamma"])
+def test_oracle_density_matches_scipy_pdf(dist):
+    density = oracles.law_density(dist)
+    for y in (-3.0, 0.5, 2.5, 4.0, 9.0, 30.0):
+        assert density(y) == pytest.approx(float(dist.pdf(y)), rel=1e-13)
+
+
 @pytest.mark.parametrize("dist", ["gaussian", "t3", "chi2_3"])
 def test_one_moment_balance_matches_two_moment_form(dist):
     frozen = {"gaussian": erfe.gaussian(0, 1), "t3": erfe.student_t(3),
