@@ -140,8 +140,8 @@ def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
 
 def sandwich_stack(stack: PanelStack, fit: StackFit):
     """The sandwiches of every fit of ``fit`` that converged, in one call:
-    per panel the joint sandwich of ``sandwich_multi`` when ``fit.joint``,
-    else one sandwich of ``sandwich_single`` per asymmetric point.
+    per panel the joint sandwich of ``sandwich_multi`` (its bread the whole
+    q*p system) when ``fit.joint``, else one of ``sandwich_single`` per point.
 
     Returns one SandwichCovariance whose arrays have a leading panel axis,
     ``se`` (B x q*p) and the matrices (B x q*p x q*p) in block order, and
