@@ -212,7 +212,7 @@ def test_multi_vc_symmetric_psd():
     assert eigs.min() >= -1e-10 * np.trace(cov.vc)
 
 
-def calibration_z(seed, replications=1000, draws=400):
+def _calibration_z(seed, replications=1000, draws=400):
     """Per (tau, coefficient), |joint SE/SD - per-tau SE/SD| over the paired
     bootstrap standard error of that difference (replications resampled,
     the same draws for both fits), on the chi-squared location-scale cell
@@ -243,7 +243,7 @@ def test_joint_sandwich_calibrated_like_per_tau_sandwiches():
     # slopes with similar spread, so a calibrated joint sandwich has the
     # SE/SD ratio of the per-tau ones up to Monte Carlo noise.  4.5 allows
     # for the six (tau, coefficient) comparisons.
-    z = calibration_z(21)
+    z = _calibration_z(21)
     assert np.max(z) <= 4.5, z
 
 
