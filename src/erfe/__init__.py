@@ -41,6 +41,7 @@ from .estimator import (
 from .expectiles import (
     ErFit,
     IrlsConfig,
+    Law,
     chi_squared,
     distribution_expectile,
     expectile_regression,
@@ -80,6 +81,7 @@ __all__ = [
     "ErfeError",
     "FitResult",
     "IrlsConfig",
+    "Law",
     "MetricsRow",
     "MultiFitResult",
     "NoConvergenceError",

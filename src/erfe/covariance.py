@@ -27,6 +27,7 @@ from .estimator import (
     concentrated_system,
     fit_design,
 )
+from .expectiles import normal_quantile
 from .linalg import spd_inverse
 from .panel import PanelData, PanelStack, check_weight, stack_panels
 from .within import weighted_subject_sums
@@ -70,13 +71,12 @@ def _assemble(stack: PanelStack, idx, resid, taus, v):
     q, p = len(taus), stack.X.shape[-1]
     n_obs, n_subjects = stack.y.shape[1], stack.n_subjects
     codes, design, resid = stack.part(idx, fit_design(stack, q), resid)
-    system, _, couplings, denom, _ = concentrated_system(
-        design, codes, n_subjects, taus, v, resid)
+    psi = [check_weight(resid[:, k], tau) for k, tau in enumerate(taus)]
+    system, _, couplings, denom, _ = concentrated_system(design, codes, n_subjects, v, psi)
     scores = np.empty(couplings.shape)
     pooled = np.zeros(denom.shape)
-    for k, tau in enumerate(taus):
-        sums, _ = weighted_subject_sums(design[:, :p],
-                                        check_weight(resid[:, k], tau) * resid[:, k],
+    for k, psi_k in enumerate(psi):
+        sums, _ = weighted_subject_sums(design[:, :p], psi_k * resid[:, k],
                                         codes, n_subjects)
         scores[:, k * p:(k + 1) * p] = v[k] * sums[:, 1:]
         pooled += v[k] * sums[:, 0]
@@ -166,16 +166,6 @@ def sandwich_stack(stack: PanelStack, fit: StackFit):
         for i, error in zip(idx.tolist(), part_errors):
             errors[i][points] = [error] * n
     return SandwichCovariance(**fields), tuple(map(tuple, errors))
-
-
-def normal_quantile(prob: float) -> float:
-    """Quantile of the standard normal distribution."""
-    if not 0.0 < prob < 1.0:
-        raise ValueError("probability must lie in (0, 1)")
-    # Imported here: scipy.special takes ~0.3 s to import; only intervals use it.
-    from scipy import special
-
-    return float(special.ndtri(prob))
 
 
 def validate_level(level) -> float:

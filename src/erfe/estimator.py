@@ -200,21 +200,21 @@ def fit_design(stack: PanelStack, q: int) -> np.ndarray:
     return design
 
 
-def concentrated_system(design, codes, n_subjects, taus, v, resid):
+def concentrated_system(design, codes, n_subjects, v, psi):
     """The concentrated normal equations (see the module docstring) of A
     stacked panels with rows [X; y] ``design`` (A x (p + 1) x N) and offset
-    subject codes ``codes`` (see ``PanelStack``), at the check weights of
-    the residual blocks ``resid`` (A x q x N).  Returns the system
-    (A x q*p x q*p), its right-hand side, the couplings v_k C_k stacked
-    over the blocks (A x q*p x n), D and sum_k v_k c_k (A x n each).
+    subject codes ``codes`` (see ``PanelStack``), at the check weights
+    ``psi``: q blocks of A x N, one per point, each read once, in order.
+    Returns the system (A x q*p x q*p), its right-hand side, the couplings
+    v_k C_k stacked over the blocks (A x q*p x n), D and sum_k v_k c_k
+    (A x n each).
     """
-    items, p, q = design.shape[0], design.shape[1] - 1, len(taus)
+    items, p, q = design.shape[0], design.shape[1] - 1, len(v)
     sums = np.empty((items, q, p + 2, n_subjects))
     system = np.zeros((items, q * p, q * p))
     rhs = np.zeros((items, q * p))
-    for k in range(q):
-        sums[:, k], weighted = weighted_subject_sums(
-            design, check_weight(resid[:, k], taus[k]), codes, n_subjects)
+    for k, psi_k in enumerate(psi):
+        sums[:, k], weighted = weighted_subject_sums(design, psi_k, codes, n_subjects)
         gram = weighted[:, :p] @ design.transpose(0, 2, 1)
         rows = slice(k * p, (k + 1) * p)
         system[:, rows, rows] = v[k] * gram[:, :, :p]
@@ -228,14 +228,16 @@ def concentrated_system(design, codes, n_subjects, taus, v, resid):
 
 
 def _round(design, codes, n_subjects, taus, v, resid, columns=None, iteration=None):
-    """One round of A stacked panels: ``concentrated_system`` (same
-    arguments), solved.  Returns the new slopes (A x q x p), the new
+    """One round of A stacked panels: ``concentrated_system`` at the check
+    weights of the residual blocks ``resid`` (A x q x N) at ``taus``,
+    solved.  Returns the new slopes (A x q x p), the new
     residual blocks and the SingularGramError of the panels whose system is
     singular (None if none is); its ``failed`` marks them, and their slopes
     are NaN.
     """
     system, rhs, couplings, denom, pooled_y = concentrated_system(
-        design, codes, n_subjects, taus, v, resid)
+        design, codes, n_subjects, v,
+        (check_weight(resid[:, k], tau) for k, tau in enumerate(taus)))
     singular = None
     try:
         betas = spd_solve(system, rhs, columns=columns, iteration=iteration)

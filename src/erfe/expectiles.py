@@ -1,4 +1,5 @@
-"""Scalar expectiles, cross-sectional expectile regression, distribution expectiles.
+"""Scalar expectiles, cross-sectional expectile regression, distribution
+expectiles and the normal quantile.
 
 The scalar expectile is computed as the fixed point of the weighted-mean
 map; the regression estimator by iterated weighted least squares.  Both
@@ -9,6 +10,7 @@ exactly on the fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +27,12 @@ from .panel import check_weight, validate_tau
 __all__ = [
     "ErFit",
     "IrlsConfig",
+    "Law",
     "chi_squared",
     "distribution_expectile",
     "expectile_regression",
     "gaussian",
+    "normal_quantile",
     "sample_expectile",
     "student_t",
 ]
@@ -155,146 +159,360 @@ def _weighted_lstsq(X, y, w, iteration=None):
     return spd_solve(X.T @ wX, wX.T @ y, iteration=iteration)
 
 
-def gaussian(mean: float = 0.0, sd: float = 1.0):
-    """Frozen normal distribution with the given mean and standard deviation."""
+# The closed forms below take Student t and chi-squared laws with integer
+# degrees of freedom up to this bound: their series have about df / 2 terms,
+# and the chi-squared series' first term, exp(-x/2), underflows past
+# x = 1490, so the lower tail below the mean needs df well under that.
+_MAX_SERIES_DF = 1000
+# sqrt(1/2) as an unevaluated sum of two doubles, 2 / sqrt(pi), 1 / sqrt(2 pi).
+_SQRT_HALF = (0.7071067811865476, -4.833646656726457e-17)
+_TWO_OVER_SQRT_PI = 1.1283791670955126
+_INV_SQRT_2PI = 0.3989422804014327
+
+
+@dataclass(frozen=True)
+class Law:
+    """The law of loc + scale * Z, Z a standard normal (``family`` "norm"),
+    Student t or chi-squared law (``"t"``, ``"chi2"``, their names in
+    scipy.stats) with ``shape`` degrees of freedom (None for the normal).
+
+    ``mean``, ``var``, ``support`` and ``pdf`` (of a float) answer as a
+    frozen scipy.stats law's methods do, so ``distribution_expectile``
+    reads either kind alike.
+    """
+
+    family: str
+    shape: float | None
+    loc: float = 0.0
+    scale: float = 1.0
+
+    def __post_init__(self):
+        if self.family not in ("norm", "t", "chi2"):
+            raise ValueError(f"unknown law family {self.family!r}")
+        if (self.shape is None) != (self.family == "norm"):
+            raise ValueError("t and chi2 laws take degrees of freedom, norm none")
+        if not self.scale > 0:
+            raise ValueError("scale must be positive")
+
+    def mean(self) -> float:
+        if self.family == "chi2":
+            return self.loc + self.scale * self.shape
+        return self.loc if self.family == "norm" or self.shape > 1 else math.nan
+
+    def var(self) -> float:
+        if self.family == "chi2":
+            return 2.0 * self.shape * self.scale ** 2
+        if self.family == "t":
+            if not self.shape > 2:
+                return math.inf
+            return self.scale ** 2 * self.shape / (self.shape - 2.0)
+        return self.scale ** 2
+
+    def support(self) -> tuple[float, float]:
+        return (self.loc if self.family == "chi2" else -math.inf), math.inf
+
+    def pdf(self, y: float) -> float:
+        z, nu = (y - self.loc) / self.scale, self.shape
+        if self.family == "norm":
+            return _normal_pdf(z) / self.scale
+        if self.family == "t":
+            log_density = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
+                           - 0.5 * math.log(nu * math.pi)
+                           - 0.5 * (nu + 1.0) * math.log1p(z * z / nu))
+        elif z > 0.0:
+            log_density = ((0.5 * nu - 1.0) * math.log(z) - 0.5 * z
+                           - 0.5 * nu * math.log(2.0) - math.lgamma(0.5 * nu))
+        else:
+            return 0.0
+        return math.exp(log_density) / self.scale
+
+
+def gaussian(mean: float = 0.0, sd: float = 1.0) -> Law:
+    """Normal law with the given mean and standard deviation."""
     if not sd > 0:
         raise ValueError("standard deviation must be positive")
-    # Imported here: scipy.stats takes ~1 s to import; fit and transform never use it.
-    from scipy import stats
-
-    return stats.norm(mean, sd)
+    return Law("norm", None, float(mean), float(sd))
 
 
-def student_t(df: float):
-    """Frozen Student t distribution; requires df > 2 for a finite variance."""
+def student_t(df: float, loc: float = 0.0, scale: float = 1.0) -> Law:
+    """Student t law, shifted by ``loc`` and scaled by ``scale``; requires
+    df > 2 for a finite variance."""
     if not df > 2:
         raise ValueError("student t needs more than 2 degrees of freedom")
-    # Imported here: scipy.stats takes ~1 s to import; fit and transform never use it.
-    from scipy import stats
-
-    return stats.t(df)
+    return Law("t", float(df), float(loc), float(scale))
 
 
-def chi_squared(df: float):
-    """Frozen chi-squared distribution with df > 0 degrees of freedom."""
+def chi_squared(df: float, loc: float = 0.0, scale: float = 1.0) -> Law:
+    """Chi-squared law with df > 0 degrees of freedom, shifted by ``loc``
+    and scaled by ``scale``."""
     if not df > 0:
         raise ValueError("chi-squared needs positive degrees of freedom")
-    # Imported here: scipy.stats takes ~1 s to import; fit and transform never use it.
-    from scipy import stats
-
-    return stats.chi2(df)
+    return Law("chi2", float(df), float(loc), float(scale))
 
 
-def _closed_form_lower_moment(dist):
-    """theta -> E[(theta - Y)+] in closed form for a frozen normal, Student t
-    or chi-squared law, with any loc and scale; None for any other law.
+def _law(dist) -> Law | None:
+    """``dist`` itself if it is a Law, the Law of a frozen scipy.stats
+    normal, t or chi-squared law, and None for any other law."""
+    if isinstance(dist, Law):
+        return dist
+    family = getattr(dist, "dist", None)
+    name = getattr(family, "name", None)
+    if name not in ("norm", "t", "chi2"):
+        return None
+    names = family.shapes.split(", ") if family.shapes else []
+    given = dict(zip([*names, "loc", "scale"], dist.args))
+    given.update(dist.kwds)
+    shape = float(given[names[0]]) if names else None
+    return Law(name, shape, float(given.get("loc", 0.0)), float(given.get("scale", 1.0)))
 
-    With Y = loc + scale * Z and z = (theta - loc) / scale, the moment is
-    scale * E[(z - Z)+], where for the standard law (cdf F, density f):
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """a * b as p + e exactly: the rounded product and its error (Dekker)."""
+    p = a * b
+    a_hi = 134217729.0 * a - (134217729.0 * a - a)
+    b_hi = 134217729.0 * b - (134217729.0 * b - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _normal_cdf(z: float, central: bool = False) -> float:
+    """Standard normal distribution function Phi(z), or Phi(z) - 1/2 if
+    ``central``, to a few ulp: the rounding of erfc's (erf's) argument
+    -z / sqrt(2) is corrected to first order."""
+    w, err = _two_product(-z, _SQRT_HALF[0])
+    correction = (err - z * _SQRT_HALF[1]) * _TWO_OVER_SQRT_PI * math.exp(-w * w)
+    if central:
+        return -0.5 * (math.erf(w) + correction)
+    return 0.5 * (math.erfc(w) - correction)
+
+
+def _normal_pdf(z: float) -> float:
+    """Standard normal density."""
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+
+
+def normal_quantile(prob: float) -> float:
+    """Quantile of the standard normal distribution, to within 2 ulp.
+
+    Wichura's AS 241 (``statistics.NormalDist.inv_cdf``), polished by one
+    Newton step on Phi(x) = prob, whose residual is taken where it carries
+    no rounding of prob: Phi(x) - prob in the lower tail, (1 - prob) -
+    (1 - Phi(x)) in the upper one, and (Phi(x) - 1/2) - (prob - 1/2)
+    between the quartiles.
+    """
+    if not 0.0 < prob < 1.0:
+        raise ValueError("probability must lie in (0, 1)")
+    # Imported here: statistics pulls in decimal and fractions, which
+    # every command but fit could do without.
+    from statistics import NormalDist
+
+    x = NormalDist().inv_cdf(prob)
+    if prob < 0.25:
+        residual = _normal_cdf(x) - prob
+    elif prob > 0.75:
+        residual = (1.0 - prob) - _normal_cdf(-x)
+    else:
+        residual = _normal_cdf(x, central=True) - (prob - 0.5)
+    return x - residual / _normal_pdf(x)
+
+
+def _t_lower_tail(z: float, nu: int) -> float:
+    """F(-|z|) of Student t with integer nu degrees of freedom.
+
+    With x = cos^2 theta = nu / (nu + z^2) and s = sin theta, A&S 26.7.3-4
+    write 2 F(-|z|) = 1 - A as 1 - s sum_{j<J} c_j x^j (even nu, J = nu/2,
+    c_j = (1/2)_j / j!) or (2/pi) atan(sqrt(nu) / |z|) - (2/pi) s sqrt(x)
+    sum_{j<J} d_j x^j (odd nu, J = (nu-1)/2, d_j = (2j)!! / (2j+1)!!).
+    The full series sum to 1, so 1 - A is also the series continued from
+    j = J, a sum of positive terms.  That sum is taken where the finite
+    form falls below 1/4, so loses more than two bits, unless x > 0.9,
+    where the series converges too slowly.
+    """
+    odd = nu % 2
+    r = nu + z * z
+    x, s = nu / r, abs(z) / math.sqrt(r)
+    term = 2.0 / math.pi * s * math.sqrt(x) if odd else s
+    head = 0.0
+    for j in range((nu - odd) // 2):
+        head += term
+        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    whole = 2.0 / math.pi * math.atan2(math.sqrt(nu), abs(z)) if odd else 1.0
+    if whole - head >= 0.25 or x > 0.9:
+        return 0.5 * (whole - head)
+    tail, j = 0.0, (nu - odd) // 2
+    while term > 1e-18 * tail:
+        tail += term
+        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+        j += 1
+    return 0.5 * tail
+
+
+def _t_pdf(z: float, nu: int) -> float:
+    """Student t density: Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2)) is
+    (nu-1)!! / (nu-2)!! / pi for odd nu and half that ratio for even nu."""
+    ratio = math.prod(range(nu - 1, 0, -2)) / math.prod(range(nu - 2, 0, -2))
+    const = ratio / math.pi if nu % 2 else 0.5 * ratio
+    return const / math.sqrt(nu) * (nu / (nu + z * z)) ** (0.5 * (nu + 1))
+
+
+def _chi2_tails(x: float, k: int) -> tuple[float, float]:
+    """(F_k(x), 1 - F_k(x)) of chi-squared with integer k degrees of
+    freedom, x > 0.
+
+    A&S 26.4.4-5 write the upper tail as sum_{i<J} u_i, plus erfc(sqrt(x/2))
+    for odd k, with u_0 = exp(-x/2) (even k, J = k/2) or sqrt(2x/pi)
+    exp(-x/2) (odd k, J = (k-1)/2) and u_{i+1} = u_i x / (2i + 2 + k % 2).
+    The series continued from i = J sums to the lower tail, so each tail is
+    a sum of positive terms: below the mean k the lower one is summed, from
+    k on the upper one, and the other is its complement.
+    """
+    odd = k % 2
+    term = math.sqrt(2.0 * x / math.pi) * math.exp(-0.5 * x) if odd else math.exp(-0.5 * x)
+    upper = math.erfc(math.sqrt(0.5 * x)) if odd else 0.0
+    for i in range((k - odd) // 2):
+        upper += term
+        term *= x / (2 * i + 2 + odd)
+    if x >= k:
+        return 1.0 - upper, upper
+    lower, i = 0.0, (k - odd) // 2
+    while term > 1e-18 * lower:
+        lower += term
+        term *= x / (2 * i + 2 + odd)
+        i += 1
+    return lower, 1.0 - lower
+
+
+def _standard_moment(family: str, nu: int, z: float, upper: bool) -> float:
+    """E[(Z - z)+] if ``upper``, else E[(z - Z)+], for the standard law Z."""
+    if family == "chi2":
+        if z <= 0.0:
+            return nu - z if upper else 0.0
+        (f_k, q_k), (f_wide, q_wide) = _chi2_tails(z, nu), _chi2_tails(z, nu + 2)
+        return nu * q_wide - z * q_k if upper else z * f_k - nu * f_wide
+    if upper:  # Z is symmetric
+        z = -z
+    if family == "norm":
+        return z * _normal_cdf(z) + _normal_pdf(z)
+    tail = _t_lower_tail(z, nu)
+    cdf = tail if z < 0.0 else 1.0 - tail
+    return z * cdf + (nu + z * z) / (nu - 1.0) * _t_pdf(z, nu)
+
+
+def _closed_form_moment(law):
+    """(theta, upper) -> E[(Y - theta)+] if upper, else E[(theta - Y)+], in
+    closed form for the Law Y = loc + scale * Z of a normal law, or of a
+    Student t or chi-squared law with integer degrees of freedom (at most
+    ``_MAX_SERIES_DF``); None for any other Law and for anything not a Law.
+
+    With z = (theta - loc) / scale, each moment is scale times that of the
+    standard law Z (distribution function F, density f), and
+    E[(Z - z)+] = E[(z - Z)+] + E[Z] - z, where
 
     - normal: E[(z - Z)+] = z F(z) + f(z);
     - Student t with nu > 1 degrees of freedom: z F(z) + (nu + z^2) / (nu - 1) f(z);
     - chi-squared with k degrees of freedom: z F_k(z) - k F_{k+2}(z).
+
+    Each moment is evaluated where it is small without that subtraction:
+    the symmetric laws' upper moment is the lower one at -z, and the
+    chi-squared upper moment is k (1 - F_{k+2}(z)) - z (1 - F_k(z)), with
+    both tails from ``_chi2_tails``.
     """
-    law = getattr(dist, "dist", None)
-    name = getattr(law, "name", None)
-    if name not in ("norm", "t", "chi2"):
+    if not isinstance(law, Law):
         return None
-    names = law.shapes.split(", ") if law.shapes else []
-    given = dict(zip([*names, "loc", "scale"], dist.args))
-    given.update(dist.kwds)
-    shapes = [float(given[key]) for key in names]
-    loc, scale = float(given.get("loc", 0.0)), float(given.get("scale", 1.0))
-    standard = law(*shapes)
-    if name == "norm":
-        def moment(z):
-            return z * standard.cdf(z) + standard.pdf(z)
-    elif name == "t":
-        nu = shapes[0]
+    nu = law.shape
+    if nu is not None:
+        if not (float(nu).is_integer() and nu <= _MAX_SERIES_DF):
+            return None
+        nu = int(nu)
 
-        def moment(z):
-            return z * standard.cdf(z) + (nu + z * z) / (nu - 1.0) * standard.pdf(z)
-    else:
-        # Imported here, as in chi_squared: dist is already a scipy.stats law.
-        from scipy import stats
+    def moment(theta: float, upper: bool) -> float:
+        z = (theta - law.loc) / law.scale
+        return law.scale * _standard_moment(law.family, nu, z, upper)
 
-        k, wider = shapes[0], stats.chi2(shapes[0] + 2.0)
-
-        def moment(z):
-            return z * standard.cdf(z) - k * wider.cdf(z)
-    return lambda theta: scale * float(moment((theta - loc) / scale))
+    return moment
 
 
-def distribution_expectile(dist, tau) -> float:
-    """Expectile of an analytic distribution by partial-moment root finding.
-
-    ``dist`` is a frozen scipy.stats continuous distribution with a finite
-    variance.  The expectile is the root theta of
-
-        tau * E[(Y - theta)+] - (1 - tau) * E[(theta - Y)+] = 0.
-
-    As E[(Y - theta)+] = mean - theta + E[(theta - Y)+], this is
-
-        tau * (mean - theta) + (2 * tau - 1) * E[(theta - Y)+] = 0,
-
-    with the one partial moment in closed form for normal, Student t and
-    chi-squared laws and by adaptive quadrature over the lower tail for any
-    other; the root is isolated with an expanding bracket.
-    """
-    # Imported here: scipy.optimize is slow to import; fit and transform never use it.
-    from scipy.optimize import brentq
-
-    tau = validate_tau(tau)
-    mean = float(dist.mean())
-    var = float(dist.var())
-    if not (np.isfinite(mean) and np.isfinite(var)):
-        raise ValueError("distribution must have finite mean and variance")
+def _quadrature_moment(dist):
+    """The moments of ``_closed_form_moment`` for a Law or a frozen
+    scipy.stats law, each by adaptive quadrature of (y - theta) times its
+    density."""
     lo_support, hi_support = (float(b) for b in dist.support())
     pdf = dist.pdf
 
-    def quadrature_moment(theta: float) -> float:
-        b = min(theta, hi_support)
-        if b <= lo_support:
+    def moment(theta: float, upper: bool) -> float:
+        if upper:
+            lo, hi = max(theta, lo_support), hi_support
+        else:
+            lo, hi = lo_support, min(theta, hi_support)
+        if lo >= hi:
             return 0.0
         # Imported here: only laws without a closed-form moment integrate.
         from scipy import integrate
 
-        val, _ = integrate.quad(
-            lambda yv: (theta - yv) * pdf(yv), lo_support, b,
-            epsabs=1e-12, epsrel=1e-11, limit=200,
-        )
+        sign = 1.0 if upper else -1.0
+        val, _ = integrate.quad(lambda yv: sign * (yv - theta) * pdf(yv), lo, hi,
+                                epsabs=1e-12, epsrel=1e-11, limit=200)
         return val
 
-    lower_moment = _closed_form_lower_moment(dist) or quadrature_moment
+    return moment
+
+
+def distribution_expectile(dist, tau) -> float:
+    """Expectile of a law with a finite variance, by partial-moment root
+    finding.
+
+    ``dist`` is a Law (``gaussian``, ``student_t``, ``chi_squared``) or a
+    frozen scipy.stats continuous law.  The expectile is the root theta of
+
+        tau * E[(Y - theta)+] - (1 - tau) * E[(theta - Y)+] = 0,
+
+    which lies above the mean for tau > 0.5 and below it for tau < 0.5.
+    As E[(Y - theta)+] - E[(theta - Y)+] = mean - theta, the balance on
+    each side keeps only the partial moment that is small there:
+
+        (1 - tau) (mean - theta) + (2 tau - 1) E[(Y - theta)+]   (tau > 0.5),
+        tau (mean - theta) + (2 tau - 1) E[(theta - Y)+]         (tau < 0.5),
+
+    so that theta - mean comes out to a few ulp.  The moment is in closed
+    form (``_closed_form_moment``) for normal laws and for Student t and
+    chi-squared laws with integer degrees of freedom, whether given as a
+    Law or as a scipy.stats law with any loc and scale, and by adaptive
+    quadrature (scipy.integrate) for any other law.  The root is bracketed
+    by steps away from the mean and bisected down to adjacent floats;
+    tau = 0.5 gives the mean itself.
+    """
+    tau = validate_tau(tau)
+    dist = _law(dist) or dist
+    mean, var = float(dist.mean()), float(dist.var())
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ValueError("distribution must have finite mean and variance")
+    if tau == 0.5:
+        return mean
+    moment = _closed_form_moment(dist) or _quadrature_moment(dist)
+    upper = tau > 0.5
+    weight, direction = (1.0 - tau, 1.0) if upper else (tau, -1.0)
 
     def balance(theta: float) -> float:
-        return tau * (mean - theta) + (2.0 * tau - 1.0) * lower_moment(theta)
+        return weight * (mean - theta) + (2.0 * tau - 1.0) * moment(theta, upper)
 
-    # balance() is strictly decreasing; expand around the mean until it
-    # changes sign, then bisect with Brent's method.
-    step = max(np.sqrt(var), 1.0)
-    lo, hi = mean - step, mean + step
-    f_lo, f_hi = balance(lo), balance(hi)
+    # balance() is strictly decreasing and has the sign of direction at the
+    # mean: double the step away from the mean until the sign changes.
+    step = max(math.sqrt(var), 1.0)
+    inner, f_inner = mean, balance(mean)
+    outer = mean + direction * step
     tries = 0
-    while f_lo < 0.0:
-        lo -= step
+    while direction * (f_outer := balance(outer)) > 0.0:
+        inner, f_inner = outer, f_outer
         step *= 2.0
-        f_lo = balance(lo)
+        outer = mean + direction * step
         tries += 1
         if tries > 80:
-            raise BracketFailureError("no sign change to the left of the mean")
-    step = max(np.sqrt(var), 1.0)
-    tries = 0
-    while f_hi > 0.0:
-        hi += step
-        step *= 2.0
-        f_hi = balance(hi)
-        tries += 1
-        if tries > 80:
-            raise BracketFailureError("no sign change to the right of the mean")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    root = brentq(balance, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    return float(root)
+            side = "right" if upper else "left"
+            raise BracketFailureError(f"no sign change to the {side} of the mean")
+    while (mid := 0.5 * (inner + outer)) not in (inner, outer):
+        f_mid = balance(mid)
+        if direction * f_mid > 0.0:
+            inner, f_inner = mid, f_mid
+        else:
+            outer, f_outer = mid, f_mid
+    return inner if abs(f_inner) < abs(f_outer) else outer

@@ -55,14 +55,12 @@ BLOCK = 16
 _BUDGET_ENV = "ERFE_MAX_BUDGET"
 
 # The error laws by name: a draw of ``size`` errors from ``rng``, and the
-# law itself, built on demand (its scipy.stats import takes about 1 s).
+# law itself, whose expectiles ``distribution_expectile`` takes in closed
+# form with the standard library alone.
 ERROR_LAWS = {
-    "gaussian": (lambda rng, size: rng.standard_normal(size),
-                 lambda: gaussian(0.0, 1.0)),
-    "student_t3": (lambda rng, size: rng.standard_t(3.0, size),
-                   lambda: student_t(3.0)),
-    "chi2_3": (lambda rng, size: rng.chisquare(3.0, size),
-               lambda: chi_squared(3.0)),
+    "gaussian": (lambda rng, size: rng.standard_normal(size), gaussian(0.0, 1.0)),
+    "student_t3": (lambda rng, size: rng.standard_t(3.0, size), student_t(3.0)),
+    "chi2_3": (lambda rng, size: rng.chisquare(3.0, size), chi_squared(3.0)),
 }
 # Names of the two regressors of every generated panel.
 _REGRESSORS = ("x1", "x2")
@@ -159,7 +157,7 @@ class ScenarioMetrics:
 
 @lru_cache(maxsize=None)
 def _error_expectile(name: str, tau: float) -> float:
-    return distribution_expectile(ERROR_LAWS[name][1](), tau)
+    return distribution_expectile(ERROR_LAWS[name][1], tau)
 
 
 def true_coefficients(tau, config: SimulationConfig) -> tuple[float, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, special, stats
 from scipy.optimize import brentq, minimize
@@ -347,6 +348,51 @@ def longdouble_schur(y, X, codes, n_subjects, taus, v, resid_blocks):
 
 def normal_quantile_erfinv(prob):
     return float(np.sqrt(2.0) * special.erfinv(2.0 * prob - 1.0))
+
+
+def _mpmath_moments(family, shape, z):
+    """(E[(z - Z)+], E[(Z - z)+]) of the standard normal (``family``
+    "norm"), Student t or chi-squared law Z with ``shape`` degrees of
+    freedom, at mpmath's working precision: distribution functions from
+    mpmath's normal cdf and regularized incomplete beta and gamma
+    functions, the upper moment as the lower one plus E[Z] - z."""
+    if family == "norm":
+        lower, mean = z * mpmath.ncdf(z) + mpmath.npdf(z), 0
+    elif family == "t":
+        nu = mpmath.mpf(shape)
+        tail = mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, nu / (nu + z * z),
+                              regularized=True) / 2
+        density = (mpmath.gamma((nu + 1) / 2) / mpmath.gamma(nu / 2)
+                   / mpmath.sqrt(nu * mpmath.pi) * (1 + z * z / nu) ** (-(nu + 1) / 2))
+        lower = z * (tail if z < 0 else 1 - tail) + (nu + z * z) / (nu - 1) * density
+        mean = 0
+    else:
+        k = mpmath.mpf(shape)
+        lower, mean = mpmath.mpf(0), k
+        if z > 0:
+            lower = (z * mpmath.gammainc(k / 2, 0, z / 2, regularized=True)
+                     - k * mpmath.gammainc(k / 2 + 1, 0, z / 2, regularized=True))
+    return lower, lower + mean - z
+
+
+def mpmath_distribution_expectile(family, shape, tau, start):
+    """The tau-expectile of a standard law of ``_mpmath_moments``: the root
+    of tau E[(Z - t)+] - (1 - tau) E[(t - Z)+] to 40 digits, by mpmath's
+    secant iteration from ``start``."""
+    with mpmath.workdps(40):
+        tau = mpmath.mpf(tau)
+
+        def balance(t):
+            lower, upper = _mpmath_moments(family, shape, t)
+            return tau * upper - (1 - tau) * lower
+
+        return mpmath.findroot(balance, mpmath.mpf(start), tol=mpmath.mpf(10) ** -36)
+
+
+def mpmath_normal_quantile(prob):
+    """The standard normal quantile of the double ``prob``, to 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(prob) - 1)
 
 
 def standard_normal_expectile_equation(theta, tau):

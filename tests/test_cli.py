@@ -628,20 +628,21 @@ print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     ["expectile", "--input", str(DATA / "small_panel.csv"), "--response-col", "y",
      "--tau", "0.1,0.5,0.9"],
     ["fit", "--tau", "0.1,0.5,0.9", *_SMALL],
-], ids=["import", "transform", "expectile", "fit"])
+    ["fit", "--tau", "0.1,0.5,0.9", "--joint", *_SMALL],
+    *[["simulate", "--n", "15", "--m", "3", "--gamma", "0.3", "--error-dist", law,
+       "--replications", "4", "--tau", "0.1,0.5,0.9"]
+      for law in ("gaussian", "student_t3", "chi2_3")],
+], ids=["import", "transform", "expectile", "fit", "fit-joint", "simulate-gaussian",
+        "simulate-student_t3", "simulate-chi2_3"])
 def test_scipy_is_imported_only_where_used(command, tmp_path):
-    # scipy.stats alone takes longer to import than erfe with numpy: import
-    # erfe, transform and expectile load no scipy, and fit at most
-    # scipy.special, for its normal quantile.
+    # scipy.stats alone takes longer to import than erfe with numpy: no
+    # command loads any scipy module, the error laws' expectiles and the
+    # intervals' normal quantile included.
     out = ["--out", str(tmp_path / "out.csv")] if command else []
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *command, *out],
                           capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    if command[:1] != ["fit"]:
-        assert loaded == []
-    for name in ("scipy.stats", "scipy.optimize", "scipy.integrate"):
-        assert not [m for m in loaded if m == name or m.startswith(name + ".")]
+    assert proc.stdout.split() == []
 
 
 def test_help_exits_zero():

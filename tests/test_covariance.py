@@ -1,7 +1,9 @@
 """Cluster-robust sandwich covariance, intervals, normal quantiles."""
 
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -310,6 +312,14 @@ def test_normal_quantile_reference_values():
         assert erfe.normal_quantile(prob) == pytest.approx(ref, abs=1e-6)
         assert erfe.normal_quantile(prob) == pytest.approx(
             oracles.normal_quantile_erfinv(prob), abs=1e-12)
+
+
+def test_normal_quantile_within_2_ulp_of_mpmath():
+    levels = [i / 1000 for i in range(1, 1000)] + [0.9995, 1e-10, 1 - 1e-10]
+    for prob in levels:
+        reference = oracles.mpmath_normal_quantile(prob)
+        got = erfe.normal_quantile(prob)
+        assert abs(mpmath.mpf(got) - reference) <= 2 * math.ulp(float(reference)), prob
 
 
 def test_interval_reference_width():

@@ -1,5 +1,8 @@
 """Scalar expectiles, expectile regression, distribution expectiles."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -206,14 +209,53 @@ def test_oracle_density_matches_scipy_pdf(dist):
         assert density(y) == pytest.approx(float(dist.pdf(y)), rel=1e-13)
 
 
+# The simulator's error laws: the erfe law, the equivalent scipy law, and
+# the family and degrees of freedom of the mpmath oracle.
+_ERROR_LAWS = {
+    "gaussian": (erfe.gaussian(0, 1), stats.norm(), "norm", None),
+    "t3": (erfe.student_t(3), stats.t(3), "t", 3),
+    "chi2_3": (erfe.chi_squared(3), stats.chi2(3), "chi2", 3),
+}
+
+
 @pytest.mark.parametrize("dist", ["gaussian", "t3", "chi2_3"])
 def test_one_moment_balance_matches_two_moment_form(dist):
-    frozen = {"gaussian": erfe.gaussian(0, 1), "t3": erfe.student_t(3),
-              "chi2_3": erfe.chi_squared(3)}[dist]
+    law, scipy_law, _, _ = _ERROR_LAWS[dist]
     for tau in (0.01, 0.1, 0.5, 0.9, 0.99):
-        theta = erfe.distribution_expectile(frozen, tau)
-        reference = oracles.two_moment_distribution_expectile(frozen, tau)
+        theta = erfe.distribution_expectile(law, tau)
+        reference = oracles.two_moment_distribution_expectile(scipy_law, tau)
         assert abs(theta - reference) <= 1e-10, (tau, theta, reference)
+
+
+@pytest.mark.parametrize("dist", ["gaussian", "t3", "chi2_3"])
+def test_closed_forms_are_within_4_ulp_of_mpmath(dist):
+    law, _, family, shape = _ERROR_LAWS[dist]
+    for tau in (0.001, 0.005, 0.01, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 0.99, 0.995,
+                0.999):
+        theta = erfe.distribution_expectile(law, tau)
+        reference = oracles.mpmath_distribution_expectile(family, shape, tau, theta)
+        assert abs(mpmath.mpf(theta) - reference) <= 4 * math.ulp(theta), (tau, theta)
+    assert erfe.distribution_expectile(law, 0.5) == law.mean()
+
+
+@pytest.mark.parametrize("scipy_law, law", [
+    (stats.norm(1.5, 2.0), erfe.gaussian(1.5, 2.0)),
+    (stats.t(3, -1.0, 0.5), erfe.student_t(3, loc=-1.0, scale=0.5)),
+    (stats.t(5.0, loc=2.0, scale=3.0), erfe.student_t(5, loc=2.0, scale=3.0)),
+    (stats.chi2(4.0, loc=2.0, scale=3.0), erfe.chi_squared(4, loc=2.0, scale=3.0)),
+], ids=["gaussian", "t3", "t5", "chi2_4"])
+def test_scipy_laws_with_integer_df_take_the_same_closed_form(scipy_law, law):
+    for tau in (0.01, 0.3, 0.5, 0.8, 0.99):
+        theta = erfe.distribution_expectile(law, tau)
+        assert erfe.distribution_expectile(scipy_law, tau) == theta, tau
+
+
+def test_fractional_df_takes_quadrature():
+    law = erfe.student_t(3.5, loc=1.0, scale=2.0)
+    assert erfe.expectiles._closed_form_moment(law) is None
+    theta = erfe.distribution_expectile(law, 0.9)
+    reference = oracles.two_moment_distribution_expectile(stats.t(3.5, 1.0, 2.0), 0.9)
+    assert abs(theta - reference) <= 1e-10
 
 
 @pytest.mark.parametrize("dist", [stats.norm(1.5, 2.0),
@@ -223,7 +265,7 @@ def test_one_moment_balance_matches_two_moment_form(dist):
 def test_closed_form_moments_match_two_moment_quadrature(dist):
     # Normal, t and chi-squared laws take the closed-form lower partial
     # moment, with loc and scale standardised away.
-    assert erfe.expectiles._closed_form_lower_moment(dist) is not None
+    assert erfe.expectiles._closed_form_moment(erfe.expectiles._law(dist)) is not None
     for tau in (0.01, 0.5, 0.99):
         theta = erfe.distribution_expectile(dist, tau)
         reference = oracles.two_moment_distribution_expectile(dist, tau)
@@ -232,7 +274,7 @@ def test_closed_form_moments_match_two_moment_quadrature(dist):
 
 def test_other_laws_take_quadrature(monkeypatch):
     gamma = stats.gamma(2.5)
-    assert erfe.expectiles._closed_form_lower_moment(gamma) is None
+    assert erfe.expectiles._law(gamma) is None
     calls = []
     quad = integrate.quad
     monkeypatch.setattr(integrate, "quad",
