@@ -159,10 +159,11 @@ def _weighted_lstsq(X, y, w, iteration=None):
     return spd_solve(X.T @ wX, wX.T @ y, iteration=iteration)
 
 
-# The closed forms below take Student t and chi-squared laws with integer
-# degrees of freedom up to this bound: their series have about df / 2 terms,
-# and the chi-squared series' first term, exp(-x/2), underflows past
-# x = 1490, so the lower tail below the mean needs df well under that.
+# The closed forms below, and the t density's exact constant, take Student t
+# and chi-squared laws with integer degrees of freedom up to this bound:
+# their series and products have about df / 2 terms, and the chi-squared
+# series' first term, exp(-x/2), underflows past x = 1490, so the lower tail
+# below the mean needs df well under that.
 _MAX_SERIES_DF = 1000
 # sqrt(1/2) as an unevaluated sum of two doubles, 2 / sqrt(pi), 1 / sqrt(2 pi).
 _SQRT_HALF = (0.7071067811865476, -4.833646656726457e-17)
@@ -178,7 +179,8 @@ class Law:
 
     ``mean``, ``var``, ``support`` and ``pdf`` (of a float) answer as a
     frozen scipy.stats law's methods do, so ``distribution_expectile``
-    reads either kind alike.
+    reads either kind alike; like scipy's, the chi-squared density at the
+    edge of its support is its limit there.
     """
 
     family: str
@@ -191,6 +193,9 @@ class Law:
             raise ValueError(f"unknown law family {self.family!r}")
         if (self.shape is None) != (self.family == "norm"):
             raise ValueError("t and chi2 laws take degrees of freedom, norm none")
+        if self.shape is not None and not self.shape > 0:
+            name = "student t" if self.family == "t" else "chi-squared"
+            raise ValueError(f"{name} needs positive degrees of freedom")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
 
@@ -216,12 +221,23 @@ class Law:
         if self.family == "norm":
             return _normal_pdf(z) / self.scale
         if self.family == "t":
-            log_density = (math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
-                           - 0.5 * math.log(nu * math.pi)
-                           - 0.5 * (nu + 1.0) * math.log1p(z * z / nu))
-        elif z > 0.0:
+            # Gamma((nu+1)/2) / (sqrt(pi) Gamma(nu/2)) is (nu-1)!! / (nu-2)!! / pi
+            # for odd nu and half that ratio for even nu, a ratio of integers
+            # that Python rounds correctly; lgamma's rounding costs a few ulp.
+            if float(nu).is_integer() and nu <= _MAX_SERIES_DF:
+                n = int(nu)
+                ratio = math.prod(range(n - 1, 0, -2)) / math.prod(range(n - 2, 0, -2))
+                const = ratio / math.pi if n % 2 else 0.5 * ratio
+            else:
+                const = (math.exp(math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu))
+                         / math.sqrt(math.pi))
+            kernel = math.exp(-0.5 * (nu + 1.0) * math.log1p(z * z / nu))
+            return const / math.sqrt(nu) * kernel / self.scale
+        if z > 0.0:
             log_density = ((0.5 * nu - 1.0) * math.log(z) - 0.5 * z
                            - 0.5 * nu * math.log(2.0) - math.lgamma(0.5 * nu))
+        elif z == 0.0:
+            return (math.inf if nu < 2.0 else 0.5 if nu == 2.0 else 0.0) / self.scale
         else:
             return 0.0
         return math.exp(log_density) / self.scale
@@ -234,20 +250,16 @@ def gaussian(mean: float = 0.0, sd: float = 1.0) -> Law:
     return Law("norm", None, float(mean), float(sd))
 
 
-def student_t(df: float, loc: float = 0.0, scale: float = 1.0) -> Law:
-    """Student t law, shifted by ``loc`` and scaled by ``scale``; requires
-    df > 2 for a finite variance."""
+def student_t(df: float) -> Law:
+    """Student t law; requires df > 2 for a finite variance."""
     if not df > 2:
         raise ValueError("student t needs more than 2 degrees of freedom")
-    return Law("t", float(df), float(loc), float(scale))
+    return Law("t", float(df))
 
 
-def chi_squared(df: float, loc: float = 0.0, scale: float = 1.0) -> Law:
-    """Chi-squared law with df > 0 degrees of freedom, shifted by ``loc``
-    and scaled by ``scale``."""
-    if not df > 0:
-        raise ValueError("chi-squared needs positive degrees of freedom")
-    return Law("chi2", float(df), float(loc), float(scale))
+def chi_squared(df: float) -> Law:
+    """Chi-squared law with df > 0 degrees of freedom."""
+    return Law("chi2", float(df))
 
 
 def _law(dist) -> Law | None:
@@ -347,14 +359,6 @@ def _t_lower_tail(z: float, nu: int) -> float:
     return 0.5 * tail
 
 
-def _t_pdf(z: float, nu: int) -> float:
-    """Student t density: Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2)) is
-    (nu-1)!! / (nu-2)!! / pi for odd nu and half that ratio for even nu."""
-    ratio = math.prod(range(nu - 1, 0, -2)) / math.prod(range(nu - 2, 0, -2))
-    const = ratio / math.pi if nu % 2 else 0.5 * ratio
-    return const / math.sqrt(nu) * (nu / (nu + z * z)) ** (0.5 * (nu + 1))
-
-
 def _chi2_tails(x: float, k: int) -> tuple[float, float]:
     """(F_k(x), 1 - F_k(x)) of chi-squared with integer k degrees of
     freedom, x > 0.
@@ -382,20 +386,22 @@ def _chi2_tails(x: float, k: int) -> tuple[float, float]:
     return lower, 1.0 - lower
 
 
-def _standard_moment(family: str, nu: int, z: float, upper: bool) -> float:
-    """E[(Z - z)+] if ``upper``, else E[(z - Z)+], for the standard law Z."""
-    if family == "chi2":
+def _standard_moment(standard: Law, z: float, upper: bool) -> float:
+    """E[(Z - z)+] if ``upper``, else E[(z - Z)+], for the standard law Z
+    (loc 0, scale 1; integer degrees of freedom)."""
+    nu = None if standard.shape is None else int(standard.shape)
+    if standard.family == "chi2":
         if z <= 0.0:
             return nu - z if upper else 0.0
         (f_k, q_k), (f_wide, q_wide) = _chi2_tails(z, nu), _chi2_tails(z, nu + 2)
         return nu * q_wide - z * q_k if upper else z * f_k - nu * f_wide
     if upper:  # Z is symmetric
         z = -z
-    if family == "norm":
-        return z * _normal_cdf(z) + _normal_pdf(z)
+    if standard.family == "norm":
+        return z * _normal_cdf(z) + standard.pdf(z)
     tail = _t_lower_tail(z, nu)
     cdf = tail if z < 0.0 else 1.0 - tail
-    return z * cdf + (nu + z * z) / (nu - 1.0) * _t_pdf(z, nu)
+    return z * cdf + (nu + z * z) / (nu - 1.0) * standard.pdf(z)
 
 
 def _closed_form_moment(law):
@@ -420,14 +426,13 @@ def _closed_form_moment(law):
     if not isinstance(law, Law):
         return None
     nu = law.shape
-    if nu is not None:
-        if not (float(nu).is_integer() and nu <= _MAX_SERIES_DF):
-            return None
-        nu = int(nu)
+    if nu is not None and not (float(nu).is_integer() and nu <= _MAX_SERIES_DF):
+        return None
+    standard = Law(law.family, nu)
 
     def moment(theta: float, upper: bool) -> float:
         z = (theta - law.loc) / law.scale
-        return law.scale * _standard_moment(law.family, nu, z, upper)
+        return law.scale * _standard_moment(standard, z, upper)
 
     return moment
 
@@ -478,8 +483,10 @@ def distribution_expectile(dist, tau) -> float:
     chi-squared laws with integer degrees of freedom, whether given as a
     Law or as a scipy.stats law with any loc and scale, and by adaptive
     quadrature (scipy.integrate) for any other law.  The root is bracketed
-    by steps away from the mean and bisected down to adjacent floats;
-    tau = 0.5 gives the mean itself.
+    by steps away from the mean; a closed-form moment's bracket is bisected
+    down to adjacent floats, and a quadrature's is narrowed by Brent's
+    method (scipy.optimize) to a width of 1e-12, as quadrature is good to
+    a relative 1e-11 only.  tau = 0.5 gives the mean itself.
     """
     tau = validate_tau(tau)
     dist = _law(dist) or dist
@@ -488,7 +495,8 @@ def distribution_expectile(dist, tau) -> float:
         raise ValueError("distribution must have finite mean and variance")
     if tau == 0.5:
         return mean
-    moment = _closed_form_moment(dist) or _quadrature_moment(dist)
+    closed_form = _closed_form_moment(dist)
+    moment = closed_form or _quadrature_moment(dist)
     upper = tau > 0.5
     weight, direction = (1.0 - tau, 1.0) if upper else (tau, -1.0)
 
@@ -509,6 +517,13 @@ def distribution_expectile(dist, tau) -> float:
         if tries > 80:
             side = "right" if upper else "left"
             raise BracketFailureError(f"no sign change to the {side} of the mean")
+    if closed_form is None:
+        # Bisection would spend some 40 quadratures on halvings below the
+        # quadrature's own error; Brent's method needs about 10.
+        from scipy.optimize import brentq
+
+        return float(brentq(balance, min(inner, outer), max(inner, outer),
+                            xtol=1e-12, rtol=8.9e-16))
     while (mid := 0.5 * (inner + outer)) not in (inner, outer):
         f_mid = balance(mid)
         if direction * f_mid > 0.0:

@@ -240,9 +240,9 @@ def test_closed_forms_are_within_4_ulp_of_mpmath(dist):
 
 @pytest.mark.parametrize("scipy_law, law", [
     (stats.norm(1.5, 2.0), erfe.gaussian(1.5, 2.0)),
-    (stats.t(3, -1.0, 0.5), erfe.student_t(3, loc=-1.0, scale=0.5)),
-    (stats.t(5.0, loc=2.0, scale=3.0), erfe.student_t(5, loc=2.0, scale=3.0)),
-    (stats.chi2(4.0, loc=2.0, scale=3.0), erfe.chi_squared(4, loc=2.0, scale=3.0)),
+    (stats.t(3, -1.0, 0.5), erfe.Law("t", 3.0, -1.0, 0.5)),
+    (stats.t(5.0, loc=2.0, scale=3.0), erfe.Law("t", 5.0, 2.0, 3.0)),
+    (stats.chi2(4.0, loc=2.0, scale=3.0), erfe.Law("chi2", 4.0, 2.0, 3.0)),
 ], ids=["gaussian", "t3", "t5", "chi2_4"])
 def test_scipy_laws_with_integer_df_take_the_same_closed_form(scipy_law, law):
     for tau in (0.01, 0.3, 0.5, 0.8, 0.99):
@@ -251,7 +251,7 @@ def test_scipy_laws_with_integer_df_take_the_same_closed_form(scipy_law, law):
 
 
 def test_fractional_df_takes_quadrature():
-    law = erfe.student_t(3.5, loc=1.0, scale=2.0)
+    law = erfe.Law("t", 3.5, 1.0, 2.0)
     assert erfe.expectiles._closed_form_moment(law) is None
     theta = erfe.distribution_expectile(law, 0.9)
     reference = oracles.two_moment_distribution_expectile(stats.t(3.5, 1.0, 2.0), 0.9)
@@ -283,6 +283,20 @@ def test_other_laws_take_quadrature(monkeypatch):
     assert calls
     monkeypatch.undo()
     assert abs(theta - oracles.two_moment_distribution_expectile(gamma, 0.8)) <= 1e-10
+
+
+@pytest.mark.parametrize("family", ["t", "chi2"])
+@pytest.mark.parametrize("shape", [0.0, -1.0, math.nan])
+def test_law_rejects_nonpositive_degrees_of_freedom(family, shape):
+    with pytest.raises(ValueError, match="needs positive degrees of freedom"):
+        erfe.Law(family, shape)
+
+
+@pytest.mark.parametrize("df", [1.0, 2.0, 3.0, 4.5])
+def test_chi_squared_density_at_the_edge_of_its_support_is_scipys(df):
+    law, scipy_law = erfe.Law("chi2", df, 1.0, 2.0), stats.chi2(df, 1.0, 2.0)
+    for y in (0.0, 1.0, 1.5):
+        assert law.pdf(y) == pytest.approx(float(scipy_law.pdf(y)), rel=1e-13), y
 
 
 def test_student_t_low_df_rejected():
