@@ -26,6 +26,7 @@ from .estimator import (
     StackFit,
     concentrated_system,
     fit_design,
+    fit_slices,
 )
 from .expectiles import normal_quantile
 from .linalg import spd_inverse
@@ -155,9 +156,9 @@ def sandwich_stack(stack: PanelStack, fit: StackFit):
               for name in ("d0_hat", "d1_hat", "vc")}
     fields["se"] = np.full((stack.size, q * p), np.nan)
     errors = [list(row) for row in fit.errors]
-    for k, n in [(0, q)] if fit.joint else [(k, 1) for k in range(q)]:
-        points, rows = slice(k, k + n), slice(k * p, (k + n) * p)
-        idx = np.flatnonzero([row[k] is None for row in fit.errors])
+    for points in fit_slices(q, fit.joint):
+        n, rows = points.stop - points.start, slice(points.start * p, points.stop * p)
+        idx = np.flatnonzero([row[points.start] is None for row in fit.errors])
         part, part_errors = _assemble(stack, idx, fit.residuals_star[:, points],
                                       fit.taus[points], fit.v[points])
         for name in ("d0_hat", "d1_hat", "vc"):

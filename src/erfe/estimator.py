@@ -87,6 +87,7 @@ __all__ = [
     "fit_design",
     "fit_erfe_multi",
     "fit_erfe_single",
+    "fit_slices",
     "fit_stack",
     "recover_fixed_effects",
     "within_ols",
@@ -149,6 +150,12 @@ class StackFit:
     residuals_star: np.ndarray
     iterations: np.ndarray
     errors: tuple
+
+
+def fit_slices(q: int, joint: bool) -> list[slice]:
+    """The points of each fit among ``q`` asymmetric points: all of them in
+    one joint fit, or one point per fit."""
+    return [slice(0, q)] if joint else [slice(k, k + 1) for k in range(q)]
 
 
 def _screen(stack: PanelStack) -> list:
@@ -371,8 +378,8 @@ def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
     screened = _screen(stack)
     start_betas, start_resid = _within_round(stack, screened)
     parts, errors = [], [[] for _ in range(stack.size)]
-    for k, n in [(0, q)] if joint else [(k, 1) for k in range(q)]:
-        points, group = slice(k, k + n), list(screened)
+    for points in fit_slices(q, joint):
+        n, group = points.stop - points.start, list(screened)
         # Each fit gets its start as new arrays that only its rounds hold, so
         # each copy is freed once the first round replaces it.
         betas, resid, rounds, converged = _irls(

@@ -159,16 +159,18 @@ def _weighted_lstsq(X, y, w, iteration=None):
     return spd_solve(X.T @ wX, wX.T @ y, iteration=iteration)
 
 
-# The closed forms below, and the t density's exact constant, take Student t
-# and chi-squared laws with integer degrees of freedom up to this bound:
-# their series and products have about df / 2 terms, and the chi-squared
-# series' first term, exp(-x/2), underflows past x = 1490, so the lower tail
-# below the mean needs df well under that.
+# The closed forms below take Student t and chi-squared laws with integer
+# degrees of freedom up to this bound: their series and products have about
+# df / 2 terms, and the chi-squared series' first term, exp(-x/2),
+# underflows past x = 1490, so the lower tail below the mean needs df well
+# under that.
 _MAX_SERIES_DF = 1000
 # sqrt(1/2) as an unevaluated sum of two doubles, 2 / sqrt(pi), 1 / sqrt(2 pi).
 _SQRT_HALF = (0.7071067811865476, -4.833646656726457e-17)
 _TWO_OVER_SQRT_PI = 1.1283791670955126
 _INV_SQRT_2PI = 0.3989422804014327
+# pi to 60 digits, for the Student t moment's decimal arithmetic.
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494"
 
 
 @dataclass(frozen=True)
@@ -221,16 +223,8 @@ class Law:
         if self.family == "norm":
             return _normal_pdf(z) / self.scale
         if self.family == "t":
-            # Gamma((nu+1)/2) / (sqrt(pi) Gamma(nu/2)) is (nu-1)!! / (nu-2)!! / pi
-            # for odd nu and half that ratio for even nu, a ratio of integers
-            # that Python rounds correctly; lgamma's rounding costs a few ulp.
-            if float(nu).is_integer() and nu <= _MAX_SERIES_DF:
-                n = int(nu)
-                ratio = math.prod(range(n - 1, 0, -2)) / math.prod(range(n - 2, 0, -2))
-                const = ratio / math.pi if n % 2 else 0.5 * ratio
-            else:
-                const = (math.exp(math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu))
-                         / math.sqrt(math.pi))
+            const = (math.exp(math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu))
+                     / math.sqrt(math.pi))
             kernel = math.exp(-0.5 * (nu + 1.0) * math.log1p(z * z / nu))
             return const / math.sqrt(nu) * kernel / self.scale
         if z > 0.0:
@@ -328,35 +322,67 @@ def normal_quantile(prob: float) -> float:
     return x - residual / _normal_pdf(x)
 
 
-def _t_lower_tail(z: float, nu: int) -> float:
-    """F(-|z|) of Student t with integer nu degrees of freedom.
+def _t_lower_moment(z: float, nu: int) -> float:
+    """E[(z - Z)+] = z F(z) + (nu + z^2) / (nu - 1) f(z) for Z Student t
+    with integer nu > 1 degrees of freedom.
 
     With x = cos^2 theta = nu / (nu + z^2) and s = sin theta, A&S 26.7.3-4
     write 2 F(-|z|) = 1 - A as 1 - s sum_{j<J} c_j x^j (even nu, J = nu/2,
     c_j = (1/2)_j / j!) or (2/pi) atan(sqrt(nu) / |z|) - (2/pi) s sqrt(x)
     sum_{j<J} d_j x^j (odd nu, J = (nu-1)/2, d_j = (2j)!! / (2j+1)!!).
     The full series sum to 1, so 1 - A is also the series continued from
-    j = J, a sum of positive terms.  That sum is taken where the finite
-    form falls below 1/4, so loses more than two bits, unless x > 0.9,
-    where the series converges too slowly.
+    j = J, a sum of positive terms.  The continued series is taken only
+    where 1 - A < 1e-25; there x < 0.9 for every nu up to
+    ``_MAX_SERIES_DF``, so it converges quickly.
+
+    All of it is evaluated in 50-digit decimal arithmetic and rounded once.
+    In doubles, the rounding of x, raised to powers up to J, and the
+    cancellations in 1 - A and in the moment itself put expectiles up to
+    a thousand ulp off at 1000 degrees of freedom.
     """
-    odd = nu % 2
-    r = nu + z * z
-    x, s = nu / r, abs(z) / math.sqrt(r)
-    term = 2.0 / math.pi * s * math.sqrt(x) if odd else s
-    head = 0.0
-    for j in range((nu - odd) // 2):
-        head += term
-        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
-    whole = 2.0 / math.pi * math.atan2(math.sqrt(nu), abs(z)) if odd else 1.0
-    if whole - head >= 0.25 or x > 0.9:
-        return 0.5 * (whole - head)
-    tail, j = 0.0, (nu - odd) // 2
-    while term > 1e-18 * tail:
-        tail += term
-        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
-        j += 1
-    return 0.5 * tail
+    # Imported here: only Student t laws take this moment.
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        odd = nu % 2
+        pi, z, root_nu = Decimal(_PI_DIGITS), Decimal(z), Decimal(nu).sqrt()
+        r = nu + z * z
+        x, s = nu / r, abs(z) / r.sqrt()
+        term = 2 / pi * s * x.sqrt() if odd else s
+        head = 0
+        for j in range((nu - odd) // 2):
+            head += term
+            term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+        whole = 1 - 2 / pi * _decimal_atan(abs(z) / root_nu) if odd else 1
+        tail, j = whole - head, (nu - odd) // 2
+        if tail < Decimal("1e-25"):
+            tail = 0
+            while tail + term != tail:
+                tail += term
+                term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+                j += 1
+        cdf = tail / 2 if z < 0 else 1 - tail / 2
+        # Gamma((nu+1)/2) / (sqrt(pi) Gamma(nu/2)) = (nu-1)!! / (nu-2)!! / (pi or 2).
+        ratio = Decimal(math.prod(range(nu - 1, 0, -2))) / math.prod(range(nu - 2, 0, -2))
+        const = ratio / (pi if odd else 2)
+        density = const / root_nu * ((nu + 1) * (r / nu).ln() / -2).exp()
+        return float(z * cdf + r / (nu - 1) * density)
+
+
+def _decimal_atan(u):
+    """atan(u) of a non-negative Decimal, to the context's precision: the
+    angle is halved, atan(u) = 2 atan(u / (1 + sqrt(1 + u^2))), until
+    u <= 1/20, and the Taylor series is summed until it stops changing."""
+    halvings = 0
+    while 20 * u > 1:
+        u /= 1 + (1 + u * u).sqrt()
+        halvings += 1
+    total, power, k = 0, u, 1
+    while total + power / k != total:
+        total += power / k
+        power, k = -power * u * u, k + 2
+    return total * 2 ** halvings
 
 
 def _chi2_tails(x: float, k: int) -> tuple[float, float]:
@@ -399,9 +425,7 @@ def _standard_moment(standard: Law, z: float, upper: bool) -> float:
         z = -z
     if standard.family == "norm":
         return z * _normal_cdf(z) + standard.pdf(z)
-    tail = _t_lower_tail(z, nu)
-    cdf = tail if z < 0.0 else 1.0 - tail
-    return z * cdf + (nu + z * z) / (nu - 1.0) * standard.pdf(z)
+    return _t_lower_moment(z, nu)
 
 
 def _closed_form_moment(law):

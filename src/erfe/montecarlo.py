@@ -95,7 +95,6 @@ class SimulationConfig:
     x2_subject_share: float = 0.5
     alpha_x2_corr: float = 0.5
     joint: bool = False
-    budget: int | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 2 or self.replications < 1:
@@ -213,15 +212,6 @@ def generate_dgp(config: SimulationConfig, replication_index: int) -> tuple[Pane
     return panel, truth
 
 
-def _resolve_budget(config: SimulationConfig) -> int:
-    if config.budget is not None:
-        return int(config.budget)
-    env = os.environ.get(_BUDGET_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
-
-
 def _run_block(config: SimulationConfig, block: int):
     """Fit every asymmetric point on the panels of replications
     [block * BLOCK, (block + 1) * BLOCK), cut at the last replication.
@@ -255,11 +245,11 @@ def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetri
     replication order, so the output is identical for any worker count.
     """
     cost = config.n * config.m * config.replications
-    budget = _resolve_budget(config)
+    budget = int(os.environ.get(_BUDGET_ENV, DEFAULT_BUDGET))
     if cost > budget:
         raise BudgetExceededError(
             f"n*m*replications = {cost} exceeds budget {budget} "
-            f"(override via {_BUDGET_ENV} or SimulationConfig.budget)"
+            f"(override via {_BUDGET_ENV})"
         )
 
     blocks = range(-(-config.replications // BLOCK))

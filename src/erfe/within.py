@@ -2,10 +2,9 @@
 
 The fixed-effect projection is block diagonal in subjects, so applying it
 never requires an N x N matrix: each observation just has the weighted
-average of its own subject subtracted.  For one residual vector that is
-the subject's check-weighted mean; for q residual blocks (one per
-asymmetric point) it is one common subject average, pooling every block's
-check weights scaled by the influence weights, subtracted from all blocks.
+average of its own subject subtracted, the subject's check-weighted mean
+of one residual vector.  A joint fit's shared subject average is that of
+``estimator.concentrated_system``.
 
 The fits and the sandwich covariance never build a transformed copy of
 the data: the estimator concentrates the effects out of per-subject sums
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .panel import PanelData, check_weight, validate_tau, validate_v
+from .panel import PanelData, check_weight, validate_tau
 
 __all__ = [
     "SubjectWeights",
@@ -33,13 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubjectWeights:
-    """Normalized check weights of one residual vector or of q residual blocks.
+    """Normalized check weights of one residual vector.
 
-    ``normalized`` has the shape of the residuals, (N,) or (q, N), and
-    holds each observation's check weight (times its block's influence
-    weight) over its subject's total, so that summed over a subject's rows
-    of every block it is one; it is renormalized after the division so the
-    unit sums hold to machine precision.
+    ``normalized`` (N,) holds each observation's check weight over its
+    subject's total, so that summed over a subject's rows it is one; it is
+    renormalized after the division so the unit sums hold to machine
+    precision.  ``taus`` is the one asymmetric point, as a 1-tuple.
     """
 
     taus: tuple[float, ...]
@@ -48,17 +46,6 @@ class SubjectWeights:
 
 def _subject_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
     return np.bincount(panel.codes, weights=values, minlength=panel.n_subjects)
-
-
-def _block_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
-    """Per-subject sums of an N-vector, or over the rows of every block of
-    q blocks (q x N), accumulated from block 0 on."""
-    if values.ndim == 1:
-        return _subject_sums(values, panel)
-    total = _subject_sums(values[0], panel)
-    for block in values[1:]:
-        total += _subject_sums(block, panel)
-    return total
 
 
 def within_constant(panel) -> np.ndarray:
@@ -99,54 +86,38 @@ def weighted_subject_sums(rows, weights, codes, n_subjects: int):
     return sums, weighted
 
 
-def subject_weights(residuals, taus, panel: PanelData, v=None) -> SubjectWeights:
-    """Check weights of the residuals, normalized to unit sums per subject.
-
-    ``residuals`` is one N-vector with one asymmetric point ``taus``, or
-    q residual blocks (q x N) with q asymmetric points and the strictly
-    positive influence weights ``v`` (uniform by default); the blocks'
-    points may repeat.  Block weights pool every block of a subject.
-    """
-    blocks = np.asarray(residuals, dtype=float)
-    taus = tuple(validate_tau(t) for t in np.atleast_1d(taus))
-    q = len(taus)
-    expected = (panel.n_obs,) if blocks.ndim == 1 else (q, panel.n_obs)
-    if blocks.shape != expected or (blocks.ndim == 1 and q != 1):
+def subject_weights(residuals, tau, panel: PanelData) -> SubjectWeights:
+    """Check weights at ``tau`` of one residual N-vector, normalized to unit
+    sums per subject."""
+    resid = np.asarray(residuals, dtype=float)
+    tau = validate_tau(tau)
+    if resid.shape != (panel.n_obs,):
         raise ShapeMismatchError(
-            f"residuals {blocks.shape} for {q} asymmetric point(s) do not "
-            f"match a panel of {panel.n_obs} rows"
+            f"residuals {resid.shape} do not match a panel of {panel.n_obs} rows"
         )
-    psi = np.empty_like(blocks)
-    rows = psi.reshape(q, -1)
-    for row, r, tau in zip(rows, blocks.reshape(q, -1), taus):
-        row[:] = check_weight(r, tau)
-    if v is not None:
-        rows *= validate_v(v, q)[:, None]
-    psi /= _block_sums(psi, panel)[panel.codes]
-    psi /= _block_sums(psi, panel)[panel.codes]
-    return SubjectWeights(taus=taus, normalized=psi)
+    psi = check_weight(resid, tau)
+    psi /= _subject_sums(psi, panel)[panel.codes]
+    psi /= _subject_sums(psi, panel)[panel.codes]
+    return SubjectWeights(taus=(tau,), normalized=psi)
 
 
 def apply_within(values, weights: SubjectWeights, panel: PanelData):
     """Subtract each subject's weighted average from its observations.
 
-    With one-vector weights ``values`` is an N-vector or an N x p matrix;
-    with block weights it is q blocks of either, (q, N) or (q, N, p), and
-    the one pooled subject average is subtracted from every block.  Works
-    column by column; linear in the input, idempotent for fixed weights,
-    and exactly annihilates anything constant within each subject (and
-    replicated across the blocks).
+    ``values`` is an N-vector or an N x p matrix, worked on column by
+    column.  Linear in the input, idempotent for fixed weights, and exactly
+    annihilates anything constant within each subject.
     """
     u = np.asarray(values, dtype=float)
     w = weights.normalized
-    if u.shape[:w.ndim] != w.shape or u.ndim > w.ndim + 1:
+    if u.shape[:1] != w.shape or u.ndim > 2:
         raise ShapeMismatchError(
             f"input {u.shape} does not match within weights {w.shape} "
             "(with an optional trailing column axis)"
         )
-    columns = u[..., None] if u.ndim == w.ndim else u
+    columns = u[:, None] if u.ndim == 1 else u
     out = np.empty_like(columns)
-    for j in range(columns.shape[-1]):
-        col = columns[..., j]
-        out[..., j] = col - _block_sums(w * col, panel)[panel.codes]
+    for j in range(columns.shape[1]):
+        col = columns[:, j]
+        out[:, j] = col - _subject_sums(w * col, panel)[panel.codes]
     return out.reshape(u.shape)

@@ -173,6 +173,15 @@ def dense_pooled_matrices(codes, n_subjects, psi_blocks, v):
     return verbatim, shared
 
 
+def joint_fit_projections(panel, fit):
+    """Both dense readings of ``dense_pooled_matrices`` at the check weights
+    of a joint fit's final residual blocks, and the stacked blocks
+    y - X beta_k they apply to, as (verbatim, shared, raw)."""
+    psis = np.vstack([psi_ref(r, tau) for r, tau in zip(fit.residuals_star, fit.taus)])
+    verbatim, shared = dense_pooled_matrices(panel.codes, panel.n_subjects, psis, fit.v)
+    raw = (panel.y[None, :] - fit.betas @ panel.X.T).reshape(-1)
+    return verbatim, shared, raw
+
 # ---------------------------------------------------------------------
 # Textbook clustered within-OLS (demean, solve, cluster the scores).
 # ---------------------------------------------------------------------

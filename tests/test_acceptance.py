@@ -99,7 +99,8 @@ def test_criterion_02_full_parameter_oracle_equivalence():
 
 
 def test_criterion_03_dense_projection_oracle():
-    """O(N) transforms match dense projection matrices to 1e-10."""
+    """O(N) transform and joint residual blocks match dense projection
+    matrices to 1e-10."""
     rng = np.random.default_rng(31415)
     worst = 0.0
     for n in (2, 3):
@@ -113,18 +114,15 @@ def test_criterion_03_dense_projection_oracle():
                 probe = rng.standard_normal(panel.n_obs)
                 worst = max(worst, float(np.max(np.abs(
                     M @ probe - apply_within(probe, sw, panel)))))
-            for q in (1, 2):
-                taus = (0.3, 0.7)[:q]
-                v = np.ones(q)
-                blocks = rng.standard_normal((q, panel.n_obs))
-                psis = np.vstack([oracles.psi_ref(blocks[k], taus[k])
-                                  for k in range(q)])
-                dense, _ = oracles.dense_pooled_matrices(panel.codes, n, psis, v)
-                pw = subject_weights(blocks, taus, panel, v)
-                probe = rng.standard_normal((q, panel.n_obs))
-                impl = apply_within(probe, pw, panel).reshape(-1)
-                worst = max(worst, float(np.max(np.abs(
-                    dense @ probe.reshape(-1) - impl))))
+    # The joint fit's shared subject average, with uniform and with
+    # non-uniform influence weights.
+    for n, m in ((3, 3), (4, 5)):
+        panel, _, _ = oracles.random_panel(rng, n, m, 1)
+        for v in ((1.0, 1.0), (1.0, 3.0)):
+            fit = erfe.fit_erfe_multi(panel, (0.3, 0.7), v)
+            _, shared, raw = oracles.joint_fit_projections(panel, fit)
+            worst = max(worst, float(np.max(np.abs(
+                shared @ raw - fit.residuals_star.reshape(-1)))))
     _report("criterion-03", worst <= 1e-10, f"max |diff| = {worst:.2e}")
 
 
@@ -217,7 +215,8 @@ def test_criterion_08_expectile_engine_properties():
 
 
 def test_criterion_09_annihilation_and_idempotency():
-    """Subject constants map to zero; frozen-weight transforms idempotent."""
+    """Subject constants map to zero and leave joint slopes unchanged;
+    frozen-weight transforms idempotent."""
     rng = np.random.default_rng(909)
     worst_ann = 0.0
     worst_idem = 0.0
@@ -232,16 +231,17 @@ def test_criterion_09_annihilation_and_idempotency():
             once = apply_within(probe, sw, panel)
             worst_idem = max(worst_idem, float(np.max(np.abs(
                 apply_within(once, sw, panel) - once))))
-        taus = (0.25, 0.75)
-        blocks = rng.standard_normal((2, panel.n_obs))
-        pw = subject_weights(blocks, taus, panel, [1.0, 2.0])
-        rep = np.tile(const, (2, 1))
-        worst_ann = max(worst_ann, float(np.max(np.abs(
-            apply_within(rep, pw, panel)))))
-        probe = rng.standard_normal((2, panel.n_obs))
-        once = apply_within(probe, pw, panel)
-        worst_idem = max(worst_idem, float(np.max(np.abs(
-            apply_within(once, pw, panel) - once))))
+        # The joint fit: a subject constant added to y leaves its slopes
+        # unchanged, and its residual blocks are fixed by the projection.
+        fit = erfe.fit_erfe_multi(panel, (0.25, 0.75), (1.0, 2.0))
+        shifted = erfe.build_panel(
+            [(int(panel.subject_ids[i]), float(panel.y[i] + const[i]), panel.X[i])
+             for i in range(panel.n_obs)])
+        moved = erfe.fit_erfe_multi(shifted, (0.25, 0.75), (1.0, 2.0))
+        worst_ann = max(worst_ann, float(np.max(np.abs(moved.betas - fit.betas))))
+        _, shared, _ = oracles.joint_fit_projections(panel, fit)
+        blocks = fit.residuals_star.reshape(-1)
+        worst_idem = max(worst_idem, float(np.max(np.abs(shared @ blocks - blocks))))
     ok = worst_ann <= 1e-12 and worst_idem <= 1e-12
     _report("criterion-09", ok,
             f"annihilation {worst_ann:.1e}, idempotency {worst_idem:.1e}")

@@ -10,8 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["within_transform_mechanics.py",
-                                    "panel_fit.py"])
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_zero(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

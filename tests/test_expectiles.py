@@ -227,10 +227,12 @@ def test_one_moment_balance_matches_two_moment_form(dist):
         assert abs(theta - reference) <= 1e-10, (tau, theta, reference)
 
 
-@pytest.mark.parametrize("dist", ["gaussian", "t3", "chi2_3", "t5"])
+@pytest.mark.parametrize("dist", ["gaussian", "t3", "chi2_3", "t5", "t30", "t200", "t1000"])
 def test_closed_forms_are_within_4_ulp_of_mpmath(dist):
-    # t5 checks the t density's constant off the simulator's laws.
-    law, _, family, shape = _ERROR_LAWS.get(dist) or (erfe.student_t(5), None, "t", 5)
+    # The t laws off the simulator's check the t moment's density constant
+    # (t5) and its tail where x = df / (df + z^2) is close to 1 (t30 to t1000).
+    df = int(dist[1:]) if dist[0] == "t" else None
+    law, _, family, shape = _ERROR_LAWS.get(dist) or (erfe.student_t(df), None, "t", df)
     for tau in (0.001, 0.005, 0.01, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 0.99, 0.995,
                 0.999):
         theta = erfe.distribution_expectile(law, tau)

@@ -259,14 +259,9 @@ def test_failures_are_counted_by_cause_and_leave_neighbours_alone(monkeypatch, j
         assert np.array_equal(getattr(metrics, name)[~hit], getattr(clean, name)[~hit])
 
 
-def test_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        erfe.run_monte_carlo(_small_config(budget=10))
-
-
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("ERFE_MAX_BUDGET", "10")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="override via ERFE_MAX_BUDGET\\)"):
         erfe.run_monte_carlo(_small_config())
     monkeypatch.setenv("ERFE_MAX_BUDGET", "10000000")
     erfe.run_monte_carlo(_small_config(replications=2))

@@ -1,10 +1,11 @@
-"""Weighted within transforms, single and pooled, against dense oracles."""
+"""The weighted within transform, and the joint fit's shared subject
+average, against dense oracles."""
 
 import numpy as np
 import pytest
 
 import erfe
-from erfe.errors import ShapeMismatchError, WeightDimensionMismatchError
+from erfe.errors import ShapeMismatchError
 from erfe.within import apply_within, subject_weights
 
 import oracles
@@ -48,6 +49,10 @@ def test_residual_length_checked():
     panel = _toy_panel(rng)
     with pytest.raises(ShapeMismatchError):
         subject_weights(np.zeros(panel.n_obs + 1), 0.5, panel)
+    with pytest.raises(ShapeMismatchError):
+        subject_weights(np.zeros((2, panel.n_obs)), 0.5, panel)
+    with pytest.raises(ValueError, match="open interval"):
+        subject_weights(np.zeros(panel.n_obs), 1.0, panel)
 
 
 # ---------------------------------------------------------------------
@@ -147,145 +152,33 @@ def test_matches_dense_projector():
 
 
 # ---------------------------------------------------------------------
-# pooled transform
+# the joint fit's shared subject average
 # ---------------------------------------------------------------------
-
-def test_pooled_single_block_reduces_to_subject_weights():
-    rng = np.random.default_rng(31)
-    panel = _toy_panel(rng, p=2)
-    resid = rng.standard_normal(panel.n_obs)
-    pw = subject_weights(resid[None, :], (0.7,), panel, [1.0])
-    sw = subject_weights(resid, 0.7, panel)
-    assert np.array_equal(pw.normalized[0], sw.normalized)
-    v = rng.standard_normal(panel.n_obs)
-    pooled = apply_within(v[None, :], pw, panel)[0]
-    single = apply_within(v, sw, panel)
-    assert np.array_equal(pooled, single)
-    M = rng.standard_normal((panel.n_obs, 2))
-    assert np.array_equal(apply_within(M[None], pw, panel)[0],
-                          apply_within(M, sw, panel))
-
-
-def test_pooled_midpoint_any_v_is_demeaning():
-    rng = np.random.default_rng(32)
-    panel = _toy_panel(rng)
-    resid = rng.standard_normal((2, panel.n_obs))
-    pw = subject_weights(resid, (0.5, 0.5), panel, [0.25, 4.0])
-    y = rng.standard_normal(panel.n_obs)
-    rep = np.tile(y, (2, 1))
-    out = apply_within(rep, pw, panel)
-    means = np.bincount(panel.codes, weights=y) / panel.counts
-    expected = y - means[panel.codes]
-    for k in range(2):
-        assert np.max(np.abs(out[k] - expected)) <= 1e-12
-
-
-def test_pooled_annihilates_replicated_subject_constants():
-    rng = np.random.default_rng(33)
-    panel, _, _ = oracles.unbalanced_panel(rng, [3, 2, 4], p=1)
-    resid = rng.standard_normal((3, panel.n_obs))
-    pw = subject_weights(resid, (0.2, 0.5, 0.9), panel, [1.0, 2.0, 0.5])
-    const = rng.standard_normal(panel.n_subjects)[panel.codes]
-    rep = np.tile(const, (3, 1))
-    out = apply_within(rep, pw, panel)
-    assert np.max(np.abs(out)) <= 1e-12
-
-
-def test_pooled_normalizers_positive():
-    rng = np.random.default_rng(34)
-    panel = _toy_panel(rng)
-    resid = rng.standard_normal((2, panel.n_obs))
-    pw = subject_weights(resid, (0.1, 0.9), panel, [0.5, 0.5])
-    assert pw.normalized.shape == (2, panel.n_obs)
-    assert np.all(pw.normalized > 0)
-    sums = np.bincount(panel.codes, weights=pw.normalized.sum(axis=0))
-    assert np.max(np.abs(sums - 1.0)) <= 1e-15
-
-
-def test_pooled_weight_dimension_mismatch():
-    rng = np.random.default_rng(35)
-    panel = _toy_panel(rng)
-    resid = rng.standard_normal((2, panel.n_obs))
-    with pytest.raises(WeightDimensionMismatchError):
-        subject_weights(resid, (0.3, 0.7), panel, [1.0])
-    with pytest.raises(ValueError):
-        subject_weights(resid, (0.3, 0.7), panel, [1.0, -1.0])
-
-
-@pytest.mark.parametrize("weight", [np.nan, np.inf])
-def test_pooled_weights_must_be_finite(weight):
-    rng = np.random.default_rng(35)
-    panel = _toy_panel(rng)
-    resid = rng.standard_normal((2, panel.n_obs))
-    with pytest.raises(ValueError, match="strictly positive"):
-        subject_weights(resid, (0.3, 0.7), panel, [weight, 1.0])
-
-
-def test_pooled_shapes_checked():
-    rng = np.random.default_rng(40)
-    panel = _toy_panel(rng)
-    resid = rng.standard_normal((2, panel.n_obs))
-    with pytest.raises(ShapeMismatchError):
-        subject_weights(resid, (0.3, 0.5, 0.7), panel)
-    with pytest.raises(ShapeMismatchError):
-        subject_weights(resid[:, 1:], (0.3, 0.7), panel)
-    with pytest.raises(ShapeMismatchError):
-        subject_weights(resid[0], (0.3, 0.7), panel)
-    with pytest.raises(ValueError):
-        subject_weights(resid, (0.3, 1.0), panel)
-    pw = subject_weights(resid, (0.4, 0.4), panel)  # repeated taus are legal
-    with pytest.raises(ShapeMismatchError):
-        apply_within(rng.standard_normal(panel.n_obs), pw, panel)
-    with pytest.raises(ShapeMismatchError):
-        apply_within(rng.standard_normal((3, panel.n_obs)), pw, panel)
-    with pytest.raises(ShapeMismatchError):
-        apply_within(np.zeros((2, panel.n_obs, 2, 2)), pw, panel)
-
-
-def test_pooled_matches_dense_oracle_uniform_v():
-    # With equal influence weights the two published forms of the pooled
-    # annihilator coincide; the O(N) implementation must match them.
-    rng = np.random.default_rng(36)
-    for n, m, q in ((2, 3, 2), (3, 4, 2), (3, 2, 1)):
-        panel, _, _ = oracles.random_panel(rng, n, m, 1)
-        taus = (0.3, 0.7)[:q]
-        v = np.ones(q)
-        resid = rng.standard_normal((q, panel.n_obs))
-        psis = np.vstack([oracles.psi_ref(resid[k], taus[k]) for k in range(q)])
-        verbatim, shared = oracles.dense_pooled_matrices(panel.codes, n, psis, v)
-        assert np.max(np.abs(verbatim - shared)) <= 1e-12
-        pw = subject_weights(resid, taus, panel, v)
-        u = rng.standard_normal((q, panel.n_obs))
-        impl = apply_within(u, pw, panel).reshape(-1)
-        assert np.max(np.abs(verbatim @ u.reshape(-1) - impl)) <= 1e-10
-
 
 def test_pooled_dense_reading_discrepancy_recorded():
     """The two dense readings of the pooled annihilator disagree for
-    non-uniform influence weights.
+    non-uniform influence weights, and the joint fit follows the
+    shared-average one.
 
-    The implementation follows the shared-average form (leading factor is
-    the replicated incidence stack): it annihilates subject constants
-    replicated across blocks, which the influence-weighted leading factor
-    does not.  Both forms are idempotent.  This test records the
-    discrepancy explicitly rather than hiding it behind uniform weights.
+    In the shared form the leading factor is the replicated incidence
+    stack: it annihilates subject constants replicated across blocks,
+    which the influence-weighted leading factor does not.  Both forms are
+    idempotent, and they coincide for uniform weights.  This test records
+    the discrepancy explicitly rather than hiding it behind uniform
+    weights.
     """
     rng = np.random.default_rng(37)
     panel, _, _ = oracles.random_panel(rng, 3, 3, 1)
     taus = (0.3, 0.7)
     v = np.array([1.0, 3.0])
-    resid = rng.standard_normal((2, panel.n_obs))
-    psis = np.vstack([oracles.psi_ref(resid[k], taus[k]) for k in range(2)])
-    verbatim, shared = oracles.dense_pooled_matrices(panel.codes, 3, psis, v)
+    fit = erfe.fit_erfe_multi(panel, taus, v)
+    verbatim, shared, raw = oracles.joint_fit_projections(panel, fit)
 
-    pw = subject_weights(resid, taus, panel, v)
-    u = rng.standard_normal((2, panel.n_obs))
-    impl = apply_within(u, pw, panel).reshape(-1)
-
-    # implementation == shared-average reading, everywhere
-    assert np.max(np.abs(shared @ u.reshape(-1) - impl)) <= 1e-10
-    # the verbatim reading genuinely differs for this input
-    assert np.max(np.abs(verbatim @ u.reshape(-1) - impl)) > 1e-3
+    # the joint fit's residual blocks are the shared reading of y - X beta_k,
+    # and not the verbatim one
+    blocks = fit.residuals_star.reshape(-1)
+    assert np.max(np.abs(shared @ raw - blocks)) <= 1e-10
+    assert np.max(np.abs(verbatim @ raw - blocks)) > 1e-3
 
     # both dense forms are idempotent projections
     for M in (verbatim, shared):
@@ -297,25 +190,7 @@ def test_pooled_dense_reading_discrepancy_recorded():
     assert np.max(np.abs(shared @ rep)) <= 1e-10
     assert np.max(np.abs(verbatim @ rep)) > 1e-3
 
-
-def test_pooled_idempotent_with_frozen_weights():
-    rng = np.random.default_rng(38)
-    panel = _toy_panel(rng)
-    resid = rng.standard_normal((2, panel.n_obs))
-    pw = subject_weights(resid, (0.25, 0.75), panel, [1.0, 2.0])
-    u = rng.standard_normal((2, panel.n_obs))
-    once = apply_within(u, pw, panel)
-    twice = apply_within(once, pw, panel)
-    assert np.max(np.abs(twice - once)) <= 1e-12
-
-
-def test_pooled_matrix_blocks():
-    rng = np.random.default_rng(39)
-    panel = _toy_panel(rng, p=2)
-    resid = rng.standard_normal((2, panel.n_obs))
-    pw = subject_weights(resid, (0.4, 0.6), panel, [1.0, 1.0])
-    blocks = rng.standard_normal((2, panel.n_obs, 2))
-    out = apply_within(blocks, pw, panel)
-    for j in range(2):
-        expected = apply_within(blocks[:, :, j], pw, panel)
-        assert np.array_equal(out[:, :, j], expected)
+    # with equal influence weights the two readings coincide
+    psis = np.vstack([oracles.psi_ref(r, tau) for r, tau in zip(fit.residuals_star, taus)])
+    uniform, same = oracles.dense_pooled_matrices(panel.codes, 3, psis, np.ones(2))
+    assert np.max(np.abs(uniform - same)) <= 1e-12
