@@ -39,11 +39,11 @@ def main():
     residuals[:m] = [-1.2, 0.8, -0.3, 1.5, 0.1]
     sw9 = subject_weights(residuals, 0.9, panel)
     for j in range(m):
-        w = sw9.normalized[j]
+        w = sw9[j]
         r = residuals[j]
         print(f"  subject 0, row {j}: residual {r:+.3f} -> weight {w:.3f}")
     print(f"  subject sums of the weights: "
-          f"{np.bincount(panel.codes, weights=sw9.normalized)}")
+          f"{np.bincount(panel.codes, weights=sw9)}")
 
     print("\nSubject constants are annihilated regardless of the weights:")
     const = alpha[panel.codes]

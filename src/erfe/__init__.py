@@ -68,7 +68,7 @@ from .panel import (
     validate_tau,
     validate_taus,
 )
-from .within import SubjectWeights, apply_within, subject_weights
+from .within import apply_within, subject_weights
 
 __version__ = "0.1.0"
 
@@ -96,7 +96,6 @@ __all__ = [
     "SingletonSubjectError",
     "SingularBreadError",
     "SingularGramError",
-    "SubjectWeights",
     "WeightDimensionMismatchError",
     "apply_within",
     "asymmetric_loss",

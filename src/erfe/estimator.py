@@ -73,7 +73,6 @@ from .panel import (
     validate_v,
 )
 from .within import (
-    SubjectWeights,
     subject_weights,
     weighted_subject_sums,
     within_constant,
@@ -315,8 +314,7 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, config: IrlsConfig,
 
 def _single_result(panel: PanelData, tau, beta, resid, iterations,
                    converged) -> FitResult:
-    alpha = recover_fixed_effects(panel, beta, tau,
-                                  subject_weights(resid, tau, panel))
+    alpha = recover_fixed_effects(panel, beta, subject_weights(resid, tau, panel))
     objective = float(np.sum(asymmetric_loss(
         panel.y - panel.X @ beta - alpha[panel.codes], tau)))
     return FitResult(tau=tau, beta=beta, alpha=alpha, residuals_star=resid,
@@ -339,16 +337,15 @@ def within_ols(panel: PanelData) -> FitResult:
     return _single_result(panel, 0.5, betas[0, 0], resid[0, 0], 0, True)
 
 
-def recover_fixed_effects(panel: PanelData, beta, tau, weights: SubjectWeights):
+def recover_fixed_effects(panel: PanelData, beta, weights):
     """Subject effects implied by fitted slopes and final check weights.
 
     Each effect is the weighted subject average of y - X beta, with the
-    normalized check weights of the converged fit; at tau = 0.5 this is
-    the plain subject mean of the residuals.
+    normalized check weights of the converged fit (``subject_weights``);
+    at tau = 0.5 this is the plain subject mean of the residuals.
     """
-    validate_tau(tau)
     raw = panel.y - panel.X @ np.asarray(beta, dtype=float)
-    return np.bincount(panel.codes, weights=weights.normalized * raw,
+    return np.bincount(panel.codes, weights=weights * raw,
                        minlength=panel.n_subjects)
 
 

@@ -64,6 +64,18 @@ ERROR_LAWS = {
 }
 # Names of the two regressors of every generated panel.
 _REGRESSORS = ("x1", "x2")
+# The design: true slopes of x1 and x2; x1 noncentral t with _X1_DF degrees
+# of freedom and noncentrality _X1_NONCENTRALITY; x2 normal with mean
+# _X2_MEAN and standard deviation _X2_SD, a share _X2_SUBJECT_SHARE of its
+# variance subject-level; corr(alpha, x2) = _ALPHA_X2_CORR.
+_BETA1 = 0.6
+_BETA2 = 1.0
+_X1_DF = 3.0
+_X1_NONCENTRALITY = 1.3
+_X2_MEAN = 2.0
+_X2_SD = 1.5
+_X2_SUBJECT_SHARE = 0.5
+_ALPHA_X2_CORR = 0.5
 
 
 @dataclass(frozen=True)
@@ -72,11 +84,11 @@ class SimulationConfig:
 
     gamma = 0 gives the location-shift (homoskedastic) design; gamma > 0
     makes the error scale grow with the second regressor, so that slope's
-    true value varies with the asymmetric point.  The regressor and
-    correlation parameters are overridable but default to the benchmark
-    design: x1 noncentral-t (3 df, noncentrality 1.3), x2 normal with mean
-    2 and standard deviation 1.5 split evenly between a subject-level and
-    an idiosyncratic component, corr(alpha, x2) = 0.5.
+    true value varies with the asymmetric point.  The regressors and
+    slopes are those of the paper's design: x1 noncentral-t (3 df,
+    noncentrality 1.3), x2 normal with mean 2 and standard deviation 1.5
+    split evenly between a subject-level and an idiosyncratic component,
+    corr(alpha, x2) = 0.5, and slopes 0.6 and 1.0.
     """
 
     n: int = 100
@@ -86,14 +98,6 @@ class SimulationConfig:
     taus: tuple[float, ...] = (0.1, 0.3, 0.5, 0.8, 0.9)
     replications: int = 400
     seed: int = 0
-    beta1: float = 0.6
-    beta2: float = 1.0
-    x1_df: float = 3.0
-    x1_noncentrality: float = 1.3
-    x2_mean: float = 2.0
-    x2_sd: float = 1.5
-    x2_subject_share: float = 0.5
-    alpha_x2_corr: float = 0.5
     joint: bool = False
 
     def __post_init__(self):
@@ -101,16 +105,9 @@ class SimulationConfig:
             raise ValueError("need n >= 1, m >= 2, replications >= 1")
         if self.error_dist not in ERROR_LAWS:
             raise ValueError(f"error_dist must be one of {tuple(ERROR_LAWS)}")
-        if not 0.0 < self.x2_subject_share < 1.0:
-            raise ValueError("x2_subject_share must lie in (0, 1)")
         validate_taus(self.taus)
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        loading = self.alpha_x2_corr / np.sqrt(self.x2_subject_share)
-        if not -1.0 <= loading <= 1.0:
-            raise ValueError(
-                "alpha_x2_corr is not attainable with this subject share"
-            )
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ def true_coefficients(tau, config: SimulationConfig) -> tuple[float, float]:
     shift = 0.0
     if config.gamma != 0.0:
         shift = config.gamma * _error_expectile(config.error_dist, float(tau))
-    return config.beta1, config.beta2 + shift
+    return _BETA1, _BETA2 + shift
 
 
 def generate_dgp(config: SimulationConfig, replication_index: int) -> tuple[PanelData, DgpTruth]:
@@ -186,29 +183,27 @@ def generate_dgp(config: SimulationConfig, replication_index: int) -> tuple[Pane
     subject_factor = rng.standard_normal(n)
     alpha_noise = rng.standard_normal(n)
     t_numerator = rng.standard_normal(n_obs)
-    t_denominator = rng.chisquare(config.x1_df, n_obs)
+    t_denominator = rng.chisquare(_X1_DF, n_obs)
     idiosyncratic = rng.standard_normal(n_obs)
     errors = ERROR_LAWS[config.error_dist][0](rng, n_obs)
 
     # Noncentral t variate: (Z + nc) / sqrt(chi2_df / df).
-    x1 = (t_numerator + config.x1_noncentrality) / np.sqrt(
-        t_denominator / config.x1_df)
+    x1 = (t_numerator + _X1_NONCENTRALITY) / np.sqrt(t_denominator / _X1_DF)
 
-    share = config.x2_subject_share
+    share = _X2_SUBJECT_SHARE
     subject_part = np.repeat(subject_factor, m)
-    x2 = config.x2_mean + config.x2_sd * (
+    x2 = _X2_MEAN + _X2_SD * (
         np.sqrt(share) * subject_part + np.sqrt(1.0 - share) * idiosyncratic)
 
-    loading = config.alpha_x2_corr / np.sqrt(share)
+    loading = _ALPHA_X2_CORR / np.sqrt(share)
     alpha = 1.0 + loading * subject_factor + np.sqrt(1.0 - loading**2) * alpha_noise
 
-    y = (x1 * config.beta1 + x2 * config.beta2 + np.repeat(alpha, m)
+    y = (x1 * _BETA1 + x2 * _BETA2 + np.repeat(alpha, m)
          + (1.0 + config.gamma * x2) * errors)
 
     panel = _assemble_panel(
         np.repeat(np.arange(n), m), y, np.column_stack([x1, x2]), _REGRESSORS)
-    truth = DgpTruth(beta1=config.beta1, beta2=config.beta2,
-                     gamma=config.gamma, alpha=alpha)
+    truth = DgpTruth(beta1=_BETA1, beta2=_BETA2, gamma=config.gamma, alpha=alpha)
     return panel, truth
 
 

@@ -7,12 +7,16 @@ every projection downstream reduces to grouped sums over the codes, which
 keeps all transforms O(N).
 
 CSV input is UTF-8 text with a header row, ``,`` as the delimiter and
-``"`` as the quote character: a quoted field starts right after a
-delimiter or at the start of a line, may hold delimiters and doubled
-quotes (``""``), and ends on its own line.  There are no comment lines,
-empty lines are skipped, and numbers use ``.`` as the decimal separator.
-Each column is parsed once, by ``np.loadtxt``; a malformed line, a field
-that does not parse and a non-finite value are reported as ``path:line``.
+``"`` as the quote character, as in RFC 4180: a quoted field starts right
+after a delimiter or at the start of a line and may hold delimiters,
+doubled quotes (``""``) and line breaks, each read as "\\n".  Lines end in
+"\\n", "\\r\\n" or "\\r".  There are no comment lines, empty lines are
+skipped, and numbers use ``.`` as the decimal separator.  The file is
+parsed by one ``np.loadtxt`` call, made again only to widen a column of
+labels 16 or more characters long; a record with the wrong number of
+fields, a field that does not parse and a non-finite value are reported
+as ``path:line``, the physical line the record starts on, which is looked
+up only once the read has failed.
 
 Tables are written by ``write_table``, as CSV with "\\n" line endings and
 numbers in 17 significant digits, NaN as NA, or as the records of one
@@ -26,6 +30,7 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,12 +192,6 @@ class PanelData:
         vars(reduced)["demeaned"] = _freeze(self.demeaned[[*kept, -1]])
         return reduced
 
-    def groups(self) -> list[np.ndarray]:
-        """Row indices of each subject, in subject-code order."""
-        order = np.argsort(self.codes, kind="stable")
-        bounds = np.cumsum(self.counts)[:-1]
-        return np.split(order, bounds)
-
 
 @dataclass(frozen=True)
 class PanelStack:
@@ -350,7 +349,8 @@ def build_panel(records, column_names=None) -> PanelData:
 
 # np.loadtxt arguments for the accepted CSV dialect (see the module docstring).
 _DIALECT = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8")
-_SCAN_BLOCK = 1 << 22
+# Characters of a label column's first read (see ``_read_table``).
+_LABEL_WIDTH = 16
 
 
 def format_number(value) -> str:
@@ -407,12 +407,14 @@ def write_table(fh, header, columns, fmt: str = "csv"):
     (_write_json if fmt == "json" else _write_csv)(fh, header, columns)
 
 
-def _read_header(path) -> list[str]:
+def _read_header(path) -> tuple[list[str], int]:
+    """The header's fields, stripped, and the number of lines it spans."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), None)
+        reader = csv.reader(fh)
+        header = next(reader, None)
     if header is None:
         raise EmptyInputError(f"{path}: file is empty")
-    return [h.strip() for h in header]
+    return [h.strip() for h in header], reader.line_num
 
 
 def _column_index(path, header, name) -> int:
@@ -421,129 +423,121 @@ def _column_index(path, header, name) -> int:
     return header.index(name)
 
 
-def _scan(path, n_fields, label_col):
-    """Line numbers of the data lines, and the widest ``label_col`` field in bytes.
+def _row_dtype(n_fields, float_cols, label_col, width) -> np.dtype:
+    """The np.loadtxt dtype of a data row: one field per column, so that a
+    row with too few or too many fields is rejected.
 
-    Fields are counted per line from the raw bytes: delimiters on lines
-    without a quote, the csv module on the few lines with one.  A line with
-    too few or too many fields raises RaggedRowError; np.loadtxt alone would
-    silently drop the extra fields of a long line.  The width bounds the
-    characters of every field of ``label_col`` (a whole line's bytes where
-    quotes hide which delimiters are real), so a str column of that width
-    loses nothing.
+    Field ``f{j}`` reads column j.  Columns ``float_cols`` are floats laid
+    side by side from offset 0, in that order, so that together they read
+    as one (rows, k) block; ``label_col``, when not None, is str of
+    ``width`` characters after them; every other column is a zero-width str.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    raw = np.frombuffer(data, dtype=np.uint8)
-    # Positions of every line break and delimiter, between sentinels for the
-    # start and the end of the file; blocks keep the byte masks in cache.
-    # Positions are int32 below 2 GiB, which halves the largest arrays here.
-    index = np.int32 if raw.size < 2**31 else np.int64
-    parts = [np.array([-1], dtype=index)]
-    for at in range(0, raw.size, _SCAN_BLOCK):
-        block = raw[at:at + _SCAN_BLOCK]
-        hits = np.flatnonzero((block == ord("\n")) | (block == ord(",")))
-        parts.append(hits.astype(index) + at)
-    parts.append(np.array([raw.size], dtype=index))
-    seps = np.concatenate(parts)
-    del parts
-    bounds = np.concatenate(
-        ([0], np.flatnonzero(raw[seps[1:-1]] == ord("\n")) + 1, [seps.size - 1]),
-        dtype=index)
-    starts = seps[bounds[:-1]] + 1
-    ends = seps[bounds[1:]]
-    ends -= (ends > starts) & (raw[np.maximum(ends - 1, 0)] == ord("\r"))
-    fields = np.diff(bounds)
-
-    quoted = np.zeros(starts.size, dtype=bool)
-    if data.find(b'"') >= 0:
-        quotes = np.flatnonzero(raw == ord('"'))
-        quoted[np.searchsorted(starts, quotes, side="right") - 1] = True
-        fields[quoted] = [
-            len(next(csv.reader([data[a:b].decode("utf-8")])))
-            for a, b in zip(starts[quoted].tolist(), ends[quoted].tolist())
-        ]
-
-    rows = np.flatnonzero(ends[1:] > starts[1:]) + 1
-    ragged = rows[fields[rows] != n_fields]
-    if ragged.size:
-        i = ragged[0]
-        raise RaggedRowError(
-            f"{path}:{i + 1}: {fields[i]} fields, expected {n_fields}"
-        )
-    if not rows.size:
-        raise EmptyInputError(f"{path}: no data rows")
-    if label_col is None:
-        return rows + 1, 0
-
-    left = bounds[rows] + label_col
-    width = np.where(quoted[rows], ends[rows] - starts[rows],
-                     seps[left + 1] - seps[left] - 1)
-    return rows + 1, max(1, int(width.max()))
+    k = len(float_cols)
+    fields = {j: (float, 8 * i) for i, j in enumerate(float_cols)}
+    if label_col is not None:
+        fields[label_col] = (f"<U{width}", 8 * k)
+    formats, offsets = zip(*(fields.get(j, ("<U0", 0)) for j in range(n_fields)))
+    return np.dtype({"names": [f"f{j}" for j in range(n_fields)], "formats": formats,
+                     "offsets": offsets, "itemsize": 8 * k + 4 * width})
 
 
-def _parses(lines, usecols) -> bool:
-    try:
-        np.loadtxt(lines, usecols=usecols, **_DIALECT)
-    except ValueError:
-        return False
-    return True
-
-
-def _parse_error(path, header, usecols, lines) -> ValueError:
-    """The error for the first data line whose ``usecols`` np.loadtxt rejects.
-
-    Runs only after a parse failed: bisects the data lines with np.loadtxt
-    itself, so the line it names is the one the parser rejected.
-    """
+def _data_records(path):
+    """The start line (1-based, physical) and the fields of each non-blank
+    data record, as the csv module splits them, and the record's text."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read().split("\n")
-    rows = [text[line - 1] for line in lines.tolist()]
-    lo, hi = 0, len(rows)
-    while hi - lo > 1:  # rows[lo:hi] holds the first unparsable line
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    next(reader, None)
+    records, start = [], reader.line_num
+    for fields in reader:
+        if fields:
+            records.append((start + 1, fields, "".join(lines[start:reader.line_num])))
+        start = reader.line_num
+    return records
+
+
+def _read_error(path, header, float_cols, message) -> ValueError:
+    """The error for the first bad data record, after np.loadtxt rejected
+    the file with ``message``.
+
+    A record with the wrong number of fields comes first, wherever it is.
+    Otherwise the records are bisected with np.loadtxt itself, so the line
+    named is that of the first record the parser rejects.
+    """
+    records = _data_records(path)
+    for line, fields, _ in records:
+        if len(fields) != len(header):
+            return RaggedRowError(
+                f"{path}:{line}: {len(fields)} fields, expected {len(header)}")
+
+    def parses(lo, hi, usecols):
+        try:
+            np.loadtxt([text for _, _, text in records[lo:hi]], usecols=usecols,
+                       **_DIALECT)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 0, len(records)
+    if not records or parses(lo, hi, float_cols):
+        return ValueError(f"{path}: {message}")
+    while hi - lo > 1:  # records[lo:hi] holds the first unparsable record
         mid = (lo + hi) // 2
-        if _parses(rows[lo:mid], usecols):
+        if parses(lo, mid, float_cols):
             lo = mid
         else:
             hi = mid
-    fields = next(csv.reader([rows[lo].rstrip("\r")]))
-    for j in usecols:
-        if not _parses(rows[lo:hi], [j]):
-            return ValueError(f"{path}:{lines[lo]}: column {header[j]!r}: "
+    line, fields, text = records[lo]
+    for j in float_cols:
+        if not parses(lo, hi, [j]):
+            return ValueError(f"{path}:{line}: column {header[j]!r}: "
                               f"cannot parse {fields[j]!r} as a number")
-    return ValueError(f"{path}:{lines[lo]}: cannot parse {rows[lo]!r}")
+    return ValueError(f"{path}:{line}: cannot parse {text!r}")
 
 
-def _read_table(path, header, float_cols, label_col=None):
-    """Columns ``float_cols`` of the data lines as floats, shape (rows, k),
-    and column ``label_col`` as str (None when not asked for), in one pass.
+def _read_table(path, header, skiprows, float_cols, label_col=None):
+    """Columns ``float_cols`` of the data rows, after the ``skiprows`` lines
+    of the header, as floats, shape (rows, k), and column ``label_col`` as
+    str (None when not asked for).
+
+    One np.loadtxt call reads the file.  Labels are read ``_LABEL_WIDTH``
+    characters wide, as np.loadtxt cuts a longer one short: while a label
+    fills the width, the same call is made again four times as wide.  Line
+    numbers are looked up only to report an error.
     """
-    lines, width = _scan(path, len(header), label_col)
-    dtype = [("v", float, (len(float_cols),))]
-    usecols = list(float_cols)
-    if label_col is not None:
-        dtype.insert(0, ("s", f"<U{width}"))
-        usecols.insert(0, label_col)
-    try:
-        table = np.loadtxt(path, dtype=dtype, usecols=usecols, skiprows=1,
-                           ndmin=1, **_DIALECT)
-    except ValueError:
-        raise _parse_error(path, header, float_cols, lines) from None
-    if table.shape[0] != lines.size:
-        raise ValueError(f"{path}: {lines.size} data lines hold {table.shape[0]} "
-                         "rows; a quoted field spans lines")
-    values = table["v"]
+    width = 0 if label_col is None else _LABEL_WIDTH
+    while True:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                table = np.loadtxt(
+                    path, dtype=_row_dtype(len(header), float_cols, label_col, width),
+                    skiprows=skiprows, ndmin=1, **_DIALECT)
+        except ValueError as exc:
+            raise _read_error(path, header, float_cols, exc) from None
+        if not table.size:
+            raise EmptyInputError(f"{path}: no data rows")
+        labels = None if label_col is None else table[f"f{label_col}"]
+        if labels is None or np.char.str_len(labels).max() < width:
+            break
+        width *= 4
+    block = (float, (len(float_cols),))
+    values = table.view(np.dtype({"names": ["v"], "formats": [block],
+                                  "itemsize": table.itemsize}))["v"]
     if not np.isfinite(values).all():
         row, col = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(f"{path}:{lines[row]}: column {header[float_cols[col]]!r}: "
+        line = _data_records(path)[row][0]
+        raise ValueError(f"{path}:{line}: column {header[float_cols[col]]!r}: "
                          f"non-finite value {float(values[row, col])}")
-    return values, (table["s"] if label_col is not None else None)
+    return values, labels
 
 
 def read_csv_column(path, column: str) -> np.ndarray:
     """Read one numeric column of a CSV file with a header row."""
-    header = _read_header(path)
-    values, _ = _read_table(path, header, [_column_index(path, header, column)])
+    header, skiprows = _read_header(path)
+    values, _ = _read_table(path, header, skiprows,
+                            [_column_index(path, header, column)])
     return values[:, 0]
 
 
@@ -552,15 +546,19 @@ def read_panel_csv(path, subject_col: str, response_col: str) -> PanelData:
 
     The file must have a header row.  ``subject_col`` holds the subject
     label (string or integer; surrounding whitespace is stripped),
-    ``response_col`` the response, and every remaining column is parsed as
-    a numeric regressor.  A malformed line, unparsable number or non-finite
-    value raises an error naming ``path:line``.
+    ``response_col``, another column, the response, and every remaining
+    column is parsed as a numeric regressor.  A malformed record, an
+    unparsable number or a non-finite value raises an error naming
+    ``path:line``.
     """
-    header = _read_header(path)
+    header, skiprows = _read_header(path)
     s_idx = _column_index(path, header, subject_col)
     y_idx = _column_index(path, header, response_col)
+    if s_idx == y_idx:
+        raise ValueError(f"{path}: column {subject_col!r} cannot hold both the "
+                         "subject and the response")
     x_idx = [i for i in range(len(header)) if i not in (s_idx, y_idx)]
-    values, labels = _read_table(path, header, [y_idx, *x_idx], s_idx)
+    values, labels = _read_table(path, header, skiprows, [y_idx, *x_idx], s_idx)
     labels = np.char.strip(labels)
     # Width of the longest stripped label, as np.asarray gives a list of str.
     labels = labels.astype(f"<U{max(1, int(np.char.str_len(labels).max()))}")

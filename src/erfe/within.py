@@ -14,34 +14,17 @@ taken for a whole stack of panels (``PanelStack``) at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .panel import PanelData, check_weight, validate_tau
 
 __all__ = [
-    "SubjectWeights",
     "apply_within",
     "subject_weights",
     "weighted_subject_sums",
     "within_constant",
 ]
-
-
-@dataclass(frozen=True)
-class SubjectWeights:
-    """Normalized check weights of one residual vector.
-
-    ``normalized`` (N,) holds each observation's check weight over its
-    subject's total, so that summed over a subject's rows it is one; it is
-    renormalized after the division so the unit sums hold to machine
-    precision.  ``taus`` is the one asymmetric point, as a 1-tuple.
-    """
-
-    taus: tuple[float, ...]
-    normalized: np.ndarray
 
 
 def _subject_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
@@ -86,9 +69,15 @@ def weighted_subject_sums(rows, weights, codes, n_subjects: int):
     return sums, weighted
 
 
-def subject_weights(residuals, tau, panel: PanelData) -> SubjectWeights:
+def subject_weights(residuals, tau, panel: PanelData) -> np.ndarray:
     """Check weights at ``tau`` of one residual N-vector, normalized to unit
-    sums per subject."""
+    sums per subject.
+
+    Returns an N-vector holding each observation's check weight over its
+    subject's total, so that summed over a subject's rows it is one; it is
+    renormalized after the division so the unit sums hold to machine
+    precision.
+    """
     resid = np.asarray(residuals, dtype=float)
     tau = validate_tau(tau)
     if resid.shape != (panel.n_obs,):
@@ -98,18 +87,19 @@ def subject_weights(residuals, tau, panel: PanelData) -> SubjectWeights:
     psi = check_weight(resid, tau)
     psi /= _subject_sums(psi, panel)[panel.codes]
     psi /= _subject_sums(psi, panel)[panel.codes]
-    return SubjectWeights(taus=(tau,), normalized=psi)
+    return psi
 
 
-def apply_within(values, weights: SubjectWeights, panel: PanelData):
+def apply_within(values, weights, panel: PanelData):
     """Subtract each subject's weighted average from its observations.
 
+    ``weights`` are the normalized weights of ``subject_weights``.
     ``values`` is an N-vector or an N x p matrix, worked on column by
     column.  Linear in the input, idempotent for fixed weights, and exactly
     annihilates anything constant within each subject.
     """
     u = np.asarray(values, dtype=float)
-    w = weights.normalized
+    w = np.asarray(weights, dtype=float)
     if u.shape[:1] != w.shape or u.ndim > 2:
         raise ShapeMismatchError(
             f"input {u.shape} does not match within weights {w.shape} "

@@ -139,6 +139,11 @@ def incidence_matrix(codes, n_subjects):
     return np.eye(n_subjects)[np.asarray(codes)]
 
 
+def subject_rows(panel):
+    """Row indices of each subject of ``panel``, in subject-code order."""
+    return [np.flatnonzero(panel.codes == i) for i in range(panel.n_subjects)]
+
+
 def dense_within_matrix(codes, n_subjects, psi):
     """I - Z (Z' Psi Z)^(-1) Z' Psi for one diagonal weight vector."""
     Z = incidence_matrix(codes, n_subjects)

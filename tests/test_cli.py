@@ -59,6 +59,7 @@ DATA = Path(__file__).parent / "data"
     (["fit", "--tau", "0.2,0.8", "--joint"], "golden_fit_joint.csv"),
     (["transform", "--tau", "0.5,0.8"], "golden_transform.csv"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_csv_output_bytes_are_pinned(args, golden, tmp_path):
     # small_panel.csv has interleaved subjects, a blank line, quoted labels
     # holding a comma and a quote, a padded label and a subject-constant
@@ -283,12 +284,14 @@ def test_fit_joint_mode(panel_csv, tmp_path):
             assert got[key] == pytest.approx(fit.betas[k, j], abs=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_missing_file_exits_one(tmp_path):
     code = main(["fit", "--input", str(tmp_path / "nope.csv"),
                  "--subject-col", "id", "--response-col", "y"])
     assert code == 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_bad_column_exits_one(panel_csv):
     path, _ = panel_csv
     code = main(["fit", "--input", path, "--subject-col", "id",
@@ -406,6 +409,7 @@ def test_expectile_midpoint_is_mean(panel_csv, tmp_path, capsys):
     assert value == pytest.approx(float(np.mean(panel.y)), abs=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 def test_expectile_two_point_file(tmp_path, capsys):
     path = tmp_path / "two.csv"
     path.write_text("v\n0\n1\n", encoding="utf-8")
@@ -416,6 +420,7 @@ def test_expectile_two_point_file(tmp_path, capsys):
     assert float(out.strip().split("\n")[1].split(",")[1]) == pytest.approx(0.9)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value, message", [
     ("abc", "column 'v': cannot parse 'abc' as a number"),
     ("nan", "column 'v': non-finite value nan"),
@@ -426,6 +431,21 @@ def test_expectile_bad_value_names_line(tmp_path, capsys, value, message):
     code = main(["expectile", "--input", str(path), "--response-col", "v"])
     assert code == 1
     assert f"bad.csv:4: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message", [
+    # Line 3 lacks the column that expectile does not read.
+    ("v,w\n0,a\n1\n2,c\n", "bad.csv:3: 1 fields, expected 2"),
+    ("v,w\n", "bad.csv: no data rows"),
+    ("v,w\n\n\r\n", "bad.csv: no data rows"),
+])
+def test_expectile_reader_errors_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    code = main(["expectile", "--input", str(path), "--response-col", "v"])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_expectile_outputs_nondecreasing(panel_csv, capsys):

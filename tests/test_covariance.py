@@ -47,7 +47,7 @@ def test_meat_matches_hand_expansion_two_by_two():
     sw = erfe.subject_weights(fit.residuals_star, 0.8, panel)
     x_star = erfe.apply_within(panel.X, sw, panel)
     total = np.zeros((1, 1))
-    for g in panel.groups():
+    for g in oracles.subject_rows(panel):
         score = x_star[g].T @ (psi[g] * fit.residuals_star[g])
         total += np.outer(score, score)
     assert np.max(np.abs(cov.d0_hat - total / panel.n_obs)) <= 1e-12

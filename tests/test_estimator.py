@@ -152,7 +152,7 @@ def test_estimates_invariant_to_subject_relabeling():
 def test_estimates_invariant_to_within_subject_permutation():
     rng = np.random.default_rng(49)
     panel, _, _ = oracles.random_panel(rng, 8, 5, 2)
-    perm = np.concatenate([rng.permutation(g) for g in panel.groups()])
+    perm = np.concatenate([rng.permutation(g) for g in oracles.subject_rows(panel)])
     permuted = erfe.build_panel(
         [(int(panel.subject_ids[i]), float(panel.y[i]), panel.X[i])
          for i in perm])

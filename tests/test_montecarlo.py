@@ -131,10 +131,6 @@ def test_config_validation():
         erfe.SimulationConfig(m=1)
     with pytest.raises(ValueError):
         erfe.SimulationConfig(seed=-3)
-    with pytest.raises(ValueError):
-        erfe.SimulationConfig(x2_subject_share=0.0)
-    with pytest.raises(ValueError):
-        erfe.SimulationConfig(x2_subject_share=0.04, alpha_x2_corr=0.5)
     with pytest.raises(NonincreasingTausError):
         erfe.SimulationConfig(taus=(0.5, 0.5))
 

@@ -16,6 +16,7 @@ from erfe.errors import (
     ShapeMismatchError,
     SingletonSubjectError,
 )
+from erfe.panel import read_csv_column
 
 import oracles
 
@@ -147,8 +148,6 @@ def test_build_panel_interleaved_subjects():
     panel = erfe.build_panel(records)
     assert panel.n_subjects == 2
     assert list(panel.codes) == [0, 1, 0, 1]
-    groups = panel.groups()
-    assert [list(g) for g in groups] == [[0, 2], [1, 3]]
 
 
 def test_panel_arrays_are_immutable():
@@ -175,6 +174,7 @@ def _write_csv(path, text):
     return str(path)
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_panel_csv(tmp_path):
     path = _write_csv(tmp_path / "p.csv",
                       "id,y,a,b\n"
@@ -190,24 +190,34 @@ def test_read_panel_csv(tmp_path):
     assert list(panel.subject_labels) == ["s1", "s2"]
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_missing_column(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y\n1,2.0\n1,3.0\n")
     with pytest.raises(ValueError, match="not in header"):
         erfe.read_panel_csv(path, "id", "resp")
+    with pytest.raises(ValueError, match="cannot hold both"):
+        erfe.read_panel_csv(path, "y", "y")
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_ragged(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,3.0\n")
     with pytest.raises(RaggedRowError):
         erfe.read_panel_csv(path, "id", "y")
+    # A ragged line is reported before an unparsable number above it.
+    path = _write_csv(tmp_path / "q.csv", "id,y,a\n1,oops,1.0\n1,3.0\n")
+    with pytest.raises(RaggedRowError, match=r"q\.csv:3: 2 fields, expected 3"):
+        erfe.read_panel_csv(path, "id", "y")
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_overlong_row(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n\n1,3.0,2.0,9\n")
     with pytest.raises(RaggedRowError, match=r"p\.csv:4: 4 fields, expected 3"):
         erfe.read_panel_csv(path, "id", "y")
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_non_finite(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,3.0,inf\n")
     with pytest.raises(ValueError, match=r"p\.csv:3: column 'a': non-finite value inf"):
@@ -215,8 +225,14 @@ def test_read_panel_csv_non_finite(tmp_path):
     path = _write_csv(tmp_path / "q.csv", "id,y,a\r\n1,2.0,1.0\r\n1,nan,2.0\r\n")
     with pytest.raises(ValueError, match=r"q\.csv:3: column 'y': non-finite value nan"):
         erfe.read_panel_csv(path, "id", "y")
+    # Blank lines count, and a lone "\r" ends a line as "\r\n" does.
+    path = _write_csv(tmp_path / "r.csv",
+                      "id,y,a\r\n\r\n1,2.0,1.0\r\n\r\n\r1,3.0,-inf\r\n")
+    with pytest.raises(ValueError, match=r"r\.csv:6: column 'a': non-finite value -inf"):
+        erfe.read_panel_csv(path, "id", "y")
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_quoted_labels(tmp_path):
     # The longest label sits on a quoted line whose comma is not a delimiter.
     path = _write_csv(tmp_path / "p.csv",
@@ -226,6 +242,33 @@ def test_read_panel_csv_quoted_labels(tmp_path):
     assert panel.subject_ids.tolist() == ["s, long label", "s"] * 2
     assert panel.subject_ids.dtype == np.dtype("<U13")
     assert list(panel.codes) == [0, 1, 0, 1]
+    # A quoted field, in the header too, may hold a line break; errors name
+    # physical lines.
+    text = 'id,y,"a\nb"\n"s\n1",1,2\n"s\n1",2,3\nt,3,4\nt,{},5\n'
+    panel = erfe.read_panel_csv(_write_csv(tmp_path / "q.csv", text.format(4)), "id", "y")
+    assert panel.column_names == ("a\nb",)
+    assert panel.subject_labels.tolist() == ["s\n1", "t"]
+    assert panel.y.tolist() == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ValueError,
+                       match=r"r\.csv:8: column 'y': cannot parse 'oops' as a number"):
+        erfe.read_panel_csv(_write_csv(tmp_path / "r.csv", text.format("oops")), "id", "y")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_read_is_one_loadtxt_call(tmp_path, monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    path = _write_csv(tmp_path / "p.csv", "id,y,a\ns1,1,2\ns1,2,3\n")
+    erfe.read_panel_csv(path, "id", "y")
+    assert len(calls) == 1
+    assert read_csv_column(path, "a").tolist() == [2.0, 3.0]
+    assert len(calls) == 2
+    # A label that fills the first read's 16 characters is read again wider.
+    label = "s" * 16
+    path = _write_csv(tmp_path / "q.csv", f"id,y,a\n{label},1,2\n{label},2,3\n")
+    assert erfe.read_panel_csv(path, "id", "y").subject_labels.tolist() == [label]
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("labels", [[7, 3, 7, 3, 9, 9],
@@ -263,7 +306,7 @@ def _reference_read(path, subject_col, response_col):
     }
 
 
-_LABEL_TEXT = st.text(alphabet='ab7 ,"\t\u00e9-', min_size=1, max_size=6)
+_LABEL_TEXT = st.text(alphabet='ab7 ,"\t\u00e9-', min_size=1, max_size=40)
 _LABEL_INT = st.integers(0, 10**6).map(str)
 
 
@@ -287,6 +330,7 @@ def _csv_panels(draw):
     return names, order, rows, blanks, draw(st.sampled_from(["\n", "\r\n"]))
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=80, deadline=None)
 @given(_csv_panels())
 def test_read_panel_csv_matches_csv_module_reference(case):
@@ -311,16 +355,24 @@ def test_read_panel_csv_matches_csv_module_reference(case):
         assert got.tobytes() == want.tobytes(), field
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_bad_number(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,oops,2.0\n")
     with pytest.raises(ValueError, match="p.csv:3"):
         erfe.read_panel_csv(path, "id", "y")
 
 
+@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_empty_file(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "")
     with pytest.raises(EmptyInputError):
         erfe.read_panel_csv(path, "id", "y")
+    for text in ("id,y\n", "id,y\n\n\r\n"):
+        path = _write_csv(tmp_path / "q.csv", text)
+        with pytest.raises(EmptyInputError, match=r"q\.csv: no data rows"):
+            erfe.read_panel_csv(path, "id", "y")
+        with pytest.raises(EmptyInputError, match=r"q\.csv: no data rows"):
+            read_csv_column(path, "y")
 
 
 # ---------------------------------------------------------------------
