@@ -13,10 +13,10 @@ doubled quotes (``""``) and line breaks, each read as "\\n".  Lines end in
 "\\n", "\\r\\n" or "\\r".  There are no comment lines, empty lines are
 skipped, and numbers use ``.`` as the decimal separator.  The file is
 parsed by one ``np.loadtxt`` call, made again only to widen a column of
-labels 16 or more characters long; a record with the wrong number of
-fields, a field that does not parse and a non-finite value are reported
-as ``path:line``, the physical line the record starts on, which is looked
-up only once the read has failed.
+labels longer than those of the first records; a record with the wrong
+number of fields, a field that does not parse and a non-finite value are
+reported as ``path:line``, the physical line the record starts on, which
+is looked up only once the read has failed.
 
 Tables are written by ``write_table``, as CSV with "\\n" line endings and
 numbers in 17 significant digits, NaN as NA, or as the records of one
@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -349,8 +350,9 @@ def build_panel(records, column_names=None) -> PanelData:
 
 # np.loadtxt arguments for the accepted CSV dialect (see the module docstring).
 _DIALECT = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8")
-# Characters of a label column's first read (see ``_read_table``).
-_LABEL_WIDTH = 16
+# A label column is first read _LABEL_SLACK characters wider than the longest
+# label of the first _HEAD_RECORDS data records (see ``_read_table``).
+_LABEL_SLACK, _HEAD_RECORDS = 4, 1024
 
 
 def format_number(value) -> str:
@@ -407,14 +409,20 @@ def write_table(fh, header, columns, fmt: str = "csv"):
     (_write_json if fmt == "json" else _write_csv)(fh, header, columns)
 
 
-def _read_header(path) -> tuple[list[str], int]:
-    """The header's fields, stripped, and the number of lines it spans."""
+def _read_header(path) -> tuple[list[str], int, list[int]]:
+    """The header's fields, stripped, the number of lines it spans, and each
+    column's longest field among the next ``_HEAD_RECORDS`` records that
+    have one field per column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
+        skiprows, longest = reader.line_num, [0] * len(header or ())
+        for fields in itertools.islice(reader, _HEAD_RECORDS):
+            if len(fields) == len(longest):
+                longest = list(map(max, longest, map(len, fields)))
     if header is None:
         raise EmptyInputError(f"{path}: file is empty")
-    return [h.strip() for h in header], reader.line_num
+    return [h.strip() for h in header], skiprows, longest
 
 
 def _column_index(path, header, name) -> int:
@@ -495,17 +503,18 @@ def _read_error(path, header, float_cols, message) -> ValueError:
     return ValueError(f"{path}:{line}: cannot parse {text!r}")
 
 
-def _read_table(path, header, skiprows, float_cols, label_col=None):
+def _read_table(path, header, skiprows, longest, float_cols, label_col=None):
     """Columns ``float_cols`` of the data rows, after the ``skiprows`` lines
     of the header, as floats, shape (rows, k), and column ``label_col`` as
     str (None when not asked for).
 
-    One np.loadtxt call reads the file.  Labels are read ``_LABEL_WIDTH``
-    characters wide, as np.loadtxt cuts a longer one short: while a label
-    fills the width, the same call is made again four times as wide.  Line
-    numbers are looked up only to report an error.
+    One np.loadtxt call reads the file.  Labels are read a little wider than
+    the first records' ``longest`` (see ``_LABEL_SLACK``); np.loadtxt cuts a
+    longer one short, so while a label fills the width, the same call is
+    made again four times as wide.  Line numbers are looked up only to
+    report an error.
     """
-    width = 0 if label_col is None else _LABEL_WIDTH
+    width = 0 if label_col is None else longest[label_col] + _LABEL_SLACK
     while True:
         try:
             with warnings.catch_warnings():
@@ -521,6 +530,7 @@ def _read_table(path, header, skiprows, float_cols, label_col=None):
         labels = None if label_col is None else table[f"f{label_col}"]
         if labels is None or np.char.str_len(labels).max() < width:
             break
+        table = labels = None  # free the cut-short read before the next
         width *= 4
     block = (float, (len(float_cols),))
     values = table.view(np.dtype({"names": ["v"], "formats": [block],
@@ -535,8 +545,8 @@ def _read_table(path, header, skiprows, float_cols, label_col=None):
 
 def read_csv_column(path, column: str) -> np.ndarray:
     """Read one numeric column of a CSV file with a header row."""
-    header, skiprows = _read_header(path)
-    values, _ = _read_table(path, header, skiprows,
+    header, skiprows, longest = _read_header(path)
+    values, _ = _read_table(path, header, skiprows, longest,
                             [_column_index(path, header, column)])
     return values[:, 0]
 
@@ -551,14 +561,15 @@ def read_panel_csv(path, subject_col: str, response_col: str) -> PanelData:
     unparsable number or a non-finite value raises an error naming
     ``path:line``.
     """
-    header, skiprows = _read_header(path)
+    header, skiprows, longest = _read_header(path)
     s_idx = _column_index(path, header, subject_col)
     y_idx = _column_index(path, header, response_col)
     if s_idx == y_idx:
         raise ValueError(f"{path}: column {subject_col!r} cannot hold both the "
                          "subject and the response")
     x_idx = [i for i in range(len(header)) if i not in (s_idx, y_idx)]
-    values, labels = _read_table(path, header, skiprows, [y_idx, *x_idx], s_idx)
+    values, labels = _read_table(path, header, skiprows, longest,
+                                 [y_idx, *x_idx], s_idx)
     labels = np.char.strip(labels)
     # Width of the longest stripped label, as np.asarray gives a list of str.
     labels = labels.astype(f"<U{max(1, int(np.char.str_len(labels).max()))}")

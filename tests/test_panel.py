@@ -3,6 +3,7 @@
 import csv
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,6 +209,10 @@ def test_read_panel_csv_ragged(tmp_path):
     path = _write_csv(tmp_path / "q.csv", "id,y,a\n1,oops,1.0\n1,3.0\n")
     with pytest.raises(RaggedRowError, match=r"q\.csv:3: 2 fields, expected 3"):
         erfe.read_panel_csv(path, "id", "y")
+    # A line too short to hold the subject column is reported the same way.
+    path = _write_csv(tmp_path / "r.csv", "y,a,id\n2.0,1.0,1\n3.0\n")
+    with pytest.raises(RaggedRowError, match=r"r\.csv:3: 1 fields, expected 3"):
+        erfe.read_panel_csv(path, "id", "y")
 
 
 @pytest.mark.filterwarnings("error")
@@ -264,11 +269,18 @@ def test_a_read_is_one_loadtxt_call(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert read_csv_column(path, "a").tolist() == [2.0, 3.0]
     assert len(calls) == 2
-    # A label that fills the first read's 16 characters is read again wider.
-    label = "s" * 16
+    # The first records size the label column: long labels take one call...
+    label = "s" * 40
     path = _write_csv(tmp_path / "q.csv", f"id,y,a\n{label},1,2\n{label},2,3\n")
     assert erfe.read_panel_csv(path, "id", "y").subject_labels.tolist() == [label]
-    assert len(calls) == 4
+    assert len(calls) == 3
+    # ...and a longer label after them fills the first read's 1 + 4
+    # characters, so the file is read again, 20 characters wide.
+    monkeypatch.setattr(erfe.panel, "_HEAD_RECORDS", 2)
+    path = _write_csv(tmp_path / "r.csv",
+                      "id,y,a\ns,1,2\ns,2,3\nsssss,3,4\nsssss,4,5\n")
+    assert erfe.read_panel_csv(path, "id", "y").subject_labels.tolist() == ["s", "sssss"]
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("labels", [[7, 3, 7, 3, 9, 9],
@@ -327,15 +339,20 @@ def _csv_panels(draw):
     names = ["id", "y", *(f"x{j}" for j in range(p))]
     order = draw(st.permutations(range(len(names))))
     blanks = draw(st.sets(st.integers(0, len(rows)), max_size=3))
-    return names, order, rows, blanks, draw(st.sampled_from(["\n", "\r\n"]))
+    # Records that size the label column: with none, a label of 4 or more
+    # characters is read again wider.
+    head = draw(st.sampled_from([0, 2, 1024]))
+    return (names, order, rows, blanks, draw(st.sampled_from(["\n", "\r\n"])),
+            head)
 
 
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=80, deadline=None)
 @given(_csv_panels())
 def test_read_panel_csv_matches_csv_module_reference(case):
-    names, order, rows, blanks, newline = case
-    with tempfile.TemporaryDirectory() as tmp:
+    names, order, rows, blanks, newline, head = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(erfe.panel, "_HEAD_RECORDS", head):
         path = os.path.join(tmp, "p.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator=newline)
