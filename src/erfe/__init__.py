@@ -40,7 +40,6 @@ from .estimator import (
 )
 from .expectiles import (
     ErFit,
-    IrlsConfig,
     Law,
     chi_squared,
     distribution_expectile,
@@ -80,7 +79,6 @@ __all__ = [
     "ErFit",
     "ErfeError",
     "FitResult",
-    "IrlsConfig",
     "Law",
     "MetricsRow",
     "MultiFitResult",

@@ -63,6 +63,13 @@ def _argument(parse):
     return convert
 
 
+def _worker_count(text) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"need at least 1 worker, got {count}")
+    return count
+
+
 def _emit(header, columns, fmt: str, out: str | None):
     if out in (None, "-"):
         write_table(sys.stdout, header, columns, fmt)
@@ -243,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # fit and transform accept --workers and ignore it, as the benchmark's
     # command lines pass it to every command.
     for p in (fit, sim, tr):
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_argument(_worker_count), default=1,
                        help="parallel workers (governs simulate only)")
 
     return parser

@@ -32,7 +32,9 @@ shift of y is absorbed, so the joint fit's design is raw X and demeaned
 y.  ``fit_design`` picks the design, for the fit and its sandwich.
 
 The weights depend only on residual signs, so once the sign pattern
-stabilizes the solve lands exactly on the fixed point and the loop stops;
+stabilizes the solve lands exactly on the fixed point and the loop stops
+(the stopping rule is the fixed one of ``expectiles``: ``TOL``,
+``TOL_GRAD`` and ``MAX_ROUNDS``, a safety net only);
 the converged point satisfies the first-order conditions of the
 asymmetric least squares objective in both the slopes and the subject
 effects.  Every fit starts from the within round: one round at tau = 0.5
@@ -59,8 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expectiles
 from .errors import NoConvergenceError, SingularGramError
-from .expectiles import IrlsConfig
 from .linalg import spd_solve
 from .panel import (
     PanelData,
@@ -271,22 +273,21 @@ def _scores_vanish(design, codes, n_subjects, taus, v, resid, tol):
     return small & (np.max(np.abs(effect.reshape(items, -1)), axis=1) <= tol)
 
 
-def _irls(stack: PanelStack, design, taus, v, betas, resid, config: IrlsConfig,
-          errors):
+def _irls(stack: PanelStack, design, taus, v, betas, resid, errors):
     """Concentrated rounds from (betas, resid) for every panel without an
-    error, each until its sup-norm step is within ``config.tol`` and its
-    scores vanish, or the budget runs out.  A panel that stops takes no
-    further round; one whose system turns singular gets that error in
-    ``errors``.
+    error, each until its sup-norm step is within ``expectiles.TOL`` and
+    its scores vanish, or ``expectiles.MAX_ROUNDS`` run out.  A panel that
+    stops takes no further round; one whose system turns singular gets that
+    error in ``errors``.
 
     Returns (betas, resid, iterations, converged), per panel.
     """
     size, n_subjects = stack.size, stack.n_subjects
-    grad_tol = config.tol_grad * (1.0 + np.max(np.abs(stack.y), axis=1))
+    grad_tol = expectiles.TOL_GRAD * (1.0 + np.max(np.abs(stack.y), axis=1))
     iterations = np.zeros(size, dtype=int)
     converged = np.zeros(size, dtype=bool)
     live = np.array([e is None for e in errors], dtype=bool)
-    for r in range(1, int(config.max_iter) + 1):
+    for r in range(1, expectiles.MAX_ROUNDS + 1):
         idx = np.flatnonzero(live)
         if not idx.size:
             break
@@ -301,7 +302,7 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, config: IrlsConfig,
         iterations[idx] = r
         _record(errors, idx, singular)
         stop = singular.failed if singular is not None else np.zeros(idx.size, bool)
-        check = idx[(delta <= config.tol) & ~stop]
+        check = idx[(delta <= expectiles.TOL) & ~stop]
         if check.size:
             codes, rows, current = stack.part(check, design, resid)
             done = check[_scores_vanish(rows, codes, n_subjects, taus, v, current,
@@ -349,8 +350,7 @@ def recover_fixed_effects(panel: PanelData, beta, weights):
                        minlength=panel.n_subjects)
 
 
-def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
-              joint: bool = False) -> StackFit:
+def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
     """Fit every asymmetric point of ``taus`` on every panel of ``stack``.
 
     Without ``joint`` each point gets its own fit, that of
@@ -362,7 +362,6 @@ def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
     numbers its own fits give, bit for bit, and a fit that fails gets its
     error in ``errors`` without changing the others.
     """
-    config = config or IrlsConfig()
     taus = validate_taus(taus)
     q = len(taus)
     if v is None:
@@ -381,12 +380,12 @@ def fit_stack(stack: PanelStack, taus, v=None, config: IrlsConfig | None = None,
         # each copy is freed once the first round replaces it.
         betas, resid, rounds, converged = _irls(
             stack, design, taus[points], v[points], np.repeat(start_betas, n, axis=1),
-            np.repeat(start_resid, n, axis=1), config, group)
+            np.repeat(start_resid, n, axis=1), group)
         parts.append((betas, resid, np.repeat(rounds[:, None], n, axis=1)))
         for row, error, ok in zip(errors, group, converged.tolist()):
             row += [error or (None if ok else NoConvergenceError(
                 f"fit at taus={taus[points]} did not converge in "
-                f"{config.max_iter} iterations"))] * n
+                f"{expectiles.MAX_ROUNDS} iterations"))] * n
     betas, resid, iterations = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
     return StackFit(taus=taus, v=v, joint=joint, betas=betas, residuals_star=resid,
                     iterations=iterations, errors=tuple(map(tuple, errors)))
@@ -403,7 +402,7 @@ def _checked(fit: StackFit, result):
     raise error
 
 
-def fit_erfe_single(panel: PanelData, tau, config: IrlsConfig | None = None) -> FitResult:
+def fit_erfe_single(panel: PanelData, tau) -> FitResult:
     """Single-tau panel expectile fit by the iterative within transform.
 
     Starts from the within round, then runs concentrated rounds on the
@@ -412,14 +411,13 @@ def fit_erfe_single(panel: PanelData, tau, config: IrlsConfig | None = None) -> 
     scores are negligible.  The one-panel call of ``fit_stack``.
     """
     tau = validate_tau(tau)
-    fit = fit_stack(stack_panels([panel]), (tau,), config=config)
+    fit = fit_stack(stack_panels([panel]), (tau,))
     return _checked(fit, _single_result(
         panel, tau, fit.betas[0, 0], fit.residuals_star[0, 0],
         int(fit.iterations[0, 0]), fit.errors[0][0] is None))
 
 
-def fit_erfe_multi(panel: PanelData, taus, v=None,
-                   config: IrlsConfig | None = None) -> MultiFitResult:
+def fit_erfe_multi(panel: PanelData, taus, v=None) -> MultiFitResult:
     """Joint fit over a strictly increasing sequence of asymmetric points.
 
     The blocks share one subject effect, so each round solves the stacked
@@ -433,7 +431,7 @@ def fit_erfe_multi(panel: PanelData, taus, v=None,
     pooled subject-effect score) to be negligible.  The one-panel call of
     ``fit_stack``.
     """
-    fit = fit_stack(stack_panels([panel]), taus, v, config, joint=True)
+    fit = fit_stack(stack_panels([panel]), taus, v, joint=True)
     return _checked(fit, MultiFitResult(
         taus=fit.taus, v=fit.v, betas=fit.betas[0],
         residuals_star=fit.residuals_star[0], iterations=int(fit.iterations[0, 0]),

@@ -5,7 +5,11 @@ The scalar expectile is computed as the fixed point of the weighted-mean
 map; the regression estimator by iterated weighted least squares.  Both
 iterations terminate finitely in practice because the weights depend only
 on residual signs: once the sign pattern stabilizes the next solve lands
-exactly on the fixed point.
+exactly on the fixed point.  The stopping rule, here and in the panel
+fits of ``estimator``, is fixed and is a safety net only: a sup-norm step
+within ``TOL`` = 1e-7 and scores within ``TOL_GRAD`` * (1 + max|y|) =
+1e-6 * (1 + max|y|), in at most ``MAX_ROUNDS`` = 100 rounds (the scalar
+expectile has no score test).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .panel import check_weight, validate_tau
 
 __all__ = [
     "ErFit",
-    "IrlsConfig",
     "Law",
     "chi_squared",
     "distribution_expectile",
@@ -38,26 +41,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IrlsConfig:
-    """Stopping rules shared by the iterated weighted least squares fits.
-
-    ``tol`` bounds the sup-norm change of the estimate between rounds,
-    ``tol_grad`` the first-order condition at the accepted solution
-    (scaled by 1 + max|y|), and ``max_iter`` the iteration budget.
-    """
-
-    tol: float = 1e-7
-    max_iter: int = 100
-    tol_grad: float = 1e-6
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not self.tol_grad > 0:
-            raise ValueError("tol_grad must be positive")
+# The stopping rule of the module docstring, read at call time by every
+# loop (the estimator's through this module): patching one changes all.
+TOL = 1e-7
+TOL_GRAD = 1e-6
+MAX_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -71,7 +59,7 @@ class ErFit:
     converged: bool
 
 
-def sample_expectile(values, tau, config: IrlsConfig | None = None) -> float:
+def sample_expectile(values, tau) -> float:
     """Expectile of a sample, as the fixed point of the weighted-mean map.
 
     Starting from the sample mean, the candidate is replaced by the
@@ -79,7 +67,6 @@ def sample_expectile(values, tau, config: IrlsConfig | None = None) -> float:
     is monotone, so the loop stops after finitely many steps; the
     iteration budget is a safety net only.
     """
-    config = config or IrlsConfig()
     tau = validate_tau(tau)
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size == 0:
@@ -89,21 +76,21 @@ def sample_expectile(values, tau, config: IrlsConfig | None = None) -> float:
 
     theta = float(np.mean(vals))
     delta = np.inf
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ROUNDS):
         w = check_weight(vals - theta, tau)
         new = float(np.dot(w, vals) / np.sum(w))
         if new == theta:
             return theta
         delta = abs(new - theta)
         theta = new
-    if delta <= config.tol:
+    if delta <= TOL:
         return theta
     raise NoConvergenceError(
-        f"sample expectile did not stabilize in {config.max_iter} iterations"
+        f"sample expectile did not stabilize in {MAX_ROUNDS} iterations"
     )
 
 
-def expectile_regression(X, y, tau, config: IrlsConfig | None = None) -> ErFit:
+def expectile_regression(X, y, tau) -> ErFit:
     """Expectile regression by iterated weighted least squares.
 
     Starts from the ordinary least squares solution (the tau = 0.5 case)
@@ -115,7 +102,6 @@ def expectile_regression(X, y, tau, config: IrlsConfig | None = None) -> ErFit:
     rank deficient and NoConvergenceError when the iteration budget runs
     out; the latter carries the last iterate as ``result``.
     """
-    config = config or IrlsConfig()
     tau = validate_tau(tau)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -132,23 +118,23 @@ def expectile_regression(X, y, tau, config: IrlsConfig | None = None) -> ErFit:
     resid = y - X @ beta
     iterations = 0
     converged = False
-    for r in range(1, int(config.max_iter) + 1):
+    for r in range(1, MAX_ROUNDS + 1):
         w = check_weight(resid, tau)
         beta_new = _weighted_lstsq(X, y, w, iteration=r)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
         resid = y - X @ beta
         iterations = r
-        if delta <= config.tol:
+        if delta <= TOL:
             grad = X.T @ (check_weight(resid, tau) * resid)
-            if float(np.max(np.abs(grad), initial=0.0)) <= config.tol_grad * grad_scale:
+            if float(np.max(np.abs(grad), initial=0.0)) <= TOL_GRAD * grad_scale:
                 converged = True
                 break
     fit = ErFit(tau=tau, beta=beta, residuals=resid,
                 iterations=iterations, converged=converged)
     if not converged:
         raise NoConvergenceError(
-            f"expectile regression did not converge in {config.max_iter} iterations",
+            f"expectile regression did not converge in {MAX_ROUNDS} iterations",
             result=fit,
         )
     return fit

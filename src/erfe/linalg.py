@@ -96,13 +96,12 @@ def spd_solve(G, b, iteration=None, columns=None):
     return x
 
 
-def spd_inverse(G, iteration=None, columns=None):
+def spd_inverse(G):
     """Inverse of a symmetric positive definite matrix, or of each matrix
     of a stack (..., k, k), symmetrized; fails as ``spd_solve`` does."""
     G = np.asarray(G, dtype=float)
     try:
-        inv = spd_solve(G, np.broadcast_to(np.eye(G.shape[-1]), G.shape),
-                        iteration=iteration, columns=columns)
+        inv = spd_solve(G, np.broadcast_to(np.eye(G.shape[-1]), G.shape))
     except SingularGramError as exc:
         exc.result = (exc.result + np.swapaxes(exc.result, -1, -2)) / 2.0
         raise

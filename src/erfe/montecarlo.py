@@ -103,6 +103,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n < 1 or self.m < 2 or self.replications < 1:
             raise ValueError("need n >= 1, m >= 2, replications >= 1")
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.error_dist not in ERROR_LAWS:
             raise ValueError(f"error_dist must be one of {tuple(ERROR_LAWS)}")
         validate_taus(self.taus)

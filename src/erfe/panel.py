@@ -412,7 +412,7 @@ def write_table(fh, header, columns, fmt: str = "csv"):
 def _read_header(path) -> tuple[list[str], int, list[int]]:
     """The header's fields, stripped, the number of lines it spans, and each
     column's longest field among the next ``_HEAD_RECORDS`` records that
-    have one field per column."""
+    have one field per column.  A name may appear only once."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -422,7 +422,11 @@ def _read_header(path) -> tuple[list[str], int, list[int]]:
                 longest = list(map(max, longest, map(len, fields)))
     if header is None:
         raise EmptyInputError(f"{path}: file is empty")
-    return [h.strip() for h in header], skiprows, longest
+    names = [h.strip() for h in header]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ValueError(f"{path}: column {name!r} appears more than once in header")
+    return names, skiprows, longest
 
 
 def _column_index(path, header, name) -> int:

