@@ -3,9 +3,10 @@
 Asymmetric least squares estimation of panel models with subject-specific
 intercepts: the fixed effects are concentrated out by a check-weighted
 within transform rebuilt at every reweighting step, so no incidence matrix
-or per-subject dummy is ever materialized.  Includes cluster-robust
-sandwich covariances, scalar and distributional expectiles, and a
-reproducible Monte Carlo harness.
+or per-subject dummy is ever materialized.  A pooled expectile
+regression with one intercept is the same fit on a panel of one subject.
+Includes cluster-robust sandwich covariances, scalar and distributional
+expectiles, and a reproducible Monte Carlo harness.
 """
 
 from .covariance import (
@@ -39,11 +40,9 @@ from .estimator import (
     within_ols,
 )
 from .expectiles import (
-    ErFit,
     Law,
     chi_squared,
     distribution_expectile,
-    expectile_regression,
     gaussian,
     sample_expectile,
     student_t,
@@ -76,7 +75,6 @@ __all__ = [
     "BudgetExceededError",
     "DgpTruth",
     "EmptyInputError",
-    "ErFit",
     "ErfeError",
     "FitResult",
     "Law",
@@ -102,7 +100,6 @@ __all__ = [
     "chi_squared",
     "conf_intervals",
     "distribution_expectile",
-    "expectile_regression",
     "fit_erfe_multi",
     "fit_erfe_single",
     "gaussian",

@@ -23,6 +23,7 @@ from .montecarlo import (
     estimates_table,
     metrics_table,
     run_monte_carlo,
+    validate_workers,
 )
 from .panel import (
     read_csv_column,
@@ -61,13 +62,6 @@ def _argument(parse):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
-
-
-def _worker_count(text) -> int:
-    count = int(text)
-    if count < 1:
-        raise ValueError(f"need at least 1 worker, got {count}")
-    return count
 
 
 def _emit(header, columns, fmt: str, out: str | None):
@@ -250,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # fit and transform accept --workers and ignore it, as the benchmark's
     # command lines pass it to every command.
     for p in (fit, sim, tr):
-        p.add_argument("--workers", type=_argument(_worker_count), default=1,
-                       help="parallel workers (governs simulate only)")
+        p.add_argument("--workers", type=_argument(lambda s: validate_workers(int(s))),
+                       default=1, help="parallel workers (governs simulate only)")
 
     return parser
 

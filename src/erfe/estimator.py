@@ -162,7 +162,10 @@ def fit_slices(q: int, joint: bool) -> list[slice]:
 def _screen(stack: PanelStack) -> list:
     """Per panel, the SingularGramError for regressors that demeaning
     annihilates (constant within every subject, which no weighted within
-    transform can identify either), or None."""
+    transform can identify either), or None.  A stack with no regressors
+    raises it, as ``spd_solve`` rejects an empty Gram matrix."""
+    if not stack.column_names:
+        raise SingularGramError("empty Gram matrix: the panel has no regressors")
     errors = []
     for bad in within_constant(stack):
         names = [stack.column_names[j] for j in np.flatnonzero(bad)]

@@ -1,15 +1,16 @@
-"""Scalar expectiles, cross-sectional expectile regression, distribution
-expectiles and the normal quantile.
+"""Scalar expectiles, distribution expectiles and the normal quantile.
 
 The scalar expectile is computed as the fixed point of the weighted-mean
-map; the regression estimator by iterated weighted least squares.  Both
-iterations terminate finitely in practice because the weights depend only
-on residual signs: once the sign pattern stabilizes the next solve lands
-exactly on the fixed point.  The stopping rule, here and in the panel
-fits of ``estimator``, is fixed and is a safety net only: a sup-norm step
-within ``TOL`` = 1e-7 and scores within ``TOL_GRAD`` * (1 + max|y|) =
-1e-6 * (1 + max|y|), in at most ``MAX_ROUNDS`` = 100 rounds (the scalar
-expectile has no score test).
+map.  The iteration terminates finitely in practice because the weights
+depend only on residual signs: once the sign pattern stabilizes the next
+step lands exactly on the fixed point.  The stopping rule, here and in
+the panel fits of ``estimator``, is fixed and is a safety net only: a
+sup-norm step within ``TOL`` = 1e-7 and scores within ``TOL_GRAD`` *
+(1 + max|y|) = 1e-6 * (1 + max|y|), in at most ``MAX_ROUNDS`` = 100
+rounds (the scalar expectile has no score test).  A regression has one
+engine, the panel fit of ``estimator``: a pooled expectile regression
+with an intercept is that fit on a panel of one subject, whose effect is
+the intercept.
 """
 
 from __future__ import annotations
@@ -19,21 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketFailureError,
-    EmptyInputError,
-    NoConvergenceError,
-    ShapeMismatchError,
-)
-from .linalg import spd_solve
+from .errors import BracketFailureError, EmptyInputError, NoConvergenceError
 from .panel import check_weight, validate_tau
 
 __all__ = [
-    "ErFit",
     "Law",
     "chi_squared",
     "distribution_expectile",
-    "expectile_regression",
     "gaussian",
     "normal_quantile",
     "sample_expectile",
@@ -46,17 +39,6 @@ __all__ = [
 TOL = 1e-7
 TOL_GRAD = 1e-6
 MAX_ROUNDS = 100
-
-
-@dataclass(frozen=True)
-class ErFit:
-    """Converged cross-sectional expectile regression."""
-
-    tau: float
-    beta: np.ndarray
-    residuals: np.ndarray
-    iterations: int
-    converged: bool
 
 
 def sample_expectile(values, tau) -> float:
@@ -88,61 +70,6 @@ def sample_expectile(values, tau) -> float:
     raise NoConvergenceError(
         f"sample expectile did not stabilize in {MAX_ROUNDS} iterations"
     )
-
-
-def expectile_regression(X, y, tau) -> ErFit:
-    """Expectile regression by iterated weighted least squares.
-
-    Starts from the ordinary least squares solution (the tau = 0.5 case)
-    and alternates between recomputing check weights at the current
-    residuals and solving the weighted normal equations.  Convergence
-    requires both a small sup-norm step and a small weighted-score vector.
-
-    Raises SingularGramError when the weighted Gram matrix is numerically
-    rank deficient and NoConvergenceError when the iteration budget runs
-    out; the latter carries the last iterate as ``result``.
-    """
-    tau = validate_tau(tau)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"design {X.shape} incompatible with response of length {y.shape[0]}"
-        )
-    if X.shape[0] < X.shape[1]:
-        raise ValueError("need at least as many observations as regressors")
-
-    grad_scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
-
-    beta = _weighted_lstsq(X, y, np.full(y.shape[0], 0.5))
-    resid = y - X @ beta
-    iterations = 0
-    converged = False
-    for r in range(1, MAX_ROUNDS + 1):
-        w = check_weight(resid, tau)
-        beta_new = _weighted_lstsq(X, y, w, iteration=r)
-        delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
-        beta = beta_new
-        resid = y - X @ beta
-        iterations = r
-        if delta <= TOL:
-            grad = X.T @ (check_weight(resid, tau) * resid)
-            if float(np.max(np.abs(grad), initial=0.0)) <= TOL_GRAD * grad_scale:
-                converged = True
-                break
-    fit = ErFit(tau=tau, beta=beta, residuals=resid,
-                iterations=iterations, converged=converged)
-    if not converged:
-        raise NoConvergenceError(
-            f"expectile regression did not converge in {MAX_ROUNDS} iterations",
-            result=fit,
-        )
-    return fit
-
-
-def _weighted_lstsq(X, y, w, iteration=None):
-    wX = X * w[:, None]
-    return spd_solve(X.T @ wX, wX.T @ y, iteration=iteration)
 
 
 # The closed forms below take Student t and chi-squared laws with integer

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ __all__ = [
     "metrics_to_csv",
     "run_monte_carlo",
     "true_coefficients",
+    "validate_workers",
 ]
 
 DEFAULT_BUDGET = 50_000_000
@@ -232,17 +234,30 @@ def _run_block(config: SimulationConfig, block: int):
     return est, ses, iters, causes
 
 
+def validate_workers(workers) -> int:
+    """``workers`` as a worker count: an integer of at least 1."""
+    count = operator.index(workers)
+    if count < 1:
+        raise ValueError(f"need at least 1 worker, got {count}")
+    return count
+
+
 def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetrics:
     """Run all replications of one cell and aggregate the summaries.
 
     Replications are fitted in blocks of ``BLOCK`` by index, whatever the
-    worker count; workers take whole blocks.  Failed fits are excluded from
-    the averages, reported in the ``failures`` column and counted by cause
-    in ``failure_causes``; they are never retried.  Aggregation runs in
+    worker count (``validate_workers``); workers take whole blocks, and no
+    more processes start than there are blocks.  Failed fits are excluded
+    from the averages, reported in the ``failures`` column and counted by
+    cause in ``failure_causes``; they are never retried.  Aggregation runs in
     replication order, so the output is identical for any worker count.
     """
     cost = config.n * config.m * config.replications
-    budget = int(os.environ.get(_BUDGET_ENV, DEFAULT_BUDGET))
+    text = os.environ.get(_BUDGET_ENV, str(DEFAULT_BUDGET))
+    try:
+        budget = int(text)
+    except ValueError:
+        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {text!r}") from None
     if cost > budget:
         raise BudgetExceededError(
             f"n*m*replications = {cost} exceeds budget {budget} "
@@ -250,7 +265,8 @@ def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetri
         )
 
     blocks = range(-(-config.replications // BLOCK))
-    if workers and workers > 1:
+    workers = min(validate_workers(workers), len(blocks))
+    if workers > 1:
         # Imported here: only a parallel run needs the process machinery,
         # whose import adds about 5 ms to every command's start.
         from concurrent.futures import ProcessPoolExecutor

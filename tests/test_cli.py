@@ -537,7 +537,8 @@ def test_transform_multiple_taus_stacked(panel_csv, tmp_path):
 # ---------------------------------------------------------------------
 
 def test_simulate_deterministic_across_seeds_and_workers(tmp_path):
-    args = ["simulate", "--n", "20", "--m", "4", "--replications", "6",
+    # Two blocks, so that --workers 2 starts a pool of two processes.
+    args = ["simulate", "--n", "20", "--m", "4", "--replications", "20",
             "--seed", "3", "--tau", "0.3,0.7"]
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

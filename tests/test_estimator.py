@@ -331,6 +331,18 @@ def test_multi_within_constant_regressor_raises():
         erfe.fit_erfe_multi(panel, [0.3, 0.7])
 
 
+@pytest.mark.parametrize("fit", [
+    erfe.within_ols,
+    lambda panel: erfe.fit_erfe_single(panel, 0.3),
+    lambda panel: erfe.fit_erfe_multi(panel, [0.3, 0.7]),
+    lambda panel: fit_stack(stack_panels([panel]), [0.3, 0.7]),
+], ids=["within_ols", "single", "multi", "fit_stack"])
+def test_panel_without_regressors_rejected(fit):
+    panel = erfe.build_panel([(i // 3, float(i), []) for i in range(9)])
+    with pytest.raises(SingularGramError, match="the panel has no regressors"):
+        fit(panel)
+
+
 # ---------------------------------------------------------------------
 # Invariance properties of both fits over unbalanced panels
 # ---------------------------------------------------------------------

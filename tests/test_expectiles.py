@@ -1,4 +1,5 @@
-"""Scalar expectiles, expectile regression, distribution expectiles."""
+"""Scalar expectiles, pooled expectile regression as the panel fit on one
+subject, distribution expectiles."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 import erfe
-from erfe.errors import EmptyInputError, NoConvergenceError, SingularGramError
+from erfe.errors import EmptyInputError, NoConvergenceError
 
 import oracles
 
@@ -92,79 +93,32 @@ def test_out_of_rounds(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# expectile_regression
+# pooled expectile regression: the panel fit on one subject
 # ---------------------------------------------------------------------
 
-def test_regression_midpoint_is_ols():
-    rng = np.random.default_rng(8)
-    X = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
-    y = X @ [1.0, -2.0, 0.5] + rng.standard_normal(40)
-    fit = erfe.expectile_regression(X, y, 0.5)
-    ols, *_ = np.linalg.lstsq(X, y, rcond=None)
-    assert np.max(np.abs(fit.beta - ols)) <= 1e-10
-    assert fit.converged
-
-
-def test_intercept_only_reduces_to_sample_expectile():
-    rng = np.random.default_rng(9)
-    y = rng.standard_normal(30)
-    for tau in (0.2, 0.5, 0.9):
-        fit = erfe.expectile_regression(np.ones((30, 1)), y, tau)
-        assert fit.beta[0] == pytest.approx(erfe.sample_expectile(y, tau), abs=1e-8)
+def _pooled_fit(x, y, tau):
+    """The expectile regression of y on an intercept and the columns of x,
+    as the panel fit on one subject, whose effect is the intercept."""
+    panel = erfe.build_panel(zip([0] * len(y), y, x))
+    return panel, erfe.fit_erfe_single(panel, tau)
 
 
 def test_against_convex_minimizer():
     rng = np.random.default_rng(10)
     X = np.column_stack([np.ones(20), rng.standard_normal(20)])
     y = X @ [0.5, 1.5] + rng.standard_normal(20)
-    fit = erfe.expectile_regression(X, y, 0.8)
+    _, fit = _pooled_fit(X[:, 1:], y, 0.8)
     reference = oracles.minimize_expectile_objective(X, y, 0.8)
-    assert np.max(np.abs(fit.beta - reference)) <= 1e-6
-
-
-def test_gradient_condition_at_fit():
-    rng = np.random.default_rng(11)
-    for tau in (0.1, 0.6, 0.95):
-        X = np.column_stack([np.ones(50), rng.standard_normal((50, 2))])
-        y = X @ [1.0, 0.3, -0.7] + rng.standard_normal(50)
-        fit = erfe.expectile_regression(X, y, tau)
-        w = erfe.check_weight(fit.residuals, tau)
-        score = X.T @ (w * fit.residuals)
-        assert np.max(np.abs(score)) <= 1e-6 * (1.0 + np.max(np.abs(y)))
+    assert np.max(np.abs(np.r_[fit.alpha, fit.beta] - reference)) <= 1e-6
 
 
 def test_residual_expectile_vanishes_with_intercept():
     rng = np.random.default_rng(12)
     X = np.column_stack([np.ones(60), rng.standard_normal(60)])
     y = X @ [2.0, 1.0] + rng.standard_normal(60)
-    fit = erfe.expectile_regression(X, y, 0.7)
-    assert abs(erfe.sample_expectile(fit.residuals, 0.7)) <= 1e-6
-
-
-def test_singular_design_raises():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal(20)
-    X = np.column_stack([x, 2.0 * x])
-    with pytest.raises(SingularGramError):
-        erfe.expectile_regression(X, x + 1.0, 0.5)
-
-
-def test_no_convergence_carries_partial_result(monkeypatch):
-    rng = np.random.default_rng(14)
-    X = np.column_stack([np.ones(40), rng.standard_normal(40)])
-    y = X @ [1.0, 1.0] + rng.standard_normal(40)
-    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
-    monkeypatch.setattr(erfe.expectiles, "TOL", 1e-16)
-    with pytest.raises(NoConvergenceError) as excinfo:
-        erfe.expectile_regression(X, y, 0.9)
-    partial = excinfo.value.result
-    assert partial is not None and not partial.converged
-    assert partial.beta.shape == (2,)
-
-
-def test_more_regressors_than_rows_rejected():
-    with pytest.raises(ValueError):
-        erfe.expectile_regression(np.ones((2, 3)), np.ones(2), 0.5)
+    panel, fit = _pooled_fit(X[:, 1:], y, 0.7)
+    residuals = panel.y - panel.X @ fit.beta - fit.alpha[0]
+    assert abs(erfe.sample_expectile(residuals, 0.7)) <= 1e-6
 
 
 # ---------------------------------------------------------------------

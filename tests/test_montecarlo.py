@@ -1,11 +1,15 @@
 """Data-generating processes and the replication harness."""
 
+import concurrent.futures
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import erfe
 from erfe import montecarlo
+from erfe.cli import main
 from erfe.errors import BudgetExceededError, NonincreasingTausError
 from erfe.montecarlo import estimates_to_csv, metrics_to_csv
 
@@ -266,6 +270,56 @@ def test_budget_env_override(monkeypatch):
     erfe.run_monte_carlo(_small_config(replications=2))
 
 
+@pytest.mark.parametrize("value", ["1e6", ""])
+def test_budget_env_must_be_an_integer(monkeypatch, capsys, value):
+    monkeypatch.setenv("ERFE_MAX_BUDGET", value)
+    message = f"ERFE_MAX_BUDGET must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        erfe.run_monte_carlo(_small_config(replications=2))
+    assert main(["simulate", "--replications", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_must_be_a_positive_integer(workers):
+    with pytest.raises(ValueError, match=f"need at least 1 worker, got {workers}"):
+        erfe.run_monte_carlo(_small_config(replications=2), workers=workers)
+    with pytest.raises(TypeError):
+        erfe.run_monte_carlo(_small_config(replications=2), workers=2.0)
+
+
+def test_pool_is_no_larger_than_the_blocks(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config = _small_config(replications=2 * montecarlo.BLOCK + 1)
+    serial = erfe.run_monte_carlo(config)
+    assert sizes == []
+    pooled = erfe.run_monte_carlo(config, workers=1000)
+    assert sizes == [3]
+    assert metrics_to_csv(pooled) == metrics_to_csv(serial)
+    for name in ("estimates", "standard_errors", "iterations"):
+        assert np.array_equal(getattr(pooled, name), getattr(serial, name))
+    # One block takes no pool at all.
+    erfe.run_monte_carlo(_small_config(replications=montecarlo.BLOCK), workers=8)
+    assert sizes == [3]
+
+
 def test_location_shift_slopes_stable_across_taus():
     # Under the homoskedastic design the slope truth does not move with
     # the asymmetric point; the estimated means must agree within pooled
@@ -296,8 +350,10 @@ def test_fixed_effects_beat_pooled_expectile_regression():
     pooled, within = [], []
     for rep in range(config.replications):
         panel, _ = erfe.generate_dgp(config, rep)
-        design = np.column_stack([np.ones(panel.n_obs), panel.X])
-        pooled.append(erfe.expectile_regression(design, panel.y, 0.5).beta[2])
+        # The pooled fit is the panel fit on one subject, whose effect
+        # alpha[0] is the intercept.
+        one_subject = erfe.build_panel(zip([0] * panel.n_obs, panel.y, panel.X))
+        pooled.append(erfe.fit_erfe_single(one_subject, 0.5).beta[1])
         within.append(erfe.fit_erfe_single(panel, 0.5).beta[1])
 
     def bias_z(estimates):
