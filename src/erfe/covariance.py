@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotPositiveSemidefiniteError,
-    SingularBreadError,
-    SingularGramError,
-)
+from .errors import NotPositiveSemidefiniteError, SingularBreadError
 from .estimator import (
     FitResult,
     MultiFitResult,
@@ -84,13 +80,9 @@ def _assemble(stack: PanelStack, idx, resid, taus, v):
     scores -= couplings * (pooled / denom)[:, None]
     d0 = scores @ scores.transpose(0, 2, 1) / n_obs
     d1 = system / n_obs
-    errors = [None] * idx.size
-    try:
-        bread_inv = spd_inverse(d1)
-    except SingularGramError as exc:
-        bread_inv = exc.result
-        errors = [SingularBreadError(str(exc)) if failed else None
-                  for failed in exc.failed.tolist()]
+    bread_inv, problems = spd_inverse(d1)
+    errors = [None if problem is None else SingularBreadError(problem)
+              for problem in problems]
     vc = bread_inv @ d0 @ bread_inv / n_obs
     vc = (vc + vc.transpose(0, 2, 1)) / 2.0
     ok = np.array([e is None for e in errors], dtype=bool)
@@ -120,7 +112,8 @@ def sandwich_single(panel: PanelData, fit: FitResult) -> SandwichCovariance:
 
     Both matrices are rebuilt from the converged transformed residuals:
     the meat sums per-subject score outer products, the bread is the
-    check-weighted Gram of the weighted within transform of X.
+    fit's concentrated system (``estimator.concentrated_system``) at those
+    residuals, on the demeaned design, over the observation count.
     """
     return _one(*_assemble(stack_panels([panel]), np.arange(1),
                           fit.residuals_star[None, None], (fit.tau,), np.ones(1)))

@@ -52,17 +52,14 @@ class SingularGramError(ErfeError, RuntimeError):
 
     ``columns`` names the offending regressors when they can be identified,
     ``iteration`` records where in an iterative fit the failure occurred.
-    For a stack of systems, ``failed`` marks the singular ones and
-    ``result`` holds the solutions, NaN for those.
+    A fit of a stack of panels gives each panel whose system is singular
+    its own error, whose message describes that panel's system.
     """
 
-    def __init__(self, message, columns=None, iteration=None, failed=None,
-                 result=None):
+    def __init__(self, message, columns=None, iteration=None):
         super().__init__(message)
         self.columns = tuple(columns) if columns else ()
         self.iteration = iteration
-        self.failed = failed
-        self.result = result
 
 
 class SingularBreadError(ErfeError, RuntimeError):

@@ -140,8 +140,9 @@ class StackFit:
     (B x q) holds the rounds of the fit that point belongs to, and
     ``errors`` (B tuples of q) the error that stopped that fit, None where
     it converged: a SingularGramError, whose numbers mean nothing, or a
-    NoConvergenceError, whose numbers are its last iterate.  The points of
-    a joint fit share its rounds and its error.
+    NoConvergenceError, whose numbers are its last iterate.  Each panel's
+    error is its own, whatever was stacked with it.  The points of a joint
+    fit share its rounds and its error.
     """
 
     taus: tuple[float, ...]
@@ -177,24 +178,24 @@ def _screen(stack: PanelStack) -> list:
     return errors
 
 
-def _record(errors, idx, singular):
-    """Give each panel of ``idx`` that ``singular`` marks that error, unless
-    the panel has one already."""
-    if singular is not None:
-        for i in idx[singular.failed].tolist():
-            errors[i] = errors[i] or singular
+def _record(errors, idx, problems, columns, iteration):
+    """Give each panel of ``idx`` whose system has a problem (``_round``'s
+    ``problems``) its own SingularGramError, unless it has an error already."""
+    for i, problem in zip(idx.tolist(), problems):
+        if problem is not None:
+            errors[i] = errors[i] or SingularGramError(problem, columns=columns,
+                                                       iteration=iteration)
 
 
 def _within_round(stack: PanelStack, errors):
     """The within round of every panel: one round at tau = 0.5 with
     constant weights on the demeaned design.  Returns its slopes (B x 1 x p)
-    and residuals (B x 1 x N); a panel whose system is singular gets that
-    error in ``errors``."""
+    and residuals (B x 1 x N); a panel whose system is singular gets its
+    SingularGramError in ``errors``."""
     size, _, n_obs = stack.demeaned.shape
-    betas, resid, singular = _round(stack.demeaned, stack.codes, stack.n_subjects,
-                                    (0.5,), np.ones(1), np.zeros((size, 1, n_obs)),
-                                    stack.column_names)
-    _record(errors, np.arange(size), singular)
+    betas, resid, problems = _round(stack.demeaned, stack.codes, stack.n_subjects,
+                                    (0.5,), np.ones(1), np.zeros((size, 1, n_obs)))
+    _record(errors, np.arange(size), problems, stack.column_names, None)
     return betas, resid
 
 
@@ -238,26 +239,21 @@ def concentrated_system(design, codes, n_subjects, v, psi):
     return system, rhs, couplings, denom, pooled_y
 
 
-def _round(design, codes, n_subjects, taus, v, resid, columns=None, iteration=None):
+def _round(design, codes, n_subjects, taus, v, resid):
     """One round of A stacked panels: ``concentrated_system`` at the check
     weights of the residual blocks ``resid`` (A x q x N) at ``taus``,
-    solved.  Returns the new slopes (A x q x p), the new
-    residual blocks and the SingularGramError of the panels whose system is
-    singular (None if none is); its ``failed`` marks them, and their slopes
-    are NaN.
+    solved.  Returns the new slopes (A x q x p), the new residual blocks
+    and, per panel, the reason its system has no solution, or None
+    (``spd_solve``'s problems); a panel with a problem has NaN slopes.
     """
     system, rhs, couplings, denom, pooled_y = concentrated_system(
         design, codes, n_subjects, v,
         (check_weight(resid[:, k], tau) for k, tau in enumerate(taus)))
-    singular = None
-    try:
-        betas = spd_solve(system, rhs, columns=columns, iteration=iteration)
-    except SingularGramError as exc:
-        betas, singular = exc.result, exc
+    betas, problems = spd_solve(system, rhs)
     alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
     betas = betas.reshape(*resid.shape[:2], -1)
     effects = alpha.ravel()[codes.ravel()].reshape(codes.shape)
-    return betas, (design[:, -1] - effects)[:, None] - betas @ design[:, :-1], singular
+    return betas, (design[:, -1] - effects)[:, None] - betas @ design[:, :-1], problems
 
 
 def _scores_vanish(design, codes, n_subjects, taus, v, resid, tol):
@@ -280,8 +276,8 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors):
     """Concentrated rounds from (betas, resid) for every panel without an
     error, each until its sup-norm step is within ``expectiles.TOL`` and
     its scores vanish, or ``expectiles.MAX_ROUNDS`` run out.  A panel that
-    stops takes no further round; one whose system turns singular gets that
-    error in ``errors``.
+    stops takes no further round; one whose system turns singular gets its
+    SingularGramError in ``errors``.
 
     Returns (betas, resid, iterations, converged), per panel.
     """
@@ -295,16 +291,15 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors):
         if not idx.size:
             break
         codes, rows, current, old = stack.part(idx, design, resid, betas)
-        new_betas, new_resid, singular = _round(rows, codes, n_subjects, taus, v,
-                                                current, stack.column_names, r)
+        new_betas, new_resid, problems = _round(rows, codes, n_subjects, taus, v, current)
         delta = np.max(np.abs(new_betas - old), axis=(1, 2))
         if idx.size == size:
             betas, resid = new_betas, new_resid
         else:
             betas[idx], resid[idx] = new_betas, new_resid
         iterations[idx] = r
-        _record(errors, idx, singular)
-        stop = singular.failed if singular is not None else np.zeros(idx.size, bool)
+        _record(errors, idx, problems, stack.column_names, r)
+        stop = np.array([p is not None for p in problems], dtype=bool)
         check = idx[(delta <= expectiles.TOL) & ~stop]
         if check.size:
             codes, rows, current = stack.part(check, design, resid)

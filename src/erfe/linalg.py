@@ -1,9 +1,10 @@
 """Symmetric positive definite solves with explicit rank diagnostics.
 
 Gram systems are solved through a Cholesky factorization of the
-diagonally rescaled matrix.  Failure is surfaced as SingularGramError
-instead of silently falling back to a pseudo-inverse, so specification
-errors (annihilated or collinear regressors) are diagnosable.
+diagonally rescaled matrix.  A system without a solution is not silently
+solved by a pseudo-inverse: its solution is NaN, and the solve returns,
+per system, the reason it has none, so that the caller can say which
+regressors of which fit are annihilated or collinear.
 
 Every solve takes a stack of systems on leading axes, as the fits of a
 Monte Carlo block make them, and one system is the stack of one: the
@@ -44,22 +45,21 @@ def _factor(scaled):
     return factors, problems
 
 
-def spd_solve(G, b, iteration=None, columns=None):
+def spd_solve(G, b):
     """Solve G x = b for symmetric positive definite G.
 
     ``G`` is one k x k matrix or a stack (..., k, k); ``b`` holds one
-    right-hand side per system, (..., k), or several, (..., k, r).  Raises
-    SingularGramError when some system's factorization fails or its
-    rescaled matrix has a pivot below the rank threshold.  The message
-    describes the first such system; the error's ``failed`` marks every one
-    of them and its ``result`` holds the solutions, NaN for those systems.
+    right-hand side per system, (..., k), or several, (..., k, r).  Returns
+    the solutions, NaN for a system without one, and per system in C order
+    the reason it has none (a non-positive diagonal entry, a failed
+    factorization or a rescaled pivot below the rank threshold) or None.
+    An empty (0 x 0) system raises SingularGramError.
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
     lead, k = G.shape[:-2], G.shape[-1]
     if k == 0:
-        raise SingularGramError("empty Gram matrix", columns=columns,
-                                iteration=iteration)
+        raise SingularGramError("empty Gram matrix")
     G = G.reshape(-1, k, k)
     vector = b.ndim == len(lead) + 1
     z = b.reshape(G.shape[0], k, 1 if vector else b.shape[-1])
@@ -86,23 +86,14 @@ def spd_solve(G, b, iteration=None, columns=None):
     for j in reversed(range(k)):
         z[:, j] /= factors[:, j, j, None]
         z[:, :j] -= factors[:, j, :j, None] * z[:, j, None]
-    x = (z / d[:, :, None]).reshape(b.shape)
-
-    failed = np.array([p is not None for p in problems], dtype=bool).reshape(lead)
-    if failed.any():
-        x[failed] = np.nan
-        raise SingularGramError(next(p for p in problems if p), columns=columns,
-                                iteration=iteration, failed=failed, result=x)
-    return x
+    x = z / d[:, :, None]
+    x[[p is not None for p in problems]] = np.nan
+    return x.reshape(b.shape), problems
 
 
 def spd_inverse(G):
     """Inverse of a symmetric positive definite matrix, or of each matrix
-    of a stack (..., k, k), symmetrized; fails as ``spd_solve`` does."""
+    of a stack (..., k, k), symmetrized, with ``spd_solve``'s problems."""
     G = np.asarray(G, dtype=float)
-    try:
-        inv = spd_solve(G, np.broadcast_to(np.eye(G.shape[-1]), G.shape))
-    except SingularGramError as exc:
-        exc.result = (exc.result + np.swapaxes(exc.result, -1, -2)) / 2.0
-        raise
-    return (inv + np.swapaxes(inv, -1, -2)) / 2.0
+    inv, problems = spd_solve(G, np.broadcast_to(np.eye(G.shape[-1]), G.shape))
+    return (inv + np.swapaxes(inv, -1, -2)) / 2.0, problems

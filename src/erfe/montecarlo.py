@@ -103,6 +103,12 @@ class SimulationConfig:
     joint: bool = False
 
     def __post_init__(self):
+        for name in ("n", "m", "replications", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 1 or self.m < 2 or self.replications < 1:
             raise ValueError("need n >= 1, m >= 2, replications >= 1")
         if not np.isfinite(self.gamma):

@@ -513,3 +513,20 @@ def unbalanced_panel(rng, sizes, p, beta=None, noise=1.0):
     panel = erfe.build_panel(
         [(int(codes[i]), float(y[i]), X[i]) for i in range(total)])
     return panel, beta, alpha
+
+
+def collinear_panel(seed, eps, low_tau_rows=False):
+    """Six subjects of four rows whose x2 is 2 x1 plus ``eps`` times noise.
+
+    With ``low_tau_rows`` the noise sits only on the rows whose error is
+    in its top 40%, which the check weights of a low tau weigh least: the
+    within round can then solve a system that a later round cannot."""
+    rng = np.random.default_rng(seed)
+    codes = np.repeat(np.arange(6), 4)
+    x1, noise, u = rng.standard_normal((3, 24))
+    u += rng.standard_normal(6)[codes]
+    if low_tau_rows:
+        noise = noise * (u > np.quantile(u, 0.6))
+    X = np.column_stack([x1, 2.0 * x1 + eps * noise])
+    return erfe.build_panel(
+        [(int(codes[i]), float(x1[i] + u[i]), X[i]) for i in range(24)])

@@ -294,7 +294,8 @@ def test_criterion_11_cli_determinism(tmp_path):
             fh.write(f"{panel.subject_ids[i]},{float(panel.y[i])!r},"
                      f"{float(panel.X[i, 0])!r},{float(panel.X[i, 1])!r}\n")
 
-    sim = ["simulate", "--n", "20", "--m", "4", "--replications", "8",
+    # More than two blocks of replications, so that --workers 3 starts three.
+    sim = ["simulate", "--n", "20", "--m", "4", "--replications", "40",
            "--seed", "99", "--tau", "0.3,0.7"]
     outs = []
     for name, extra in (("s1.csv", []), ("s2.csv", []),

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import erfe
-from erfe.covariance import SandwichCovariance
+from erfe.covariance import SandwichCovariance, sandwich_stack
 from erfe.errors import SingularBreadError
+from erfe.estimator import StackFit
+from erfe.panel import stack_panels
 
 import oracles
 
@@ -142,6 +144,36 @@ def test_singular_bread_surfaced():
                           converged=True, objective_value=0.0)
     with pytest.raises(SingularBreadError):
         erfe.sandwich_single(panel, fake)
+
+
+def test_stacked_bread_failure_is_the_panels_own():
+    # Positive residuals weigh every row by tau, so each bread is tau times
+    # the demeaned Gram: x2 constant within subjects has a zero diagonal,
+    # x2 = 2 x1 fails the factorization and 4e-8 of noise the pivot check.
+    panels = [oracles.collinear_panel(20, eps) for eps in (1.0, 0.0, 4e-8)]
+    panels.insert(1, erfe.build_panel(
+        [(i // 4, float(panels[0].y[i]), [panels[0].X[i, 0], i // 4]) for i in range(24)]))
+    resid = np.ones((4, 1, 24))
+    fit = StackFit(taus=(0.1,), v=np.ones(1), joint=False, betas=np.zeros((4, 1, 2)),
+                   residuals_star=resid, iterations=np.ones((4, 1), dtype=int),
+                   errors=((None,),) * 4)
+    cov, errors = sandwich_stack(stack_panels(panels), fit)
+    singles = [erfe.FitResult(tau=0.1, beta=np.zeros(2), alpha=np.zeros(6),
+                              residuals_star=resid[b, 0], iterations=1,
+                              converged=True, objective_value=0.0)
+               for b in range(4)]
+    healthy = erfe.sandwich_single(panels[0], singles[0])
+    assert errors[0] == (None,)
+    assert np.array_equal(cov.vc[0], healthy.vc)
+    assert np.array_equal(cov.se[0], healthy.se)
+    for b in (1, 2, 3):
+        with pytest.raises(SingularBreadError) as alone:
+            erfe.sandwich_single(panels[b], singles[b])
+        (error,) = errors[b]
+        assert type(error) is SingularBreadError
+        assert str(error) == str(alone.value)
+        assert np.isnan(cov.se[b]).all()
+    assert len({str(row[0]) for row in errors[1:]}) == 3
 
 
 # ---------------------------------------------------------------------

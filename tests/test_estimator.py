@@ -200,6 +200,34 @@ def test_no_convergence_carries_partial_fit(monkeypatch):
 # recover_fixed_effects
 # ---------------------------------------------------------------------
 
+def test_stacked_failure_is_the_panels_own():
+    # x2 = 2 x1 fails the within round's factorization, and 4e-8 of noise
+    # leaves a pivot below the rank threshold in that same solve; with its
+    # noise only on rows that tau = 0.1 weighs least, x2 passes the within
+    # round and fails round 1.  Each panel's error must be the one it gets
+    # when fitted alone.
+    panels = [oracles.collinear_panel(20, 1.0), oracles.collinear_panel(20, 0.0),
+              oracles.collinear_panel(20, 4e-8),
+              oracles.collinear_panel(20, 4e-7, low_tau_rows=True)]
+    fit = fit_stack(stack_panels(panels), (0.1,))
+    healthy = erfe.fit_erfe_single(panels[0], 0.1)
+    assert fit.errors[0] == (None,)
+    assert np.array_equal(fit.betas[0, 0], healthy.beta)
+    assert np.array_equal(fit.residuals_star[0, 0], healthy.residuals_star)
+    for b in (1, 2, 3):
+        with pytest.raises(SingularGramError) as alone:
+            erfe.fit_erfe_single(panels[b], 0.1)
+        (error,) = fit.errors[b]
+        assert type(error) is SingularGramError
+        assert str(error) == str(alone.value)
+        assert error.columns == alone.value.columns == ("x1", "x2")
+        assert error.iteration == alone.value.iteration
+        assert np.isnan(fit.betas[b]).all()
+    assert "Cholesky factorization failed" in str(fit.errors[1][0])
+    assert "rank deficient" in str(fit.errors[2][0])
+    assert [row[0].iteration for row in fit.errors[1:]] == [None, None, 1]
+
+
 def test_recover_midpoint_effects_are_subject_means():
     rng = np.random.default_rng(53)
     panel, _, _ = oracles.random_panel(rng, 9, 4, 2)

@@ -142,6 +142,15 @@ def test_config_validation():
             erfe.SimulationConfig(gamma=gamma)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 5.5), ("m", 2.5), ("replications", 2.5), ("seed", 1.5), ("seed", "1"),
+])
+def test_config_counts_must_be_integers(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
+        erfe.SimulationConfig(**{field: value})
+    erfe.SimulationConfig(**{field: np.int64(4)})
+
+
 # ---------------------------------------------------------------------
 # run_monte_carlo
 # ---------------------------------------------------------------------
