@@ -1,9 +1,12 @@
 """Command-line front-end: fit, simulate, expectile, transform.
 
 Outputs are deterministic functions of (input bytes, flags, seed), each
-a table written by ``panel.write_table`` in CSV or JSON.  Exit codes: 0 on
-success with full convergence, 1 on file/parse/rank errors, 2 when some
-requested fit did not converge (best-effort estimates are still printed).
+a table written by ``panel.write_table`` in CSV or JSON.  ``fit`` and
+``transform`` fit one stack, the input's panel less the regressors constant
+within subjects.  Every failure reaches ``main``, which prints one
+``error:`` line.  Exit codes: 0 on success with full convergence, 1 on
+file/parse/rank errors, 2 when some requested fit did not converge
+(best-effort estimates are still printed).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .panel import (
     read_panel_csv,
     stack_panels,
     validate_taus,
+    validate_v,
     write_table,
 )
 from .within import apply_within, subject_weights, within_constant
@@ -39,18 +43,12 @@ EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
 
-class _UsageExit(SystemExit):
-    def __init__(self, message):
-        print(message, file=sys.stderr)
-        super().__init__(EXIT_ERROR)
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with the parse-error code."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageExit(f"{self.prog}: error: {message}")
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _argument(parse):
@@ -72,18 +70,20 @@ def _emit(header, columns, fmt: str, out: str | None):
             write_table(fh, header, columns, fmt)
 
 
-def _split_estimable(panel):
-    """Partition regressors into estimable and within-constant columns."""
-    dropped = np.flatnonzero(within_constant(panel)).tolist()
-    kept = [j for j in range(panel.n_regressors) if j not in dropped]
-    if dropped:
-        names = [panel.column_names[j] for j in dropped]
-        print(
-            f"warning: regressor(s) {names} are constant within subjects; "
-            "dropped from estimation (reported as NA)",
-            file=sys.stderr,
-        )
-    return kept, dropped
+def _read_estimable(args):
+    """The panel of ``args.input``, the indices of its regressors that are
+    not constant within subjects, and its stack of one with only those
+    regressors; the others are named in a warning."""
+    panel = read_panel_csv(args.input, args.subject_col, args.response_col)
+    stack = stack_panels([panel])
+    constant = within_constant(stack)[0]
+    kept = np.flatnonzero(~constant).tolist()
+    if constant.any():
+        names = [panel.column_names[j] for j in np.flatnonzero(constant)]
+        print(f"warning: regressor(s) {names} are constant within subjects; "
+              "dropped from estimation (reported as NA)", file=sys.stderr)
+        stack = stack.keep_regressors(kept)
+    return panel, kept, stack
 
 
 _FIT_HEADER = ["tau", "term", "estimate", "std_error", "ci_lower", "ci_upper",
@@ -92,29 +92,24 @@ _FIT_HEADER = ["tau", "term", "estimate", "std_error", "ci_lower", "ci_upper",
 
 def _stop_on_failure(errors):
     """Raise the first of ``errors`` that stopped a fit or a sandwich for
-    another reason than running out of rounds."""
+    another reason than running out of rounds; a singular Gram matrix is
+    reported with the regressors it involves."""
     for error in errors:
+        if isinstance(error, SingularGramError):
+            raise SingularGramError(f"singular weighted Gram matrix involving "
+                                    f"columns {list(error.columns)}: {error}")
         if error is not None and not isinstance(error, NoConvergenceError):
             raise error
 
 
 def cmd_fit(args) -> int:
-    panel = read_panel_csv(args.input, args.subject_col, args.response_col)
-    kept, dropped = _split_estimable(panel)
+    validate_v(args.v, len(args.tau), args.joint)
+    panel, kept, stack = _read_estimable(args)
     if not kept:
-        print("error: no estimable regressors remain", file=sys.stderr)
-        return EXIT_ERROR
-    reduced = panel.keep_regressors(kept) if dropped else panel
-    stack = stack_panels([reduced])
+        raise ValueError("no estimable regressors remain")
     fit = fit_stack(stack, args.tau, args.v, joint=args.joint)
     cov, errors = sandwich_stack(stack, fit)
-    try:
-        _stop_on_failure(errors[0])
-    except SingularGramError as exc:
-        names = exc.columns or reduced.column_names
-        print(f"error: singular weighted Gram matrix involving columns "
-              f"{list(names)}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    _stop_on_failure(errors[0])
 
     # estimate, std_error, ci_lower, ci_upper per (tau, regressor): NaN for a
     # dropped regressor; a fit that ran out of rounds has no sandwich, so
@@ -153,18 +148,15 @@ def cmd_expectile(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    panel = read_panel_csv(args.input, args.subject_col, args.response_col)
-    kept, dropped = _split_estimable(panel)
-    reduced = panel.keep_regressors(kept) if dropped else panel
+    panel, kept, stack = _read_estimable(args)
     # tau = 0.5 is the plain within transform; every other tau needs a fit.
     fitted = tuple(tau for tau in args.tau if tau != 0.5)
     partial = False
     if fitted:
         if not kept:
-            print("error: no estimable regressors; weighted transform "
-                  "requires a fit", file=sys.stderr)
-            return EXIT_ERROR
-        fit = fit_stack(stack_panels([reduced]), fitted)
+            raise ValueError("no estimable regressors; weighted transform "
+                             "requires a fit")
+        fit = fit_stack(stack, fitted)
         _stop_on_failure(fit.errors[0])
         partial = any(e is not None for e in fit.errors[0])
     y_blocks, x_blocks = [], []
@@ -173,7 +165,7 @@ def cmd_transform(args) -> int:
             weights = subject_weights(np.zeros(panel.n_obs), 0.5, panel)
         else:
             weights = subject_weights(fit.residuals_star[0, fitted.index(tau)], tau,
-                                      reduced)
+                                      panel)
         y_blocks.append(apply_within(panel.y, weights, panel))
         x_blocks.append(apply_within(panel.X, weights, panel))
     header = ["tau", "subject", f"{args.response_col}_star",
@@ -217,18 +209,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo scenario cell")
-    sim.add_argument("--n", type=int, default=100, help="number of subjects")
-    sim.add_argument("--m", type=int, default=5, help="observations per subject")
-    sim.add_argument("--gamma", type=float, default=0.0,
+    cell = SimulationConfig  # whose field defaults are the flags' defaults
+    sim.add_argument("--n", type=int, default=cell.n, help="number of subjects")
+    sim.add_argument("--m", type=int, default=cell.m, help="observations per subject")
+    sim.add_argument("--gamma", type=float, default=cell.gamma,
                      help="heteroskedasticity strength (0 = location shift)")
-    sim.add_argument("--error-dist", choices=tuple(ERROR_LAWS), default="gaussian")
-    sim.add_argument("--replications", type=int, default=200)
+    sim.add_argument("--error-dist", choices=tuple(ERROR_LAWS), default=cell.error_dist)
+    sim.add_argument("--replications", type=int, default=cell.replications)
     sim.add_argument("--joint", action="store_true")
     sim.add_argument("--dump-estimates", default=None,
                      help="also write per-replication estimates to this path")
     add_common(sim)
-    sim.add_argument("--seed", type=int, default=0, help="random seed")
-    sim.set_defaults(func=cmd_simulate, tau=(0.1, 0.3, 0.5, 0.8, 0.9))
+    sim.add_argument("--seed", type=int, default=cell.seed, help="random seed")
+    sim.set_defaults(func=cmd_simulate, tau=cell.taus)
 
     exp = sub.add_parser("expectile", help="expectiles of one CSV column")
     add_io(exp, need_panel=False)

@@ -362,11 +362,7 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
     """
     taus = validate_taus(taus)
     q = len(taus)
-    if v is None:
-        v = np.ones(q)
-    elif not joint:
-        raise ValueError("influence weights apply to a joint fit only")
-    v = validate_v(v, q)
+    v = validate_v(v, q, joint)
     design = fit_design(stack, q if joint else 1)
 
     screened = _screen(stack)

@@ -98,7 +98,7 @@ class SimulationConfig:
     gamma: float = 0.0
     error_dist: str = "gaussian"
     taus: tuple[float, ...] = (0.1, 0.3, 0.5, 0.8, 0.9)
-    replications: int = 400
+    replications: int = 200
     seed: int = 0
     joint: bool = False
 

@@ -86,9 +86,14 @@ def validate_taus(taus) -> tuple[float, ...]:
     return taus
 
 
-def validate_v(v, q: int) -> np.ndarray:
-    """Validate influence weights: one finite, strictly positive weight per
-    asymmetric point of ``q``.  Returns them as a float vector."""
+def validate_v(v, q: int, joint: bool) -> np.ndarray:
+    """Validate influence weights: None for uniform ones, else, for a
+    ``joint`` fit only, one finite, strictly positive weight per asymmetric
+    point of ``q``.  Returns them as a float vector."""
+    if v is None:
+        return np.ones(q)
+    if not joint:
+        raise ValueError("influence weights apply to a joint fit only")
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != q:
         raise WeightDimensionMismatchError(
@@ -141,7 +146,9 @@ class PanelData:
         Distinct subject labels in order of first appearance.
 
     Every array is read-only, and so are the derived ``subject_ids`` and
-    ``demeaned``, each computed once, on first use.
+    ``demeaned``, each computed once, on first use.  Fits read panels
+    through a stack (``stack_panels``), on which regressor columns are
+    dropped (``PanelStack.keep_regressors``).
     """
 
     y: np.ndarray
@@ -178,21 +185,6 @@ class PanelData:
         _demean(rows, self.codes, self.counts)
         return _freeze(rows)
 
-    def keep_regressors(self, kept) -> "PanelData":
-        """The panel with only the regressor columns ``kept``, in that order.
-
-        Other fields are shared.  Each row of ``demeaned`` is demeaned on
-        its own, so the reduced panel's rows are this panel's kept X rows
-        and its y row, bit for bit: it takes them instead of demeaning again.
-        """
-        kept = list(kept)
-        # C order, as the fits' BLAS calls round differently on other layouts.
-        reduced = dataclasses.replace(
-            self, X=_freeze(np.ascontiguousarray(self.X[:, kept])),
-            column_names=tuple(self.column_names[j] for j in kept))
-        vars(reduced)["demeaned"] = _freeze(self.demeaned[[*kept, -1]])
-        return reduced
-
 
 @dataclass(frozen=True)
 class PanelStack:
@@ -204,7 +196,8 @@ class PanelStack:
     subject codes by b * n, so that one ``np.bincount`` over all of them
     with B * n bins gives every panel's subject sums, each accumulated in
     the order a bincount of that panel alone would take.  A stack of one
-    panel holds views of the panel's own arrays.
+    panel holds views of the panel's own arrays; ``keep_regressors`` drops
+    regressor columns without demeaning again.
     """
 
     n_subjects: int
@@ -217,6 +210,17 @@ class PanelStack:
     @property
     def size(self) -> int:
         return self.y.shape[0]
+
+    def keep_regressors(self, kept) -> "PanelStack":
+        """The stack with only the regressor columns ``kept``, in that order.
+        Each row of ``demeaned`` is demeaned on its own, so it takes the kept
+        rows and the y row, which are the reduced stack's bit for bit."""
+        kept = list(kept)
+        # C order, as the fits' BLAS calls round differently on other layouts.
+        return dataclasses.replace(
+            self, column_names=tuple(self.column_names[j] for j in kept),
+            X=_freeze(np.ascontiguousarray(self.X[..., kept])),
+            demeaned=_freeze(self.demeaned[:, [*kept, -1]]))
 
     def part(self, idx, *arrays):
         """The subject codes of the panels ``idx`` (an index array), offset as

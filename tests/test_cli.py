@@ -1,6 +1,7 @@
 """Command-line interface: fit, simulate, expectile, transform."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,9 +13,9 @@ import numpy as np
 import pytest
 
 import erfe
-from erfe.cli import main
+from erfe.cli import _build_parser, main
 from erfe.errors import NonincreasingTausError
-from erfe.panel import write_table
+from erfe.panel import stack_panels, write_table
 
 import oracles
 
@@ -163,7 +164,7 @@ def test_fit_drops_subject_constant_column(tmp_path, capsys):
 
 @pytest.mark.parametrize("joint", [[], ["--joint"]])
 def test_dropping_a_column_does_not_demean_again(joint, tmp_path, monkeypatch):
-    # small_panel.csv's zconst is dropped; the reduced panel takes its
+    # small_panel.csv's zconst is dropped; the reduced stack takes its
     # demeaned rows from the full panel's instead of demeaning again.
     passes = []
     demean = erfe.panel._demean
@@ -231,6 +232,21 @@ def test_fit_v_parse_error_names_the_value(capsys):
     assert "_parse" not in err
 
 
+@pytest.mark.parametrize("weights", [
+    ["--tau", "0.3", "--v", "1"],
+    ["--tau", "0.2,0.8", "--joint", "--v", "1"],
+    ["--tau", "0.2,0.8", "--joint", "--v", "nan,1"],
+])
+def test_fit_v_misuse_fails_before_reading(weights, tmp_path, capsys):
+    # The influence weights are checked before the input is opened: a
+    # missing file is not reported.
+    code = main(["fit", *weights, "--input", str(tmp_path / "nope.csv"),
+                 "--subject-col", "id", "--response-col", "y"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "influence weights" in err and "nope.csv" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["fit", "--seed", "1", *_SMALL],
     ["transform", "--seed", "1", *_SMALL],
@@ -262,12 +278,13 @@ def test_joint_fit_at_one_tau_is_the_plain_fit(tmp_path):
 def test_kept_regressors_keep_their_demeaned_rows():
     rng = np.random.default_rng(92)
     panel, _, _ = oracles.random_panel(rng, 9, 4, 3)
-    reduced = panel.keep_regressors([2, 0])
+    reduced = stack_panels([panel]).keep_regressors([2, 0])
     fresh = erfe.build_panel(zip(panel.subject_ids, panel.y, panel.X[:, [2, 0]]),
                              ["x3", "x1"])
     assert reduced.column_names == ("x3", "x1")
-    assert np.array_equal(reduced.X, fresh.X)
-    assert np.array_equal(reduced.demeaned, fresh.demeaned)
+    assert np.array_equal(reduced.X[0], fresh.X)
+    assert np.array_equal(reduced.demeaned[0], fresh.demeaned)
+    assert reduced.X.flags.c_contiguous and not reduced.X.flags.writeable
     assert reduced.demeaned.flags.c_contiguous and not reduced.demeaned.flags.writeable
 
 
@@ -322,6 +339,23 @@ def test_fit_all_constant_design_exits_one(tmp_path, capsys):
                  "--response-col", "y", "--tau", "0.5"])
     assert code == 1
     assert "no estimable regressors" in capsys.readouterr().err
+
+
+def test_fit_and_transform_report_a_singular_fit_alike(tmp_path, capsys):
+    # x2 = 2 x1 exactly: both commands stop on the same singular fit, with
+    # one line naming the regressors involved.
+    path = _write_panel_csv(tmp_path / "panel.csv", oracles.collinear_panel(3, 0.0))
+    lines = []
+    for command in ("fit", "transform"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--input", path, "--subject-col", "id",
+                     "--response-col", "y", "--tau", "0.3", "--out", str(out)]) == 1
+        lines.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert lines[0] == lines[1]
+    assert lines[0].startswith(
+        "error: singular weighted Gram matrix involving columns ['x1', 'x2']: ")
+    assert lines[0].count("\n") == 1
 
 
 def test_fit_partial_convergence_exits_two(panel_csv, tmp_path, monkeypatch):
@@ -548,6 +582,14 @@ def test_simulate_deterministic_across_seeds_and_workers(tmp_path):
     assert main(args + ["--workers", "2", "--out", str(out3)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() == out3.read_bytes()
+
+
+def test_simulate_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["simulate"])
+    config = erfe.SimulationConfig()
+    for field in dataclasses.fields(config):
+        name = "tau" if field.name == "taus" else field.name
+        assert getattr(args, name) == getattr(config, field.name), field.name
 
 
 def test_simulate_single_replication(tmp_path):
