@@ -36,7 +36,7 @@ from .panel import (
     validate_v,
     write_table,
 )
-from .within import apply_within, subject_weights, within_constant
+from .within import apply_within, subject_weights
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -76,12 +76,12 @@ def _read_estimable(args):
     regressors; the others are named in a warning."""
     panel = read_panel_csv(args.input, args.subject_col, args.response_col)
     stack = stack_panels([panel])
-    constant = within_constant(stack)[0]
+    constant = stack.constant[0]
     kept = np.flatnonzero(~constant).tolist()
     if constant.any():
         names = [panel.column_names[j] for j in np.flatnonzero(constant)]
         print(f"warning: regressor(s) {names} are constant within subjects; "
-              "dropped from estimation (reported as NA)", file=sys.stderr)
+              "dropped from estimation", file=sys.stderr)
         stack = stack.keep_regressors(kept)
     return panel, kept, stack
 

@@ -23,8 +23,8 @@ the fit's sandwich.
 The single-tau fit (q = 1) is the weighted within transform of the
 paper.  That transform subtracts subject averages, so shifting a
 regressor by a subject constant changes nothing, and the single fit runs
-on the panel's plainly demeaned rows [X; y] (``PanelData.demeaned``,
-computed once per panel); this keeps G - C' D^-1 C free of cancellation
+on the plainly demeaned rows [X; y] (``PanelStack.demeaned``, computed
+once per stack); this keeps G - C' D^-1 C free of cancellation
 when regressors carry large subject-level offsets.  The joint fit
 (q > 1) must keep the raw X: its shared effect cannot absorb a shift a_i
 of x, which moves block k by a_i' beta_k, differently for each tau.  A
@@ -50,9 +50,10 @@ the systems from one stacked Cholesky (``linalg.spd_solve``).  Each panel
 has its own convergence test and takes no round after it stops; a panel
 whose system turns singular or that runs out of rounds gets its own error
 and leaves the others' bits unchanged.  ``fit_stack`` fits every
-asymmetric point of a command, or of a Monte Carlo block, in one call: one
-screen and one within round, then the rounds of each fit.
-``fit_erfe_single`` and ``fit_erfe_multi`` are its call with one panel.
+asymmetric point of a command, or of a Monte Carlo block, in one call: the
+stack's screen (``PanelStack.constant``) and one within round, then the
+rounds of each fit.  ``fit_erfe_single`` and ``fit_erfe_multi`` are its
+call with one panel, on a stack of one that each call builds.
 """
 
 from __future__ import annotations
@@ -74,11 +75,7 @@ from .panel import (
     validate_taus,
     validate_v,
 )
-from .within import (
-    subject_weights,
-    weighted_subject_sums,
-    within_constant,
-)
+from .within import subject_weights, weighted_subject_sums
 
 __all__ = [
     "FitResult",
@@ -162,13 +159,12 @@ def fit_slices(q: int, joint: bool) -> list[slice]:
 
 def _screen(stack: PanelStack) -> list:
     """Per panel, the SingularGramError for regressors that demeaning
-    annihilates (constant within every subject, which no weighted within
-    transform can identify either), or None.  A stack with no regressors
-    raises it, as ``spd_solve`` rejects an empty Gram matrix."""
+    annihilates (``PanelStack.constant``), or None.  A stack with no
+    regressors raises it, as ``spd_solve`` rejects an empty Gram matrix."""
     if not stack.column_names:
         raise SingularGramError("empty Gram matrix: the panel has no regressors")
     errors = []
-    for bad in within_constant(stack):
+    for bad in stack.constant:
         names = [stack.column_names[j] for j in np.flatnonzero(bad)]
         errors.append(SingularGramError(
             f"regressor(s) {names!r} are constant within subjects and are "
@@ -355,10 +351,10 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
     ``fit_erfe_single``; with it, the points get the one joint fit of
     ``fit_erfe_multi`` with the influence weights ``v``, which only a joint
     fit takes (over one point, the joint fit is the single fit).  The
-    within-constant screen and the within round run once, and each fit's
-    rounds start from its own copy of that round.  Each panel gets the
-    numbers its own fits give, bit for bit, and a fit that fails gets its
-    error in ``errors`` without changing the others.
+    within round runs once, and each fit's rounds start from its own copy
+    of that round.  Each panel gets the numbers its own fits give, bit for
+    bit, and a fit that fails gets its error in ``errors`` without
+    changing the others.
     """
     taus = validate_taus(taus)
     q = len(taus)

@@ -5,10 +5,11 @@ Gaussian regressor sharing a subject-level factor with the fixed effect
 (so the two are correlated), and a choice of error law whose scale may
 grow with the second regressor.  Replications get independent random
 streams keyed by (seed, replication index).  They are fitted in fixed
-blocks of ``BLOCK`` replications by index, each block stacked on a leading
-replication axis and fitted at every asymmetric point by one
-``estimator.fit_stack`` call; every replication's numbers are the bits its
-own fit gives, so results are reproducible bitwise for any worker count.
+blocks of ``BLOCK`` replications by index, each block drawn straight into
+one stack on a leading replication axis and fitted at every asymmetric
+point by one ``estimator.fit_stack`` call; every replication's numbers are
+the bits its own fit gives, so results are bitwise the same for any
+worker count.  ``generate_dgp`` draws one replication as a panel.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .covariance import sandwich_stack
 from .errors import BudgetExceededError
 from .estimator import fit_stack
 from .expectiles import chi_squared, distribution_expectile, gaussian, student_t
-from .panel import PanelData, _assemble_panel, stack_panels, validate_taus, write_table
+from .panel import PanelData, _assemble_panel, build_stack, validate_taus, write_table
 
 __all__ = [
     "BLOCK",
@@ -49,10 +50,10 @@ __all__ = [
 
 DEFAULT_BUDGET = 50_000_000
 # Replications fitted by one engine pass.  A block's arrays peak at about
-# 60 KB per replication of a 500-row cell: 16 keep the process's peak
-# memory where one replication at a time had it, while 1000 replications
-# at 3 taus take 0.44 s in-process, against 0.37 s in blocks of 64 (on a
-# 2-vCPU Xeon host).
+# 77 KB per replication of a 500-row cell, so 16 add about 1.2 MB to a
+# process that peaks at about 38 MB, while 1000 replications at 3 taus
+# take 0.59-0.70 s in-process, against 0.51-0.58 s in blocks of 64 (one
+# CPU of a 2-vCPU Xeon host).
 BLOCK = 16
 _BUDGET_ENV = "ERFE_MAX_BUDGET"
 
@@ -115,7 +116,7 @@ class SimulationConfig:
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.error_dist not in ERROR_LAWS:
             raise ValueError(f"error_dist must be one of {tuple(ERROR_LAWS)}")
-        validate_taus(self.taus)
+        object.__setattr__(self, "taus", validate_taus(self.taus))
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
@@ -178,57 +179,66 @@ def true_coefficients(tau, config: SimulationConfig) -> tuple[float, float]:
     return _BETA1, _BETA2 + shift
 
 
-def generate_dgp(config: SimulationConfig, replication_index: int) -> tuple[PanelData, DgpTruth]:
-    """Generate one replication's panel.
-
-    The random stream is keyed by (seed, replication_index): identical
-    keys give bitwise identical panels, distinct replications are
-    independent.
-    """
-    seq = np.random.SeedSequence((int(config.seed), int(replication_index)))
-    rng = np.random.default_rng(seq)
-    n, m = config.n, config.m
-    n_obs = n * m
-
-    subject_factor = rng.standard_normal(n)
-    alpha_noise = rng.standard_normal(n)
-    t_numerator = rng.standard_normal(n_obs)
-    t_denominator = rng.chisquare(_X1_DF, n_obs)
-    idiosyncratic = rng.standard_normal(n_obs)
-    errors = ERROR_LAWS[config.error_dist][0](rng, n_obs)
+def _draw(config: SimulationConfig, reps):
+    """The responses (B x N), regressors (B x N x 2) and subject effects
+    (B x n) of the replications ``reps``, each subject's m rows adjacent.
+    Each replication draws from its own stream, keyed by (seed, replication),
+    so its bits do not depend on what is drawn with it."""
+    n, n_obs = config.n, config.n * config.m
+    subject_factor, alpha_noise = np.empty((2, len(reps), n))
+    t_numerator, t_denominator, idiosyncratic, errors = np.empty((4, len(reps), n_obs))
+    draw_errors = ERROR_LAWS[config.error_dist][0]
+    for b, rep in enumerate(reps):
+        rng = np.random.default_rng(np.random.SeedSequence((int(config.seed), int(rep))))
+        subject_factor[b] = rng.standard_normal(n)
+        alpha_noise[b] = rng.standard_normal(n)
+        t_numerator[b] = rng.standard_normal(n_obs)
+        t_denominator[b] = rng.chisquare(_X1_DF, n_obs)
+        idiosyncratic[b] = rng.standard_normal(n_obs)
+        errors[b] = draw_errors(rng, n_obs)
 
     # Noncentral t variate: (Z + nc) / sqrt(chi2_df / df).
     x1 = (t_numerator + _X1_NONCENTRALITY) / np.sqrt(t_denominator / _X1_DF)
 
     share = _X2_SUBJECT_SHARE
-    subject_part = np.repeat(subject_factor, m)
+    subject_part = np.repeat(subject_factor, config.m, axis=1)
     x2 = _X2_MEAN + _X2_SD * (
         np.sqrt(share) * subject_part + np.sqrt(1.0 - share) * idiosyncratic)
 
     loading = _ALPHA_X2_CORR / np.sqrt(share)
     alpha = 1.0 + loading * subject_factor + np.sqrt(1.0 - loading**2) * alpha_noise
 
-    y = (x1 * _BETA1 + x2 * _BETA2 + np.repeat(alpha, m)
+    y = (x1 * _BETA1 + x2 * _BETA2 + np.repeat(alpha, config.m, axis=1)
          + (1.0 + config.gamma * x2) * errors)
+    return y, np.stack([x1, x2], axis=-1), alpha
 
-    panel = _assemble_panel(
-        np.repeat(np.arange(n), m), y, np.column_stack([x1, x2]), _REGRESSORS)
-    truth = DgpTruth(beta1=_BETA1, beta2=_BETA2, gamma=config.gamma, alpha=alpha)
-    return panel, truth
+
+def generate_dgp(config: SimulationConfig, replication_index: int) -> tuple[PanelData, DgpTruth]:
+    """Generate one replication's panel, as ``_draw`` draws it.
+
+    The random stream is keyed by (seed, replication_index): identical
+    keys give bitwise identical panels, distinct replications are
+    independent.
+    """
+    (y,), (X,), (alpha,) = _draw(config, [replication_index])
+    panel = _assemble_panel(np.repeat(np.arange(config.n), config.m), y, X, _REGRESSORS)
+    return panel, DgpTruth(beta1=_BETA1, beta2=_BETA2, gamma=config.gamma, alpha=alpha)
 
 
 def _run_block(config: SimulationConfig, block: int):
     """Fit every asymmetric point on the panels of replications
     [block * BLOCK, (block + 1) * BLOCK), cut at the last replication.
 
-    The panels are fitted as one stack, by one ``fit_stack`` call, and so
-    are their sandwiches.  Returns estimates and standard errors
-    (b x q x p), iteration counts (b x q) and failure causes (b x q, the
-    class name of the error that stopped the fit or its sandwich, None
-    where both ran), with NaN marking failed fits.
+    The replications are drawn straight into one stack, fitted by one
+    ``fit_stack`` call, as are their sandwiches.  Returns estimates and
+    standard errors (b x q x p), iteration counts (b x q) and failure
+    causes (b x q, the class name of the error that stopped the fit or its
+    sandwich, None where both ran), with NaN marking failed fits.
     """
     reps = range(block * BLOCK, min((block + 1) * BLOCK, config.replications))
-    stack = stack_panels(generate_dgp(config, rep)[0] for rep in reps)
+    y, X, _ = _draw(config, reps)
+    codes = np.repeat(np.arange(len(reps) * config.n), config.m).reshape(len(reps), -1)
+    stack = build_stack(config.n, _REGRESSORS, y, X, codes)
     fit = fit_stack(stack, config.taus, joint=config.joint)
     cov, errors = sandwich_stack(stack, fit)
     ok = np.array([[e is None for e in row] for row in errors], dtype=bool)

@@ -50,6 +50,7 @@ __all__ = [
     "PanelStack",
     "asymmetric_loss",
     "build_panel",
+    "build_stack",
     "check_weight",
     "format_number",
     "read_csv_column",
@@ -145,10 +146,10 @@ class PanelData:
     subject_labels : ndarray, shape (n,)
         Distinct subject labels in order of first appearance.
 
-    Every array is read-only, and so are the derived ``subject_ids`` and
-    ``demeaned``, each computed once, on first use.  Fits read panels
-    through a stack (``stack_panels``), on which regressor columns are
-    dropped (``PanelStack.keep_regressors``).
+    Every array is read-only, and so is the derived ``subject_ids``,
+    computed once, on first use.  Fits read panels through a stack
+    (``stack_panels``), on which regressor columns are dropped
+    (``PanelStack.keep_regressors``).
     """
 
     y: np.ndarray
@@ -175,29 +176,20 @@ class PanelData:
         """Original subject label of each row, shape (N,): ``subject_labels[codes]``."""
         return _freeze(self.subject_labels[self.codes])
 
-    @functools.cached_property
-    def demeaned(self) -> np.ndarray:
-        """Rows [X; y], shape (p + 1, N) in C order, each with every subject's
-        plain mean subtracted: the unweighted within transform, shared by
-        every fit, sandwich and screen of the panel."""
-        # C order, as the fits' BLAS calls round differently on other layouts.
-        rows = np.array([*self.X.T, self.y], order="C")
-        _demean(rows, self.codes, self.counts)
-        return _freeze(rows)
-
 
 @dataclass(frozen=True)
 class PanelStack:
     """B panels of one shape (N rows, n subjects, p regressors) on a leading
-    replication axis, as the fits of a Monte Carlo block read them.
+    replication axis, as every fit reads them; made by ``build_stack``.
 
-    ``y`` is (B, N), ``X`` (B, N, p) and ``demeaned`` (B, p + 1, N), each
-    panel's ``demeaned`` bit for bit.  ``codes`` (B, N) offsets panel b's
+    ``y`` is (B, N) and ``X`` (B, N, p).  ``codes`` (B, N) offsets panel b's
     subject codes by b * n, so that one ``np.bincount`` over all of them
     with B * n bins gives every panel's subject sums, each accumulated in
-    the order a bincount of that panel alone would take.  A stack of one
-    panel holds views of the panel's own arrays; ``keep_regressors`` drops
-    regressor columns without demeaning again.
+    the order a bincount of that panel alone would take.  ``demeaned``
+    (B, p + 1, N) holds the rows [X; y] less their subject means, shared by
+    every fit and sandwich; ``constant`` (B, p) marks the regressors
+    constant within subjects, which no within transform identifies.
+    ``keep_regressors`` drops regressor columns without demeaning again.
     """
 
     n_subjects: int
@@ -206,6 +198,7 @@ class PanelStack:
     X: np.ndarray
     codes: np.ndarray
     demeaned: np.ndarray
+    constant: np.ndarray
 
     @property
     def size(self) -> int:
@@ -220,7 +213,8 @@ class PanelStack:
         return dataclasses.replace(
             self, column_names=tuple(self.column_names[j] for j in kept),
             X=_freeze(np.ascontiguousarray(self.X[..., kept])),
-            demeaned=_freeze(self.demeaned[:, [*kept, -1]]))
+            demeaned=_freeze(self.demeaned[:, [*kept, -1]]),
+            constant=_freeze(self.constant[:, kept]))
 
     def part(self, idx, *arrays):
         """The subject codes of the panels ``idx`` (an index array), offset as
@@ -233,27 +227,39 @@ class PanelStack:
         return (self.codes[idx] + shift[:, None], *(a[idx] for a in arrays))
 
 
+def build_stack(n_subjects: int, column_names, y, X, codes) -> PanelStack:
+    """The stack of ``y`` (B, N), ``X`` (B, N, p) and ``codes`` (B, N), offset
+    as in ``PanelStack``, its arrays frozen: the one place panels are
+    demeaned.  A regressor whose demeaned norm is at most 1e-10 times its
+    raw norm is constant within subjects."""
+    # C order, as the fits' BLAS calls round differently on other layouts.
+    demeaned = np.empty((X.shape[0], X.shape[2] + 1, X.shape[1]))
+    demeaned[:, :-1] = X.transpose(0, 2, 1)
+    demeaned[:, -1] = y
+    _demean(demeaned, codes, np.bincount(codes.ravel()))
+    raw = np.einsum("...ij,...ij->...j", X, X)
+    left = np.einsum("...jn,...jn->...j", demeaned[:, :-1], demeaned[:, :-1])
+    constant = np.sqrt(left) <= 1e-10 * np.maximum(np.sqrt(raw), 1e-300)
+    return PanelStack(n_subjects, tuple(column_names),
+                      *map(_freeze, (y, X, codes, demeaned, constant)))
+
+
 def stack_panels(panels) -> PanelStack:
-    """Stack panels of one shape (see ``PanelStack``)."""
+    """Stack panels of one shape; a stack of one holds views of its arrays."""
     panels = tuple(panels)
     first = panels[0]
-    if len(panels) == 1:
-        return PanelStack(first.n_subjects, first.column_names, first.y[None],
-                          first.X[None], first.codes[None], first.demeaned[None])
     if any(p.X.shape != first.X.shape or p.n_subjects != first.n_subjects
            for p in panels):
         raise ShapeMismatchError("stacked panels must share rows, subjects "
                                  "and regressors")
-    y = np.stack([p.y for p in panels])
-    X = np.stack([p.X for p in panels])
+    if len(panels) == 1:
+        return build_stack(first.n_subjects, first.column_names, first.y[None],
+                           first.X[None], first.codes[None])
     codes = (np.stack([p.codes for p in panels])
              + first.n_subjects * np.arange(len(panels))[:, None])
-    demeaned = np.empty((len(panels), X.shape[2] + 1, X.shape[1]))
-    demeaned[:, :-1] = X.transpose(0, 2, 1)
-    demeaned[:, -1] = y
-    _demean(demeaned, codes, np.concatenate([p.counts for p in panels]))
-    return PanelStack(first.n_subjects, first.column_names, _freeze(y), _freeze(X),
-                      _freeze(codes), _freeze(demeaned))
+    return build_stack(first.n_subjects, first.column_names,
+                       np.stack([p.y for p in panels]),
+                       np.stack([p.X for p in panels]), codes)
 
 
 def _demean(rows, codes, counts):

@@ -9,7 +9,8 @@ of one residual vector.  A joint fit's shared subject average is that of
 The fits and the sandwich covariance never build a transformed copy of
 the data: the estimator concentrates the effects out of per-subject sums
 (``weighted_subject_sums``) of the rows ``estimator.fit_design`` picks,
-taken for a whole stack of panels (``PanelStack``) at once.
+taken for a whole stack of panels (``PanelStack``) at once, whose plain
+within transform ``panel.build_stack`` computes once.
 """
 
 from __future__ import annotations
@@ -23,26 +24,11 @@ __all__ = [
     "apply_within",
     "subject_weights",
     "weighted_subject_sums",
-    "within_constant",
 ]
 
 
 def _subject_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
     return np.bincount(panel.codes, weights=values, minlength=panel.n_subjects)
-
-
-def within_constant(panel) -> np.ndarray:
-    """Which regressors are constant within every subject: a mask (p,) for
-    a ``PanelData``, (B, p) for a ``PanelStack``.
-
-    A regressor is within-constant when demeaning (``panel.demeaned``)
-    leaves a norm of at most 1e-10 times its raw norm.  No weighted within
-    transform can identify such a regressor.
-    """
-    raw = np.einsum("...ij,...ij->...j", panel.X, panel.X)
-    rows = panel.demeaned[..., :-1, :]
-    left = np.einsum("...jn,...jn->...j", rows, rows)
-    return np.sqrt(left) <= 1e-10 * np.maximum(np.sqrt(raw), 1e-300)
 
 
 def weighted_subject_sums(rows, weights, codes, n_subjects: int):

@@ -162,6 +162,15 @@ def test_fit_drops_subject_constant_column(tmp_path, capsys):
     assert rows["x1"]["estimate"] != "NA"
 
 
+def test_transform_warning_promises_no_na(tmp_path, capsys):
+    # transform writes the dropped column's transformed values, not NA.
+    assert main(["transform", "--tau", "0.5,0.8", *_SMALL,
+                 "--out", str(tmp_path / "t.csv")]) == 0
+    err = capsys.readouterr().err
+    assert "zconst" in err and "dropped from estimation" in err
+    assert "reported as NA" not in err
+
+
 @pytest.mark.parametrize("joint", [[], ["--joint"]])
 def test_dropping_a_column_does_not_demean_again(joint, tmp_path, monkeypatch):
     # small_panel.csv's zconst is dropped; the reduced stack takes its
@@ -281,11 +290,14 @@ def test_kept_regressors_keep_their_demeaned_rows():
     reduced = stack_panels([panel]).keep_regressors([2, 0])
     fresh = erfe.build_panel(zip(panel.subject_ids, panel.y, panel.X[:, [2, 0]]),
                              ["x3", "x1"])
-    assert reduced.column_names == ("x3", "x1")
-    assert np.array_equal(reduced.X[0], fresh.X)
-    assert np.array_equal(reduced.demeaned[0], fresh.demeaned)
+    fresh = stack_panels([fresh])
+    assert reduced.column_names == fresh.column_names == ("x3", "x1")
+    assert np.array_equal(reduced.X, fresh.X)
+    assert np.array_equal(reduced.demeaned, fresh.demeaned)
+    assert np.array_equal(reduced.constant, fresh.constant)
     assert reduced.X.flags.c_contiguous and not reduced.X.flags.writeable
     assert reduced.demeaned.flags.c_contiguous and not reduced.demeaned.flags.writeable
+    assert not reduced.constant.flags.writeable
 
 
 def test_fit_joint_mode(panel_csv, tmp_path):
@@ -629,18 +641,33 @@ def test_simulate_json_matches_csv_values(tmp_path):
 _GOLDEN_SIMULATE = ["simulate", "--n", "15", "--m", "3", "--gamma", "0.3",
                     "--error-dist", "chi2_3", "--replications", "20", "--seed", "8",
                     "--tau", "0.3,0.7"]
+# 21 replications: a full block and a short one.
+_GOLDEN_DRAWS = ["simulate", "--n", "12", "--m", "4", "--replications", "21",
+                 "--seed", "9", "--tau", "0.2,0.8"]
 
 
-def test_simulate_bytes_are_pinned(tmp_path):
+def _assert_simulate_pinned(tmp_path, args, golden):
     # The summary in both formats and the estimate dump: regenerate the
     # golden files only for a deliberate change of the output.
     out, dump = tmp_path / "m.csv", tmp_path / "reps.csv"
-    assert main([*_GOLDEN_SIMULATE, "--out", str(out),
-                 "--dump-estimates", str(dump)]) == 0
-    assert out.read_bytes() == (DATA / "golden_simulate.csv").read_bytes()
-    assert dump.read_bytes() == (DATA / "golden_simulate_estimates.csv").read_bytes()
-    assert main([*_GOLDEN_SIMULATE, "--format", "json", "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "golden_simulate.json").read_bytes()
+    assert main([*args, "--out", str(out), "--dump-estimates", str(dump)]) == 0
+    assert out.read_bytes() == (DATA / f"{golden}.csv").read_bytes()
+    assert dump.read_bytes() == (DATA / f"{golden}_estimates.csv").read_bytes()
+    assert main([*args, "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{golden}.json").read_bytes()
+
+
+def test_simulate_bytes_are_pinned(tmp_path):
+    _assert_simulate_pinned(tmp_path, _GOLDEN_SIMULATE, "golden_simulate")
+
+
+@pytest.mark.parametrize("flags, golden", [
+    (["--error-dist", "gaussian", "--gamma", "0.0"], "golden_simulate_gaussian"),
+    (["--error-dist", "student_t3", "--gamma", "0.5", "--joint"],
+     "golden_simulate_t3_joint"),
+])
+def test_simulate_draws_are_pinned(tmp_path, flags, golden):
+    _assert_simulate_pinned(tmp_path, [*_GOLDEN_DRAWS, *flags], golden)
 
 
 def test_simulate_json_keys_are_the_csv_header():

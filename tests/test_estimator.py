@@ -486,7 +486,8 @@ def test_shared_design_does_not_leak_between_fits():
                  (single.alpha, fresh_single.alpha),
                  (single.residuals_star, fresh_single.residuals_star),
                  (cov.vc, fresh_cov.vc),
-                 (shared.demeaned, _build(codes, y, X).demeaned)]:
+                 (stack_panels([shared]).demeaned,
+                  stack_panels([_build(codes, y, X)]).demeaned)]:
         assert np.array_equal(a, b)
     assert multi.iterations == fresh_multi.iterations
     assert single.iterations == fresh_single.iterations
@@ -495,11 +496,12 @@ def test_shared_design_does_not_leak_between_fits():
 def test_demeaned_rows_are_read_only():
     rng = np.random.default_rng(63)
     panel, _, _ = oracles.random_panel(rng, 5, 3, 2)
-    with pytest.raises(ValueError):
-        panel.demeaned[0, 0] = 1.0
-    with pytest.raises(AttributeError):
-        panel.demeaned = np.zeros_like(panel.demeaned)
-    assert panel.demeaned is panel.demeaned
+    stack = stack_panels([panel])
+    for name in ("demeaned", "constant"):
+        with pytest.raises(ValueError):
+            getattr(stack, name)[0, 0] = 1
+        with pytest.raises(AttributeError):
+            setattr(stack, name, np.zeros_like(getattr(stack, name)))
 
 
 def test_demeaned_rows_match_dense_within_matrix():
@@ -508,8 +510,9 @@ def test_demeaned_rows_match_dense_within_matrix():
     within = oracles.dense_within_matrix(panel.codes, panel.n_subjects,
                                          np.ones(panel.n_obs))
     expected = within @ np.column_stack([panel.X, panel.y])
-    assert panel.demeaned.shape == (panel.n_regressors + 1, panel.n_obs)
-    assert np.max(np.abs(panel.demeaned - expected.T)) <= 1e-12
+    demeaned = stack_panels([panel]).demeaned
+    assert demeaned.shape == (1, panel.n_regressors + 1, panel.n_obs)
+    assert np.max(np.abs(demeaned[0] - expected.T)) <= 1e-12
 
 
 @pytest.mark.parametrize("offset", [0.0, 100.0, 1e4])

@@ -55,7 +55,9 @@ def test_stacked_panels_match_their_own_demeaned_rows():
     stack = stack_panels(panels)
     assert stack.size == 4 and stack.n_subjects == 6
     for b, panel in enumerate(panels):
-        assert np.array_equal(stack.demeaned[b], panel.demeaned)
+        alone = stack_panels([panel])
+        assert np.array_equal(stack.demeaned[b], alone.demeaned[0])
+        assert np.array_equal(stack.constant[b], alone.constant[0])
         assert np.array_equal(stack.codes[b] - 6 * b, panel.codes)
     idx = np.array([1, 3])
     codes, rows = stack.part(idx, stack.demeaned)
@@ -65,7 +67,8 @@ def test_stacked_panels_match_their_own_demeaned_rows():
     assert stack.part(every, stack.demeaned)[1] is stack.demeaned
 
     single = stack_panels(panels[:1])
-    assert np.shares_memory(single.demeaned, panels[0].demeaned)
+    for name in ("y", "X", "codes"):
+        assert np.shares_memory(getattr(single, name), getattr(panels[0], name))
 
 
 def test_stacked_panels_must_share_their_shape():

@@ -1,6 +1,7 @@
 """Data-generating processes and the replication harness."""
 
 import concurrent.futures
+import dataclasses
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from erfe import montecarlo
 from erfe.cli import main
 from erfe.errors import BudgetExceededError, NonincreasingTausError
 from erfe.montecarlo import estimates_to_csv, metrics_to_csv
+from erfe.panel import stack_panels
 
 
 # ---------------------------------------------------------------------
@@ -226,28 +228,28 @@ def test_each_replication_has_the_bits_of_its_own_fit(joint):
         assert np.array_equal(metrics.iterations[rep], iterations)
 
 
-# Ways to make a replication's x2 unusable: constant within subjects (the
-# fits' screen rejects it) or a multiple of x1 (the Cholesky pivot does).
+# Ways to make a replication's x2 unusable, given its subject codes and
+# regressors: constant within subjects (the fits' screen rejects it) or a
+# multiple of x1 (the Cholesky pivot does).
 _BROKEN_X2 = {
-    "within_constant": lambda panel: 1.0 + panel.codes,
-    "collinear": lambda panel: 2.0 * panel.X[:, 0],
+    "within_constant": lambda codes, X: 1.0 + codes,
+    "collinear": lambda codes, X: 2.0 * X[:, 0],
 }
 
 
 def _break_x2(monkeypatch, failing, how):
     """Replace x2 by ``_BROKEN_X2[how]`` in the replications ``failing``."""
-    generate = montecarlo.generate_dgp
+    draw = montecarlo._draw
 
-    def patched(config, rep):
-        panel, truth = generate(config, rep)
-        if rep in failing:
-            X = panel.X.copy()
-            X[:, 1] = _BROKEN_X2[how](panel)
-            panel = erfe.build_panel(zip(panel.subject_ids, panel.y, X),
-                                     panel.column_names)
-        return panel, truth
+    def patched(config, reps):
+        y, X, alpha = draw(config, reps)
+        codes = np.repeat(np.arange(config.n), config.m)
+        for b, rep in enumerate(reps):
+            if rep in failing:
+                X[b, :, 1] = _BROKEN_X2[how](codes, X[b])
+        return y, X, alpha
 
-    monkeypatch.setattr(montecarlo, "generate_dgp", patched)
+    monkeypatch.setattr(montecarlo, "_draw", patched)
 
 
 @pytest.mark.parametrize("how", sorted(_BROKEN_X2))
@@ -269,6 +271,46 @@ def test_failures_are_counted_by_cause_and_leave_neighbours_alone(monkeypatch, j
     assert np.isnan(metrics.iterations[hit]).all()
     for name in ("estimates", "standard_errors", "iterations"):
         assert np.array_equal(getattr(metrics, name)[~hit], getattr(clean, name)[~hit])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("error_dist", sorted(montecarlo.ERROR_LAWS))
+def test_a_block_is_the_stack_of_its_replications(error_dist):
+    # Replications drawn straight into a stack give the stack of their own
+    # generated panels, across a block boundary.
+    config = _small_config(error_dist=error_dist, gamma=0.4,
+                           replications=montecarlo.BLOCK + 3)
+    reps = range(montecarlo.BLOCK - 2, montecarlo.BLOCK + 3)
+    y, X, alpha = montecarlo._draw(config, reps)
+    codes = np.repeat(np.arange(len(reps) * config.n), config.m).reshape(len(reps), -1)
+    drawn = erfe.panel.build_stack(config.n, ("x1", "x2"), y, X, codes)
+    generated = [erfe.generate_dgp(config, rep) for rep in reps]
+    stacked = stack_panels(panel for panel, _ in generated)
+    assert drawn.column_names == stacked.column_names
+    for name in ("y", "X", "codes", "demeaned", "constant"):
+        assert _same_bits(getattr(drawn, name), getattr(stacked, name)), name
+    for effects, (_, truth) in zip(alpha, generated):
+        assert _same_bits(effects, truth.alpha)
+
+
+def test_a_simulation_assembles_no_panel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a replication was assembled as a panel")
+
+    monkeypatch.setattr(montecarlo, "_assemble_panel", refuse)
+    metrics = erfe.run_monte_carlo(_small_config(replications=montecarlo.BLOCK + 1))
+    assert all(row.failures == 0 for row in metrics.rows)
+
+
+@pytest.mark.parametrize("taus, kept", [(0.5, (0.5,)), ([0.2, 0.7], (0.2, 0.7))])
+def test_config_keeps_the_taus_it_validated(taus, kept):
+    config = erfe.SimulationConfig(n=20, m=3, taus=taus, replications=4)
+    assert config.taus == kept
+    assert hash(config) == hash(dataclasses.replace(config, taus=kept))
+    assert erfe.run_monte_carlo(config).estimates.shape == (4, len(kept), 2)
 
 
 def test_budget_env_override(monkeypatch):

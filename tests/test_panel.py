@@ -3,6 +3,7 @@
 import csv
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,9 +18,11 @@ from erfe.errors import (
     ShapeMismatchError,
     SingletonSubjectError,
 )
-from erfe.panel import read_csv_column
+from erfe.panel import read_csv_column, stack_panels
 
 import oracles
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------
@@ -388,6 +391,27 @@ def test_read_panel_csv_empty_file(tmp_path):
             erfe.read_panel_csv(path, "id", "y")
         with pytest.raises(EmptyInputError, match=r"q\.csv: no data rows"):
             read_csv_column(path, "y")
+
+
+# ---------------------------------------------------------------------
+# Stacks
+# ---------------------------------------------------------------------
+
+def test_stacks_mark_the_regressors_constant_within_subjects():
+    panel = erfe.read_panel_csv(DATA / "small_panel.csv", "id", "y")
+    assert panel.column_names == ("x1", "x2", "zconst")
+    assert stack_panels([panel]).constant.tolist() == [[False, False, True]]
+
+    rng = np.random.default_rng(5)
+    panels = [oracles.random_panel(rng, 6, 4, 2)[0] for _ in range(3)]
+    flat = panels[1]
+    X = np.column_stack([flat.X[:, 0], 1.0 + flat.codes])
+    panels[1] = erfe.build_panel(zip(flat.subject_ids, flat.y, X), flat.column_names)
+    stack = stack_panels(panels)
+    assert stack.constant.tolist() == [[False, False], [False, True], [False, False]]
+    assert stack.keep_regressors([1, 0]).constant.tolist() == [
+        [False, False], [True, False], [False, False]]
+    assert stack.keep_regressors([0]).constant.tolist() == [[False]] * 3
 
 
 # ---------------------------------------------------------------------
