@@ -1,12 +1,12 @@
 """Command-line front-end: fit, simulate, expectile, transform.
 
 Outputs are deterministic functions of (input bytes, flags, seed), each
-a table written by ``panel.write_table`` in CSV or JSON.  ``fit`` and
-``transform`` fit one stack, the input's panel less the regressors constant
-within subjects.  Every failure reaches ``main``, which prints one
-``error:`` line.  Exit codes: 0 on success with full convergence, 1 on
-file/parse/rank errors, 2 when some requested fit did not converge
-(best-effort estimates are still printed).
+a table of numpy columns written by ``panel.write_table`` in CSV or JSON.
+``fit`` and ``transform`` fit one stack, the input's panel less the
+regressors constant within subjects.  Every failure reaches ``main``,
+which prints one ``error:`` line.  Exit codes: 0 on success with full
+convergence, 1 on file/parse/rank errors, 2 when some requested fit did
+not converge (best-effort estimates are still printed).
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def cmd_fit(args) -> int:
     values[:, kept] = np.concatenate([
         fit.betas[0, :, :, None], cov.se[0].reshape(q, -1, 1),
         conf_intervals(fit, cov, args.level)[0].reshape(q, -1, 2)], axis=2)
-    converged = [str(error is None).lower() for error in fit.errors[0]]
-    columns = [np.repeat(fit.taus, width), list(panel.column_names) * q,
-               *values.reshape(-1, 4).T, np.repeat(fit.iterations[0], width).tolist(),
-               np.repeat(converged, width).tolist()]
+    converged = np.array([str(error is None).lower() for error in fit.errors[0]])
+    columns = [np.repeat(fit.taus, width), np.tile(panel.column_names, q),
+               *values.reshape(-1, 4).T, np.repeat(fit.iterations[0], width),
+               np.repeat(converged, width)]
     _emit(_FIT_HEADER, columns, args.format, args.out)
     return EXIT_PARTIAL if any(e is not None for e in fit.errors[0]) else EXIT_OK
 
@@ -142,8 +142,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_expectile(args) -> int:
     values = read_csv_column(args.input, args.response_col)
-    expectiles = [float(sample_expectile(values, tau)) for tau in args.tau]
-    _emit(["tau", "expectile"], [list(args.tau), expectiles], args.format, args.out)
+    expectiles = np.array([sample_expectile(values, tau) for tau in args.tau])
+    _emit(["tau", "expectile"], [np.array(args.tau), expectiles], args.format, args.out)
     return EXIT_OK
 
 
@@ -170,8 +170,9 @@ def cmd_transform(args) -> int:
         x_blocks.append(apply_within(panel.X, weights, panel))
     header = ["tau", "subject", f"{args.response_col}_star",
               *(f"{name}_star" for name in panel.column_names)]
+    # The labels as objects, so that the column refers to the n distinct ones.
     columns = [np.repeat(np.asarray(args.tau, dtype=float), panel.n_obs),
-               list(map(str, panel.subject_ids.tolist())) * len(args.tau),
+               panel.subject_labels.astype(object)[np.tile(panel.codes, len(args.tau))],
                np.concatenate(y_blocks),
                *np.concatenate(x_blocks).T]
     _emit(header, columns, args.format, args.out)

@@ -328,7 +328,7 @@ def metrics_table(metrics: ScenarioMetrics):
     """The summary as a table: its header, the fields of ``MetricsRow``, and
     one column per field."""
     header = [field.name for field in dataclasses.fields(MetricsRow)]
-    return header, [[getattr(row, name) for row in metrics.rows] for name in header]
+    return header, [np.array([getattr(r, name) for r in metrics.rows]) for name in header]
 
 
 def estimates_table(config: SimulationConfig, metrics: ScenarioMetrics):
@@ -337,9 +337,9 @@ def estimates_table(config: SimulationConfig, metrics: ScenarioMetrics):
     reps, q, p = metrics.estimates.shape
     header = ["replication", "tau", "coefficient", "estimate", "std_error",
               "iterations"]
-    return header, [np.repeat(np.arange(reps), q * p).tolist(),
+    return header, [np.repeat(np.arange(reps), q * p),
                     np.tile(np.repeat(np.asarray(config.taus, dtype=float), p), reps),
-                    list(_REGRESSORS) * (reps * q), metrics.estimates.ravel(),
+                    np.tile(_REGRESSORS, reps * q), metrics.estimates.ravel(),
                     metrics.standard_errors.ravel(),
                     np.repeat(metrics.iterations.ravel(), p)]
 

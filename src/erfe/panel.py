@@ -6,31 +6,34 @@ identified by an integer code array rather than an N x n incidence matrix:
 every projection downstream reduces to grouped sums over the codes, which
 keeps all transforms O(N).
 
-CSV input is UTF-8 text with a header row, ``,`` as the delimiter and
-``"`` as the quote character, as in RFC 4180: a quoted field starts right
-after a delimiter or at the start of a line and may hold delimiters,
-doubled quotes (``""``) and line breaks, each read as "\\n".  Lines end in
-"\\n", "\\r\\n" or "\\r".  There are no comment lines, empty lines are
-skipped, and numbers use ``.`` as the decimal separator.  The file is
-parsed by one ``np.loadtxt`` call, made again only to widen a column of
-labels longer than those of the first records; a record with the wrong
-number of fields, a field that does not parse and a non-finite value are
-reported as ``path:line``, the physical line the record starts on, which
-is looked up only once the read has failed.
+CSV input is UTF-8 text, after an optional byte-order mark, with a header
+row, the first non-empty record, ``,`` as the delimiter and ``"`` as the
+quote character, as in RFC 4180: a quoted field starts right after a
+delimiter or at the start of a line and may hold delimiters, doubled quotes
+(``""``) and line breaks, each read as "\\n".  Lines end in "\\n", "\\r\\n" or
+"\\r".  There are no comment lines, empty lines are skipped, and numbers use
+``.`` as the decimal separator.  The file is parsed by one ``np.loadtxt``
+call, made again only to widen a column of labels longer than those of the
+first records; a record with the wrong number of fields, a field that does
+not parse, a non-finite value and bytes that are not UTF-8 are reported as
+``path:line``, the physical line the record or byte is on, which is looked
+up only once the read has failed.
 
-Tables are written by ``write_table``, as CSV with "\\n" line endings and
-numbers in 17 significant digits, NaN as NA, or as the records of one
+Tables are written by ``write_table`` from a header and numpy columns, one
+dtype each, so each column's format is chosen once: as CSV with "\\n" line
+endings, float columns in 17 significant digits, NaN as NA, and every other
+column as ``str`` of its values, or as the records of one
 ``json.dumps(records, indent=2)``, NaN as null: both carry identical values.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import functools
 import itertools
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -52,7 +55,6 @@ __all__ = [
     "build_panel",
     "build_stack",
     "check_weight",
-    "format_number",
     "read_csv_column",
     "read_panel_csv",
     "stack_panels",
@@ -358,24 +360,16 @@ def build_panel(records, column_names=None) -> PanelData:
     return _assemble_panel(subjects, ys, np.asarray(rows, dtype=float), column_names)
 
 
-# np.loadtxt arguments for the accepted CSV dialect (see the module docstring).
-_DIALECT = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8")
+# np.loadtxt arguments for the accepted CSV dialect (see the module docstring);
+# "utf-8-sig" skips a byte-order mark.
+_DIALECT = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8-sig")
 # A label column is first read _LABEL_SLACK characters wider than the longest
 # label of the first _HEAD_RECORDS data records (see ``_read_table``).
 _LABEL_SLACK, _HEAD_RECORDS = 4, 1024
 
 
-def format_number(value) -> str:
-    """A number as CSV text: 17 significant digits, NaN as NA."""
-    value = float(value)
-    if math.isnan(value):
-        return "NA"
-    return format(value, ".17g")
-
-
-# Tables are passed as columns: sequences of Python values, or numpy arrays
-# of floats.  Both formats are written a block of rows at a time, so that
-# only one block of cells is alive at once.
+# Both formats are written a block of rows at a time, so that only one
+# block of cells is alive at once.
 _BLOCK_ROWS = 65536
 
 
@@ -385,26 +379,32 @@ def _blocks(columns):
         yield [col[start:start + _BLOCK_ROWS] for col in columns]
 
 
+def _cells(col, fmt):
+    """One block of a column as the cells ``fmt`` writes: for a float dtype
+    "%.17g" text, NaN as NA, or the float, NaN as null; else str(v) or the
+    ``tolist`` value."""
+    cells, text = col.tolist(), fmt == "csv"
+    if col.dtype.kind != "f":
+        return list(map(str, cells)) if text else cells
+    if text:
+        cells = list(map("%.17g".__mod__, cells))
+    for i in np.flatnonzero(np.isnan(col)).tolist():
+        cells[i] = "NA" if text else None
+    return cells
+
+
 def _write_csv(fh, header, columns):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     for block in _blocks(columns):
-        writer.writerows(zip(*(
-            list(map(format_number, col.tolist())) if isinstance(col, np.ndarray)
-            else [format_number(v) if isinstance(v, float) else str(v) for v in col]
-            for col in block
-        )))
+        writer.writerows(zip(*(_cells(col, "csv") for col in block)))
 
 
 def _write_json(fh, header, columns):
     opening = "[\n"
     for block in _blocks(columns):
-        records = [
-            {key: None if isinstance(value, float) and math.isnan(value) else value
-             for key, value in zip(header, row)}
-            for row in zip(*(col.tolist() if isinstance(col, np.ndarray) else col
-                             for col in block))
-        ]
+        records = [dict(zip(header, row))
+                   for row in zip(*(_cells(col, "json") for col in block))]
         # Strip the list's own "[\n" and "\n]": the records in between are
         # laid out as in a dump of the whole table.
         fh.write(opening)
@@ -414,22 +414,27 @@ def _write_json(fh, header, columns):
 
 
 def write_table(fh, header, columns, fmt: str = "csv"):
-    """Write a table, given as its header and its columns, to ``fh`` as
-    ``fmt``, "csv" or "json" (see the module docstring)."""
+    """Write a table, given as its header and its columns, each taken as one
+    numpy array, to ``fh`` as ``fmt``, "csv" or "json" (see the module docstring)."""
+    columns = [np.asarray(col) for col in columns]
     (_write_json if fmt == "json" else _write_csv)(fh, header, columns)
 
 
 def _read_header(path) -> tuple[list[str], int, list[int]]:
     """The header's fields, stripped, the number of lines it spans, and each
     column's longest field among the next ``_HEAD_RECORDS`` records that
-    have one field per column.  A name may appear only once."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        skiprows, longest = reader.line_num, [0] * len(header or ())
-        for fields in itertools.islice(reader, _HEAD_RECORDS):
-            if len(fields) == len(longest):
-                longest = list(map(max, longest, map(len, fields)))
+    have one field per column.  The header is the first non-empty record,
+    and a name may appear only once."""
+    try:
+        with open(path, "r", encoding=_DIALECT["encoding"], newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(filter(None, reader), None)
+            skiprows, longest = reader.line_num, [0] * len(header or ())
+            for fields in itertools.islice(reader, _HEAD_RECORDS):
+                if len(fields) == len(longest):
+                    longest = list(map(max, longest, map(len, fields)))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if header is None:
         raise EmptyInputError(f"{path}: file is empty")
     names = [h.strip() for h in header]
@@ -466,16 +471,34 @@ def _row_dtype(n_fields, float_cols, label_col, width) -> np.dtype:
 def _data_records(path):
     """The start line (1-based, physical) and the fields of each non-blank
     data record, as the csv module splits them, and the record's text."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding=_DIALECT["encoding"], newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     reader = csv.reader(lines)
-    next(reader, None)
+    next(filter(None, reader), None)  # the header
     records, start = [], reader.line_num
     for fields in reader:
         if fields:
             records.append((start + 1, fields, "".join(lines[start:reader.line_num])))
         start = reader.line_num
     return records
+
+
+def _not_utf8(path) -> ValueError:
+    """The error for a file that is not UTF-8 text, naming the line of its
+    first bad byte.  The line is counted in the file's bytes, as the error
+    of a text-mode read places the byte within one decoded chunk."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ValueError(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})")
+    return ValueError(f"{path}: not UTF-8 text")
 
 
 def _read_error(path, header, float_cols, message) -> ValueError:

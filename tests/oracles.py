@@ -8,6 +8,8 @@ paths, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import mpmath
@@ -530,3 +532,64 @@ def collinear_panel(seed, eps, low_tau_rows=False):
     X = np.column_stack([x1, 2.0 * x1 + eps * noise])
     return erfe.build_panel(
         [(int(codes[i]), float(x1[i] + u[i]), X[i]) for i in range(24)])
+
+
+# ---------------------------------------------------------------------
+# Table writer: the per-cell writer the package used before its columns
+# became numpy arrays of one dtype each.  A column is a numpy array of
+# floats or a list of Python values, each cell formatted on its own.
+# ---------------------------------------------------------------------
+
+def format_number(value) -> str:
+    """A number as CSV text: 17 significant digits, NaN as NA."""
+    value = float(value)
+    if math.isnan(value):
+        return "NA"
+    return format(value, ".17g")
+
+
+# Tables are passed as columns: sequences of Python values, or numpy arrays
+# of floats.  Both formats are written a block of rows at a time, so that
+# only one block of cells is alive at once.  The block size is this module's
+# own, so that the reference streams independently of the package.
+_BLOCK_ROWS = 65536
+
+
+def _blocks(columns):
+    n_rows = len(columns[0]) if columns else 0
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        yield [col[start:start + _BLOCK_ROWS] for col in columns]
+
+
+def _write_csv(fh, header, columns):
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for block in _blocks(columns):
+        writer.writerows(zip(*(
+            list(map(format_number, col.tolist())) if isinstance(col, np.ndarray)
+            else [format_number(v) if isinstance(v, float) else str(v) for v in col]
+            for col in block
+        )))
+
+
+def _write_json(fh, header, columns):
+    opening = "[\n"
+    for block in _blocks(columns):
+        records = [
+            {key: None if isinstance(value, float) and math.isnan(value) else value
+             for key, value in zip(header, row)}
+            for row in zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                             for col in block))
+        ]
+        # Strip the list's own "[\n" and "\n]": the records in between are
+        # laid out as in a dump of the whole table.
+        fh.write(opening)
+        fh.write(json.dumps(records, indent=2)[2:-2])
+        opening = ",\n"
+    fh.write("[]\n" if opening == "[\n" else "\n]\n")
+
+
+def write_table_reference(fh, header, columns, fmt: str = "csv"):
+    """Write a table, given as its header and its columns, to ``fh`` as
+    ``fmt``, "csv" or "json", one cell at a time."""
+    (_write_json if fmt == "json" else _write_csv)(fh, header, columns)

@@ -1,16 +1,22 @@
 """Command-line interface: fit, simulate, expectile, transform."""
 
+import codecs
 import csv
 import dataclasses
+import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erfe
 from erfe.cli import _build_parser, main
@@ -71,6 +77,36 @@ def test_csv_output_bytes_are_pinned(args, golden, tmp_path):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+# A UTF-8 byte-order mark, as spreadsheet programs write, and blank lines.
+_PREFIXES = pytest.mark.parametrize("prefix", [codecs.BOM_UTF8, b"\r\n\n"],
+                                    ids=["bom", "blank-lines"])
+
+
+def _prefixed(prefix, tmp_path):
+    path = tmp_path / "prefixed.csv"
+    path.write_bytes(prefix + (DATA / "small_panel.csv").read_bytes())
+    return str(path)
+
+
+@_PREFIXES
+def test_what_comes_before_the_header_changes_no_byte(prefix, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["fit", "--tau", "0.2,0.5,0.8", "--input", _prefixed(prefix, tmp_path),
+                 "--subject-col", "id", "--response-col", "y", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "golden_fit.csv").read_bytes()
+
+
+@_PREFIXES
+def test_expectile_reads_past_what_comes_before_the_header(prefix, tmp_path, capsys):
+    # The column read is the first, on which a byte-order mark would sit.
+    path = tmp_path / "two.csv"
+    path.write_bytes(prefix + b"v,w\n0,a\n1,b\n")
+    assert main(["expectile", "--input", str(path), "--response-col", "v",
+                 "--tau", "0.9"]) == 0
+    expected = "tau,expectile\n0.90000000000000002,0.90000000000000002\n"
+    assert capsys.readouterr().out == expected
+
+
 def _json_reference(csv_path):
     """json.dumps of the CSV table's records: NA as null, iterations as
     integers, labels and flags as strings, every other cell a float."""
@@ -111,6 +147,45 @@ def test_json_output_of_an_empty_table():
     out = io.StringIO()
     write_table(out, ["tau", "expectile"], [[], []], "json")
     assert out.getvalue() == json.dumps([], indent=2) + "\n" == "[]\n"
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
+                   1e308, 1.7976931348623157e308]
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "7", "é", "名",
+                                 "🙂"]), max_size=5)
+
+
+@st.composite
+def _tables(draw):
+    """A table as the reference takes it, float arrays with ints and strings
+    as lists, and as the package's producers hand it, all numpy arrays."""
+    n = draw(st.integers(0, 20))
+    column = functools.partial(st.lists, min_size=n, max_size=n)
+    floats = draw(column(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())))
+    more = draw(column(st.floats()))
+    ints = draw(column(st.integers(-2 ** 63, 2 ** 63 - 1)))
+    texts = draw(column(_TEXT))
+    labels = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    codes = draw(column(st.integers(0, len(labels) - 1)))
+    reference = [np.array(floats), more, ints, texts, [labels[c] for c in codes]]
+    arrays = [np.array(floats), np.array(more, dtype=float), np.array(ints, dtype=np.int64),
+              np.array(texts, dtype=str), np.array(labels, dtype=object)[codes]]
+    return reference, arrays
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+@settings(max_examples=40, deadline=None)
+@given(_tables())
+def test_write_table_matches_the_per_cell_reference(block_rows, fmt, table):
+    reference, arrays = table
+    header = ["f", "g", "i", "s", "label"]
+    expected = io.StringIO()
+    oracles.write_table_reference(expected, header, reference, fmt)
+    got = io.StringIO()
+    with mock.patch("erfe.panel._BLOCK_ROWS", block_rows):
+        write_table(got, header, arrays, fmt)
+    assert got.getvalue() == expected.getvalue()
 
 
 # ---------------------------------------------------------------------
@@ -190,6 +265,27 @@ _SMALL = ["--input", str(DATA / "small_panel.csv"), "--subject-col", "id",
           "--response-col", "y"]
 _SIMULATE = ["simulate", "--n", "25", "--m", "4", "--tau", "0.1,0.5,0.9",
              "--replications", str(erfe.montecarlo.BLOCK)]
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--tau", "0.2,0.5,0.8", *_SMALL],
+    ["fit", "--tau", "0.2,0.5,0.8", "--format", "json", *_SMALL],
+    ["fit", "--tau", "0.2,0.8", "--joint", *_SMALL],
+    ["transform", "--tau", "0.5,0.8", *_SMALL],
+    [*_SIMULATE, "--dump-estimates", "{tmp}/estimates.csv"],
+    ["expectile", "--input", str(DATA / "small_panel.csv"), "--response-col", "y",
+     "--tau", "0.1,0.9"],
+], ids=["fit", "fit-json", "fit-joint", "transform", "simulate", "expectile"])
+def test_every_table_reaches_write_table_as_numpy_columns(command, tmp_path, monkeypatch):
+    tables = []
+    monkeypatch.setattr("erfe.cli.write_table",
+                        lambda fh, header, columns, fmt: tables.append((header, columns)))
+    assert main([arg.format(tmp=tmp_path) for arg in command]) == 0
+    assert len(tables) == (2 if command[0] == "simulate" else 1)
+    for header, columns in tables:
+        assert len(columns) == len(header)
+        assert all(isinstance(col, np.ndarray) and col.ndim == 1 for col in columns)
+        assert len({col.shape for col in columns}) == 1
 
 
 @pytest.mark.parametrize("command", [

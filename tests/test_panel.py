@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -379,6 +380,50 @@ def test_read_panel_csv_bad_number(tmp_path):
     path = _write_csv(tmp_path / "p.csv", "id,y,a\n1,2.0,1.0\n1,oops,2.0\n")
     with pytest.raises(ValueError, match="p.csv:3"):
         erfe.read_panel_csv(path, "id", "y")
+
+
+def test_a_bad_number_after_blank_first_lines_names_its_physical_line(tmp_path):
+    path = _write_csv(tmp_path / "p.csv", "\r\n\nid,y,a\n1,2.0,1.0\n1,oops,2.0\n")
+    with pytest.raises(ValueError, match=r"p\.csv:5: column 'y': cannot parse 'oops'"):
+        erfe.read_panel_csv(path, "id", "y")
+    with pytest.raises(ValueError, match=r"p\.csv:5: column 'y': cannot parse 'oops'"):
+        read_csv_column(path, "y")
+
+
+def _late_bad_byte():
+    """A file whose first bad byte is on line 2501, past the records the
+    header read looks at, so that np.loadtxt meets it first."""
+    rows = [b"id,y,x"] + [b"%d,%d.5,%d" % (i // 2, i, i % 7) for i in range(3000)]
+    rows[2500] += b"\xe9"
+    return b"\n".join(rows) + b"\n"
+
+
+@pytest.mark.parametrize("data, where", [
+    (b"i\xe9d,y,x\n1,2,3\n1,3,4\n", "1: not UTF-8 text (byte 0xe9)"),
+    # Line breaks of every kind count, and a byte-order mark is no line.
+    (b"\xef\xbb\xbfid,y,x\n1,2,3\r\n1,3,4\r2,5\xe9,6\n2,6,7\n",
+     "4: not UTF-8 text (byte 0xe9)"),
+    (_late_bad_byte(), "2501: not UTF-8 text (byte 0xe9)"),
+    ("id,y,x\n1,2,3\n1,3,4\n".encode("utf-16"), "1: not UTF-8 text (byte 0xff)"),
+], ids=["header", "record", "past-header-read", "utf-16"])
+def test_bytes_that_are_not_utf8_name_their_line(data, where, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    message = re.escape(f"p.csv:{where}")
+    with pytest.raises(ValueError, match=message):
+        erfe.read_panel_csv(path, "id", "y")
+    with pytest.raises(ValueError, match=message):
+        read_csv_column(path, "y")
+
+
+def test_a_bad_byte_past_the_header_read_is_found_after_loadtxt(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(_late_bad_byte())
+    erfe.panel._read_header(path)
+    with pytest.raises(ValueError, match=r"p\.csv:2501: not UTF-8") as raised:
+        erfe.read_panel_csv(path, "id", "y")
+    # np.loadtxt's own decode error is left behind as the context.
+    assert isinstance(raised.value.__context__, UnicodeDecodeError)
 
 
 def test_read_panel_csv_empty_file(tmp_path):
