@@ -20,10 +20,21 @@ not parse, a non-finite value and bytes that are not UTF-8 are reported as
 up only once the read has failed.
 
 Tables are written by ``write_table`` from a header and numpy columns, one
-dtype each, so each column's format is chosen once: as CSV with "\\n" line
-endings, float columns in 17 significant digits, NaN as NA, and every other
-column as ``str`` of its values, or as the records of one
+dtype each: as CSV with "\\n" line endings, float columns in 17 significant
+digits, NaN as NA, and every other column as ``str`` of its values, quoted
+as ``csv.writer`` quotes them, or as the text of one
 ``json.dumps(records, indent=2)``, NaN as null: both carry identical values.
+Each block of rows is written through one ``%``-template, a row's text
+with one format per column.  A column whose text is one ``%`` format of
+its Python numbers enters as those numbers: a float column that holds no
+NaN (CSV) or no non-finite value (JSON), and in JSON an int column.  Every
+other column is first made into text cells, as no ``%`` format writes its
+values: a float column holding NaN (NA or null) or, in JSON, an infinity
+(Infinity), and str, bool or object columns, whose labels may need quoting
+or escaping, each distinct label formatted once.  The writer keeps a block
+of rows, not the whole table: only one block's cells are alive at once,
+and each row's text only until it is written, where one string of a table
+twice the input's rows would raise the peak memory.
 """
 
 from __future__ import annotations
@@ -32,8 +43,10 @@ import codecs
 import csv
 import dataclasses
 import functools
+import io
 import itertools
 import json
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -368,9 +381,11 @@ _DIALECT = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8-sig
 _LABEL_SLACK, _HEAD_RECORDS = 4, 1024
 
 
-# Both formats are written a block of rows at a time, so that only one
-# block of cells is alive at once.
+# Both formats are written a block of rows at a time: the cells of one block
+# are alive at once, and each row's text only until it is written.
 _BLOCK_ROWS = 65536
+# A field holding one of these may be quoted by csv.writer (see ``_csv_fields``).
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
 
 
 def _blocks(columns):
@@ -379,38 +394,88 @@ def _blocks(columns):
         yield [col[start:start + _BLOCK_ROWS] for col in columns]
 
 
-def _cells(col, fmt):
-    """One block of a column as the cells ``fmt`` writes: for a float dtype
-    "%.17g" text, NaN as NA, or the float, NaN as null; else str(v) or the
-    ``tolist`` value."""
-    cells, text = col.tolist(), fmt == "csv"
+def _csv_line(fields) -> str:
+    """One row of fields as csv.writer writes it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()
+
+
+def _csv_fields(values, lone):
+    """The str of each value as csv.writer writes it as a field of a row with
+    other fields, or, when ``lone``, as the only one.  csv.writer is asked
+    only for the distinct values it may quote: those holding a delimiter, a
+    quote or a line break, and the empty field of a one-field row."""
+    texts = list(map(str, values))
+    quoted = {s: _csv_line([s])[:-1] for s in set(texts)
+              if _CSV_SPECIAL(s) or (lone and not s)}
+    return list(map(quoted.get, texts, texts)) if quoted else texts
+
+
+def _csv_column(col, lone):
+    """One block of a column as its row-template format and its values: a
+    float column without NaN as "%.17g" of its floats, every other one as
+    "%s" of text cells, NaN as NA."""
+    values = col.tolist()
     if col.dtype.kind != "f":
-        return list(map(str, cells)) if text else cells
-    if text:
-        cells = list(map("%.17g".__mod__, cells))
-    for i in np.flatnonzero(np.isnan(col)).tolist():
-        cells[i] = "NA" if text else None
-    return cells
+        return "%s", _csv_fields(values, lone)
+    nan = np.flatnonzero(np.isnan(col)).tolist()
+    if not nan:
+        return "%.17g", values
+    cells = list(map("%.17g".__mod__, values))
+    for i in nan:
+        cells[i] = "NA"
+    return "%s", cells
+
+
+def _json_column(col):
+    """One block of a column as its row-template format and its values, as
+    ``json.dumps`` writes them: finite floats and ints as "%r", every other
+    value pre-formatted, NaN as null, each distinct value dumped once."""
+    values, kind = col.tolist(), col.dtype.kind
+    if kind in "iu":
+        return "%r", values
+    if kind == "f":
+        bad = np.flatnonzero(~np.isfinite(col)).tolist()
+        if not bad:
+            return "%r", values
+        cells = list(map(repr, values))
+        for i in bad:
+            cells[i] = "null" if values[i] != values[i] else json.dumps(values[i])
+        return "%s", cells
+    # Objects are told apart by identity, not equality, as equal objects of
+    # different types dump differently (1 == 1.0 == True).
+    keys = list(map(id, values)) if kind == "O" else values
+    dumped = {key: json.dumps(v) for key, v in dict(zip(keys, values)).items()}
+    return "%s", list(map(dumped.__getitem__, keys))
 
 
 def _write_csv(fh, header, columns):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
+    fh.write(_csv_line(header))
+    lone = len(columns) == 1
     for block in _blocks(columns):
-        writer.writerows(zip(*(_cells(col, "csv") for col in block)))
+        formats, cells = zip(*(_csv_column(col, lone) for col in block))
+        fh.writelines(map((",".join(formats) + "\n").__mod__, zip(*cells)))
 
 
 def _write_json(fh, header, columns):
+    # The records are dicts: a key repeated in the header keeps its first
+    # place and its last column.
+    index = {key: j for j, key in enumerate(header)}
+    keys = [json.dumps(key).replace("%", "%%") for key in index]
+    columns = [columns[j] for j in index.values()]
     opening = "[\n"
     for block in _blocks(columns):
-        records = [dict(zip(header, row))
-                   for row in zip(*(_cells(col, "json") for col in block))]
-        # Strip the list's own "[\n" and "\n]": the records in between are
-        # laid out as in a dump of the whole table.
-        fh.write(opening)
-        fh.write(json.dumps(records, indent=2)[2:-2])
-        opening = ",\n"
-    fh.write("[]\n" if opening == "[\n" else "\n]\n")
+        formats, cells = zip(*map(_json_column, block))
+        fields = ",\n".join(f"    {key}: {fmt}" for key, fmt in zip(keys, formats))
+        # Each record starts with the separator from the one before it, laid
+        # out as in json.dumps(records, indent=2).
+        rows = map(f",\n  {{\n{fields}\n  }}".__mod__, zip(*cells))
+        if opening:
+            fh.write(opening + next(rows)[2:])
+            opening = ""
+        fh.writelines(rows)
+    fh.write("[]\n" if opening else "\n]\n")
 
 
 def write_table(fh, header, columns, fmt: str = "csv"):

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import erfe
@@ -151,35 +151,63 @@ def test_json_output_of_an_empty_table():
 
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
                    1e308, 1.7976931348623157e308]
-_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "7", "é", "名",
-                                 "🙂"]), max_size=5)
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "%", "a", "Z", "7", "é",
+                                 "名", "🙂"]), max_size=5)
+
+
+@st.composite
+def _column(draw, n):
+    """A column of n rows of a drawn kind, as the reference takes it (a
+    list, or an array of the special floats) and as the package's producers
+    hand it, a numpy array."""
+    column = functools.partial(st.lists, min_size=n, max_size=n)
+    kind = draw(st.sampled_from(["float", "special", "int", "bool", "text", "label"]))
+    if kind == "float":
+        values = draw(column(st.floats()))
+        return values, np.array(values, dtype=float)
+    if kind == "special":
+        # Finite floats with special values in a few rows, so that a block
+        # holding NaN or ±inf can sit next to one that holds none.
+        values = draw(column(st.floats(allow_nan=False, allow_infinity=False)))
+        for i, value in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                                st.sampled_from(_SPECIAL_FLOATS)),
+                                      max_size=n)):
+            values[i] = value
+        return np.array(values), np.array(values)
+    if kind == "int":
+        values = draw(column(st.integers(-2 ** 63, 2 ** 63 - 1)))
+        return values, np.array(values, dtype=np.int64)
+    if kind == "bool":
+        values = draw(column(st.booleans()))
+        return values, np.array(values, dtype=bool)
+    if kind == "text":
+        values = draw(column(_TEXT))
+        return values, np.array(values, dtype=str)
+    labels = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    codes = draw(column(st.integers(0, len(labels) - 1)))
+    return [labels[c] for c in codes], np.array(labels, dtype=object)[codes]
 
 
 @st.composite
 def _tables(draw):
-    """A table as the reference takes it, float arrays with ints and strings
-    as lists, and as the package's producers hand it, all numpy arrays."""
+    """A header, which may repeat a name, and the columns of a table of one
+    to six columns: as the reference takes them, and as numpy arrays."""
     n = draw(st.integers(0, 20))
-    column = functools.partial(st.lists, min_size=n, max_size=n)
-    floats = draw(column(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())))
-    more = draw(column(st.floats()))
-    ints = draw(column(st.integers(-2 ** 63, 2 ** 63 - 1)))
-    texts = draw(column(_TEXT))
-    labels = draw(st.lists(_TEXT, min_size=1, max_size=4))
-    codes = draw(column(st.integers(0, len(labels) - 1)))
-    reference = [np.array(floats), more, ints, texts, [labels[c] for c in codes]]
-    arrays = [np.array(floats), np.array(more, dtype=float), np.array(ints, dtype=np.int64),
-              np.array(texts, dtype=str), np.array(labels, dtype=object)[codes]]
-    return reference, arrays
+    width = draw(st.integers(1, 6))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    reference, arrays = zip(*(draw(_column(n)) for _ in range(width)))
+    return header, list(reference), list(arrays)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
 @settings(max_examples=40, deadline=None)
 @given(_tables())
+# csv.writer writes the empty field of a one-field row as "", and no other.
+@example(([""], [["", "a", ""]], [np.array(["", "a", ""])]))
+@example((["", ""], [["", "a"], [""] * 2], [np.array(["", "a"]), np.array(["", ""])]))
 def test_write_table_matches_the_per_cell_reference(block_rows, fmt, table):
-    reference, arrays = table
-    header = ["f", "g", "i", "s", "label"]
+    header, reference, arrays = table
     expected = io.StringIO()
     oracles.write_table_reference(expected, header, reference, fmt)
     got = io.StringIO()
@@ -672,6 +700,27 @@ def test_transform_multiple_taus_stacked(panel_csv, tmp_path):
     rows = _read_rows(out)
     assert len(rows) == 2 * panel.n_obs
     assert len({r["tau"] for r in rows}) == 2
+
+
+def test_transform_labels_read_back_as_written(tmp_path):
+    # Labels that csv.writer must quote, and text that is not ASCII, which
+    # JSON escapes: both outputs read back to the input's labels.
+    labels = ["a,b", 'say "hi"', "Zürich", "名前", '🙂,"x"\u00e9', "s5"]
+    panel, _, _ = oracles.random_panel(np.random.default_rng(91), len(labels), 4, 2)
+    rows = [labels[c] for c in panel.codes]
+    path = tmp_path / "panel.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "y", *panel.column_names])
+        writer.writerows([label, repr(float(y)), *map(repr, x.tolist())]
+                         for label, y, x in zip(rows, panel.y, panel.X))
+    common = ["transform", "--input", str(path), "--subject-col", "id",
+              "--response-col", "y", "--tau", "0.5,0.8"]
+    assert main([*common, "--out", str(tmp_path / "tr.csv")]) == 0
+    assert main([*common, "--format", "json", "--out", str(tmp_path / "tr.json")]) == 0
+    assert [r["subject"] for r in _read_rows(tmp_path / "tr.csv")] == rows * 2
+    records = json.loads((tmp_path / "tr.json").read_text(encoding="utf-8"))
+    assert [r["subject"] for r in records] == rows * 2
 
 
 # ---------------------------------------------------------------------
