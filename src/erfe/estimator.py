@@ -163,14 +163,14 @@ def _screen(stack: PanelStack) -> list:
     regressors raises it, as ``spd_solve`` rejects an empty Gram matrix."""
     if not stack.column_names:
         raise SingularGramError("empty Gram matrix: the panel has no regressors")
-    errors = []
-    for bad in stack.constant:
-        names = [stack.column_names[j] for j in np.flatnonzero(bad)]
-        errors.append(SingularGramError(
+    errors = [None] * stack.size
+    for i in np.flatnonzero(stack.constant.any(axis=1)).tolist():
+        names = [stack.column_names[j] for j in np.flatnonzero(stack.constant[i])]
+        errors[i] = SingularGramError(
             f"regressor(s) {names!r} are constant within subjects and are "
             "annihilated by the within transform",
             columns=names,
-        ) if names else None)
+        )
     return errors
 
 

@@ -71,11 +71,11 @@ def spd_solve(G, b):
     scaled[bad_diagonal] = np.eye(k)
     factors, problems = _factor(scaled)
     pivots = np.min(np.diagonal(factors, axis1=1, axis2=2), axis=1)
-    for i, pivot in enumerate(pivots.tolist()):
+    for i in np.flatnonzero(bad_diagonal | (pivots <= _MIN_PIVOT)).tolist():
         if bad_diagonal[i]:
             problems[i] = "Gram matrix has a non-positive diagonal entry"
-        elif problems[i] is None and pivot <= _MIN_PIVOT:
-            problems[i] = f"Gram matrix numerically rank deficient (pivot {pivot:.2e})"
+        elif problems[i] is None:
+            problems[i] = f"Gram matrix numerically rank deficient (pivot {pivots[i]:.2e})"
 
     # L L' x = b / d by forward, then backward substitution, column by
     # column across the stack.

@@ -4,11 +4,12 @@ The location(-scale) shift design draws one heavy-tailed regressor, one
 Gaussian regressor sharing a subject-level factor with the fixed effect
 (so the two are correlated), and a choice of error law whose scale may
 grow with the second regressor.  Replications get independent random
-streams keyed by (seed, replication index).  They are fitted in fixed
-blocks of ``BLOCK`` replications by index, each block drawn straight into
-one stack on a leading replication axis and fitted at every asymmetric
-point by one ``estimator.fit_stack`` call; every replication's numbers are
-the bits its own fit gives, so results are bitwise the same for any
+streams keyed by (seed, replication index).  They are fitted in blocks of
+consecutive replications, as many as fit in ``BLOCK_ROWS`` rows
+(``block_size``), each block drawn straight into one stack on a leading
+replication axis and fitted at every asymmetric point by one
+``estimator.fit_stack`` call; every replication's numbers are the bits its
+own fit gives, so results are bitwise the same for any block size and any
 worker count.  ``generate_dgp`` draws one replication as a panel.
 """
 
@@ -31,13 +32,14 @@ from .expectiles import chi_squared, distribution_expectile, gaussian, student_t
 from .panel import PanelData, _assemble_panel, build_stack, validate_taus, write_table
 
 __all__ = [
-    "BLOCK",
+    "BLOCK_ROWS",
     "DEFAULT_BUDGET",
     "DgpTruth",
     "ERROR_LAWS",
     "MetricsRow",
     "ScenarioMetrics",
     "SimulationConfig",
+    "block_size",
     "estimates_table",
     "estimates_to_csv",
     "generate_dgp",
@@ -49,12 +51,15 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 50_000_000
-# Replications fitted by one engine pass.  A block's arrays peak at about
-# 77 KB per replication of a 500-row cell, so 16 add about 1.2 MB to a
-# process that peaks at about 38 MB, while 1000 replications at 3 taus
-# take 0.59-0.70 s in-process, against 0.51-0.58 s in blocks of 64 (one
-# CPU of a 2-vCPU Xeon host).
-BLOCK = 16
+# Rows fitted by one engine pass: a block takes as many whole replications
+# as fit in BLOCK_ROWS rows, and at least one (``block_size``).  Each pass
+# has a fixed cost, and a block's arrays peak at about 150 bytes a row (225
+# in a joint fit).  In-process, 1000 replications of 500 rows at 3 taus took
+# 0.58 s in blocks of 16, 0.45 s in blocks of 50 and 0.44 s in blocks of 65
+# (2**15 rows), and no less in larger blocks, while the process peaked at
+# 39 MB, 41 MB, 42 MB and, in blocks of 262, 58 MB (medians, one CPU of a
+# 2-vCPU Xeon host).
+BLOCK_ROWS = 2**15
 _BUDGET_ENV = "ERFE_MAX_BUDGET"
 
 # The error laws by name: a draw of ``size`` errors from ``rng``, and the
@@ -225,9 +230,14 @@ def generate_dgp(config: SimulationConfig, replication_index: int) -> tuple[Pane
     return panel, DgpTruth(beta1=_BETA1, beta2=_BETA2, gamma=config.gamma, alpha=alpha)
 
 
-def _run_block(config: SimulationConfig, block: int):
-    """Fit every asymmetric point on the panels of replications
-    [block * BLOCK, (block + 1) * BLOCK), cut at the last replication.
+def block_size(config: SimulationConfig) -> int:
+    """Replications per block of the cell ``config``: as many as fit in
+    ``BLOCK_ROWS`` rows, and at least one."""
+    return max(1, BLOCK_ROWS // (config.n * config.m))
+
+
+def _run_block(config: SimulationConfig, reps: range):
+    """Fit every asymmetric point on the panels of the replications ``reps``.
 
     The replications are drawn straight into one stack, fitted by one
     ``fit_stack`` call, as are their sandwiches.  Returns estimates and
@@ -235,7 +245,6 @@ def _run_block(config: SimulationConfig, block: int):
     causes (b x q, the class name of the error that stopped the fit or its
     sandwich, None where both ran), with NaN marking failed fits.
     """
-    reps = range(block * BLOCK, min((block + 1) * BLOCK, config.replications))
     y, X, _ = _draw(config, reps)
     codes = np.repeat(np.arange(len(reps) * config.n), config.m).reshape(len(reps), -1)
     stack = build_stack(config.n, _REGRESSORS, y, X, codes)
@@ -261,12 +270,13 @@ def validate_workers(workers) -> int:
 def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetrics:
     """Run all replications of one cell and aggregate the summaries.
 
-    Replications are fitted in blocks of ``BLOCK`` by index, whatever the
-    worker count (``validate_workers``); workers take whole blocks, and no
-    more processes start than there are blocks.  Failed fits are excluded
-    from the averages, reported in the ``failures`` column and counted by
-    cause in ``failure_causes``; they are never retried.  Aggregation runs in
-    replication order, so the output is identical for any worker count.
+    Replications are fitted in blocks of ``block_size(config)`` by index,
+    whatever the worker count (``validate_workers``); workers take whole
+    blocks, and no more processes start than there are blocks.  Failed fits
+    are excluded from the averages, reported in the ``failures`` column and
+    counted by cause in ``failure_causes``; they are never retried.
+    Aggregation runs in replication order, so the output is identical for
+    any block size and any worker count.
     """
     cost = config.n * config.m * config.replications
     text = os.environ.get(_BUDGET_ENV, str(DEFAULT_BUDGET))
@@ -280,7 +290,10 @@ def run_monte_carlo(config: SimulationConfig, workers: int = 1) -> ScenarioMetri
             f"(override via {_BUDGET_ENV})"
         )
 
-    blocks = range(-(-config.replications // BLOCK))
+    # Each block goes to its worker as its range of replications, so that no
+    # worker sizes the blocks again.
+    reps, size = range(config.replications), block_size(config)
+    blocks = [reps[start:start + size] for start in reps[::size]]
     workers = min(validate_workers(workers), len(blocks))
     if workers > 1:
         # Imported here: only a parallel run needs the process machinery,

@@ -22,7 +22,8 @@ up only once the read has failed.
 Tables are written by ``write_table`` from a header and numpy columns, one
 dtype each: as CSV with "\\n" line endings, float columns in 17 significant
 digits, NaN as NA, and every other column as ``str`` of its values, quoted
-as ``csv.writer`` quotes them, or as the text of one
+as ``csv.writer`` quotes them, a value holding a bare "\\r" too, so that
+the reader reads it back, or as the text of one
 ``json.dumps(records, indent=2)``, NaN as null: both carry identical values.
 Each block of rows is written through one ``%``-template, a row's text
 with one format per column.  A column whose text is one ``%`` format of
@@ -384,7 +385,7 @@ _LABEL_SLACK, _HEAD_RECORDS = 4, 1024
 # Both formats are written a block of rows at a time: the cells of one block
 # are alive at once, and each row's text only until it is written.
 _BLOCK_ROWS = 65536
-# A field holding one of these may be quoted by csv.writer (see ``_csv_fields``).
+# A field holding one of these is quoted (see ``_csv_fields``).
 _CSV_SPECIAL = re.compile('[,"\r\n]').search
 
 
@@ -395,17 +396,20 @@ def _blocks(columns):
 
 
 def _csv_line(fields) -> str:
-    """One row of fields as csv.writer writes it."""
+    """One row of fields as csv.writer writes it, ending in "\\n".  The writer
+    quotes a field holding a character of its line terminator, so it is
+    given "\\r\\n": a field with a bare "\\r" is quoted too, and reads back."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(fields)
-    return out.getvalue()
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2] + "\n"
 
 
 def _csv_fields(values, lone):
-    """The str of each value as csv.writer writes it as a field of a row with
-    other fields, or, when ``lone``, as the only one.  csv.writer is asked
-    only for the distinct values it may quote: those holding a delimiter, a
-    quote or a line break, and the empty field of a one-field row."""
+    """The str of each value as ``_csv_line`` writes it as a field of a row
+    with other fields, or, when ``lone``, as the only one.  csv.writer is
+    asked only for the distinct values it quotes: those holding a delimiter,
+    a quote or a line break ("\\r" or "\\n"), and the empty field of a
+    one-field row."""
     texts = list(map(str, values))
     quoted = {s: _csv_line([s])[:-1] for s in set(texts)
               if _CSV_SPECIAL(s) or (lone and not s)}

@@ -9,6 +9,7 @@ paths, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 
@@ -561,15 +562,24 @@ def _blocks(columns):
         yield [col[start:start + _BLOCK_ROWS] for col in columns]
 
 
+def _write_csv_row(fh, row):
+    # csv.writer quotes a field holding a character of its line terminator:
+    # given "\r\n", it quotes a bare "\r" as well as "\n", and each row is
+    # then cut back to end in "\n".
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(row)
+    fh.write(out.getvalue()[:-2] + "\n")
+
+
 def _write_csv(fh, header, columns):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
+    _write_csv_row(fh, header)
     for block in _blocks(columns):
-        writer.writerows(zip(*(
+        for row in zip(*(
             list(map(format_number, col.tolist())) if isinstance(col, np.ndarray)
             else [format_number(v) if isinstance(v, float) else str(v) for v in col]
             for col in block
-        )))
+        )):
+            _write_csv_row(fh, row)
 
 
 def _write_json(fh, header, columns):

@@ -283,7 +283,7 @@ def test_criterion_10_covariance_structure():
             f"{worst_transpose:.1e}, PSD {psd_ok}")
 
 
-def test_criterion_11_cli_determinism(tmp_path):
+def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
     """Identical seeds and any worker count give byte-identical outputs."""
     rng = np.random.default_rng(1111)
     panel, _, _ = oracles.random_panel(rng, 12, 4, 2)
@@ -294,7 +294,9 @@ def test_criterion_11_cli_determinism(tmp_path):
             fh.write(f"{panel.subject_ids[i]},{float(panel.y[i])!r},"
                      f"{float(panel.X[i, 0])!r},{float(panel.X[i, 1])!r}\n")
 
-    # More than two blocks of replications, so that --workers 3 starts three.
+    # More than two blocks of replications, 16 a block, so that --workers 3
+    # starts three.
+    monkeypatch.setattr(erfe.montecarlo, "BLOCK_ROWS", 16 * 20 * 4)
     sim = ["simulate", "--n", "20", "--m", "4", "--replications", "40",
            "--seed", "99", "--tau", "0.3,0.7"]
     outs = []

@@ -291,8 +291,10 @@ def test_dropping_a_column_does_not_demean_again(joint, tmp_path, monkeypatch):
 
 _SMALL = ["--input", str(DATA / "small_panel.csv"), "--subject-col", "id",
           "--response-col", "y"]
+# One full block of replications.
 _SIMULATE = ["simulate", "--n", "25", "--m", "4", "--tau", "0.1,0.5,0.9",
-             "--replications", str(erfe.montecarlo.BLOCK)]
+             "--replications",
+             str(erfe.montecarlo.block_size(erfe.SimulationConfig(n=25, m=4)))]
 
 
 @pytest.mark.parametrize("command", [
@@ -727,8 +729,16 @@ def test_transform_labels_read_back_as_written(tmp_path):
 # simulate
 # ---------------------------------------------------------------------
 
-def test_simulate_deterministic_across_seeds_and_workers(tmp_path):
+def _blocks_of(monkeypatch, size, n, m):
+    """Blocks of ``size`` replications for a cell of n subjects of m rows,
+    by the row budget."""
+    monkeypatch.setattr(erfe.montecarlo, "BLOCK_ROWS", size * n * m)
+    assert erfe.montecarlo.block_size(erfe.SimulationConfig(n=n, m=m)) == size
+
+
+def test_simulate_deterministic_across_seeds_and_workers(tmp_path, monkeypatch):
     # Two blocks, so that --workers 2 starts a pool of two processes.
+    _blocks_of(monkeypatch, 16, 20, 4)
     args = ["simulate", "--n", "20", "--m", "4", "--replications", "20",
             "--seed", "3", "--tau", "0.3,0.7"]
     out1 = tmp_path / "a.csv"
@@ -802,7 +812,8 @@ def _assert_simulate_pinned(tmp_path, args, golden):
     assert out.read_bytes() == (DATA / f"{golden}.json").read_bytes()
 
 
-def test_simulate_bytes_are_pinned(tmp_path):
+def test_simulate_bytes_are_pinned(tmp_path, monkeypatch):
+    _blocks_of(monkeypatch, 16, 15, 3)
     _assert_simulate_pinned(tmp_path, _GOLDEN_SIMULATE, "golden_simulate")
 
 
@@ -811,7 +822,8 @@ def test_simulate_bytes_are_pinned(tmp_path):
     (["--error-dist", "student_t3", "--gamma", "0.5", "--joint"],
      "golden_simulate_t3_joint"),
 ])
-def test_simulate_draws_are_pinned(tmp_path, flags, golden):
+def test_simulate_draws_are_pinned(tmp_path, monkeypatch, flags, golden):
+    _blocks_of(monkeypatch, 16, 12, 4)
     _assert_simulate_pinned(tmp_path, [*_GOLDEN_DRAWS, *flags], golden)
 
 

@@ -164,6 +164,19 @@ def _small_config(**kw):
     return erfe.SimulationConfig(**base)
 
 
+# Replications per block in the tests of blocks: their cells have several
+# blocks, a short last one, and replications on either side of a boundary.
+_BLOCK = 16
+
+
+@pytest.fixture
+def blocks_of_16(monkeypatch):
+    """Sizes the blocks of every cell of ``_small_config``'s shape at
+    ``_BLOCK`` replications, by its row budget."""
+    monkeypatch.setattr(montecarlo, "BLOCK_ROWS", _BLOCK * 25 * 4)
+    assert montecarlo.block_size(_small_config()) == _BLOCK
+
+
 def test_single_replication_degenerates():
     metrics = erfe.run_monte_carlo(_small_config(replications=1))
     for row in metrics.rows:
@@ -194,9 +207,9 @@ def test_metrics_match_reference_aggregation():
             idx += 1
 
 
-def test_reproducible_across_worker_counts():
+def test_reproducible_across_worker_counts(blocks_of_16):
     # Not a multiple of the block size, so the last block is a short one.
-    config = _small_config(replications=montecarlo.BLOCK + 6)
+    config = _small_config(replications=_BLOCK + 6)
     serial = erfe.run_monte_carlo(config, workers=1)
     parallel = erfe.run_monte_carlo(config, workers=3)
     assert np.array_equal(serial.estimates, parallel.estimates)
@@ -205,11 +218,42 @@ def test_reproducible_across_worker_counts():
     assert metrics_to_csv(serial) == metrics_to_csv(parallel)
 
 
+def _outputs(config, metrics):
+    return (metrics.estimates, metrics.standard_errors, metrics.iterations,
+            metrics.failure_causes, metrics_to_csv(metrics),
+            estimates_to_csv(config, metrics))
+
+
 @pytest.mark.parametrize("joint", [False, True])
-def test_each_replication_has_the_bits_of_its_own_fit(joint):
+@pytest.mark.parametrize("failing", [(), (3, 8)], ids=["clean", "failing"])
+def test_a_cell_does_not_depend_on_its_row_budget(monkeypatch, joint, failing):
+    # Failing replications compare failure causes and NaN too.  They are
+    # made by patching ``_draw`` in this process, which a pool's worker
+    # need not share, so that cell runs serially.
+    _break_x2(monkeypatch, set(failing), "collinear")
+    config = _small_config(replications=10, joint=joint)
+    rows = config.n * config.m
+    monkeypatch.setattr(montecarlo, "BLOCK_ROWS", rows * config.replications)
+    assert montecarlo.block_size(config) == config.replications
+    whole = _outputs(config, erfe.run_monte_carlo(config))
+    assert whole[3] == ({"SingularGramError": len(failing)} if failing else {},) * 2
+    # One replication per block, then blocks of 4, 4 and a short one of 2.
+    for budget, size in ((1, 1), (4 * rows + rows // 2, 4)):
+        monkeypatch.setattr(montecarlo, "BLOCK_ROWS", budget)
+        assert montecarlo.block_size(config) == size
+        for workers in (1,) if failing else (1, 3):
+            outputs = _outputs(config, erfe.run_monte_carlo(config, workers=workers))
+            for name, got, want in zip(("estimates", "standard_errors", "iterations"),
+                                       outputs, whole):
+                assert _same_bits(got, want), (budget, workers, name)
+            assert outputs[3:] == whole[3:], (budget, workers)
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_each_replication_has_the_bits_of_its_own_fit(blocks_of_16, joint):
     # A block fits its replications as one stack; each must come out as
     # the one-panel fit and sandwich of its own generated panel.
-    config = _small_config(replications=montecarlo.BLOCK + 3, joint=joint)
+    config = _small_config(replications=_BLOCK + 3, joint=joint)
     metrics = erfe.run_monte_carlo(config)
     for rep in range(config.replications):
         panel, _ = erfe.generate_dgp(config, rep)
@@ -254,11 +298,11 @@ def _break_x2(monkeypatch, failing, how):
 
 @pytest.mark.parametrize("how", sorted(_BROKEN_X2))
 @pytest.mark.parametrize("joint", [False, True])
-def test_failures_are_counted_by_cause_and_leave_neighbours_alone(monkeypatch, joint,
-                                                                  how):
-    config = _small_config(replications=montecarlo.BLOCK + 3, joint=joint)
+def test_failures_are_counted_by_cause_and_leave_neighbours_alone(blocks_of_16, monkeypatch,
+                                                                  joint, how):
+    config = _small_config(replications=_BLOCK + 3, joint=joint)
     clean = erfe.run_monte_carlo(config)
-    failing = {2, montecarlo.BLOCK + 1}
+    failing = {2, _BLOCK + 1}
     _break_x2(monkeypatch, failing, how)
     metrics = erfe.run_monte_carlo(config)
 
@@ -278,12 +322,12 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("error_dist", sorted(montecarlo.ERROR_LAWS))
-def test_a_block_is_the_stack_of_its_replications(error_dist):
+def test_a_block_is_the_stack_of_its_replications(blocks_of_16, error_dist):
     # Replications drawn straight into a stack give the stack of their own
     # generated panels, across a block boundary.
     config = _small_config(error_dist=error_dist, gamma=0.4,
-                           replications=montecarlo.BLOCK + 3)
-    reps = range(montecarlo.BLOCK - 2, montecarlo.BLOCK + 3)
+                           replications=_BLOCK + 3)
+    reps = range(_BLOCK - 2, _BLOCK + 3)
     y, X, alpha = montecarlo._draw(config, reps)
     codes = np.repeat(np.arange(len(reps) * config.n), config.m).reshape(len(reps), -1)
     drawn = erfe.panel.build_stack(config.n, ("x1", "x2"), y, X, codes)
@@ -296,12 +340,12 @@ def test_a_block_is_the_stack_of_its_replications(error_dist):
         assert _same_bits(effects, truth.alpha)
 
 
-def test_a_simulation_assembles_no_panel(monkeypatch):
+def test_a_simulation_assembles_no_panel(blocks_of_16, monkeypatch):
     def refuse(*args):
         raise AssertionError("a replication was assembled as a panel")
 
     monkeypatch.setattr(montecarlo, "_assemble_panel", refuse)
-    metrics = erfe.run_monte_carlo(_small_config(replications=montecarlo.BLOCK + 1))
+    metrics = erfe.run_monte_carlo(_small_config(replications=_BLOCK + 1))
     assert all(row.failures == 0 for row in metrics.rows)
 
 
@@ -339,7 +383,7 @@ def test_workers_must_be_a_positive_integer(workers):
         erfe.run_monte_carlo(_small_config(replications=2), workers=2.0)
 
 
-def test_pool_is_no_larger_than_the_blocks(monkeypatch):
+def test_pool_is_no_larger_than_the_blocks(blocks_of_16, monkeypatch):
     sizes = []
 
     class SerialPool:
@@ -358,7 +402,7 @@ def test_pool_is_no_larger_than_the_blocks(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    config = _small_config(replications=2 * montecarlo.BLOCK + 1)
+    config = _small_config(replications=2 * _BLOCK + 1)
     serial = erfe.run_monte_carlo(config)
     assert sizes == []
     pooled = erfe.run_monte_carlo(config, workers=1000)
@@ -367,7 +411,7 @@ def test_pool_is_no_larger_than_the_blocks(monkeypatch):
     for name in ("estimates", "standard_errors", "iterations"):
         assert np.array_equal(getattr(pooled, name), getattr(serial, name))
     # One block takes no pool at all.
-    erfe.run_monte_carlo(_small_config(replications=montecarlo.BLOCK), workers=8)
+    erfe.run_monte_carlo(_small_config(replications=_BLOCK), workers=8)
     assert sizes == [3]
 
 
@@ -462,11 +506,11 @@ def test_estimates_dump_roundtrip():
     assert float(rep0[3]) == metrics.estimates[0, 0, 0]
 
 
-def test_replications_out_of_rounds_fail_as_no_convergence(monkeypatch):
+def test_replications_out_of_rounds_fail_as_no_convergence(blocks_of_16, monkeypatch):
     # One round is too few for any fit here, so every block has no
     # sandwich to build.
     monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
-    config = _small_config(replications=montecarlo.BLOCK + 3)
+    config = _small_config(replications=_BLOCK + 3)
     metrics = erfe.run_monte_carlo(config)
     assert metrics.failure_causes == ({"NoConvergenceError": config.replications},) * 2
     assert np.isnan(metrics.estimates).all() and np.isnan(metrics.iterations).all()

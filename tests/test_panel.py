@@ -265,6 +265,22 @@ def test_read_panel_csv_quoted_labels(tmp_path):
         erfe.read_panel_csv(_write_csv(tmp_path / "r.csv", text.format("oops")), "id", "y")
 
 
+def test_a_written_table_with_a_bare_cr_label_reads_back(tmp_path):
+    # A label holding a bare "\r" is quoted, so the line break stays inside
+    # its field; the reader reads it as "\n".
+    path = tmp_path / "cr.csv"
+    y, x = np.array([1.0, 2.5, -3.0, 4.0]), np.array([0.5, 1.0, 2.0, -1.0])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        erfe.panel.write_table(fh, ["id", "y", "x"],
+                               [np.array(["a\rb", "a\rb", "c", "c"]), y, x])
+    assert path.read_bytes().split(b"\n")[1] == b'"a\rb",1,0.5'
+    panel = erfe.read_panel_csv(path, "id", "y")
+    assert panel.subject_labels.tolist() == ["a\nb", "c"]
+    assert panel.codes.tolist() == [0, 0, 1, 1]
+    assert panel.y.tolist() == y.tolist()
+    assert panel.X[:, 0].tolist() == x.tolist()
+
+
 def test_a_read_is_one_loadtxt_call(tmp_path, monkeypatch):
     calls = []
     loadtxt = np.loadtxt
