@@ -12,7 +12,6 @@ expectiles, and a reproducible Monte Carlo harness.
 from .covariance import (
     SandwichCovariance,
     conf_intervals,
-    normal_quantile,
     sandwich_multi,
     sandwich_single,
 )
@@ -44,6 +43,7 @@ from .expectiles import (
     chi_squared,
     distribution_expectile,
     gaussian,
+    normal_quantile,
     sample_expectile,
     student_t,
 )

@@ -32,7 +32,6 @@ from .within import weighted_subject_sums
 __all__ = [
     "SandwichCovariance",
     "conf_intervals",
-    "normal_quantile",
     "sandwich_multi",
     "sandwich_single",
     "sandwich_stack",

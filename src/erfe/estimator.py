@@ -32,15 +32,16 @@ shift of y is absorbed, so the joint fit's design is raw X and demeaned
 y.  ``fit_design`` picks the design, for the fit and its sandwich.
 
 The weights depend only on residual signs, so once the sign pattern
-stabilizes the solve lands exactly on the fixed point and the loop stops
-(the stopping rule is the fixed one of ``expectiles``: ``TOL``,
-``TOL_GRAD`` and ``MAX_ROUNDS``, a safety net only);
-the converged point satisfies the first-order conditions of the
-asymmetric least squares objective in both the slopes and the subject
-effects.  Every fit starts from the within round: one round at tau = 0.5
-with constant weights on the demeaned design, which is ``within_ols``,
-its slopes and residuals repeated for every block.  Any start that
-reaches the final sign pattern gives the same bits.
+stabilizes the solve lands exactly on the fixed point and the loop stops.
+Its fixed stopping rule, the package's only one, is a safety net: a
+sup-norm step within ``TOL`` and scores within ``TOL_GRAD`` * (1 +
+max|y|), in at most ``MAX_ROUNDS`` rounds.  The converged point satisfies
+the first-order conditions of the asymmetric least squares objective in
+both the slopes and the subject effects.  Every fit starts from the
+within round: one round at tau = 0.5 with constant weights on the
+demeaned design, which is ``within_ols``, its slopes and residuals
+repeated for every block.  Any start that reaches the final sign pattern
+gives the same bits.
 
 The engine works on a stack of B equal-shaped panels (``PanelStack``), a
 leading replication axis on every array: the design is (B, p + 1, N), the
@@ -62,7 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expectiles
 from .errors import NoConvergenceError, SingularGramError
 from .linalg import spd_solve
 from .panel import (
@@ -90,6 +90,11 @@ __all__ = [
     "recover_fixed_effects",
     "within_ols",
 ]
+
+# The stopping rule of the module docstring, read at call time.
+TOL = 1e-7
+TOL_GRAD = 1e-6
+MAX_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -270,19 +275,19 @@ def _scores_vanish(design, codes, n_subjects, taus, v, resid, tol):
 
 def _irls(stack: PanelStack, design, taus, v, betas, resid, errors):
     """Concentrated rounds from (betas, resid) for every panel without an
-    error, each until its sup-norm step is within ``expectiles.TOL`` and
-    its scores vanish, or ``expectiles.MAX_ROUNDS`` run out.  A panel that
-    stops takes no further round; one whose system turns singular gets its
+    error, each until its sup-norm step is within ``TOL`` and its scores
+    vanish, or ``MAX_ROUNDS`` run out.  A panel that stops takes no
+    further round; one whose system turns singular gets its
     SingularGramError in ``errors``.
 
     Returns (betas, resid, iterations, converged), per panel.
     """
     size, n_subjects = stack.size, stack.n_subjects
-    grad_tol = expectiles.TOL_GRAD * (1.0 + np.max(np.abs(stack.y), axis=1))
+    grad_tol = TOL_GRAD * (1.0 + np.max(np.abs(stack.y), axis=1))
     iterations = np.zeros(size, dtype=int)
     converged = np.zeros(size, dtype=bool)
     live = np.array([e is None for e in errors], dtype=bool)
-    for r in range(1, expectiles.MAX_ROUNDS + 1):
+    for r in range(1, MAX_ROUNDS + 1):
         idx = np.flatnonzero(live)
         if not idx.size:
             break
@@ -296,7 +301,7 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors):
         iterations[idx] = r
         _record(errors, idx, problems, stack.column_names, r)
         stop = np.array([p is not None for p in problems], dtype=bool)
-        check = idx[(delta <= expectiles.TOL) & ~stop]
+        check = idx[(delta <= TOL) & ~stop]
         if check.size:
             codes, rows, current = stack.part(check, design, resid)
             done = check[_scores_vanish(rows, codes, n_subjects, taus, v, current,
@@ -375,7 +380,7 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
         for row, error, ok in zip(errors, group, converged.tolist()):
             row += [error or (None if ok else NoConvergenceError(
                 f"fit at taus={taus[points]} did not converge in "
-                f"{expectiles.MAX_ROUNDS} iterations"))] * n
+                f"{MAX_ROUNDS} iterations"))] * n
     betas, resid, iterations = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
     return StackFit(taus=taus, v=v, joint=joint, betas=betas, residuals_star=resid,
                     iterations=iterations, errors=tuple(map(tuple, errors)))

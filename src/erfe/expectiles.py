@@ -1,16 +1,13 @@
 """Scalar expectiles, distribution expectiles and the normal quantile.
 
-The scalar expectile is computed as the fixed point of the weighted-mean
-map.  The iteration terminates finitely in practice because the weights
-depend only on residual signs: once the sign pattern stabilizes the next
-step lands exactly on the fixed point.  The stopping rule, here and in
-the panel fits of ``estimator``, is fixed and is a safety net only: a
-sup-norm step within ``TOL`` = 1e-7 and scores within ``TOL_GRAD`` *
-(1 + max|y|) = 1e-6 * (1 + max|y|), in at most ``MAX_ROUNDS`` = 100
-rounds (the scalar expectile has no score test).  A regression has one
-engine, the panel fit of ``estimator``: a pooled expectile regression
-with an intercept is that fit on a panel of one subject, whose effect is
-the intercept.
+The check weights depend only on residual signs, so the expectile of a
+sample is found, not iterated: once the sample is sorted, prefix sums give
+the weighted mean of every split of it into a lower and an upper part, and
+the expectile is the weighted mean that falls in its own split (Newey and
+Powell 1987).  A regression has one engine, the panel fit of
+``estimator``, the package's one iterative loop: a pooled expectile
+regression with an intercept is that fit on a panel of one subject, whose
+effect is the intercept.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailureError, EmptyInputError, NoConvergenceError
-from .panel import check_weight, validate_tau
+from .errors import BracketFailureError, EmptyInputError
+from .panel import validate_tau
 
 __all__ = [
     "Law",
@@ -34,20 +31,16 @@ __all__ = [
 ]
 
 
-# The stopping rule of the module docstring, read at call time by every
-# loop (the estimator's through this module): patching one changes all.
-TOL = 1e-7
-TOL_GRAD = 1e-6
-MAX_ROUNDS = 100
-
-
 def sample_expectile(values, tau) -> float:
-    """Expectile of a sample, as the fixed point of the weighted-mean map.
+    """Expectile of a sample: the fixed point of the weighted-mean map,
+    theta -> the mean of the data under the check weights about theta.
 
-    Starting from the sample mean, the candidate is replaced by the
-    check-weighted mean of the data until it reproduces itself.  The map
-    is monotone, so the loop stops after finitely many steps; the
-    iteration budget is a safety net only.
+    Prefix sums of the sorted sample give each split's weighted mean (the j
+    lowest values at weight 1 - tau, the rest at tau), and the expectile's
+    split is the last whose lower part ends at or below it.  The value is
+    the map's first fixed point among that split and its neighbours, in the
+    order its iterates from the sample mean reach them; else the split's
+    weighted mean, within the sample's range.  Equal values return theirs.
     """
     tau = validate_tau(tau)
     vals = np.asarray(values, dtype=float).ravel()
@@ -55,21 +48,31 @@ def sample_expectile(values, tau) -> float:
         raise EmptyInputError("cannot take the expectile of an empty sample")
     if not np.all(np.isfinite(vals)):
         raise ValueError("sample contains missing or non-finite values")
+    s = np.sort(vals)
+    if s[0] == s[-1]:
+        return float(s[0])
+    n, below, gain = s.size, np.cumsum(s[:-1]), 1.0 - 2.0 * tau
+    means = ((tau * (below[-1] + s[-1]) + gain * below)
+             / (tau * n + gain * np.arange(1.0, n)))
+    t = s[np.count_nonzero(s[:-1] <= means) - 1]
+    lo, hi = np.searchsorted(s, t), np.searchsorted(s, t, side="right")
+    nearby = [s[max(lo - 1, 0)], t, s[min(hi, n - 1)]]
 
-    theta = float(np.mean(vals))
-    delta = np.inf
-    for _ in range(MAX_ROUNDS):
-        w = check_weight(vals - theta, tau)
-        new = float(np.dot(w, vals) / np.sum(w))
-        if new == theta:
-            return theta
-        delta = abs(new - theta)
-        theta = new
-    if delta <= TOL:
-        return theta
-    raise NoConvergenceError(
-        f"sample expectile did not stabilize in {MAX_ROUNDS} iterations"
-    )
+    def weighted_mean(theta):  # vals > theta iff vals - theta > 0, for floats
+        w = np.where(vals > theta, tau, 1.0 - tau)
+        return float(np.dot(w, vals) / np.sum(w))
+
+    start = float(np.mean(vals))
+    first = weighted_mean(start)
+    # The map is monotone: the iterates go on past the first in its direction.
+    thresholds = ([max(theta, first) for theta in nearby] if first > start
+                  else [min(theta, first) for theta in nearby[::-1]])
+    for theta in [*thresholds, t]:
+        mean = weighted_mean(theta)
+        if s[0] <= mean < s[-1] and (np.searchsorted(s, mean, side="right")
+                                     == np.searchsorted(s, theta, side="right")):
+            return mean
+    return min(max(mean, s[0]), s[-1])
 
 
 # The closed forms below take Student t and chi-squared laws with integer

@@ -43,7 +43,6 @@ from __future__ import annotations
 import codecs
 import csv
 import dataclasses
-import functools
 import io
 import itertools
 import json
@@ -162,8 +161,7 @@ class PanelData:
     subject_labels : ndarray, shape (n,)
         Distinct subject labels in order of first appearance.
 
-    Every array is read-only, and so is the derived ``subject_ids``,
-    computed once, on first use.  Fits read panels through a stack
+    Every array is read-only.  Fits read panels through a stack
     (``stack_panels``), on which regressor columns are dropped
     (``PanelStack.keep_regressors``).
     """
@@ -186,11 +184,6 @@ class PanelData:
     @property
     def n_regressors(self) -> int:
         return int(self.X.shape[1])
-
-    @functools.cached_property
-    def subject_ids(self) -> np.ndarray:
-        """Original subject label of each row, shape (N,): ``subject_labels[codes]``."""
-        return _freeze(self.subject_labels[self.codes])
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,36 @@ def rho_ref(t, tau):
 
 
 # ---------------------------------------------------------------------
+# Scalar expectile by the weighted-mean fixed-point loop, with its own
+# round budget and tolerance: the loop the package ran before it solved for
+# the expectile's split.
+# ---------------------------------------------------------------------
+
+LOOP_TOL = 1e-7
+LOOP_MAX_ROUNDS = 100
+
+
+def sample_expectile_loop(values, tau):
+    """(theta, fixed): the weighted-mean map iterated from the sample mean
+    until it reproduces its candidate (fixed True), or until the budget of
+    rounds runs out on a last step within LOOP_TOL (fixed False)."""
+    vals = np.asarray(values, dtype=float).ravel()
+    theta = float(np.mean(vals))
+    delta = np.inf
+    for _ in range(LOOP_MAX_ROUNDS):
+        w = psi_ref(vals - theta, tau)
+        new = float(np.dot(w, vals) / np.sum(w))
+        if new == theta:
+            return theta, True
+        delta = abs(new - theta)
+        theta = new
+    if delta <= LOOP_TOL:
+        return theta, False
+    raise erfe.NoConvergenceError(
+        f"sample expectile did not stabilize in {LOOP_MAX_ROUNDS} iterations")
+
+
+# ---------------------------------------------------------------------
 # Scalar expectile by golden-section search on the empirical risk.
 # ---------------------------------------------------------------------
 

@@ -235,7 +235,8 @@ def test_criterion_09_annihilation_and_idempotency():
         # unchanged, and its residual blocks are fixed by the projection.
         fit = erfe.fit_erfe_multi(panel, (0.25, 0.75), (1.0, 2.0))
         shifted = erfe.build_panel(
-            [(int(panel.subject_ids[i]), float(panel.y[i] + const[i]), panel.X[i])
+            [(int(panel.subject_labels[panel.codes[i]]), float(panel.y[i] + const[i]),
+              panel.X[i])
              for i in range(panel.n_obs)])
         moved = erfe.fit_erfe_multi(shifted, (0.25, 0.75), (1.0, 2.0))
         worst_ann = max(worst_ann, float(np.max(np.abs(moved.betas - fit.betas))))
@@ -291,7 +292,7 @@ def test_criterion_11_cli_determinism(tmp_path, monkeypatch):
     with open(panel_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id,y,x1,x2\n")
         for i in range(panel.n_obs):
-            fh.write(f"{panel.subject_ids[i]},{float(panel.y[i])!r},"
+            fh.write(f"{panel.subject_labels[panel.codes[i]]},{float(panel.y[i])!r},"
                      f"{float(panel.X[i, 0])!r},{float(panel.X[i, 1])!r}\n")
 
     # More than two blocks of replications, 16 a block, so that --workers 3

@@ -35,7 +35,7 @@ def _write_panel_csv(path, panel, extra=None):
             header.append("zconst")
         writer.writerow(header)
         for i in range(panel.n_obs):
-            row = [panel.subject_ids[i], repr(float(panel.y[i]))]
+            row = [panel.subject_labels[panel.codes[i]], repr(float(panel.y[i]))]
             row += [repr(float(v)) for v in panel.X[i]]
             if extra is not None:
                 row.append(repr(float(extra[i])))
@@ -414,8 +414,8 @@ def test_kept_regressors_keep_their_demeaned_rows():
     rng = np.random.default_rng(92)
     panel, _, _ = oracles.random_panel(rng, 9, 4, 3)
     reduced = stack_panels([panel]).keep_regressors([2, 0])
-    fresh = erfe.build_panel(zip(panel.subject_ids, panel.y, panel.X[:, [2, 0]]),
-                             ["x3", "x1"])
+    fresh = erfe.build_panel(
+        zip(panel.subject_labels[panel.codes], panel.y, panel.X[:, [2, 0]]), ["x3", "x1"])
     fresh = stack_panels([fresh])
     assert reduced.column_names == fresh.column_names == ("x3", "x1")
     assert np.array_equal(reduced.X, fresh.X)
@@ -501,7 +501,7 @@ def test_fit_partial_convergence_exits_two(panel_csv, tmp_path, monkeypatch):
     # start is already its fixed point.
     path, _ = panel_csv
     out = tmp_path / "out.csv"
-    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
+    monkeypatch.setattr(erfe.estimator, "MAX_ROUNDS", 1)
     args = ["--input", path, "--subject-col", "id", "--response-col", "y",
             "--out", str(out)]
     code = main(["fit", *args, "--tau", "0.9"])

@@ -60,7 +60,7 @@ def test_response_scaling_scales_standard_errors():
     panel, _, _ = oracles.random_panel(rng, 15, 4, 2)
     c = 3.5
     scaled = erfe.build_panel(
-        [(int(panel.subject_ids[i]), float(c * panel.y[i]), panel.X[i])
+        [(int(panel.subject_labels[panel.codes[i]]), float(c * panel.y[i]), panel.X[i])
          for i in range(panel.n_obs)])
     for tau in (0.5, 0.8):
         base_fit = erfe.fit_erfe_single(panel, tau)
@@ -97,7 +97,7 @@ def test_vc_invariant_to_subject_relabeling():
     rng = np.random.default_rng(75)
     panel, _, _ = oracles.random_panel(rng, 12, 4, 2)
     relabeled = erfe.build_panel(
-        [(f"s{int(panel.subject_ids[i])}", float(panel.y[i]), panel.X[i])
+        [(f"s{int(panel.subject_labels[panel.codes[i]])}", float(panel.y[i]), panel.X[i])
          for i in range(panel.n_obs)])
     fit_a = erfe.fit_erfe_single(panel, 0.75)
     fit_b = erfe.fit_erfe_single(relabeled, 0.75)
@@ -117,7 +117,7 @@ def test_meat_depends_on_cluster_structure():
     new_ids = []
     seen = {}
     for i in range(panel.n_obs):
-        sid = int(panel.subject_ids[i])
+        sid = int(panel.subject_labels[panel.codes[i]])
         seen[sid] = seen.get(sid, 0) + 1
         if sid == 0 and seen[sid] > 3:
             new_ids.append("0-b")

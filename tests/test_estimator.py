@@ -126,7 +126,7 @@ def test_subject_constant_shift_absorbed_by_effects():
     panel, _, _ = oracles.random_panel(rng, 12, 4, 2)
     shift = rng.standard_normal(panel.n_subjects)
     shifted = erfe.build_panel(
-        [(int(panel.subject_ids[i]),
+        [(int(panel.subject_labels[panel.codes[i]]),
           float(panel.y[i] + shift[panel.codes[i]]), panel.X[i])
          for i in range(panel.n_obs)])
     for tau in (0.3, 0.5, 0.8):
@@ -140,7 +140,7 @@ def test_estimates_invariant_to_subject_relabeling():
     rng = np.random.default_rng(48)
     panel, _, _ = oracles.random_panel(rng, 10, 4, 2)
     relabeled = erfe.build_panel(
-        [(f"unit-{int(panel.subject_ids[i]) + 100}",
+        [(f"unit-{int(panel.subject_labels[panel.codes[i]]) + 100}",
           float(panel.y[i]), panel.X[i]) for i in range(panel.n_obs)])
     for tau in (0.25, 0.8):
         a = erfe.fit_erfe_single(panel, tau)
@@ -154,7 +154,7 @@ def test_estimates_invariant_to_within_subject_permutation():
     panel, _, _ = oracles.random_panel(rng, 8, 5, 2)
     perm = np.concatenate([rng.permutation(g) for g in oracles.subject_rows(panel)])
     permuted = erfe.build_panel(
-        [(int(panel.subject_ids[i]), float(panel.y[i]), panel.X[i])
+        [(int(panel.subject_labels[panel.codes[i]]), float(panel.y[i]), panel.X[i])
          for i in perm])
     for tau in (0.5, 0.85):
         a = erfe.fit_erfe_single(panel, tau)
@@ -186,8 +186,8 @@ def test_objective_value_is_pooled_loss_at_fit():
 def test_no_convergence_carries_partial_fit(monkeypatch):
     rng = np.random.default_rng(52)
     panel, _, _ = oracles.random_panel(rng, 20, 4, 2)
-    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
-    monkeypatch.setattr(erfe.expectiles, "TOL", 1e-16)
+    monkeypatch.setattr(erfe.estimator, "MAX_ROUNDS", 1)
+    monkeypatch.setattr(erfe.estimator, "TOL", 1e-16)
     with pytest.raises(NoConvergenceError) as excinfo:
         erfe.fit_erfe_single(panel, 0.9)
     partial = excinfo.value.result

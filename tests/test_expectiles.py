@@ -6,10 +6,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 import erfe
-from erfe.errors import EmptyInputError, NoConvergenceError
+from erfe.cli import main
+from erfe.errors import EmptyInputError
 
 import oracles
 
@@ -76,20 +79,83 @@ def test_value_in_sample_range():
         assert np.min(values) <= e <= np.max(values)
 
 
-def test_out_of_rounds(monkeypatch):
+def test_upper_expectile_of_a_normal_sample_is_the_loops_fixed_point():
     values = np.random.default_rng(1).standard_normal(1001)
-    fixed = erfe.sample_expectile(values, 0.9)
-    assert fixed == pytest.approx(0.78388173, abs=1e-8)
-    # One round from the mean of {0, 1} moves the candidate to 0.9, short of
-    # reproducing it, and the step of 0.4 exceeds TOL.
-    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
-    with pytest.raises(NoConvergenceError, match="did not stabilize in 1 iterations"):
-        erfe.sample_expectile([0.0, 1.0], 0.9)
-    # A last step within TOL is accepted, short of the fixed point.
-    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 4)
-    monkeypatch.setattr(erfe.expectiles, "TOL", 1e-3)
-    near = erfe.sample_expectile(values, 0.9)
-    assert near != fixed and abs(near - fixed) <= 1e-3
+    got = erfe.sample_expectile(values, 0.9)
+    assert got == pytest.approx(0.78388173, abs=1e-8)
+    assert oracles.sample_expectile_loop(values, 0.9) == (got, True)
+
+
+# Samples of up to 300 values: any floats, small integers, or a few
+# distinct values repeated, so that ties are common and the expectile often
+# falls on a value.  Scaled by 10^-320 (subnormal values) up to 10^3, so
+# that an ulp of the values stays below the loop's absolute tolerance.  The
+# asymmetric points include those within a few ulp of 1/2, where the
+# expectile is within rounding of the sample mean.
+_SAMPLES = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=300),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=300),
+    st.tuples(st.lists(st.floats(-10, 10), min_size=1, max_size=5),
+              st.lists(st.integers(0, 4), min_size=1, max_size=300)).map(
+        lambda drawn: [drawn[0][i % len(drawn[0])] for i in drawn[1]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example([0, 0, 0, 2, -2, -3, 4, 4, -4, -4, -4, -4, -4], 1, 1 / 3)
+@example([0, -2, -1, 5, 1], 1, 0.6)
+@example([-1, -2, 5, -2, -3, 1], 1, 1 / 3)
+@example([0.0, 3.469563092132488e-281], -43, 0.25)
+@example([-1.5e-323, -1e-323], 0, 0.9)
+@example([1.2, 0.8999999999999999, 0.8999999999999999, 0.6, 0.6, -0.6], 0, 0.4999999999999999)
+@example([1.0, 1.3333333333333333, 0.6666666666666666], 0, 0.4999999999999999)
+@given(_SAMPLES, st.integers(-320, 3),
+       st.one_of(st.floats(0.001, 0.999),
+                 st.integers(-8, 8).map(lambda k: 0.5 + k * 2.0 ** -53)))
+def test_exact_expectile_has_the_loops_bits_at_its_fixed_point(values, exponent, tau):
+    # In the first three examples the expectile is one of the values, so
+    # rounding decides which splits hold a fixed point.  In the first, the
+    # prefix sums pick the split below -20, whose weighted mean rounds to
+    # -20.0; the loop stops at -19.999999999999996, in the split above.  In
+    # the next two, two adjacent splits hold one each (9.999999999999998
+    # and 10.0; -10.000000000000002 and -10.0), and the loop stops at the
+    # one on the side of the mean.  In the fourth, the values are 0 and the
+    # smallest subnormal, and every weighted mean rounds to one of them.  In
+    # the fifth, every weighted mean of the two negative subnormals rounds
+    # to zero, and the loop stops there, above the sample: a split holds
+    # only weighted means within the sample's range.  In the sixth, the
+    # sample mean rounds to 0.5999999999999999, below the value 0.6 and the
+    # expectile, so the loop rises although tau < 1/2.  In the seventh, the
+    # sample mean, 0.9999999999999999, is a fixed point, and so is 1.0 in
+    # the split above it, which the loop, falling from the mean, never sees.
+    vals = np.asarray(values, dtype=float) * 10.0 ** exponent
+    got = erfe.sample_expectile(vals, tau)
+    if vals.min() == vals.max():
+        assert got == vals[0]
+        return
+    ref, fixed = oracles.sample_expectile_loop(vals, tau)
+    if fixed and vals.min() <= ref < vals.max():
+        assert got.hex() == ref.hex()
+    assert vals.min() <= got <= vals.max()
+    assert abs(got - ref) <= oracles.LOOP_TOL
+
+
+def test_a_sample_of_equal_values_is_its_own_expectile():
+    value, tau = -0.4161686534695407, 0.7847746718130781
+    # The loop ran all its rounds here and settled an ulp off the value.
+    assert oracles.sample_expectile_loop([value] * 3, tau) == (-0.41616865346954074, False)
+    assert erfe.sample_expectile([value] * 3, tau) == value
+    assert erfe.sample_expectile([value], tau) == value
+
+
+def test_cli_expectile_of_a_constant_column(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("y\n2.5\n2.5\n2.5\n")
+    # The loop's fixed point here was 2.5000000000000004.
+    assert oracles.sample_expectile_loop([2.5] * 3, 0.3) == (2.5000000000000004, True)
+    assert main(["expectile", "--input", str(path), "--response-col", "y",
+                 "--tau", "0.3"]) == 0
+    assert capsys.readouterr().out == "tau,expectile\n0.29999999999999999,2.5\n"
 
 
 # ---------------------------------------------------------------------

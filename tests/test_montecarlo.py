@@ -509,7 +509,7 @@ def test_estimates_dump_roundtrip():
 def test_replications_out_of_rounds_fail_as_no_convergence(blocks_of_16, monkeypatch):
     # One round is too few for any fit here, so every block has no
     # sandwich to build.
-    monkeypatch.setattr(erfe.expectiles, "MAX_ROUNDS", 1)
+    monkeypatch.setattr(erfe.estimator, "MAX_ROUNDS", 1)
     config = _small_config(replications=_BLOCK + 3)
     metrics = erfe.run_monte_carlo(config)
     assert metrics.failure_causes == ({"NoConvergenceError": config.replications},) * 2

@@ -153,6 +153,11 @@ def test_build_panel_interleaved_subjects():
     panel = erfe.build_panel(records)
     assert panel.n_subjects == 2
     assert list(panel.codes) == [0, 1, 0, 1]
+    assert panel.subject_labels.dtype == np.asarray([1, 2]).dtype
+    labels = ["b", "cc", "b", "cc"]
+    panel = erfe.build_panel((label, y, x) for label, (_, y, x) in zip(labels, records))
+    assert panel.subject_labels[panel.codes].tolist() == labels
+    assert panel.subject_labels.dtype == np.asarray(labels).dtype
 
 
 def test_panel_arrays_are_immutable():
@@ -250,8 +255,8 @@ def test_read_panel_csv_quoted_labels(tmp_path):
                       'y,id,a\n1,"s, long label",2\n2,s,3\n'
                       '3,"s, long label",4\n4, s ,5\n')
     panel = erfe.read_panel_csv(path, "id", "y")
-    assert panel.subject_ids.tolist() == ["s, long label", "s"] * 2
-    assert panel.subject_ids.dtype == np.dtype("<U13")
+    assert panel.subject_labels[panel.codes].tolist() == ["s, long label", "s"] * 2
+    assert panel.subject_labels.dtype == np.dtype("<U13")
     assert list(panel.codes) == [0, 1, 0, 1]
     # A quoted field, in the header too, may hold a line break; errors name
     # physical lines.
@@ -304,19 +309,6 @@ def test_a_read_is_one_loadtxt_call(tmp_path, monkeypatch):
     assert len(calls) == 5
 
 
-@pytest.mark.parametrize("labels", [[7, 3, 7, 3, 9, 9],
-                                    ["b", "a", "b", "a", "cc", "cc"]])
-def test_subject_ids_are_the_labels_of_the_codes(labels):
-    panel = erfe.build_panel((label, float(k), [float(k % 2)])
-                             for k, label in enumerate(labels))
-    ids = panel.subject_ids
-    assert ids.tolist() == labels
-    assert ids.dtype == np.asarray(labels).dtype == panel.subject_labels.dtype
-    assert np.array_equal(ids, panel.subject_labels[panel.codes])
-    assert not ids.flags.writeable
-    assert panel.subject_ids is ids
-
-
 def _reference_read(path, subject_col, response_col):
     """Row-by-row csv-module reader: the fields read_panel_csv must produce."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -329,7 +321,6 @@ def _reference_read(path, subject_col, response_col):
     code_of = {}
     codes = [code_of.setdefault(label, len(code_of)) for label in labels]
     return {
-        "subject_ids": np.asarray(labels),
         "y": np.array([float(row[y_idx]) for row in rows]),
         "X": np.array([[float(row[i]) for i in x_idx] for row in rows],
                       dtype=float).reshape(len(rows), len(x_idx)),
@@ -467,7 +458,8 @@ def test_stacks_mark_the_regressors_constant_within_subjects():
     panels = [oracles.random_panel(rng, 6, 4, 2)[0] for _ in range(3)]
     flat = panels[1]
     X = np.column_stack([flat.X[:, 0], 1.0 + flat.codes])
-    panels[1] = erfe.build_panel(zip(flat.subject_ids, flat.y, X), flat.column_names)
+    panels[1] = erfe.build_panel(zip(flat.subject_labels[flat.codes], flat.y, X),
+                                 flat.column_names)
     stack = stack_panels(panels)
     assert stack.constant.tolist() == [[False, False], [False, True], [False, False]]
     assert stack.keep_regressors([1, 0]).constant.tolist() == [

@@ -119,7 +119,7 @@ def test_permutation_equivariance():
 
     # permute rows within each subject and rebuild everything
     perm = np.concatenate([rng.permutation(g) for g in oracles.subject_rows(panel)])
-    records = [(int(panel.subject_ids[i]), float(panel.y[i]), panel.X[i])
+    records = [(int(panel.subject_labels[panel.codes[i]]), float(panel.y[i]), panel.X[i])
                for i in perm]
     permuted = erfe.build_panel(records)
     sw_p = subject_weights(resid[perm], 0.8, permuted)
