@@ -4,7 +4,10 @@ The meat clusters score outer products by subject (observations are
 dependent within a subject, independent across subjects); the bread is
 the system the fit solves, ``estimator.concentrated_system`` at the final
 residuals, so the covariance is that of the fully profiled M-estimator
-(Stefanski and Boos, The calculus of M-estimation, 2002).  The variance of
+(Stefanski and Boos, The calculus of M-estimation, 2002).  The estimator
+hands over that system (``estimator.fit_system``): the one its last round
+solved, when the final residuals have the signs it was built on, else
+assembled once more; this module only sums the scores.  The variance of
 the coefficient estimates divides the sandwich by the total observation
 count, matching the root-(nm) normalization of the limit theory.
 """
@@ -20,9 +23,9 @@ from .estimator import (
     FitResult,
     MultiFitResult,
     StackFit,
-    concentrated_system,
-    fit_design,
+    fit_regressors,
     fit_slices,
+    fit_system,
 )
 from .expectiles import normal_quantile
 from .linalg import spd_inverse
@@ -53,26 +56,27 @@ class SandwichCovariance:
     se: np.ndarray
 
 
-def _assemble(stack: PanelStack, idx, resid, taus, v):
+def _sandwiches(stack: PanelStack, idx, resid, taus, v, last=None):
     """The sandwiches of the panels ``idx`` of ``stack`` for their fit at
     ``taus`` (one point, or several fitted jointly with the influence
-    weights ``v``), from the residual blocks ``resid`` (B x q x N).
+    weights ``v``), from the residual blocks ``resid`` (B x q x N) and the
+    fit's ``LastSystem`` ``last``, if any.
 
     The bread is the fit's concentrated system over N, on the fit's own
-    design.  Subject i's block-k score is v_k (S_ki - C_ki D_i^-1 sum_l
-    v_l s_li), with S_ki and s_ki its sums of psi_k r_k x and psi_k r_k.
+    design (``estimator.fit_system``).  Subject i's block-k score is v_k
+    (S_ki - C_ki D_i^-1 sum_l v_l s_li), with S_ki and s_ki its sums of
+    psi_k r_k x and psi_k r_k, read from a view of the fit's regressor rows.
     Returns one SandwichCovariance with a leading panel axis, and per panel
     the error that stopped its sandwich (None where none did).
     """
     q, p = len(taus), stack.X.shape[-1]
     n_obs, n_subjects = stack.y.shape[1], stack.n_subjects
-    codes, design, resid = stack.part(idx, fit_design(stack, q), resid)
-    psi = [check_weight(resid[:, k], tau) for k, tau in enumerate(taus)]
-    system, _, couplings, denom, _ = concentrated_system(design, codes, n_subjects, v, psi)
+    system, couplings, denom = fit_system(stack, idx, resid, taus, v, last)
+    codes, rows, resid = stack.part(idx, fit_regressors(stack, q), resid)
     scores = np.empty(couplings.shape)
     pooled = np.zeros(denom.shape)
-    for k, psi_k in enumerate(psi):
-        sums, _ = weighted_subject_sums(design[:, :p], psi_k * resid[:, k],
+    for k, tau in enumerate(taus):
+        sums, _ = weighted_subject_sums(rows, check_weight(resid[:, k], tau) * resid[:, k],
                                         codes, n_subjects)
         scores[:, k * p:(k + 1) * p] = v[k] * sums[:, 1:]
         pooled += v[k] * sums[:, 0]
@@ -97,7 +101,7 @@ def _assemble(stack: PanelStack, idx, resid, taus, v):
 
 
 def _one(cov: SandwichCovariance, errors) -> SandwichCovariance:
-    """The sandwich of a one-panel stack from ``_assemble``, or its error
+    """The sandwich of a one-panel stack from ``_sandwiches``, or its error
     raised."""
     if errors[0] is not None:
         raise errors[0]
@@ -112,10 +116,11 @@ def sandwich_single(panel: PanelData, fit: FitResult) -> SandwichCovariance:
     Both matrices are rebuilt from the converged transformed residuals:
     the meat sums per-subject score outer products, the bread is the
     fit's concentrated system (``estimator.concentrated_system``) at those
-    residuals, on the demeaned design, over the observation count.
+    residuals, on the demeaned design, over the observation count.  A
+    ``FitResult`` keeps no system, so ``estimator.fit_system`` assembles it.
     """
-    return _one(*_assemble(stack_panels([panel]), np.arange(1),
-                          fit.residuals_star[None, None], (fit.tau,), np.ones(1)))
+    return _one(*_sandwiches(stack_panels([panel]), np.arange(1),
+                             fit.residuals_star[None, None], (fit.tau,), np.ones(1)))
 
 
 def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
@@ -127,14 +132,17 @@ def sandwich_multi(panel: PanelData, fit: MultiFitResult) -> SandwichCovariance:
     shared subject effect, and is inverted as one matrix.  The stacked
     variance matrix covers the q*p coefficients in block order.
     """
-    return _one(*_assemble(stack_panels([panel]), np.arange(1),
-                          fit.residuals_star[None], fit.taus, fit.v))
+    return _one(*_sandwiches(stack_panels([panel]), np.arange(1),
+                             fit.residuals_star[None], fit.taus, fit.v))
 
 
 def sandwich_stack(stack: PanelStack, fit: StackFit):
     """The sandwiches of every fit of ``fit`` that converged, in one call:
     per panel the joint sandwich of ``sandwich_multi`` (its bread the whole
     q*p system) when ``fit.joint``, else one of ``sandwich_single`` per point.
+    ``stack`` is the stack ``fit`` was fitted on: each bread is the fit's
+    last system (``fit.systems``) where the final residuals have the signs
+    it was built on.
 
     Returns one SandwichCovariance whose arrays have a leading panel axis,
     ``se`` (B x q*p) and the matrices (B x q*p x q*p) in block order, and
@@ -148,11 +156,12 @@ def sandwich_stack(stack: PanelStack, fit: StackFit):
               for name in ("d0_hat", "d1_hat", "vc")}
     fields["se"] = np.full((stack.size, q * p), np.nan)
     errors = [list(row) for row in fit.errors]
-    for points in fit_slices(q, fit.joint):
+    for f, points in enumerate(fit_slices(q, fit.joint)):
         n, rows = points.stop - points.start, slice(points.start * p, points.stop * p)
         idx = np.flatnonzero([row[points.start] is None for row in fit.errors])
-        part, part_errors = _assemble(stack, idx, fit.residuals_star[:, points],
-                                      fit.taus[points], fit.v[points])
+        part, part_errors = _sandwiches(stack, idx, fit.residuals_star[:, points],
+                                        fit.taus[points], fit.v[points],
+                                        fit.systems[f] if fit.systems else None)
         for name in ("d0_hat", "d1_hat", "vc"):
             fields[name][idx, rows, rows] = getattr(part, name)
         fields["se"][idx, rows] = part.se

@@ -39,12 +39,18 @@ class NoConvergenceError(ErfeError, RuntimeError):
     """Iteration budget exhausted before the stopping criterion was met.
 
     The partially converged result, when one exists, is attached as
-    ``result`` so callers can inspect or report it.
+    ``result`` so callers can inspect or report it.  A fit whose residual
+    signs cycle, so that no later round could pass the test, stops early
+    with this error too: ``period`` holds the cycle's length in rounds and
+    ``cycle_start`` the round it began.  Both are None for a fit that ran
+    out of rounds.
     """
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result=None, period=None, cycle_start=None):
         super().__init__(message)
         self.result = result
+        self.period = period
+        self.cycle_start = cycle_start
 
 
 class SingularGramError(ErfeError, RuntimeError):

@@ -2,23 +2,21 @@
 
 Every fit solves the same problem: slopes beta_1..beta_q, one per
 asymmetric point tau_k with influence weight v_k, and one subject effect
-shared by all of them.  Each round takes the check weights psi_k of the
-current residuals and, per tau, one pass over the data: the weighted Gram
-matrix of the design rows [X; y] and, by grouped sums over the subject
-codes, each subject's sums of psi_k, psi_k x and psi_k y.  Those sums are
-all the subject effects need.  With D_k = diag(subject sums of psi_k),
-C_k = subject sums of psi_k x, D = sum_k v_k D_k and G_k = X' Psi_k X, the
+shared by all of them.  Each round solves the normal equations at the
+check weights psi_k of the current residuals.  They need, per block k, the
+weighted Gram matrix of the design rows [X; y] and each subject's sums of
+psi_k, psi_k x and psi_k y.  With D_k = diag(subject sums of psi_k), C_k =
+subject sums of psi_k x, D = sum_k v_k D_k and G_k = X' Psi_k X, the
 normal equations with the effect concentrated out (a Schur complement) are
 
     v_k G_k beta_k - v_k C_k' D^-1 sum_l v_l C_l beta_l
         = v_k (X' Psi_k y - C_k' D^-1 sum_l v_l c_l),
 
 with c_l the subject sums of psi_l y: one symmetric positive definite
-system of size q*p, solved by one Cholesky factorization.  The effect is
-alpha = D^-1 sum_l v_l (c_l - C_l beta_l), and the new residuals are
-y - alpha - X beta_k.  No N x p transformed design is ever built.  The
-system (``concentrated_system``) at the final residuals is the bread of
-the fit's sandwich.
+system of size q*p (``concentrated_system``, the one code that assembles
+it), solved by one Cholesky factorization.  The effect is alpha = D^-1
+sum_l v_l (c_l - C_l beta_l), and the new residuals are y - alpha - X
+beta_k.  No N x p transformed design is ever built.
 
 The single-tau fit (q = 1) is the weighted within transform of the
 paper.  That transform subtracts subject averages, so shifting a
@@ -43,20 +41,62 @@ demeaned design, which is ``within_ols``, its slopes and residuals
 repeated for every block.  Any start that reaches the final sign pattern
 gives the same bits.
 
+A round costs its sign flips, not a pass over the data.  A check weight
+takes two values, psi = (1 - tau) + (2 tau - 1) [r > 0], so each block's
+subject sums and Gram are 1 - tau times their value over all rows plus
+2 tau - 1 times their value over the rows with positive residuals.
+``fit_stack`` takes both once per design at the within round's signs (on
+the demeaned design the all-rows moments are exactly twice the within
+round's), and every fit, of any tau, starts from them.  After a round,
+each block's moments move by 2 tau - 1 times those of the rows whose
+signs flipped (``_flip_moments``, O(flips * p^2)); the residual pass still
+reads every row.  Such an updated round only searches for the sign
+pattern, as its sums are rounded differently from a full pass.  Any round
+whose numbers the fit reports is a full round, ``concentrated_system``
+assembled from all rows at that round's signs and solved: a round whose
+step is within ``TOL``, whose solve reports a problem, round
+``MAX_ROUNDS``, a round that repeats a cycle (below), and a round after
+which no sign flipped, whose updated system would only repeat the last
+one.  A guard keeps the updated rounds on the full rounds' path: a round
+that leaves a residual within ``MARGIN`` e s of zero, or its step within
+``MARGIN`` e |beta| of ``TOL``, is redone in full, where e = u kappa rho
+bounds the rounding relative to the scale of the slopes
+(``_error_scale``) and s that of the rows.  So every round starts from
+the signs the full rounds give, and slopes, residuals and round counts
+have the full rounds' bits.  (A full round's step is measured from the
+round before, which may be an updated one: a step within that drift of
+``TOL`` could decide otherwise.  None has been seen.)  A fit at tau = 0.5 on the demeaned design
+weighs every row by one half whatever the signs: each of its full rounds
+is the within round, which it takes as it is.
+
+Each fit keeps, per panel, the system of its last full round
+(``LastSystem``).  A converged fit's final residuals have the signs that
+system was built on, and its sandwich reuses it as the bread; where they
+do not, ``fit_system`` assembles the bread once more with
+``concentrated_system``.
+
+A full round's slopes depend only on the signs it starts from, so the
+convergence test of round r is fixed by the signs before rounds r - 1 and
+r.  Each fit keeps a 128-bit digest of every round's sign masks per panel
+(``_digests``).  When the pair before round r repeats the pair before an
+earlier round j, every later test repeats one that failed: the panel stops
+after round r's test with a NoConvergenceError whose ``period`` (r - j)
+and ``cycle_start`` (j) tell it from one that ran out of rounds.
+
 The engine works on a stack of B equal-shaped panels (``PanelStack``), a
 leading replication axis on every array: the design is (B, p + 1, N), the
 subject codes of panel b are offset by b * n so that one ``np.bincount``
 serves the whole stack, the Grams come from one stacked ``np.matmul`` and
 the systems from one stacked Cholesky (``linalg.spd_solve``).  Each panel
-has its own convergence test and takes no round after it stops; a panel
-whose system turns singular or that runs out of rounds gets its own error
-and leaves the others' bits unchanged.  ``fit_stack`` fits every
-asymmetric point of a command, or of a Monte Carlo block, in one call: the
-stack's screen (``PanelStack.constant``) and one within round, then the
-rounds of each fit.  ``fit_erfe_single`` and ``fit_erfe_multi`` are its
-call with one panel, on a stack of one that each call builds.
+has its own convergence test, guard and cycle test and takes no round
+after it stops; a panel whose system turns singular or that stops without
+converging gets its own error and leaves the others' bits unchanged.
+``fit_stack`` fits every asymmetric point of a command, or of a Monte
+Carlo block, in one call: the stack's screen (``PanelStack.constant``),
+one within round and the start's moments, then the rounds of each fit.
+``fit_erfe_single`` and ``fit_erfe_multi`` are its call with one panel, on
+a stack of one that each call builds.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -79,14 +119,17 @@ from .within import subject_weights, weighted_subject_sums
 
 __all__ = [
     "FitResult",
+    "LastSystem",
     "MultiFitResult",
     "StackFit",
     "concentrated_system",
     "fit_design",
     "fit_erfe_multi",
     "fit_erfe_single",
+    "fit_regressors",
     "fit_slices",
     "fit_stack",
+    "fit_system",
     "recover_fixed_effects",
     "within_ols",
 ]
@@ -95,6 +138,14 @@ __all__ = [
 TOL = 1e-7
 TOL_GRAD = 1e-6
 MAX_ROUNDS = 100
+# The guard of the updated rounds (module docstring), in units of the
+# rounding bound e of ``_error_scale``.  Over 1156 updated rounds set
+# against full ones at the same signs (the 1M-row panel-wide input, plain
+# and joint; random, tie-heavy, near-collinear and subject-offset panels),
+# the slopes moved at most 45 e |beta| and the residuals 13 e s, so the
+# margin leaves a factor of 200 or more.  On panel-wide it is below 1e-9,
+# where no residual of any round lies within 8e-8 of zero.
+MARGIN = 1e4
 
 
 @dataclass(frozen=True)
@@ -133,6 +184,20 @@ class MultiFitResult:
 
 
 @dataclass(frozen=True)
+class LastSystem:
+    """The system of the last full round of one fit, per panel of a stack:
+    the sign masks of the residual blocks it was built on, ``masks``
+    (B x q x N, True where positive), and ``concentrated_system``'s system
+    (B x q*p x q*p), couplings (B x q*p x n) and D (B x n).  The entries of
+    a panel whose fit stopped with an error mean nothing."""
+
+    masks: np.ndarray
+    system: np.ndarray
+    couplings: np.ndarray
+    denom: np.ndarray
+
+
+@dataclass(frozen=True)
 class StackFit:
     """Fits at every asymmetric point of the B panels of a ``PanelStack``.
 
@@ -144,7 +209,10 @@ class StackFit:
     it converged: a SingularGramError, whose numbers mean nothing, or a
     NoConvergenceError, whose numbers are its last iterate.  Each panel's
     error is its own, whatever was stacked with it.  The points of a joint
-    fit share its rounds and its error.
+    fit share its rounds and its error.  ``systems`` holds, per fit of
+    ``fit_slices``, its ``LastSystem``, which ``sandwich_stack`` reuses as
+    the bread; a fit made without them (the default) has every bread
+    assembled anew.
     """
 
     taus: tuple[float, ...]
@@ -154,6 +222,7 @@ class StackFit:
     residuals_star: np.ndarray
     iterations: np.ndarray
     errors: tuple
+    systems: tuple = ()
 
 
 def fit_slices(q: int, joint: bool) -> list[slice]:
@@ -180,7 +249,7 @@ def _screen(stack: PanelStack) -> list:
 
 
 def _record(errors, idx, problems, columns, iteration):
-    """Give each panel of ``idx`` whose system has a problem (``_round``'s
+    """Give each panel of ``idx`` whose system has a problem (``_solve``'s
     ``problems``) its own SingularGramError, unless it has an error already."""
     for i, problem in zip(idx.tolist(), problems):
         if problem is not None:
@@ -188,82 +257,105 @@ def _record(errors, idx, problems, columns, iteration):
                                                        iteration=iteration)
 
 
-def _within_round(stack: PanelStack, errors):
-    """The within round of every panel: one round at tau = 0.5 with
-    constant weights on the demeaned design.  Returns its slopes (B x 1 x p)
-    and residuals (B x 1 x N); a panel whose system is singular gets its
-    SingularGramError in ``errors``."""
-    size, _, n_obs = stack.demeaned.shape
-    betas, resid, problems = _round(stack.demeaned, stack.codes, stack.n_subjects,
-                                    (0.5,), np.ones(1), np.zeros((size, 1, n_obs)))
-    _record(errors, np.arange(size), problems, stack.column_names, None)
-    return betas, resid
+def fit_regressors(stack: PanelStack, q: int) -> np.ndarray:
+    """The regressor rows X (B x p x N) of ``fit_design``, as a view: the
+    demeaned rows for one point, raw X for a joint fit of several."""
+    return stack.demeaned[:, :-1] if q == 1 else stack.X.transpose(0, 2, 1)
 
 
 def fit_design(stack: PanelStack, q: int) -> np.ndarray:
     """The rows [X; y] (B x (p + 1) x N) that a fit of ``q`` asymmetric
-    points and its sandwich work on: the demeaned rows for one point; for
-    a joint fit of several, raw X and demeaned y, built on each call so
-    that no result keeps the copy alive."""
+    points works on: the demeaned rows for one point; for a joint fit of
+    several, raw X and demeaned y, built on each call so that no result
+    keeps the copy alive."""
     if q == 1:
         return stack.demeaned
     design = np.empty(stack.demeaned.shape)
-    design[:, :-1] = stack.X.transpose(0, 2, 1)
+    design[:, :-1] = fit_regressors(stack, q)
     design[:, -1] = stack.demeaned[:, -1]
     return design
 
 
-def concentrated_system(design, codes, n_subjects, v, psi):
+def _moments(design, codes, n_subjects, weights):
+    """The subject sums (A x (p + 2) x n, as ``weighted_subject_sums``) and
+    the Gram matrices (A x p x (p + 1)) of A stacked panels' rows [X; y]
+    ``design`` under ``weights`` (A x N): one pass over the rows."""
+    sums, weighted = weighted_subject_sums(design, weights, codes, n_subjects)
+    p = design.shape[1] - 1
+    return sums, weighted[:p].transpose(1, 0, 2) @ design.transpose(0, 2, 1)
+
+
+def concentrated_system(v, sums, grams):
     """The concentrated normal equations (see the module docstring) of A
-    stacked panels with rows [X; y] ``design`` (A x (p + 1) x N) and offset
-    subject codes ``codes`` (see ``PanelStack``), at the check weights
-    ``psi``: q blocks of A x N, one per point, each read once, in order.
+    stacked panels from each block's subject sums ``sums`` (A x q x (p + 2)
+    x n) and Grams ``grams`` (A x q x p x (p + 1)) under its check weights.
     Returns the system (A x q*p x q*p), its right-hand side, the couplings
     v_k C_k stacked over the blocks (A x q*p x n), D and sum_k v_k c_k
     (A x n each).
     """
-    items, p, q = design.shape[0], design.shape[1] - 1, len(v)
-    sums = np.empty((items, q, p + 2, n_subjects))
+    items, q, p = grams.shape[:3]
     system = np.zeros((items, q * p, q * p))
     rhs = np.zeros((items, q * p))
-    for k, psi_k in enumerate(psi):
-        sums[:, k], weighted = weighted_subject_sums(design, psi_k, codes, n_subjects)
-        gram = weighted[:, :p] @ design.transpose(0, 2, 1)
+    for k in range(q):
         rows = slice(k * p, (k + 1) * p)
-        system[:, rows, rows] = v[k] * gram[:, :, :p]
-        rhs[:, rows] = v[k] * gram[:, :, p]
+        system[:, rows, rows] = v[k] * grams[:, k, :, :p]
+        rhs[:, rows] = v[k] * grams[:, k, :, p]
     denom = v @ sums[:, :, 0]
     pooled_y = v @ sums[:, :, p + 1]
-    couplings = (v[:, None, None] * sums[:, :, 1:p + 1]).reshape(-1, q * p, n_subjects)
+    couplings = (v[:, None, None] * sums[:, :, 1:p + 1]).reshape(items, q * p, sums.shape[-1])
     system -= (couplings / denom[:, None]) @ couplings.transpose(0, 2, 1)
     rhs -= (couplings @ (pooled_y / denom)[:, :, None])[:, :, 0]
     return system, rhs, couplings, denom, pooled_y
 
 
-def _round(design, codes, n_subjects, taus, v, resid):
-    """One round of A stacked panels: ``concentrated_system`` at the check
-    weights of the residual blocks ``resid`` (A x q x N) at ``taus``,
-    solved.  Returns the new slopes (A x q x p), the new residual blocks
-    and, per panel, the reason its system has no solution, or None
-    (``spd_solve``'s problems); a panel with a problem has NaN slopes.
-    """
-    system, rhs, couplings, denom, pooled_y = concentrated_system(
-        design, codes, n_subjects, v,
-        (check_weight(resid[:, k], tau) for k, tau in enumerate(taus)))
+def _full_system(design, codes, n_subjects, v, psi):
+    """``concentrated_system`` at the check weights ``psi``, q blocks of
+    A x N, each read once, in order: one pass over the rows per block."""
+    items, p = design.shape[0], design.shape[1] - 1
+    sums = np.empty((items, len(v), p + 2, n_subjects))
+    grams = np.empty((items, len(v), p, p + 1))
+    for k, psi_k in enumerate(psi):
+        sums[:, k], grams[:, k] = _moments(design, codes, n_subjects, psi_k)
+    return concentrated_system(v, sums, grams)
+
+
+def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y):
+    """Solve a ``concentrated_system`` of A stacked panels.  Returns the
+    slopes (A x q x p), the residual blocks (A x q x N) and, per panel, the
+    reason its system has no solution, or None (``spd_solve``'s problems);
+    a panel with a problem has NaN slopes."""
     betas, problems = spd_solve(system, rhs)
     alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
-    betas = betas.reshape(*resid.shape[:2], -1)
+    betas = betas.reshape(design.shape[0], q, -1)
     effects = alpha.ravel()[codes.ravel()].reshape(codes.shape)
-    return betas, (design[:, -1] - effects)[:, None] - betas @ design[:, :-1], problems
+    fitted = np.matmul(betas, design[:, :-1])
+    return betas, np.subtract((design[:, -1] - effects)[:, None], fitted, out=fitted), problems
 
 
-def _scores_vanish(design, codes, n_subjects, taus, v, resid, tol):
-    """Per panel, whether every block's slope score and the pooled
-    subject-effect score are within the panel's ``tol`` at the residuals
-    ``resid`` (stacked as in ``_round``)."""
-    items = design.shape[0]
+def _within_round(stack: PanelStack, errors):
+    """The within round of every panel: one round at tau = 0.5 with
+    constant weights on the demeaned design.  Returns its slopes (B x 1 x p)
+    and residuals (B x 1 x N), the all-rows moments of the demeaned design
+    (``_moments`` at weight one: twice the round's, exactly) and the
+    round's ``concentrated_system``; a panel whose system is singular gets
+    its SingularGramError in ``errors``."""
+    design, codes = stack.demeaned, stack.codes
+    sums, grams = _moments(design, codes, stack.n_subjects,
+                           np.full(stack.y.shape, 0.5))
+    system = concentrated_system(np.ones(1), sums[:, None], grams[:, None])
+    betas, resid, problems = _solve(design, codes, 1, *system)
+    _record(errors, np.arange(stack.size), problems, stack.column_names, None)
+    return betas, resid, (2.0 * sums, 2.0 * grams), system
+
+
+def _scores_vanish(stack: PanelStack, idx, design, taus, v, resid, tol):
+    """Per panel of ``idx``, whether every block's slope score and the
+    pooled subject-effect score are within the panel's ``tol`` at the
+    residuals ``resid`` (B x q x N) on ``design``."""
+    codes, design, resid = stack.part(idx, design, resid)
+    items = idx.size
     small = np.ones(items, dtype=bool)
-    effect = np.zeros(items * n_subjects)
+    effect = np.zeros(items * stack.n_subjects)
     for k, tau in enumerate(taus):
         weighted = check_weight(resid[:, k], tau) * resid[:, k]
         slopes = design[:, :-1] @ weighted[:, :, None]
@@ -273,43 +365,263 @@ def _scores_vanish(design, codes, n_subjects, taus, v, resid, tol):
     return small & (np.max(np.abs(effect.reshape(items, -1)), axis=1) <= tol)
 
 
-def _irls(stack: PanelStack, design, taus, v, betas, resid, errors):
+def _flip_moments(design, codes, n_subjects, flipped, positive):
+    """The change in the positive-row moments (``_moments`` at the mask of
+    the positive residuals) of A stacked panels when the rows ``flipped``
+    (A x N) change sign: the rows now ``positive`` enter and the others
+    leave.  Each panel's flipped rows are gathered into a run padded with
+    rows of weight zero, so the work is O(flips * p^2), not a pass."""
+    items, n_obs = flipped.shape
+    k = design.shape[1]
+    at = np.flatnonzero(flipped)
+    panel = at // n_obs
+    counts = np.bincount(panel, minlength=items)
+    slot = np.arange(at.size) - (np.cumsum(counts) - counts)[panel]
+    # Flat indices into (A, N) of each panel's run, whose padding points at
+    # the panel's first row; row j of panel a starts N (a (p + 1) + j) into
+    # the flattened design.
+    flat = np.repeat(np.arange(0, items * n_obs, n_obs)[:, None], counts.max(), axis=1)
+    flat[panel, slot] = at
+    sign = np.zeros(flat.shape)
+    sign[panel, slot] = np.where(positive.ravel()[at], 1.0, -1.0)
+    into = flat + (k - 1) * n_obs * np.arange(items)[:, None]
+    return _moments(design.take(into[:, None] + n_obs * np.arange(k)[:, None]),
+                    codes.take(flat), n_subjects, sign)
+
+
+# Two lanes of a 128-bit digest: SplitMix64's increment, seeds and mixer.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_LANES = np.array([[0x3C6EF372FE94F82B], [0xA54FF53A5F1D36F1]], dtype=np.uint64)
+_MIX = tuple(np.uint64(c) for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
+
+
+def _digests(signs):
+    """A 128-bit digest of each panel's sign masks (A x q x N), A x 2: per
+    lane, the sum modulo 2^64 of SplitMix64's mixer over the packed words,
+    each offset by its position."""
+    packed = np.packbits(signs.reshape(signs.shape[0], -1), axis=1)
+    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    z = words[:, None] + _LANES + _GOLDEN * np.arange(1, words.shape[1] + 1, dtype=np.uint64)
+    a, m1, b, m2, c = _MIX
+    z = (z ^ (z >> a)) * m1
+    z = (z ^ (z >> b)) * m2
+    return np.sum(z ^ (z >> c), axis=2, dtype=np.uint64)
+
+
+def _error_scale(system, grams, v):
+    """Per panel, u * kappa * rho: the machine epsilon u times the
+    condition number kappa of the system scaled to a unit diagonal and the
+    ratio rho of the largest weighted Gram diagonal to the system's, which
+    the concentration cancels.  Rounding the sums by u relative to their
+    terms moves the slopes by about this much relative to their scale (see
+    ``MARGIN``); it is infinite for a system that is not positive definite."""
+    items, q, p = grams.shape[:3]
+    diag = np.diagonal(system, axis1=1, axis2=2)
+    gram_diag = (v[:, None] * np.diagonal(grams[..., :p], axis1=2, axis2=3)).reshape(items, -1)
+    with np.errstate(all="ignore"):
+        d = np.sqrt(diag)
+        scaled = system / d[:, :, None] / d[:, None, :]
+        bad = ~np.all(np.isfinite(scaled), axis=(1, 2)) | ~np.all(diag > 0.0, axis=1)
+        scaled[bad] = np.eye(q * p)
+        eig = np.linalg.eigvalsh(scaled)
+        bound = np.finfo(float).eps * eig[:, -1] / eig[:, 0] * np.max(gram_diag / diag, axis=1)
+    return np.where(bad | (eig[:, 0] <= 0.0) | ~np.isfinite(bound), np.inf, bound)
+
+
+class _Cycles:
+    """The digests of each panel's sign masks after every round of a fit
+    (``_digests``; round 0 is the start), to find a pair of consecutive
+    masks that repeats."""
+
+    def __init__(self, signs):
+        self.history = [_digests(signs)]
+
+    def repeats(self, idx, r):
+        """Per panel of ``idx``, the earlier round whose convergence test
+        round ``r`` repeats, or 0: the round j whose masks before rounds
+        j - 1 and j are the masks before rounds r - 1 and r.  Pairs count
+        from round 2, as round 1 steps from the within start, whose slopes
+        no mask fixes."""
+        if r < 3:
+            return np.zeros(idx.size, dtype=int)
+        h = np.stack(self.history)[:, idx]
+        same = np.all((h[:r - 2] == h[r - 2]) & (h[1:r - 1] == h[r - 1]), axis=2)
+        return np.where(same.any(axis=0), np.argmax(same, axis=0) + 2, 0)
+
+    def step(self, idx, signs):
+        """Take the sign masks (A x q x N) of the panels ``idx`` after a round."""
+        now = self.history[-1].copy()
+        now[idx] = _digests(signs)
+        self.history.append(now)
+
+
+def _check_moments(all_rows, positive, taus):
+    """Per block, the subject sums (B x q x (p + 2) x n) and Grams
+    (B x q x p x (p + 1)) under the check weights at ``taus`` of the signs
+    that ``positive`` counts: psi = (1 - tau) + (2 tau - 1) [r > 0], so
+    they are 1 - tau times the moments over all rows plus 2 tau - 1 times
+    those over the positive rows."""
+    tau = np.array(taus)[:, None, None]
+    return tuple((1.0 - tau) * whole[:, None] + (2.0 * tau - 1.0) * part[:, None]
+                 for whole, part in zip(all_rows, positive))
+
+
+def _flip(stack, idx, design, signs, new_signs, sums, grams, rise):
+    """Move the check-weighted moments ``sums`` and ``grams`` of the panels
+    ``idx`` (``_check_moments``, in place) from their residuals' signs
+    ``signs`` to ``new_signs``: by 2 tau - 1 times the moments of each
+    block's flipped rows.  Returns, per panel, whether no sign flipped."""
+    codes, rows, sign, part_sums, part_grams = stack.part(idx, design, signs, sums, grams)
+    flipped = new_signs != sign
+    for k in np.flatnonzero(flipped.any(axis=(0, 2)) & (rise != 0.0)).tolist():
+        d_sums, d_grams = _flip_moments(rows, codes, stack.n_subjects, flipped[:, k],
+                                        new_signs[:, k])
+        part_sums[:, k] += rise[k] * d_sums
+        part_grams[:, k] += rise[k] * d_grams
+    if idx.size < stack.size:
+        sums[idx], grams[idx] = part_sums, part_grams
+    return ~flipped.any(axis=(1, 2))
+
+
+def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, reach,
+          within=None):
     """Concentrated rounds from (betas, resid) for every panel without an
     error, each until its sup-norm step is within ``TOL`` and its scores
-    vanish, or ``MAX_ROUNDS`` run out.  A panel that stops takes no
-    further round; one whose system turns singular gets its
-    SingularGramError in ``errors``.
+    vanish, its residual signs cycle or ``MAX_ROUNDS`` run out.  A panel
+    that stops takes no further round; one whose system turns singular
+    gets its SingularGramError in ``errors``.  ``moments`` holds the
+    ``_check_moments`` of ``design`` at the signs of ``resid``, which the
+    rounds update in place, and ``reach`` each row's largest magnitude per
+    panel (B x (p + 1)).  ``within`` holds the within round's system,
+    slopes and residuals for a fit whose check weights are the within
+    round's, one half on every row of the demeaned design: each of its full
+    rounds is that round, which it takes as it is.
 
-    Returns (betas, resid, iterations, converged), per panel.
+    Returns (betas, resid, iterations, converged, cycles, last): per panel,
+    cycles holds (the round the cycle began, its period) for a panel that
+    stopped on a cycle, else None; last is the fit's ``LastSystem``.
     """
     size, n_subjects = stack.size, stack.n_subjects
+    q, p = len(taus), design.shape[1] - 1
     grad_tol = TOL_GRAD * (1.0 + np.max(np.abs(stack.y), axis=1))
     iterations = np.zeros(size, dtype=int)
     converged = np.zeros(size, dtype=bool)
     live = np.array([e is None for e in errors], dtype=bool)
+    # A flip moves a block's check-weighted moments by 2 tau - 1 times the
+    # flipped row's, into the positive rows or out of them.
+    sums, grams = moments
+    rise = 2.0 * np.array(taus) - 1.0
+    signs = resid > 0
+    calm = np.zeros(size, dtype=bool)
+    cycles, found, last = _Cycles(signs), [None] * size, None
+
+    def updated(ids, old):
+        """The round of the panels ``ids`` from the updated moments, and
+        per panel whether it is too near a decision to stand."""
+        codes, rows, part_sums, part_grams, span = stack.part(ids, design, sums, grams,
+                                                              reach)
+        system = concentrated_system(v, part_sums, part_grams)
+        new_betas, new_resid, problems = _solve(rows, codes, q, *system)
+        error = MARGIN * _error_scale(system[0], part_grams, v)
+        move = np.max(np.abs(new_betas - old), axis=(1, 2))
+        size_b = np.max(np.abs(new_betas), axis=(1, 2))
+        scale_r = span[:, -1] + np.max(np.abs(new_betas) @ span[:, :-1, None], axis=(1, 2))
+        with np.errstate(invalid="ignore"):
+            unsure = ((move <= TOL + error * size_b)
+                      | (np.min(np.abs(new_resid), axis=(1, 2)) <= error * scale_r))
+        unsure |= ~np.isfinite(error) | np.array([x is not None for x in problems])
+        return new_betas, new_resid, unsure
+
+    def full(ids):
+        """The round of the panels ``ids`` from ``concentrated_system``
+        assembled from all rows at their signs, as the fit reports it; the
+        system becomes their ``LastSystem``."""
+        nonlocal last
+        codes, rows, sign = stack.part(ids, design, signs)
+        if within is None:
+            system = _full_system(rows, codes, n_subjects, v, (
+                np.where(sign[:, k], t, 1.0 - t) for k, t in enumerate(taus)))
+            result = _solve(rows, codes, q, *system)
+        else:
+            system = stack.part(ids, *within[0])[1:]
+            result = (within[1][ids], within[2][ids], [None] * ids.size)
+        kept = (sign.copy(), system[0], system[2], system[3])
+        if ids.size < size:
+            # The other panels keep their systems, in new arrays, as the old
+            # ones may be another fit's.
+            wholes = ([np.zeros((size, *a.shape[1:]), dtype=a.dtype) for a in kept]
+                      if last is None else [a.copy() for a in (last.masks, last.system,
+                                                              last.couplings, last.denom)])
+            for whole, part in zip(wholes, kept):
+                whole[ids] = part
+            kept = wholes
+        last = LastSystem(*kept)
+        return result
+
+    def step(idx, old, exact):
+        """The round of the panels ``idx`` from their slopes ``old``: the
+        updated one, or the full one where ``exact`` or where the updated
+        one is unsure.  Returns the slopes, residuals and problems."""
+        trial = np.flatnonzero(~exact)
+        problems = [None] * idx.size
+        if trial.size:
+            new_betas, new_resid, unsure = updated(idx[trial], old[trial])
+            if trial.size == idx.size and not unsure.any():
+                return new_betas, new_resid, problems
+            # Only the updated rounds that stand are kept through the full one.
+            exact[trial[unsure]] = True
+            kept = (trial[~unsure], new_betas[~unsure], new_resid[~unsure])
+            del new_betas, new_resid
+        sub = np.flatnonzero(exact)
+        f_betas, f_resid, f_problems = full(idx[sub])
+        for j, problem in zip(sub.tolist(), f_problems):
+            problems[j] = problem
+        if sub.size == idx.size:
+            return f_betas, f_resid, problems
+        merged = [np.empty((idx.size, *a.shape[1:])) for a in (f_betas, f_resid)]
+        for whole, a, b in zip(merged, kept[1:], (f_betas, f_resid)):
+            whole[kept[0]], whole[sub] = a, b
+        return (*merged, problems)
+
     for r in range(1, MAX_ROUNDS + 1):
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        codes, rows, current, old = stack.part(idx, design, resid, betas)
-        new_betas, new_resid, problems = _round(rows, codes, n_subjects, taus, v, current)
+        repeats = cycles.repeats(idx, r)
+        _, old = stack.part(idx, betas)
+        # A panel whose signs did not change in its last round would repeat
+        # that round's updated system, so it takes its full round at once.
+        new_betas, new_resid, problems = step(
+            idx, old, calm[idx] | (repeats > 0) | (r == MAX_ROUNDS) | (within is not None))
         delta = np.max(np.abs(new_betas - old), axis=(1, 2))
         if idx.size == size:
             betas, resid = new_betas, new_resid
         else:
             betas[idx], resid[idx] = new_betas, new_resid
+        new_sign = new_resid > 0
+        del new_betas, new_resid
         iterations[idx] = r
         _record(errors, idx, problems, stack.column_names, r)
         stop = np.array([p is not None for p in problems], dtype=bool)
         check = idx[(delta <= TOL) & ~stop]
         if check.size:
-            codes, rows, current = stack.part(check, design, resid)
-            done = check[_scores_vanish(rows, codes, n_subjects, taus, v, current,
-                                        grad_tol[check])]
+            done = check[_scores_vanish(stack, check, design, taus, v, resid, grad_tol[check])]
             converged[done] = True
             live[done] = False
         live[idx[stop]] = False
-    return betas, resid, iterations, converged
+        calm[idx] = _flip(stack, idx, design, signs, new_sign, sums, grams, rise)
+        if idx.size == size:
+            signs = new_sign
+        else:
+            signs[idx] = new_sign
+        cycles.step(idx, new_sign)
+        cycled = live[idx] & (repeats > 0)
+        for i, start in zip(idx[cycled].tolist(), repeats[cycled].tolist()):
+            found[i] = (start, r - start)
+        live[idx[cycled]] = False
+    return betas, resid, iterations, converged, found, last
 
 
 def _single_result(panel: PanelData, tau, beta, resid, iterations,
@@ -331,7 +643,7 @@ def within_ols(panel: PanelData) -> FitResult:
     """
     stack = stack_panels([panel])
     errors = _screen(stack)
-    betas, resid = _within_round(stack, errors)
+    betas, resid, _, _ = _within_round(stack, errors)
     if errors[0] is not None:
         raise errors[0]
     return _single_result(panel, 0.5, betas[0, 0], resid[0, 0], 0, True)
@@ -349,6 +661,19 @@ def recover_fixed_effects(panel: PanelData, beta, weights):
                        minlength=panel.n_subjects)
 
 
+def _no_convergence(taus, cycle) -> NoConvergenceError:
+    """The error of a fit at ``taus`` that stopped without converging: on
+    a cycle of its residual signs, (the round it began, its period), or
+    out of rounds (None)."""
+    if cycle is None:
+        return NoConvergenceError(f"fit at taus={taus} did not converge in "
+                                  f"{MAX_ROUNDS} iterations")
+    start, period = cycle
+    return NoConvergenceError(
+        f"fit at taus={taus} did not converge: its residual signs cycle with "
+        f"period {period} from round {start}", period=period, cycle_start=start)
+
+
 def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
     """Fit every asymmetric point of ``taus`` on every panel of ``stack``.
 
@@ -357,9 +682,11 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
     ``fit_erfe_multi`` with the influence weights ``v``, which only a joint
     fit takes (over one point, the joint fit is the single fit).  The
     within round runs once, and each fit's rounds start from its own copy
-    of that round.  Each panel gets the numbers its own fits give, bit for
-    bit, and a fit that fails gets its error in ``errors`` without
-    changing the others.
+    of that round and from the moments of its design over all rows and
+    over the rows with positive within residuals, taken once for every
+    fit.  Each panel gets the numbers its own fits give, bit for bit, and a
+    fit that fails gets its error in ``errors`` without changing the
+    others.
     """
     taus = validate_taus(taus)
     q = len(taus)
@@ -367,23 +694,66 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
     design = fit_design(stack, q if joint else 1)
 
     screened = _screen(stack)
-    start_betas, start_resid = _within_round(stack, screened)
-    parts, errors = [], [[] for _ in range(stack.size)]
-    for points in fit_slices(q, joint):
+    start_betas, start_resid, all_rows, start_system = _within_round(stack, screened)
+    codes, n_subjects = stack.codes, stack.n_subjects
+    if design is not stack.demeaned:
+        all_rows = _moments(design, codes, n_subjects, np.ones(stack.y.shape))
+        start_system = None
+    positive = _moments(design, codes, n_subjects, (start_resid[:, 0] > 0).astype(float))
+    fits = fit_slices(q, joint)
+    moments = [_check_moments(all_rows, positive, taus[points]) for points in fits]
+    del all_rows, positive
+    reach = np.max(np.abs(design), axis=2)
+    parts, systems, errors = [], [], [[] for _ in range(stack.size)]
+    for points in fits:
         n, group = points.stop - points.start, list(screened)
+        within = None
+        if start_system is not None and taus[points] == (0.5,) and v[points][0] == 1.0:
+            within = (start_system, start_betas, start_resid)
         # Each fit gets its start as new arrays that only its rounds hold, so
         # each copy is freed once the first round replaces it.
-        betas, resid, rounds, converged = _irls(
+        betas, resid, rounds, converged, cycles, last = _irls(
             stack, design, taus[points], v[points], np.repeat(start_betas, n, axis=1),
-            np.repeat(start_resid, n, axis=1), group)
+            np.repeat(start_resid, n, axis=1), group, moments.pop(0), reach, within)
         parts.append((betas, resid, np.repeat(rounds[:, None], n, axis=1)))
-        for row, error, ok in zip(errors, group, converged.tolist()):
-            row += [error or (None if ok else NoConvergenceError(
-                f"fit at taus={taus[points]} did not converge in "
-                f"{MAX_ROUNDS} iterations"))] * n
+        systems.append(last)
+        for row, error, ok, cycle in zip(errors, group, converged.tolist(), cycles):
+            row += [error or (None if ok else _no_convergence(taus[points], cycle))] * n
     betas, resid, iterations = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
     return StackFit(taus=taus, v=v, joint=joint, betas=betas, residuals_star=resid,
-                    iterations=iterations, errors=tuple(map(tuple, errors)))
+                    iterations=iterations, errors=tuple(map(tuple, errors)),
+                    systems=tuple(systems))
+
+
+def fit_system(stack: PanelStack, idx, resid, taus, v, last=None):
+    """The ``concentrated_system`` of the panels ``idx`` of ``stack`` for
+    their fit at ``taus`` (one point, or several fitted jointly with the
+    influence weights ``v``), at the check weights of the residual blocks
+    ``resid`` (B x q x N): its system, couplings and D.  A panel whose
+    signs in ``resid`` are those its fit's ``last`` system was built on
+    gets that system; the others get it assembled anew, on the fit's
+    design.
+    """
+    q = len(taus)
+    _, masks = stack.part(idx, resid > 0)
+    reuse = np.zeros(idx.size, dtype=bool)
+    if last is not None:
+        kept = stack.part(idx, last.masks, last.system, last.couplings, last.denom)[1:]
+        reuse = np.all(masks == kept[0], axis=(1, 2))
+        if reuse.all():
+            return kept[1:]
+    codes, design = stack.part(idx[~reuse], fit_design(stack, q))
+    signs = masks[~reuse]
+    system, _, couplings, denom, _ = _full_system(design, codes, stack.n_subjects, v, (
+        np.where(signs[:, k], t, 1.0 - t) for k, t in enumerate(taus)))
+    if not reuse.any():
+        return system, couplings, denom
+    parts = []
+    for old, new in zip(kept[1:], (system, couplings, denom)):
+        old = old.copy()
+        old[~reuse] = new
+        parts.append(old)
+    return tuple(parts)
 
 
 def _checked(fit: StackFit, result):

@@ -39,18 +39,21 @@ def weighted_subject_sums(rows, weights, codes, n_subjects: int):
     starting at b * ``n_subjects``).  Returns ``sums`` of shape
     (B, k + 1, n), whose row 0 holds each subject's sum of the weights and
     row j + 1 its sum of the weights times ``rows[:, j]``, and the weighted
-    rows themselves, from which callers form the weighted Gram matrices.
-    These are the sufficient statistics of every weighted within
+    rows themselves, laid out (k, B, N) so that each weighted row of the
+    stack is one contiguous run, from which callers form the weighted Gram
+    matrices.  These are the sufficient statistics of every weighted within
     transform: the weighted subject means are ``sums[:, 1:] / sums[:, :1]``.
     """
-    weighted = rows * weights[:, None, :]
     n_items, n_bins = weights.shape[0], weights.shape[0] * n_subjects
+    weighted = np.empty((rows.shape[1], *weights.shape))
+    for j in range(rows.shape[1]):
+        np.multiply(rows[:, j], weights, out=weighted[j])
     codes = codes.ravel()
     sums = np.empty((n_items, rows.shape[1] + 1, n_subjects))
     sums[:, 0] = np.bincount(codes, weights=weights.ravel(),
                              minlength=n_bins).reshape(n_items, n_subjects)
     for j in range(rows.shape[1]):
-        sums[:, j + 1] = np.bincount(codes, weights=weighted[:, j].ravel(),
+        sums[:, j + 1] = np.bincount(codes, weights=weighted[j].ravel(),
                                      minlength=n_bins).reshape(n_items, n_subjects)
     return sums, weighted
 

@@ -515,6 +515,208 @@ def two_moment_distribution_expectile(dist, tau):
 
 
 # ---------------------------------------------------------------------
+# The full-round engine: every round assembles its system from all rows
+# at the check weights of the last residuals, as the package did before
+# its rounds followed the sign flips.  Bit equality needs the package's
+# Cholesky solve (``spd_solve``, ``spd_inverse``), its screen of
+# within-constant regressors and its stopping constants, read at call
+# time, so those are reused; the assembly, the rounds, the cycle stop and
+# the sandwich are written out here.
+# ---------------------------------------------------------------------
+
+def _full_subject_sums(rows, weights, codes, n_subjects):
+    """Subject sums of the weights and of each weighted row of (B, k, N)
+    ``rows``, laid out (B, k + 1, n), and the weighted rows."""
+    weighted = rows * weights[:, None, :]
+    n_items, n_bins = weights.shape[0], weights.shape[0] * n_subjects
+    codes = codes.ravel()
+    sums = np.empty((n_items, rows.shape[1] + 1, n_subjects))
+    sums[:, 0] = np.bincount(codes, weights=weights.ravel(),
+                             minlength=n_bins).reshape(n_items, n_subjects)
+    for j in range(rows.shape[1]):
+        sums[:, j + 1] = np.bincount(codes, weights=weighted[:, j].ravel(),
+                                     minlength=n_bins).reshape(n_items, n_subjects)
+    return sums, weighted
+
+
+def full_system(design, codes, n_subjects, v, psi):
+    """The concentrated system, its right-hand side, couplings, D and
+    sum_k v_k c_k of stacked panels at the check weights ``psi``."""
+    items, p, q = design.shape[0], design.shape[1] - 1, len(v)
+    sums = np.empty((items, q, p + 2, n_subjects))
+    system = np.zeros((items, q * p, q * p))
+    rhs = np.zeros((items, q * p))
+    for k, psi_k in enumerate(psi):
+        sums[:, k], weighted = _full_subject_sums(design, psi_k, codes, n_subjects)
+        gram = weighted[:, :p] @ design.transpose(0, 2, 1)
+        rows = slice(k * p, (k + 1) * p)
+        system[:, rows, rows] = v[k] * gram[:, :, :p]
+        rhs[:, rows] = v[k] * gram[:, :, p]
+    denom = v @ sums[:, :, 0]
+    pooled_y = v @ sums[:, :, p + 1]
+    couplings = (v[:, None, None] * sums[:, :, 1:p + 1]).reshape(-1, q * p, n_subjects)
+    system -= (couplings / denom[:, None]) @ couplings.transpose(0, 2, 1)
+    rhs -= (couplings @ (pooled_y / denom)[:, :, None])[:, :, 0]
+    return system, rhs, couplings, denom, pooled_y
+
+
+def _full_round(design, codes, n_subjects, taus, v, resid):
+    system, rhs, couplings, denom, pooled_y = full_system(
+        design, codes, n_subjects, v,
+        (psi_ref(resid[:, k], tau) for k, tau in enumerate(taus)))
+    betas, problems = erfe.linalg.spd_solve(system, rhs)
+    alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
+    betas = betas.reshape(*resid.shape[:2], -1)
+    effects = alpha.ravel()[codes.ravel()].reshape(codes.shape)
+    return betas, (design[:, -1] - effects)[:, None] - betas @ design[:, :-1], problems
+
+
+def _full_scores_vanish(design, codes, n_subjects, taus, v, resid, tol):
+    items = design.shape[0]
+    small = np.ones(items, dtype=bool)
+    effect = np.zeros(items * n_subjects)
+    for k, tau in enumerate(taus):
+        weighted = psi_ref(resid[:, k], tau) * resid[:, k]
+        slopes = design[:, :-1] @ weighted[:, :, None]
+        small &= np.max(np.abs(slopes), axis=(1, 2)) <= tol
+        effect += v[k] * np.bincount(codes.ravel(), weights=weighted.ravel(),
+                                     minlength=effect.size)
+    return small & (np.max(np.abs(effect.reshape(items, -1)), axis=1) <= tol)
+
+
+def _full_record(errors, idx, problems, columns, iteration):
+    for i, problem in zip(idx.tolist(), problems):
+        if problem is not None:
+            errors[i] = errors[i] or erfe.SingularGramError(
+                problem, columns=columns, iteration=iteration)
+
+
+def _full_irls(stack, design, taus, v, betas, resid, errors, stop_cycles):
+    """Full rounds until each panel's step is within TOL and its scores
+    vanish, its signs cycle (with ``stop_cycles``) or its rounds run out.
+    A panel cycles at round r when the signs of its residuals before
+    rounds r - 1 and r are those before rounds j - 1 and j of an earlier
+    round j, which fix round r's test to be round j's.  Returns betas,
+    residuals, rounds, converged and, per panel, (j, r - j) for a cycle or
+    None."""
+    est = erfe.estimator
+    size, n_subjects = stack.size, stack.n_subjects
+    grad_tol = est.TOL_GRAD * (1.0 + np.max(np.abs(stack.y), axis=1))
+    iterations = np.zeros(size, dtype=int)
+    converged = np.zeros(size, dtype=bool)
+    live = np.array([e is None for e in errors], dtype=bool)
+    seen = [{} for _ in range(size)]
+    signs = [[(resid[i] > 0).tobytes()] for i in range(size)]
+    cycles = [None] * size
+    for r in range(1, est.MAX_ROUNDS + 1):
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        repeats = {}
+        for i in idx.tolist():
+            if r >= 2:
+                key = (signs[i][-2], signs[i][-1])
+                if key in seen[i]:
+                    repeats[i] = seen[i][key]
+                else:
+                    seen[i][key] = r
+        codes, rows, current, old = stack.part(idx, design, resid, betas)
+        new_betas, new_resid, problems = _full_round(rows, codes, n_subjects,
+                                                     taus, v, current)
+        delta = np.max(np.abs(new_betas - old), axis=(1, 2))
+        betas[idx], resid[idx] = new_betas, new_resid
+        iterations[idx] = r
+        _full_record(errors, idx, problems, stack.column_names, r)
+        stop = np.array([p is not None for p in problems], dtype=bool)
+        check = idx[(delta <= est.TOL) & ~stop]
+        if check.size:
+            codes, rows, current = stack.part(check, design, resid)
+            done = check[_full_scores_vanish(rows, codes, n_subjects, taus, v,
+                                             current, grad_tol[check])]
+            converged[done] = True
+            live[done] = False
+        live[idx[stop]] = False
+        for i in idx.tolist():
+            signs[i].append((resid[i] > 0).tobytes())
+            if stop_cycles and live[i] and i in repeats:
+                cycles[i] = (repeats[i], r - repeats[i])
+                live[i] = False
+    return betas, resid, iterations, converged, cycles
+
+
+def full_round_fit(stack, taus, v=None, joint=False, stop_cycles=True):
+    """(betas, residuals, iterations, errors) of ``fit_stack`` by full
+    rounds: the same fits, starts and errors, error messages included.
+    Without ``stop_cycles`` a fit whose signs cycle runs out of rounds, as
+    the package's fits did before they stopped on a cycle."""
+    est = erfe.estimator
+    taus = erfe.panel.validate_taus(taus)
+    q = len(taus)
+    v = erfe.panel.validate_v(v, q, joint)
+    design = est.fit_design(stack, q if joint else 1)
+    screened = est._screen(stack)
+    size, _, n_obs = stack.demeaned.shape
+    start_betas, start_resid, problems = _full_round(
+        stack.demeaned, stack.codes, stack.n_subjects, (0.5,), np.ones(1),
+        np.zeros((size, 1, n_obs)))
+    _full_record(screened, np.arange(size), problems, stack.column_names, None)
+    parts, errors = [], [[] for _ in range(size)]
+    for points in est.fit_slices(q, joint):
+        n, group = points.stop - points.start, list(screened)
+        betas, resid, rounds, converged, cycles = _full_irls(
+            stack, design, taus[points], v[points], np.repeat(start_betas, n, axis=1),
+            np.repeat(start_resid, n, axis=1), group, stop_cycles)
+        parts.append((betas, resid, np.repeat(rounds[:, None], n, axis=1)))
+        for row, error, ok, cycle in zip(errors, group, converged.tolist(), cycles):
+            if error is None and not ok:
+                message = (f"fit at taus={taus[points]} did not converge in "
+                           f"{est.MAX_ROUNDS} iterations")
+                if cycle is not None:
+                    message = (f"fit at taus={taus[points]} did not converge: its "
+                               f"residual signs cycle with period {cycle[1]} "
+                               f"from round {cycle[0]}")
+                error = erfe.NoConvergenceError(message)
+            row += [error] * n
+    betas, resid, iterations = (np.concatenate(a, axis=1) for a in zip(*parts))
+    return betas, resid, iterations, tuple(map(tuple, errors))
+
+
+def full_round_sandwich(stack, taus, v, joint, resid, fit_errors):
+    """``se`` and ``vc`` (B x q*p and B x q*p x q*p) of ``sandwich_stack``
+    with every bread assembled from all rows at the final residuals
+    ``resid`` (B x q x N); NaN where the fit in ``fit_errors`` failed."""
+    est = erfe.estimator
+    q, p = len(taus), stack.X.shape[-1]
+    n_obs, n_subjects = stack.y.shape[1], stack.n_subjects
+    vc_all = np.full((stack.size, q * p, q * p), np.nan)
+    se_all = np.full((stack.size, q * p), np.nan)
+    for points in est.fit_slices(q, joint):
+        sub_taus, sub_v = taus[points], v[points]
+        idx = np.flatnonzero([row[points.start] is None for row in fit_errors])
+        codes, design, part = stack.part(
+            idx, est.fit_design(stack, points.stop - points.start), resid[:, points])
+        psi = [psi_ref(part[:, k], tau) for k, tau in enumerate(sub_taus)]
+        system, _, couplings, denom, _ = full_system(design, codes, n_subjects,
+                                                     sub_v, psi)
+        scores = np.empty(couplings.shape)
+        pooled = np.zeros(denom.shape)
+        for k, psi_k in enumerate(psi):
+            sums, _ = _full_subject_sums(design[:, :p], psi_k * part[:, k],
+                                         codes, n_subjects)
+            scores[:, k * p:(k + 1) * p] = sub_v[k] * sums[:, 1:]
+            pooled += sub_v[k] * sums[:, 0]
+        scores -= couplings * (pooled / denom)[:, None]
+        d0 = scores @ scores.transpose(0, 2, 1) / n_obs
+        bread_inv, _ = erfe.linalg.spd_inverse(system / n_obs)
+        vc = bread_inv @ d0 @ bread_inv / n_obs
+        vc = (vc + vc.transpose(0, 2, 1)) / 2.0
+        rows = slice(points.start * p, points.stop * p)
+        vc_all[idx, rows, rows] = vc
+        se_all[idx, rows] = np.sqrt(np.maximum(np.diagonal(vc, axis1=1, axis2=2), 0.0))
+    return se_all, vc_all
+
+
+# ---------------------------------------------------------------------
 # Test scaffolding: seeded random panels.
 # ---------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ import pytest
 import erfe
 from erfe.covariance import SandwichCovariance, sandwich_stack
 from erfe.errors import SingularBreadError
-from erfe.estimator import StackFit
+from erfe.estimator import StackFit, fit_stack
 from erfe.panel import stack_panels
 
 import oracles
@@ -174,6 +174,34 @@ def test_stacked_bread_failure_is_the_panels_own():
         assert str(error) == str(alone.value)
         assert np.isnan(cov.se[b]).all()
     assert len({str(row[0]) for row in errors[1:]}) == 3
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_sandwich_reassembles_only_a_system_whose_signs_changed(joint, monkeypatch):
+    # sandwich_stack takes each fit's last system where the final residuals
+    # have the signs that system was built on.  Flipping one residual's sign
+    # in one panel sends that panel's bread, and only it, to be assembled
+    # once more; every sandwich must still be the one assembled from all
+    # rows at the residuals it is given.
+    rng = np.random.default_rng(73)
+    stack = stack_panels([oracles.random_panel(rng, 15, 4, 2)[0] for _ in range(3)])
+    taus = (0.2, 0.7)
+    fit = fit_stack(stack, taus, joint=joint)
+    assembled = []
+    full_system = erfe.estimator._full_system
+    monkeypatch.setattr(erfe.estimator, "_full_system",
+                        lambda design, *args: assembled.append(design.shape[0])
+                        or full_system(design, *args))
+    cov, _ = sandwich_stack(stack, fit)
+    assert assembled == []
+    resid = fit.residuals_star.copy()
+    row = np.argmin(np.abs(resid[1, 0]))
+    resid[1, 0, row] = -resid[1, 0, row]
+    cov, errors = sandwich_stack(stack, dataclasses.replace(fit, residuals_star=resid))
+    assert assembled == [1]
+    se, vc = oracles.full_round_sandwich(stack, fit.taus, fit.v, joint, resid, fit.errors)
+    assert np.array_equal(cov.se, se, equal_nan=True)
+    assert np.array_equal(cov.vc, vc, equal_nan=True)
 
 
 # ---------------------------------------------------------------------

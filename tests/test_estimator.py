@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import erfe
@@ -12,6 +12,7 @@ from erfe.errors import (
     SingularGramError,
     WeightDimensionMismatchError,
 )
+from erfe.covariance import sandwich_stack
 from erfe.estimator import fit_stack
 from erfe.panel import stack_panels
 
@@ -539,3 +540,112 @@ def test_joint_error_within_conditioning_bound(offset):
             fit.residuals_star)
         error = np.max(np.abs(fit.betas - ref)) / np.max(np.abs(ref))
         assert error <= 100.0 * kappa * eps
+
+
+# ---------------------------------------------------------------------
+# Rounds updated from the sign flips against the full-round engine
+# ---------------------------------------------------------------------
+
+_EDGE_TAUS = [1e-3, 0.02, 0.2, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.8, 0.98, 0.999]
+
+
+@st.composite
+def _stacks(draw):
+    """(stack, taus, v, joint): 1 to 3 panels of one shape, balanced or
+    not, with Gaussian rows or small integers full of ties, fitted at 1 to
+    3 points near 0, 1/2 and 1, on their own or jointly with drawn
+    influence weights."""
+    sizes = draw(st.one_of(
+        st.lists(st.integers(2, 6), min_size=2, max_size=10),
+        st.tuples(st.integers(2, 10), st.integers(2, 6)).map(lambda nm: [nm[1]] * nm[0])))
+    p = draw(st.integers(1, 3))
+    ties = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    panels = []
+    for _ in range(draw(st.integers(1, 3))):
+        if ties:
+            X = rng.integers(0, 3, (codes.size, p)).astype(float)
+            y = rng.integers(0, 4, codes.size).astype(float)
+        else:
+            alpha = rng.standard_normal(len(sizes))
+            X = rng.standard_normal((codes.size, p)) + alpha[codes, None]
+            y = X @ rng.standard_normal(p) + alpha[codes] + rng.standard_normal(codes.size)
+        panels.append(_build(codes, y, X))
+    taus = tuple(sorted(draw(st.sets(st.sampled_from(_EDGE_TAUS), min_size=1, max_size=3))))
+    joint = draw(st.booleans())
+    v = (np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=len(taus),
+                                max_size=len(taus)))) if joint else None)
+    return stack_panels(panels), taus, v, joint
+
+
+def _same_errors(got, want):
+    for row_got, row_want in zip(got, want, strict=True):
+        for a, b in zip(row_got, row_want, strict=True):
+            assert type(a) is type(b) and str(a) == str(b)
+
+
+# A tie-heavy panel: at tau = 0.001 round 1's updated residual on the
+# last row is -2.1e-13 where the full round's is +6.8e-15, so only the
+# guard's margin keeps the rounds' signs those of the full rounds.
+_TIED = stack_panels([_build([0, 0, 1, 1, 1], np.array([0.0, 3.0, 3.0, 0.0, 1.0]),
+                             np.array([[1.0], [1.0], [2.0], [2.0], [0.0]]))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_stacks(), st.sampled_from([3, 100]))
+@example(case=(_TIED, (0.001,), None, False), rounds=100)
+def test_flip_updated_rounds_equal_full_rounds(case, rounds):
+    # Every number the engine reports must be the full-round engine's, bit
+    # for bit: slopes, residuals, round counts, errors and their messages,
+    # and the sandwiches built on the fit's last systems.
+    stack, taus, v, joint = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erfe.estimator, "MAX_ROUNDS", rounds)
+        fit = fit_stack(stack, taus, v, joint)
+        betas, resid, iterations, errors = oracles.full_round_fit(stack, taus, v, joint)
+        uncut = oracles.full_round_fit(stack, taus, v, joint, stop_cycles=False)
+    assert np.array_equal(fit.betas, betas, equal_nan=True)
+    assert np.array_equal(fit.residuals_star, resid, equal_nan=True)
+    assert np.array_equal(fit.iterations, iterations)
+    _same_errors(fit.errors, errors)
+    # Stopping on a cycle stops no fit that converges without it.
+    for b, row in enumerate(uncut[3]):
+        for k, error in enumerate(row):
+            if error is None:
+                assert fit.errors[b][k] is None
+                assert np.array_equal(fit.betas[b, k], uncut[0][b, k])
+    cov, _ = sandwich_stack(stack, fit)
+    se, vc = oracles.full_round_sandwich(stack, fit.taus, fit.v, joint, resid, errors)
+    assert np.array_equal(cov.se, se, equal_nan=True)
+    assert np.array_equal(cov.vc, vc, equal_nan=True)
+
+
+def test_cycling_fit_stops_and_says_so():
+    # The signs before rounds 4 and 5 are those before rounds 2 and 3, so
+    # round 5's test repeats round 3's: the fit cycles with period 2 from
+    # round 3 and stops at round 5, where it ran to round 100 before.  Its
+    # neighbours in a stack keep the bits they get alone.
+    cycling = oracles.collinear_panel(2, 2e-7)
+    fit = fit_stack(stack_panels([cycling]), (0.3,))
+    (error,), = fit.errors
+    assert isinstance(error, NoConvergenceError)
+    assert (error.period, error.cycle_start) == (2, 3)
+    assert "cycle with period 2 from round 3" in str(error)
+    assert fit.iterations[0, 0] == 5
+    with pytest.raises(NoConvergenceError) as alone:
+        erfe.fit_erfe_single(cycling, 0.3)
+    assert alone.value.result.iterations == 5
+    others = [oracles.collinear_panel(seed, 1.0) for seed in (3, 4)]
+    stacked = fit_stack(stack_panels([others[0], cycling, others[1]]), (0.3,))
+    assert str(stacked.errors[1][0]) == str(error)
+    for b, panel in zip((0, 2), others):
+        single = erfe.fit_erfe_single(panel, 0.3)
+        assert np.array_equal(stacked.betas[b, 0], single.beta)
+        assert np.array_equal(stacked.residuals_star[b, 0], single.residuals_star)
+        assert stacked.iterations[b, 0] == single.iterations
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erfe.estimator, "MAX_ROUNDS", 4)
+        (short,), = fit_stack(stack_panels([cycling]), (0.3,)).errors
+    assert (short.period, short.cycle_start) == (None, None)
+    assert "did not converge in 4 iterations" in str(short)
