@@ -6,10 +6,11 @@ the system the fit solves, ``estimator.concentrated_system`` at the final
 residuals, so the covariance is that of the fully profiled M-estimator
 (Stefanski and Boos, The calculus of M-estimation, 2002).  The estimator
 hands over that system (``estimator.fit_system``): the one its last round
-solved, when the final residuals have the signs it was built on, else
-assembled once more; this module only sums the scores.  The variance of
-the coefficient estimates divides the sandwich by the total observation
-count, matching the root-(nm) normalization of the limit theory.
+solved, when the final residuals have the signs it was built on and the
+stack is the fit's, else assembled once more; this module only sums the
+scores.  The variance of the coefficient estimates divides the sandwich
+by the total observation count, matching the root-(nm) normalization of
+the limit theory.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ def sandwich_stack(stack: PanelStack, fit: StackFit):
     """The sandwiches of every fit of ``fit`` that converged, in one call:
     per panel the joint sandwich of ``sandwich_multi`` (its bread the whole
     q*p system) when ``fit.joint``, else one of ``sandwich_single`` per point.
-    ``stack`` is the stack ``fit`` was fitted on: each bread is the fit's
-    last system (``fit.systems``) where the final residuals have the signs
-    it was built on.
+    Each bread is the fit's last system (``fit.systems``) where the final
+    residuals have the signs it was built on and ``stack`` is the stack
+    ``fit`` was fitted on; any other is assembled from ``stack``.
 
     Returns one SandwichCovariance whose arrays have a leading panel axis,
     ``se`` (B x q*p) and the matrices (B x q*p x q*p) in block order, and

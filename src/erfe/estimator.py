@@ -41,47 +41,52 @@ demeaned design, which is ``within_ols``, its slopes and residuals
 repeated for every block.  Any start that reaches the final sign pattern
 gives the same bits.
 
-A round costs its sign flips, not a pass over the data.  A check weight
-takes two values, psi = (1 - tau) + (2 tau - 1) [r > 0], so each block's
-subject sums and Gram are 1 - tau times their value over all rows plus
-2 tau - 1 times their value over the rows with positive residuals.
-``fit_stack`` takes both once per design at the within round's signs (on
-the demeaned design the all-rows moments are exactly twice the within
-round's), and every fit, of any tau, starts from them.  After a round,
-each block's moments move by 2 tau - 1 times those of the rows whose
-signs flipped (``_flip_moments``, O(flips * p^2)); the residual pass still
-reads every row.  Such an updated round only searches for the sign
-pattern, as its sums are rounded differently from a full pass.  Any round
-whose numbers the fit reports is a full round, ``concentrated_system``
-assembled from all rows at that round's signs and solved: a round whose
-step is within ``TOL``, whose solve reports a problem, round
-``MAX_ROUNDS``, a round that repeats a cycle (below), and a round after
-which no sign flipped, whose updated system would only repeat the last
-one.  A guard keeps the updated rounds on the full rounds' path: a round
-that leaves a residual within ``MARGIN`` e s of zero, or its step within
-``MARGIN`` e |beta| of ``TOL``, is redone in full, where e = u kappa rho
-bounds the rounding relative to the scale of the slopes
-(``_error_scale``) and s that of the rows.  So every round starts from
-the signs the full rounds give, and slopes, residuals and round counts
-have the full rounds' bits.  (A full round's step is measured from the
-round before, which may be an updated one: a step within that drift of
-``TOL`` could decide otherwise.  None has been seen.)  A fit at tau = 0.5 on the demeaned design
-weighs every row by one half whatever the signs: each of its full rounds
-is the within round, which it takes as it is.
+A round costs its sign flips, not a pass over the data (``rounds``).  A
+check weight takes two values, psi = (1 - tau) + (2 tau - 1) [r > 0], so
+each block's subject sums and Gram are 1 - tau times their value over all
+rows plus 2 tau - 1 times their value over the rows with positive
+residuals.  ``fit_stack`` takes both once per design at the within
+round's signs (on the demeaned design the all-rows moments are exactly
+twice the within round's), and every fit, of any tau, starts from them.
+After a round, each block's moments move by 2 tau - 1 times those of the
+rows whose signs flipped; the residual pass still reads every row.  Such
+an updated round only searches for the sign pattern, as its sums are
+rounded differently from a full pass.  Any round whose numbers the fit
+reports is a full round, ``concentrated_system`` assembled from all rows
+at that round's signs and solved: a round whose step is within ``TOL``,
+whose solve reports a problem, round ``MAX_ROUNDS``, a round that repeats
+a cycle (below), and a round after which no sign flipped, whose updated
+system would only repeat the last one.  A fit at tau = 0.5 in every block
+weighs every row alike whatever the signs, so it takes full rounds only.
 
-Each fit keeps, per panel, the system of its last full round
-(``LastSystem``).  A converged fit's final residuals have the signs that
-system was built on, and its sandwich reuses it as the bread; where they
-do not, ``fit_system`` assembles the bread once more with
-``concentrated_system``.
+A guard keeps the updated rounds on the full rounds' path.  Let e = u
+kappa rho bound the rounding relative to the scale of the slopes
+(``rounds.error_scale``), that scale being |beta| + |y| / |x|, and let s
+be the scale of the rows.  An updated round that leaves a residual within
+``MARGIN`` e s of zero, or its step within ``MARGIN`` e (|beta| + |y| /
+|x|) of ``TOL`` (widened by the round before's own bound when that round
+was updated too), is redone in full.  So every round starts from the
+signs the full rounds give.  A full round's step is measured from the
+last full round, as the full rounds measure it: after a round that
+flipped no sign the full rounds repeat themselves, so the step is 0;
+after an updated round, a step within that round's bound of ``TOL`` is
+measured again from the round before, redone in full from its signs.  So
+slopes, residuals and round counts have the full rounds' bits.
+
+Each fit keeps, per panel, the system of its last full round and a digest
+of the signs it was built on (``LastSystem``).  A converged fit's final
+residuals have those signs, and its sandwich on the same stack reuses the
+system as the bread; where they do not, ``fit_system`` assembles the
+bread once more with ``concentrated_system``.
 
 A full round's slopes depend only on the signs it starts from, so the
 convergence test of round r is fixed by the signs before rounds r - 1 and
-r.  Each fit keeps a 128-bit digest of every round's sign masks per panel
-(``_digests``).  When the pair before round r repeats the pair before an
-earlier round j, every later test repeats one that failed: the panel stops
-after round r's test with a NoConvergenceError whose ``period`` (r - j)
-and ``cycle_start`` (j) tell it from one that ran out of rounds.
+r.  Each fit keeps a 64-bit digest of every round's sign masks per panel
+(``rounds.digests``), so a pair of rounds has 128 bits.  When the pair
+before round r repeats the pair before an earlier round j, every later
+test repeats one that failed: the panel stops after round r's test with a
+NoConvergenceError whose ``period`` (r - j) and ``cycle_start`` (j) tell
+it from one that ran out of rounds.
 
 The engine works on a stack of B equal-shaped panels (``PanelStack``), a
 leading replication axis on every array: the design is (B, p + 1, N), the
@@ -99,6 +104,7 @@ a stack of one that each call builds.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +121,17 @@ from .panel import (
     validate_taus,
     validate_v,
 )
-from .within import subject_weights, weighted_subject_sums
+from .rounds import (
+    Cycles,
+    check_moments,
+    concentrated_system,
+    digests,
+    error_scale,
+    flip,
+    full_system,
+    weighted_moments,
+)
+from .within import subject_weights
 
 __all__ = [
     "FitResult",
@@ -139,12 +155,13 @@ TOL = 1e-7
 TOL_GRAD = 1e-6
 MAX_ROUNDS = 100
 # The guard of the updated rounds (module docstring), in units of the
-# rounding bound e of ``_error_scale``.  Over 1156 updated rounds set
-# against full ones at the same signs (the 1M-row panel-wide input, plain
-# and joint; random, tie-heavy, near-collinear and subject-offset panels),
-# the slopes moved at most 45 e |beta| and the residuals 13 e s, so the
-# margin leaves a factor of 200 or more.  On panel-wide it is below 1e-9,
-# where no residual of any round lies within 8e-8 of zero.
+# rounding bound e of ``rounds.error_scale``.  Over 15,822 updated rounds
+# set against full ones at the same signs (the 1M-row panel-wide input,
+# plain and joint; random, tie-heavy, near-collinear, subject-offset and
+# 1e8-scaled-y stacks), the slopes moved at most 55 e times their scale
+# (their size plus that of y over x) and the residuals 57 e s, so the
+# margin leaves a factor of 175 or more.  On panel-wide both margins stay
+# below 3.2e-9, where no residual of any round lies within 8e-8 of zero.
 MARGIN = 1e4
 
 
@@ -185,13 +202,15 @@ class MultiFitResult:
 
 @dataclass(frozen=True)
 class LastSystem:
-    """The system of the last full round of one fit, per panel of a stack:
-    the sign masks of the residual blocks it was built on, ``masks``
-    (B x q x N, True where positive), and ``concentrated_system``'s system
-    (B x q*p x q*p), couplings (B x q*p x n) and D (B x n).  The entries of
-    a panel whose fit stopped with an error mean nothing."""
+    """The system of the last full round of one fit, per panel of the stack
+    ``source`` (a weak reference): the digest (``digests``, B) of the sign
+    masks of the residual blocks it was built on, ``signs``,
+    and ``concentrated_system``'s system (B x q*p x q*p), couplings
+    (B x q*p x n) and D (B x n).  The entries of a panel whose fit stopped
+    with an error mean nothing."""
 
-    masks: np.ndarray
+    source: weakref.ref
+    signs: np.ndarray
     system: np.ndarray
     couplings: np.ndarray
     denom: np.ndarray
@@ -276,49 +295,6 @@ def fit_design(stack: PanelStack, q: int) -> np.ndarray:
     return design
 
 
-def _moments(design, codes, n_subjects, weights):
-    """The subject sums (A x (p + 2) x n, as ``weighted_subject_sums``) and
-    the Gram matrices (A x p x (p + 1)) of A stacked panels' rows [X; y]
-    ``design`` under ``weights`` (A x N): one pass over the rows."""
-    sums, weighted = weighted_subject_sums(design, weights, codes, n_subjects)
-    p = design.shape[1] - 1
-    return sums, weighted[:p].transpose(1, 0, 2) @ design.transpose(0, 2, 1)
-
-
-def concentrated_system(v, sums, grams):
-    """The concentrated normal equations (see the module docstring) of A
-    stacked panels from each block's subject sums ``sums`` (A x q x (p + 2)
-    x n) and Grams ``grams`` (A x q x p x (p + 1)) under its check weights.
-    Returns the system (A x q*p x q*p), its right-hand side, the couplings
-    v_k C_k stacked over the blocks (A x q*p x n), D and sum_k v_k c_k
-    (A x n each).
-    """
-    items, q, p = grams.shape[:3]
-    system = np.zeros((items, q * p, q * p))
-    rhs = np.zeros((items, q * p))
-    for k in range(q):
-        rows = slice(k * p, (k + 1) * p)
-        system[:, rows, rows] = v[k] * grams[:, k, :, :p]
-        rhs[:, rows] = v[k] * grams[:, k, :, p]
-    denom = v @ sums[:, :, 0]
-    pooled_y = v @ sums[:, :, p + 1]
-    couplings = (v[:, None, None] * sums[:, :, 1:p + 1]).reshape(items, q * p, sums.shape[-1])
-    system -= (couplings / denom[:, None]) @ couplings.transpose(0, 2, 1)
-    rhs -= (couplings @ (pooled_y / denom)[:, :, None])[:, :, 0]
-    return system, rhs, couplings, denom, pooled_y
-
-
-def _full_system(design, codes, n_subjects, v, psi):
-    """``concentrated_system`` at the check weights ``psi``, q blocks of
-    A x N, each read once, in order: one pass over the rows per block."""
-    items, p = design.shape[0], design.shape[1] - 1
-    sums = np.empty((items, len(v), p + 2, n_subjects))
-    grams = np.empty((items, len(v), p, p + 1))
-    for k, psi_k in enumerate(psi):
-        sums[:, k], grams[:, k] = _moments(design, codes, n_subjects, psi_k)
-    return concentrated_system(v, sums, grams)
-
-
 def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y):
     """Solve a ``concentrated_system`` of A stacked panels.  Returns the
     slopes (A x q x p), the residual blocks (A x q x N) and, per panel, the
@@ -327,25 +303,26 @@ def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y):
     betas, problems = spd_solve(system, rhs)
     alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
     betas = betas.reshape(design.shape[0], q, -1)
-    effects = alpha.ravel()[codes.ravel()].reshape(codes.shape)
+    net = alpha.ravel()[codes.ravel()].reshape(codes.shape)
+    np.subtract(design[:, -1], net, out=net)
     fitted = np.matmul(betas, design[:, :-1])
-    return betas, np.subtract((design[:, -1] - effects)[:, None], fitted, out=fitted), problems
+    return betas, np.subtract(net[:, None], fitted, out=fitted), problems
 
 
 def _within_round(stack: PanelStack, errors):
     """The within round of every panel: one round at tau = 0.5 with
     constant weights on the demeaned design.  Returns its slopes (B x 1 x p)
-    and residuals (B x 1 x N), the all-rows moments of the demeaned design
-    (``_moments`` at weight one: twice the round's, exactly) and the
-    round's ``concentrated_system``; a panel whose system is singular gets
-    its SingularGramError in ``errors``."""
+    and residuals (B x 1 x N) and the all-rows moments of the demeaned
+    design (``weighted_moments`` at weight one: twice the round's,
+    exactly); a panel whose system is singular gets its SingularGramError
+    in ``errors``."""
     design, codes = stack.demeaned, stack.codes
-    sums, grams = _moments(design, codes, stack.n_subjects,
+    sums, grams = weighted_moments(design, codes, stack.n_subjects,
                            np.full(stack.y.shape, 0.5))
     system = concentrated_system(np.ones(1), sums[:, None], grams[:, None])
     betas, resid, problems = _solve(design, codes, 1, *system)
     _record(errors, np.arange(stack.size), problems, stack.column_names, None)
-    return betas, resid, (2.0 * sums, 2.0 * grams), system
+    return betas, resid, (2.0 * sums, 2.0 * grams)
 
 
 def _scores_vanish(stack: PanelStack, idx, design, taus, v, resid, tol):
@@ -365,139 +342,15 @@ def _scores_vanish(stack: PanelStack, idx, design, taus, v, resid, tol):
     return small & (np.max(np.abs(effect.reshape(items, -1)), axis=1) <= tol)
 
 
-def _flip_moments(design, codes, n_subjects, flipped, positive):
-    """The change in the positive-row moments (``_moments`` at the mask of
-    the positive residuals) of A stacked panels when the rows ``flipped``
-    (A x N) change sign: the rows now ``positive`` enter and the others
-    leave.  Each panel's flipped rows are gathered into a run padded with
-    rows of weight zero, so the work is O(flips * p^2), not a pass."""
-    items, n_obs = flipped.shape
-    k = design.shape[1]
-    at = np.flatnonzero(flipped)
-    panel = at // n_obs
-    counts = np.bincount(panel, minlength=items)
-    slot = np.arange(at.size) - (np.cumsum(counts) - counts)[panel]
-    # Flat indices into (A, N) of each panel's run, whose padding points at
-    # the panel's first row; row j of panel a starts N (a (p + 1) + j) into
-    # the flattened design.
-    flat = np.repeat(np.arange(0, items * n_obs, n_obs)[:, None], counts.max(), axis=1)
-    flat[panel, slot] = at
-    sign = np.zeros(flat.shape)
-    sign[panel, slot] = np.where(positive.ravel()[at], 1.0, -1.0)
-    into = flat + (k - 1) * n_obs * np.arange(items)[:, None]
-    return _moments(design.take(into[:, None] + n_obs * np.arange(k)[:, None]),
-                    codes.take(flat), n_subjects, sign)
-
-
-# Two lanes of a 128-bit digest: SplitMix64's increment, seeds and mixer.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_LANES = np.array([[0x3C6EF372FE94F82B], [0xA54FF53A5F1D36F1]], dtype=np.uint64)
-_MIX = tuple(np.uint64(c) for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
-
-
-def _digests(signs):
-    """A 128-bit digest of each panel's sign masks (A x q x N), A x 2: per
-    lane, the sum modulo 2^64 of SplitMix64's mixer over the packed words,
-    each offset by its position."""
-    packed = np.packbits(signs.reshape(signs.shape[0], -1), axis=1)
-    words = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    words = words.view(np.uint64)
-    z = words[:, None] + _LANES + _GOLDEN * np.arange(1, words.shape[1] + 1, dtype=np.uint64)
-    a, m1, b, m2, c = _MIX
-    z = (z ^ (z >> a)) * m1
-    z = (z ^ (z >> b)) * m2
-    return np.sum(z ^ (z >> c), axis=2, dtype=np.uint64)
-
-
-def _error_scale(system, grams, v):
-    """Per panel, u * kappa * rho: the machine epsilon u times the
-    condition number kappa of the system scaled to a unit diagonal and the
-    ratio rho of the largest weighted Gram diagonal to the system's, which
-    the concentration cancels.  Rounding the sums by u relative to their
-    terms moves the slopes by about this much relative to their scale (see
-    ``MARGIN``); it is infinite for a system that is not positive definite."""
-    items, q, p = grams.shape[:3]
-    diag = np.diagonal(system, axis1=1, axis2=2)
-    gram_diag = (v[:, None] * np.diagonal(grams[..., :p], axis1=2, axis2=3)).reshape(items, -1)
-    with np.errstate(all="ignore"):
-        d = np.sqrt(diag)
-        scaled = system / d[:, :, None] / d[:, None, :]
-        bad = ~np.all(np.isfinite(scaled), axis=(1, 2)) | ~np.all(diag > 0.0, axis=1)
-        scaled[bad] = np.eye(q * p)
-        eig = np.linalg.eigvalsh(scaled)
-        bound = np.finfo(float).eps * eig[:, -1] / eig[:, 0] * np.max(gram_diag / diag, axis=1)
-    return np.where(bad | (eig[:, 0] <= 0.0) | ~np.isfinite(bound), np.inf, bound)
-
-
-class _Cycles:
-    """The digests of each panel's sign masks after every round of a fit
-    (``_digests``; round 0 is the start), to find a pair of consecutive
-    masks that repeats."""
-
-    def __init__(self, signs):
-        self.history = [_digests(signs)]
-
-    def repeats(self, idx, r):
-        """Per panel of ``idx``, the earlier round whose convergence test
-        round ``r`` repeats, or 0: the round j whose masks before rounds
-        j - 1 and j are the masks before rounds r - 1 and r.  Pairs count
-        from round 2, as round 1 steps from the within start, whose slopes
-        no mask fixes."""
-        if r < 3:
-            return np.zeros(idx.size, dtype=int)
-        h = np.stack(self.history)[:, idx]
-        same = np.all((h[:r - 2] == h[r - 2]) & (h[1:r - 1] == h[r - 1]), axis=2)
-        return np.where(same.any(axis=0), np.argmax(same, axis=0) + 2, 0)
-
-    def step(self, idx, signs):
-        """Take the sign masks (A x q x N) of the panels ``idx`` after a round."""
-        now = self.history[-1].copy()
-        now[idx] = _digests(signs)
-        self.history.append(now)
-
-
-def _check_moments(all_rows, positive, taus):
-    """Per block, the subject sums (B x q x (p + 2) x n) and Grams
-    (B x q x p x (p + 1)) under the check weights at ``taus`` of the signs
-    that ``positive`` counts: psi = (1 - tau) + (2 tau - 1) [r > 0], so
-    they are 1 - tau times the moments over all rows plus 2 tau - 1 times
-    those over the positive rows."""
-    tau = np.array(taus)[:, None, None]
-    return tuple((1.0 - tau) * whole[:, None] + (2.0 * tau - 1.0) * part[:, None]
-                 for whole, part in zip(all_rows, positive))
-
-
-def _flip(stack, idx, design, signs, new_signs, sums, grams, rise):
-    """Move the check-weighted moments ``sums`` and ``grams`` of the panels
-    ``idx`` (``_check_moments``, in place) from their residuals' signs
-    ``signs`` to ``new_signs``: by 2 tau - 1 times the moments of each
-    block's flipped rows.  Returns, per panel, whether no sign flipped."""
-    codes, rows, sign, part_sums, part_grams = stack.part(idx, design, signs, sums, grams)
-    flipped = new_signs != sign
-    for k in np.flatnonzero(flipped.any(axis=(0, 2)) & (rise != 0.0)).tolist():
-        d_sums, d_grams = _flip_moments(rows, codes, stack.n_subjects, flipped[:, k],
-                                        new_signs[:, k])
-        part_sums[:, k] += rise[k] * d_sums
-        part_grams[:, k] += rise[k] * d_grams
-    if idx.size < stack.size:
-        sums[idx], grams[idx] = part_sums, part_grams
-    return ~flipped.any(axis=(1, 2))
-
-
-def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, reach,
-          within=None):
+def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, reach):
     """Concentrated rounds from (betas, resid) for every panel without an
     error, each until its sup-norm step is within ``TOL`` and its scores
     vanish, its residual signs cycle or ``MAX_ROUNDS`` run out.  A panel
     that stops takes no further round; one whose system turns singular
     gets its SingularGramError in ``errors``.  ``moments`` holds the
-    ``_check_moments`` of ``design`` at the signs of ``resid``, which the
+    ``check_moments`` of ``design`` at the signs of ``resid``, which the
     rounds update in place, and ``reach`` each row's largest magnitude per
-    panel (B x (p + 1)).  ``within`` holds the within round's system,
-    slopes and residuals for a fit whose check weights are the within
-    round's, one half on every row of the demeaned design: each of its full
-    rounds is that round, which it takes as it is.
+    panel (B x (p + 1)).
 
     Returns (betas, resid, iterations, converged, cycles, last): per panel,
     cycles holds (the round the cycle began, its period) for a panel that
@@ -514,94 +367,118 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
     sums, grams = moments
     rise = 2.0 * np.array(taus) - 1.0
     signs = resid > 0
+    # Per panel: whether no sign flipped in its last round; the guard's
+    # bound on how far that round's slopes lie from the full round's, 0
+    # after a full round; and, packed, the signs that round started from.
     calm = np.zeros(size, dtype=bool)
-    cycles, found, last = _Cycles(signs), [None] * size, None
+    drift = np.zeros(size)
+    # Check weights that do not depend on the signs (tau = 0.5 in every
+    # block) keep the start's moments, which an updated round would only
+    # solve again: such a fit takes full rounds.
+    fixed = not rise.any()
+    before = np.packbits(signs, axis=2)
+    cycles, found, last = Cycles(signs), [None] * size, None
 
-    def updated(ids, old):
-        """The round of the panels ``ids`` from the updated moments, and
-        per panel whether it is too near a decision to stand."""
+    def updated(ids, old, prior):
+        """The round of the panels ``ids`` from the updated moments, per
+        panel whether it is too near a decision to stand, and the bound on
+        its slopes' distance from the full round's.  ``prior`` is that
+        bound for the slopes ``old``."""
         codes, rows, part_sums, part_grams, span = stack.part(ids, design, sums, grams,
                                                               reach)
         system = concentrated_system(v, part_sums, part_grams)
         new_betas, new_resid, problems = _solve(rows, codes, q, *system)
-        error = MARGIN * _error_scale(system[0], part_grams, v)
+        error = MARGIN * error_scale(system[0], part_grams, v)
         move = np.max(np.abs(new_betas - old), axis=(1, 2))
-        size_b = np.max(np.abs(new_betas), axis=(1, 2))
         scale_r = span[:, -1] + np.max(np.abs(new_betas) @ span[:, :-1, None], axis=(1, 2))
-        with np.errstate(invalid="ignore"):
-            unsure = ((move <= TOL + error * size_b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # The slopes' scale: their size plus that of y over each x.
+            band = error * (np.max(np.abs(new_betas), axis=(1, 2))
+                            + np.max(span[:, -1:] / span[:, :-1], axis=1))
+            unsure = ((move <= TOL + band + prior)
                       | (np.min(np.abs(new_resid), axis=(1, 2)) <= error * scale_r))
-        unsure |= ~np.isfinite(error) | np.array([x is not None for x in problems])
-        return new_betas, new_resid, unsure
+        unsure |= ~np.isfinite(band) | np.array([x is not None for x in problems])
+        return new_betas, new_resid, unsure, band
 
-    def full(ids):
+    def full(ids, sign, keep=True):
         """The round of the panels ``ids`` from ``concentrated_system``
-        assembled from all rows at their signs, as the fit reports it; the
+        assembled from all rows at the signs ``sign``, as the fit reports
+        it; with ``keep``, ``sign`` are the panels' current signs and the
         system becomes their ``LastSystem``."""
         nonlocal last
-        codes, rows, sign = stack.part(ids, design, signs)
-        if within is None:
-            system = _full_system(rows, codes, n_subjects, v, (
-                np.where(sign[:, k], t, 1.0 - t) for k, t in enumerate(taus)))
-            result = _solve(rows, codes, q, *system)
-        else:
-            system = stack.part(ids, *within[0])[1:]
-            result = (within[1][ids], within[2][ids], [None] * ids.size)
-        kept = (sign.copy(), system[0], system[2], system[3])
-        if ids.size < size:
-            # The other panels keep their systems, in new arrays, as the old
-            # ones may be another fit's.
-            wholes = ([np.zeros((size, *a.shape[1:]), dtype=a.dtype) for a in kept]
-                      if last is None else [a.copy() for a in (last.masks, last.system,
-                                                              last.couplings, last.denom)])
-            for whole, part in zip(wholes, kept):
+        codes, rows = stack.part(ids, design)
+        system = full_system(rows, codes, n_subjects, v, (
+            np.where(sign[:, k], t, 1.0 - t) for k, t in enumerate(taus)))
+        if keep:
+            kept = (cycles.history[-1][ids], system[0], system[2], system[3])
+            if last is None:
+                last = LastSystem(weakref.ref(stack), *(
+                    np.zeros((size, *a.shape[1:]), dtype=a.dtype) for a in kept))
+            for whole, part in zip((last.signs, last.system, last.couplings, last.denom),
+                                   kept):
                 whole[ids] = part
-            kept = wholes
-        last = LastSystem(*kept)
-        return result
+        return _solve(rows, codes, q, *system)
 
-    def step(idx, old, exact):
-        """The round of the panels ``idx`` from their slopes ``old``: the
-        updated one, or the full one where ``exact`` or where the updated
-        one is unsure.  Returns the slopes, residuals and problems."""
+    def take(ids, new_betas, new_resid):
+        """Make ``new_betas`` and ``new_resid`` those of the panels ``ids``."""
+        nonlocal betas, resid
+        if ids.size == size:
+            betas, resid = new_betas, new_resid
+        else:
+            betas[ids], resid[ids] = new_betas, new_resid
+
+    def step(idx, old, exact, prior):
+        """Take the round of the panels ``idx`` from their slopes ``old``:
+        the updated one, or the full one where ``exact`` or where the
+        updated one is unsure, which ``exact`` then marks.  Returns the
+        problems and the bound on each panel's distance from the full
+        round's slopes (0 for a full round)."""
         trial = np.flatnonzero(~exact)
-        problems = [None] * idx.size
+        problems, band = [None] * idx.size, np.zeros(idx.size)
         if trial.size:
-            new_betas, new_resid, unsure = updated(idx[trial], old[trial])
-            if trial.size == idx.size and not unsure.any():
-                return new_betas, new_resid, problems
-            # Only the updated rounds that stand are kept through the full one.
+            new_betas, new_resid, unsure, trial_band = updated(idx[trial], old[trial],
+                                                              prior[trial])
+            # The updated rounds that stand are taken before the full round.
+            stand = trial[~unsure]
+            if unsure.any():
+                new_betas, new_resid = new_betas[~unsure], new_resid[~unsure]
+            take(idx[stand], new_betas, new_resid)
+            band[stand] = trial_band[~unsure]
             exact[trial[unsure]] = True
-            kept = (trial[~unsure], new_betas[~unsure], new_resid[~unsure])
             del new_betas, new_resid
         sub = np.flatnonzero(exact)
-        f_betas, f_resid, f_problems = full(idx[sub])
-        for j, problem in zip(sub.tolist(), f_problems):
-            problems[j] = problem
-        if sub.size == idx.size:
-            return f_betas, f_resid, problems
-        merged = [np.empty((idx.size, *a.shape[1:])) for a in (f_betas, f_resid)]
-        for whole, a, b in zip(merged, kept[1:], (f_betas, f_resid)):
-            whole[kept[0]], whole[sub] = a, b
-        return (*merged, problems)
+        if sub.size:
+            f_betas, f_resid, f_problems = full(idx[sub], stack.part(idx[sub], signs)[1])
+            take(idx[sub], f_betas, f_resid)
+            for j, problem in zip(sub.tolist(), f_problems):
+                problems[j] = problem
+        return problems, band
 
     for r in range(1, MAX_ROUNDS + 1):
         idx = np.flatnonzero(live)
         if not idx.size:
             break
         repeats = cycles.repeats(idx, r)
-        _, old = stack.part(idx, betas)
+        old = betas[idx]
         # A panel whose signs did not change in its last round would repeat
         # that round's updated system, so it takes its full round at once.
-        new_betas, new_resid, problems = step(
-            idx, old, calm[idx] | (repeats > 0) | (r == MAX_ROUNDS) | (within is not None))
+        exact = calm[idx] | (repeats > 0) | (r == MAX_ROUNDS) | fixed
+        prior = drift[idx]
+        problems, drift[idx] = step(idx, old, exact, prior)
+        _, new_betas, new_sign = stack.part(idx, betas, resid > 0)
         delta = np.max(np.abs(new_betas - old), axis=(1, 2))
-        if idx.size == size:
-            betas, resid = new_betas, new_resid
-        else:
-            betas[idx], resid[idx] = new_betas, new_resid
-        new_sign = new_resid > 0
-        del new_betas, new_resid
+        # The full rounds measure a step from the last full round, which a
+        # full round after an updated one must do too.  After no flip the
+        # full rounds repeat the last round bit for bit: their step is 0.
+        delta[calm[idx]] = 0.0
+        near = np.flatnonzero(exact & ~calm[idx] & (np.abs(delta - TOL) <= prior))
+        if near.size:
+            # Within the updated slopes' drift of TOL: redo the last round in
+            # full, from the signs it started from.
+            again = full(idx[near], np.unpackbits(before[idx[near]], axis=2,
+                                                  count=signs.shape[2]).view(bool),
+                         keep=False)[0]
+            delta[near] = np.max(np.abs(new_betas[near] - again), axis=(1, 2))
         iterations[idx] = r
         _record(errors, idx, problems, stack.column_names, r)
         stop = np.array([p is not None for p in problems], dtype=bool)
@@ -611,11 +488,11 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
             converged[done] = True
             live[done] = False
         live[idx[stop]] = False
-        calm[idx] = _flip(stack, idx, design, signs, new_sign, sums, grams, rise)
+        calm[idx] = flip(stack, idx, design, signs, new_sign, sums, grams, rise)
         if idx.size == size:
-            signs = new_sign
+            before, signs = np.packbits(signs, axis=2), new_sign
         else:
-            signs[idx] = new_sign
+            before[idx], signs[idx] = np.packbits(signs[idx], axis=2), new_sign
         cycles.step(idx, new_sign)
         cycled = live[idx] & (repeats > 0)
         for i, start in zip(idx[cycled].tolist(), repeats[cycled].tolist()):
@@ -643,7 +520,7 @@ def within_ols(panel: PanelData) -> FitResult:
     """
     stack = stack_panels([panel])
     errors = _screen(stack)
-    betas, resid, _, _ = _within_round(stack, errors)
+    betas, resid, _ = _within_round(stack, errors)
     if errors[0] is not None:
         raise errors[0]
     return _single_result(panel, 0.5, betas[0, 0], resid[0, 0], 0, True)
@@ -694,27 +571,25 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
     design = fit_design(stack, q if joint else 1)
 
     screened = _screen(stack)
-    start_betas, start_resid, all_rows, start_system = _within_round(stack, screened)
+    start_betas, start_resid, all_rows = _within_round(stack, screened)
     codes, n_subjects = stack.codes, stack.n_subjects
     if design is not stack.demeaned:
-        all_rows = _moments(design, codes, n_subjects, np.ones(stack.y.shape))
-        start_system = None
-    positive = _moments(design, codes, n_subjects, (start_resid[:, 0] > 0).astype(float))
+        all_rows = weighted_moments(design, codes, n_subjects, np.ones(stack.y.shape))
+    positive = weighted_moments(design, codes, n_subjects,
+                                (start_resid[:, 0] > 0).astype(float))
     fits = fit_slices(q, joint)
-    moments = [_check_moments(all_rows, positive, taus[points]) for points in fits]
+    moments = [check_moments(all_rows, positive, taus[points]) for points in fits]
     del all_rows, positive
     reach = np.max(np.abs(design), axis=2)
     parts, systems, errors = [], [], [[] for _ in range(stack.size)]
     for points in fits:
         n, group = points.stop - points.start, list(screened)
-        within = None
-        if start_system is not None and taus[points] == (0.5,) and v[points][0] == 1.0:
-            within = (start_system, start_betas, start_resid)
         # Each fit gets its start as new arrays that only its rounds hold, so
-        # each copy is freed once the first round replaces it.
+        # each copy is freed once the first round replaces it; so are its
+        # moments once it ends.
         betas, resid, rounds, converged, cycles, last = _irls(
             stack, design, taus[points], v[points], np.repeat(start_betas, n, axis=1),
-            np.repeat(start_resid, n, axis=1), group, moments.pop(0), reach, within)
+            np.repeat(start_resid, n, axis=1), group, moments.pop(0), reach)
         parts.append((betas, resid, np.repeat(rounds[:, None], n, axis=1)))
         systems.append(last)
         for row, error, ok, cycle in zip(errors, group, converged.tolist(), cycles):
@@ -730,21 +605,21 @@ def fit_system(stack: PanelStack, idx, resid, taus, v, last=None):
     their fit at ``taus`` (one point, or several fitted jointly with the
     influence weights ``v``), at the check weights of the residual blocks
     ``resid`` (B x q x N): its system, couplings and D.  A panel whose
-    signs in ``resid`` are those its fit's ``last`` system was built on
-    gets that system; the others get it assembled anew, on the fit's
-    design.
+    signs in ``resid`` are those its fit's ``last`` system was built on,
+    on this stack, gets that system; the others get it assembled anew, on
+    the fit's design.
     """
     q = len(taus)
     _, masks = stack.part(idx, resid > 0)
     reuse = np.zeros(idx.size, dtype=bool)
-    if last is not None:
-        kept = stack.part(idx, last.masks, last.system, last.couplings, last.denom)[1:]
-        reuse = np.all(masks == kept[0], axis=(1, 2))
+    if last is not None and idx.size and last.source() is stack:
+        kept = stack.part(idx, last.signs, last.system, last.couplings, last.denom)[1:]
+        reuse = digests(masks) == kept[0]
         if reuse.all():
             return kept[1:]
     codes, design = stack.part(idx[~reuse], fit_design(stack, q))
     signs = masks[~reuse]
-    system, _, couplings, denom, _ = _full_system(design, codes, stack.n_subjects, v, (
+    system, _, couplings, denom, _ = full_system(design, codes, stack.n_subjects, v, (
         np.where(signs[:, k], t, 1.0 - t) for k, t in enumerate(taus)))
     if not reuse.any():
         return system, couplings, denom

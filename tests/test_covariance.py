@@ -188,8 +188,8 @@ def test_sandwich_reassembles_only_a_system_whose_signs_changed(joint, monkeypat
     taus = (0.2, 0.7)
     fit = fit_stack(stack, taus, joint=joint)
     assembled = []
-    full_system = erfe.estimator._full_system
-    monkeypatch.setattr(erfe.estimator, "_full_system",
+    full_system = erfe.estimator.full_system
+    monkeypatch.setattr(erfe.estimator, "full_system",
                         lambda design, *args: assembled.append(design.shape[0])
                         or full_system(design, *args))
     cov, _ = sandwich_stack(stack, fit)
@@ -201,6 +201,28 @@ def test_sandwich_reassembles_only_a_system_whose_signs_changed(joint, monkeypat
     assert assembled == [1]
     se, vc = oracles.full_round_sandwich(stack, fit.taus, fit.v, joint, resid, fit.errors)
     assert np.array_equal(cov.se, se, equal_nan=True)
+    assert np.array_equal(cov.vc, vc, equal_nan=True)
+
+
+def test_sandwich_on_another_stack_assembles_its_breads(monkeypatch):
+    # A fit's last systems belong to the stack it was fitted on.  Paired
+    # with another stack of the same shape, every bread is assembled from
+    # that stack's rows.
+    rng = np.random.default_rng(74)
+    stack, other = (stack_panels([oracles.random_panel(rng, 15, 4, 2)[0] for _ in range(3)])
+                    for _ in range(2))
+    fit = fit_stack(stack, (0.2, 0.7))
+    assert all(error is None for row in fit.errors for error in row)
+    assembled = []
+    full_system = erfe.estimator.full_system
+    monkeypatch.setattr(erfe.estimator, "full_system",
+                        lambda design, *args: assembled.append(design.shape[0])
+                        or full_system(design, *args))
+    cov, _ = sandwich_stack(other, fit)
+    assert assembled == [3, 3]
+    se, vc = oracles.full_round_sandwich(other, fit.taus, fit.v, False,
+                                         fit.residuals_star, fit.errors)
+    assert np.array_equal(cov.se, se)
     assert np.array_equal(cov.vc, vc, equal_nan=True)
 
 

@@ -549,21 +549,20 @@ def test_joint_error_within_conditioning_bound(offset):
 _EDGE_TAUS = [1e-3, 0.02, 0.2, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.8, 0.98, 0.999]
 
 
-@st.composite
-def _stacks(draw):
-    """(stack, taus, v, joint): 1 to 3 panels of one shape, balanced or
-    not, with Gaussian rows or small integers full of ties, fitted at 1 to
-    3 points near 0, 1/2 and 1, on their own or jointly with drawn
-    influence weights."""
-    sizes = draw(st.one_of(
-        st.lists(st.integers(2, 6), min_size=2, max_size=10),
-        st.tuples(st.integers(2, 10), st.integers(2, 6)).map(lambda nm: [nm[1]] * nm[0])))
-    p = draw(st.integers(1, 3))
-    ties = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+_SCALES = ("unit", "large y", "offset")
+
+
+def _drawn_panels(seed, sizes, p, count, ties, scale):
+    """``count`` panels of one shape: subjects of ``sizes`` rows, ``p``
+    regressors, Gaussian rows or small integers full of ties (``ties``).
+    ``scale`` is "unit", "large y" (y times 1e8, so that the slopes are
+    about 1e8 and their rounding exceeds ``TOL``) or "offset" (regressors
+    shifted by 1e4 times a subject constant, whose joint fits have
+    condition numbers near 1e8)."""
+    rng = np.random.default_rng(seed)
     codes = np.repeat(np.arange(len(sizes)), sizes)
     panels = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(count):
         if ties:
             X = rng.integers(0, 3, (codes.size, p)).astype(float)
             y = rng.integers(0, 4, codes.size).astype(float)
@@ -571,12 +570,30 @@ def _stacks(draw):
             alpha = rng.standard_normal(len(sizes))
             X = rng.standard_normal((codes.size, p)) + alpha[codes, None]
             y = X @ rng.standard_normal(p) + alpha[codes] + rng.standard_normal(codes.size)
+        if scale == "large y":
+            y = 1e8 * y
+        elif scale == "offset":
+            X = X + 1e4 * rng.standard_normal(len(sizes))[codes, None]
         panels.append(_build(codes, y, X))
+    return stack_panels(panels)
+
+
+@st.composite
+def _stacks(draw):
+    """(stack, taus, v, joint): 1 to 3 panels of ``_drawn_panels``,
+    balanced or not, fitted at 1 to 3 points near 0, 1/2 and 1, on their
+    own or jointly with drawn influence weights."""
+    sizes = draw(st.one_of(
+        st.lists(st.integers(2, 6), min_size=2, max_size=10),
+        st.tuples(st.integers(2, 10), st.integers(2, 6)).map(lambda nm: [nm[1]] * nm[0])))
+    stack = _drawn_panels(draw(st.integers(0, 2**32 - 1)), sizes, draw(st.integers(1, 3)),
+                          draw(st.integers(1, 3)), draw(st.booleans()),
+                          draw(st.sampled_from(_SCALES)))
     taus = tuple(sorted(draw(st.sets(st.sampled_from(_EDGE_TAUS), min_size=1, max_size=3))))
     joint = draw(st.booleans())
     v = (np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=len(taus),
                                 max_size=len(taus)))) if joint else None)
-    return stack_panels(panels), taus, v, joint
+    return stack, taus, v, joint
 
 
 def _same_errors(got, want):
@@ -592,9 +609,22 @@ _TIED = stack_panels([_build([0, 0, 1, 1, 1], np.array([0.0, 3.0, 3.0, 0.0, 1.0]
                              np.array([[1.0], [1.0], [2.0], [2.0], [0.0]]))])
 
 
+# Slopes near 1e8, whose updated rounds lie a few ulps, more than TOL,
+# from the full rounds.  In the first, an updated round flips no sign, so
+# the full rounds repeat themselves and their next step is 0.  In the
+# second, a full round follows an updated one at a step within that
+# round's drift of TOL, so the round before is redone in full to measure
+# it.  Measured from the updated slopes, either step would take one round
+# more than the full rounds do.
+_CALM_AFTER_UPDATE = _drawn_panels(4, [2, 2, 2, 5], 2, 1, False, "large y")
+_NEAR_TOL_AFTER_UPDATE = _drawn_panels(944, [2, 2, 3], 1, 1, False, "large y")
+
+
 @settings(max_examples=120, deadline=None)
 @given(_stacks(), st.sampled_from([3, 100]))
 @example(case=(_TIED, (0.001,), None, False), rounds=100)
+@example(case=(_CALM_AFTER_UPDATE, (0.98,), None, False), rounds=100)
+@example(case=(_NEAR_TOL_AFTER_UPDATE, (0.2,), None, False), rounds=100)
 def test_flip_updated_rounds_equal_full_rounds(case, rounds):
     # Every number the engine reports must be the full-round engine's, bit
     # for bit: slopes, residuals, round counts, errors and their messages,
