@@ -48,16 +48,21 @@ rows plus 2 tau - 1 times their value over the rows with positive
 residuals.  ``fit_stack`` takes both once per design at the within
 round's signs (on the demeaned design the all-rows moments are exactly
 twice the within round's), and every fit, of any tau, starts from them.
-After a round, each block's moments move by 2 tau - 1 times those of the
-rows whose signs flipped; the residual pass still reads every row.  Such
-an updated round only searches for the sign pattern, as its sums are
-rounded differently from a full pass.  Any round whose numbers the fit
-reports is a full round, ``concentrated_system`` assembled from all rows
-at that round's signs and solved: a round whose step is within ``TOL``,
-whose solve reports a problem, round ``MAX_ROUNDS``, a round that repeats
-a cycle (below), and a round after which no sign flipped, whose updated
-system would only repeat the last one.  A fit at tau = 0.5 in every block
-weighs every row alike whatever the signs, so it takes full rounds only.
+These are the fit's running moments.  Every round assembles
+``concentrated_system`` from them and solves it, all of its panels in one
+call; after the round, each block's moments move by 2 tau - 1 times those
+of the rows whose signs flipped.  The residual pass still reads every row.
+A round is refreshed or not.  A refreshed round first takes its panels'
+moments from all rows at their signs (``rounds.sign_moments``), so its
+system is ``rounds.full_system``'s, bit for bit: it is the full round.  A
+round that is not refreshed, an updated round, solves moments moved by the
+flips, which are rounded differently from a pass, so it only searches for
+the sign pattern.  Any round whose numbers the fit reports is refreshed: a
+round whose step is within ``TOL``, whose solve reports a problem, round
+``MAX_ROUNDS``, a round that repeats a cycle (below), and a round after
+which no sign flipped, whose updated system would only repeat the last
+one.  A fit at tau = 0.5 in every block weighs every row alike whatever
+the signs, so it refreshes every round.
 
 A guard keeps the updated rounds on the full rounds' path.  Let e = u
 kappa rho bound the rounding relative to the scale of the slopes
@@ -65,19 +70,21 @@ kappa rho bound the rounding relative to the scale of the slopes
 be the scale of the rows.  An updated round that leaves a residual within
 ``MARGIN`` e s of zero, or its step within ``MARGIN`` e (|beta| + |y| /
 |x|) of ``TOL`` (widened by the round before's own bound when that round
-was updated too), is redone in full.  So every round starts from the
-signs the full rounds give.  A full round's step is measured from the
-last full round, as the full rounds measure it: after a round that
-flipped no sign the full rounds repeat themselves, so the step is 0;
-after an updated round, a step within that round's bound of ``TOL`` is
-measured again from the round before, redone in full from its signs.  So
+was updated too), is solved again, refreshed: only those panels take a
+second solve.  So every round starts from the signs the full rounds give.
+A full round's step is measured from the last full round, as the full
+rounds measure it: after a round that flipped no sign the full rounds
+repeat themselves, so the step is 0; after an updated round, a step
+within that round's bound of ``TOL`` is measured again from the round
+before, redone in full from its signs (``rounds.full_system``).  So
 slopes, residuals and round counts have the full rounds' bits.
 
-Each fit keeps, per panel, the system of its last full round and a digest
-of the signs it was built on (``LastSystem``).  A converged fit's final
-residuals have those signs, and its sandwich on the same stack reuses the
-system as the bread; where they do not, ``fit_system`` assembles the
-bread once more with ``concentrated_system``.
+Each fit keeps, per panel, the system of its last refreshed round and a
+digest of the signs it was built on (``LastSystem``), written as that
+round assembles it.  A converged fit's final residuals have those signs,
+and its sandwich on the same stack reuses the system as the bread; where
+they do not, ``fit_system`` assembles the bread once more with
+``rounds.full_system``.
 
 A full round's slopes depend only on the signs it starts from, so the
 convergence test of round r is fixed by the signs before rounds r - 1 and
@@ -129,6 +136,7 @@ from .rounds import (
     error_scale,
     flip,
     full_system,
+    sign_moments,
     weighted_moments,
 )
 from .within import subject_weights
@@ -202,7 +210,7 @@ class MultiFitResult:
 
 @dataclass(frozen=True)
 class LastSystem:
-    """The system of the last full round of one fit, per panel of the stack
+    """The system of the last refreshed round of one fit, per panel of the stack
     ``source`` (a weak reference): the digest (``digests``, B) of the sign
     masks of the residual blocks it was built on, ``signs``,
     and ``concentrated_system``'s system (B x q*p x q*p), couplings
@@ -348,9 +356,9 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
     vanish, its residual signs cycle or ``MAX_ROUNDS`` run out.  A panel
     that stops takes no further round; one whose system turns singular
     gets its SingularGramError in ``errors``.  ``moments`` holds the
-    ``check_moments`` of ``design`` at the signs of ``resid``, which the
-    rounds update in place, and ``reach`` each row's largest magnitude per
-    panel (B x (p + 1)).
+    ``check_moments`` of ``design`` at the signs of ``resid``, the running
+    moments that the rounds refresh and update in place, and ``reach``
+    each row's largest magnitude per panel (B x (p + 1)).
 
     Returns (betas, resid, iterations, converged, cycles, last): per panel,
     cycles holds (the round the cycle began, its period) for a panel that
@@ -373,86 +381,60 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
     calm = np.zeros(size, dtype=bool)
     drift = np.zeros(size)
     # Check weights that do not depend on the signs (tau = 0.5 in every
-    # block) keep the start's moments, which an updated round would only
-    # solve again: such a fit takes full rounds.
+    # block) keep the start's moments, which a round that is not refreshed
+    # would only solve again: such a fit refreshes every round.
     fixed = not rise.any()
     before = np.packbits(signs, axis=2)
     cycles, found, last = Cycles(signs), [None] * size, None
 
-    def updated(ids, old, prior):
-        """The round of the panels ``ids`` from the updated moments, per
-        panel whether it is too near a decision to stand, and the bound on
-        its slopes' distance from the full round's.  ``prior`` is that
-        bound for the slopes ``old``."""
+    def solve(ids, fresh, old, prior):
+        """Take the round of the panels ``ids`` from their slopes ``old`` on
+        the running moments, those of the panels ``fresh`` first refreshed
+        from all rows at their signs: their round is the full round, and its
+        system their ``LastSystem``.  Returns the problems and, per panel,
+        whether it is not fresh and its round is too near a decision to
+        stand, and the bound on its slopes' distance from the full round's
+        (0 for a fresh panel).  ``prior`` is that bound for ``old``."""
+        nonlocal betas, resid, last
+        if fresh.any():
+            codes, rows, sign = stack.part(ids[fresh], design, signs)
+            sums[ids[fresh]], grams[ids[fresh]] = sign_moments(rows, codes, n_subjects,
+                                                               taus, sign)
         codes, rows, part_sums, part_grams, span = stack.part(ids, design, sums, grams,
                                                               reach)
         system = concentrated_system(v, part_sums, part_grams)
-        new_betas, new_resid, problems = _solve(rows, codes, q, *system)
-        error = MARGIN * error_scale(system[0], part_grams, v)
-        move = np.max(np.abs(new_betas - old), axis=(1, 2))
-        scale_r = span[:, -1] + np.max(np.abs(new_betas) @ span[:, :-1, None], axis=(1, 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # The slopes' scale: their size plus that of y over each x.
-            band = error * (np.max(np.abs(new_betas), axis=(1, 2))
-                            + np.max(span[:, -1:] / span[:, :-1], axis=1))
-            unsure = ((move <= TOL + band + prior)
-                      | (np.min(np.abs(new_resid), axis=(1, 2)) <= error * scale_r))
-        unsure |= ~np.isfinite(band) | np.array([x is not None for x in problems])
-        return new_betas, new_resid, unsure, band
-
-    def full(ids, sign, keep=True):
-        """The round of the panels ``ids`` from ``concentrated_system``
-        assembled from all rows at the signs ``sign``, as the fit reports
-        it; with ``keep``, ``sign`` are the panels' current signs and the
-        system becomes their ``LastSystem``."""
-        nonlocal last
-        codes, rows = stack.part(ids, design)
-        system = full_system(rows, codes, n_subjects, v, (
-            np.where(sign[:, k], t, 1.0 - t) for k, t in enumerate(taus)))
-        if keep:
-            kept = (cycles.history[-1][ids], system[0], system[2], system[3])
+        if fresh.any():
+            kept = [a if fresh.all() else a[fresh]
+                    for a in (cycles.history[-1][ids], system[0], system[2], system[3])]
+            # Made at the first refreshed round, not before the rounds: made
+            # earlier, its couplings (q*p floats per subject) split the heap,
+            # and a joint fit of 1M rows peaked 22 MB higher.
             if last is None:
                 last = LastSystem(weakref.ref(stack), *(
                     np.zeros((size, *a.shape[1:]), dtype=a.dtype) for a in kept))
             for whole, part in zip((last.signs, last.system, last.couplings, last.denom),
                                    kept):
-                whole[ids] = part
-        return _solve(rows, codes, q, *system)
-
-    def take(ids, new_betas, new_resid):
-        """Make ``new_betas`` and ``new_resid`` those of the panels ``ids``."""
-        nonlocal betas, resid
+                whole[ids[fresh]] = part
+        new_betas, new_resid, problems = _solve(rows, codes, q, *system)
+        unsure, band = np.zeros(ids.size, dtype=bool), np.zeros(ids.size)
+        if not fresh.all():
+            error = MARGIN * error_scale(system[0], part_grams, v)
+            move = np.max(np.abs(new_betas - old), axis=(1, 2))
+            scale_r = span[:, -1] + np.max(np.abs(new_betas) @ span[:, :-1, None], axis=(1, 2))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # The slopes' scale: their size plus that of y over each x.
+                band = error * (np.max(np.abs(new_betas), axis=(1, 2))
+                                + np.max(span[:, -1:] / span[:, :-1], axis=1))
+                unsure = ((move <= TOL + band + prior)
+                          | (np.min(np.abs(new_resid), axis=(1, 2)) <= error * scale_r))
+            unsure |= ~np.isfinite(band) | np.array([x is not None for x in problems])
+            unsure &= ~fresh
+            band[fresh | unsure] = 0.0
         if ids.size == size:
             betas, resid = new_betas, new_resid
         else:
             betas[ids], resid[ids] = new_betas, new_resid
-
-    def step(idx, old, exact, prior):
-        """Take the round of the panels ``idx`` from their slopes ``old``:
-        the updated one, or the full one where ``exact`` or where the
-        updated one is unsure, which ``exact`` then marks.  Returns the
-        problems and the bound on each panel's distance from the full
-        round's slopes (0 for a full round)."""
-        trial = np.flatnonzero(~exact)
-        problems, band = [None] * idx.size, np.zeros(idx.size)
-        if trial.size:
-            new_betas, new_resid, unsure, trial_band = updated(idx[trial], old[trial],
-                                                              prior[trial])
-            # The updated rounds that stand are taken before the full round.
-            stand = trial[~unsure]
-            if unsure.any():
-                new_betas, new_resid = new_betas[~unsure], new_resid[~unsure]
-            take(idx[stand], new_betas, new_resid)
-            band[stand] = trial_band[~unsure]
-            exact[trial[unsure]] = True
-            del new_betas, new_resid
-        sub = np.flatnonzero(exact)
-        if sub.size:
-            f_betas, f_resid, f_problems = full(idx[sub], stack.part(idx[sub], signs)[1])
-            take(idx[sub], f_betas, f_resid)
-            for j, problem in zip(sub.tolist(), f_problems):
-                problems[j] = problem
-        return problems, band
+        return problems, unsure, band
 
     for r in range(1, MAX_ROUNDS + 1):
         idx = np.flatnonzero(live)
@@ -461,10 +443,17 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
         repeats = cycles.repeats(idx, r)
         old = betas[idx]
         # A panel whose signs did not change in its last round would repeat
-        # that round's updated system, so it takes its full round at once.
+        # that round's system, so it takes its full round at once.
         exact = calm[idx] | (repeats > 0) | (r == MAX_ROUNDS) | fixed
         prior = drift[idx]
-        problems, drift[idx] = step(idx, old, exact, prior)
+        problems, unsure, drift[idx] = solve(idx, exact, old, prior)
+        if unsure.any():
+            # Redo in full the rounds that may not stand.
+            exact |= unsure
+            redo = np.flatnonzero(unsure)
+            for j, problem in zip(redo.tolist(), solve(idx[redo], unsure[redo], old[redo],
+                                                       prior[redo])[0]):
+                problems[j] = problem
         _, new_betas, new_sign = stack.part(idx, betas, resid > 0)
         delta = np.max(np.abs(new_betas - old), axis=(1, 2))
         # The full rounds measure a step from the last full round, which a
@@ -475,9 +464,10 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
         if near.size:
             # Within the updated slopes' drift of TOL: redo the last round in
             # full, from the signs it started from.
-            again = full(idx[near], np.unpackbits(before[idx[near]], axis=2,
-                                                  count=signs.shape[2]).view(bool),
-                         keep=False)[0]
+            codes, rows = stack.part(idx[near], design)
+            again = _solve(rows, codes, q, *full_system(
+                rows, codes, n_subjects, v, taus,
+                np.unpackbits(before[idx[near]], axis=2, count=signs.shape[2]).view(bool)))[0]
             delta[near] = np.max(np.abs(new_betas[near] - again), axis=(1, 2))
         iterations[idx] = r
         _record(errors, idx, problems, stack.column_names, r)
@@ -609,26 +599,24 @@ def fit_system(stack: PanelStack, idx, resid, taus, v, last=None):
     on this stack, gets that system; the others get it assembled anew, on
     the fit's design.
     """
-    q = len(taus)
     _, masks = stack.part(idx, resid > 0)
-    reuse = np.zeros(idx.size, dtype=bool)
+    stale = np.ones(idx.size, dtype=bool)
     if last is not None and idx.size and last.source() is stack:
-        kept = stack.part(idx, last.signs, last.system, last.couplings, last.denom)[1:]
-        reuse = digests(masks) == kept[0]
-        if reuse.all():
-            return kept[1:]
-    codes, design = stack.part(idx[~reuse], fit_design(stack, q))
-    signs = masks[~reuse]
-    system, _, couplings, denom, _ = full_system(design, codes, stack.n_subjects, v, (
-        np.where(signs[:, k], t, 1.0 - t) for k, t in enumerate(taus)))
-    if not reuse.any():
+        _, signs, *kept = stack.part(idx, last.signs, last.system, last.couplings,
+                                     last.denom)
+        stale = digests(masks) != signs
+        if not stale.any():
+            return tuple(kept)
+    codes, design = stack.part(idx[stale], fit_design(stack, len(taus)))
+    system, _, couplings, denom, _ = full_system(design, codes, stack.n_subjects, v, taus,
+                                                 masks[stale])
+    if stale.all():
         return system, couplings, denom
-    parts = []
-    for old, new in zip(kept[1:], (system, couplings, denom)):
-        old = old.copy()
-        old[~reuse] = new
-        parts.append(old)
-    return tuple(parts)
+    # Copies, as the kept arrays are the fit's own when idx is every panel.
+    kept = [a.copy() for a in kept]
+    for whole, part in zip(kept, (system, couplings, denom)):
+        whole[stale] = part
+    return tuple(kept)
 
 
 def _checked(fit: StackFit, result):

@@ -64,7 +64,9 @@ def spd_solve(G, b):
     vector = b.ndim == len(lead) + 1
     z = b.reshape(G.shape[0], k, 1 if vector else b.shape[-1])
 
-    d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+    # A negative diagonal entry is reported as a problem, not warned about.
+    with np.errstate(invalid="ignore"):
+        d = np.sqrt(np.diagonal(G, axis1=1, axis2=2))
     bad_diagonal = ~np.all(np.isfinite(d) & (d > 0.0), axis=1)
     d[bad_diagonal] = 1.0
     scaled = G / d[:, :, None] / d[:, None, :]

@@ -1,25 +1,28 @@
 """The pieces of a concentrated round: its moments, its system, and their
 update from the sign flips.
 
-A round of ``estimator.fit_stack`` solves ``concentrated_system`` (see
-the ``estimator`` module docstring), assembled from each block's subject
-sums and Gram matrix under its check weights (``weighted_moments``);
-``full_system`` takes them from all rows, one pass per block.  A check
-weight takes two values, psi = (1 - tau) + (2 tau - 1) [r > 0], so the
-moments are 1 - tau times their value over all rows plus 2 tau - 1 times
-their value over the rows with positive residuals (``check_moments``).
-After a round they move by 2 tau - 1 times the moments of the rows whose
-signs flipped (``flip``), gathered so that the work is O(flips * p^2),
-not a pass (``flip_moments``).  Moments updated so are rounded otherwise
-than a pass would round them; ``error_scale`` bounds how far that moves
-the slopes.  ``digests`` condenses each panel's sign masks to 64 bits,
-and ``Cycles`` keeps them round by round.
+Every round of ``estimator.fit_stack`` solves ``concentrated_system`` (see
+the ``estimator`` module docstring) on the fit's running moments: each
+block's subject sums and Gram matrix under its check weights
+(``weighted_moments``).  A round is refreshed or not.  A refreshed round
+first takes its panels' moments from all rows at their signs
+(``sign_moments``, one pass per block), so its system is ``full_system``'s.
+A check weight takes two values, psi = (1 - tau) + (2 tau - 1) [r > 0], so
+the moments start as 1 - tau times their value over all rows plus 2 tau - 1
+times their value over the rows with positive residuals
+(``check_moments``).  After a round they move by 2 tau - 1 times the
+moments of the rows whose signs flipped (``flip``), gathered so that the
+work is O(flips * p^2), not a pass (``flip_moments``).  Moments moved so are
+rounded otherwise than a pass would round them; ``error_scale`` bounds how
+far that moves the slopes of a round that is not refreshed.  ``digests``
+condenses each panel's sign masks to 64 bits, and ``Cycles`` keeps them
+round by round.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _factor
+from .linalg import spd_inverse
 from .within import weighted_subject_sums
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "flip",
     "flip_moments",
     "full_system",
+    "sign_moments",
     "weighted_moments",
 ]
 
@@ -67,11 +71,25 @@ def concentrated_system(v, sums, grams):
     return system, rhs, couplings, denom, pooled_y
 
 
-def full_system(design, codes, n_subjects, v, psi):
-    """``concentrated_system`` at the check weights ``psi``, q blocks of
-    A x N, each read once, in order: one pass over the rows per block."""
-    blocks = [weighted_moments(design, codes, n_subjects, psi_k) for psi_k in psi]
-    return concentrated_system(v, *(np.stack(a, axis=1) for a in zip(*blocks)))
+def sign_moments(design, codes, n_subjects, taus, signs):
+    """The subject sums (A x q x (p + 2) x n) and Grams (A x q x p x (p + 1))
+    of A stacked panels' rows ``design`` under the check weights at ``taus``
+    of the residual signs ``signs`` (A x q x N): one pass over the rows per
+    block, in order."""
+    items, p = design.shape[0], design.shape[1] - 1
+    sums = np.empty((items, len(taus), p + 2, n_subjects))
+    grams = np.empty((items, len(taus), p, p + 1))
+    for k, tau in enumerate(taus):
+        sums[:, k], grams[:, k] = weighted_moments(design, codes, n_subjects,
+                                                   np.where(signs[:, k], tau, 1.0 - tau))
+    return sums, grams
+
+
+def full_system(design, codes, n_subjects, v, taus, signs):
+    """``concentrated_system`` at the check weights at ``taus`` of the
+    residual signs ``signs``, its moments taken from all rows
+    (``sign_moments``)."""
+    return concentrated_system(v, *sign_moments(design, codes, n_subjects, taus, signs))
 
 
 def flip_moments(design, codes, n_subjects, idx, flipped, positive):
@@ -113,31 +131,24 @@ def digests(signs):
 
 def error_scale(system, grams, v):
     """Per panel, u * kappa * rho: the machine epsilon u times a bound kappa
-    on the condition number of the system S scaled to a unit diagonal, and
-    the ratio rho of the largest weighted Gram diagonal to the system's,
-    which the concentration cancels.  With S = L L' (Cholesky), kappa is
-    |S|_F |L^-1|_F^2, at most (q*p)^1.5 times the condition number.
-    Rounding the sums by u relative to their terms moves the slopes by
-    about this much relative to their scale (see ``estimator.MARGIN``); it
-    is infinite for a system that is not positive definite."""
-    items, q, p = grams.shape[:3]
+    on the condition number of the system S scaled to a unit diagonal, S~,
+    and the ratio rho of the largest weighted Gram diagonal to the system's,
+    which the concentration cancels.  kappa is |S~|_F tr(S~^-1), which is
+    |S~|_F |L^-1|_F^2 for S~ = L L' (Cholesky) and at most (q*p)^1.5 times
+    the condition number; tr(S~^-1) is sum_i S_ii (S^-1)_ii.  Rounding the
+    sums by u relative to their terms moves the slopes by about this much
+    relative to their scale (see ``estimator.MARGIN``); it is infinite for
+    a system that ``spd_inverse`` finds no inverse of."""
+    items, _, p = grams.shape[:3]
     diag = np.diagonal(system, axis1=1, axis2=2)
     gram_diag = (v[:, None] * np.diagonal(grams[..., :p], axis1=2, axis2=3)).reshape(items, -1)
+    inverse, problems = spd_inverse(system)
     with np.errstate(all="ignore"):
         scaled = system / np.sqrt(diag[:, :, None] * diag[:, None, :])
-        bad = ~np.all(np.isfinite(scaled), axis=(1, 2)) | ~np.all(diag > 0.0, axis=1)
-        scaled[bad] = np.eye(q * p)
-        factor, problems = _factor(scaled)
-        # L^-1 row by row: row j is (e_j - L[j, :j] L^-1[:j]) / L[j, j].
-        inverse = np.zeros_like(factor)
-        for j in range(q * p):
-            inverse[:, j, j] = 1.0
-            inverse[:, j] -= np.sum(factor[:, j, :j, None] * inverse[:, :j], axis=1)
-            inverse[:, j] /= factor[:, j, j, None]
         kappa = (np.linalg.norm(scaled, axis=(1, 2))
-                 * np.sum(inverse * inverse, axis=(1, 2)))
+                 * np.sum(diag * np.diagonal(inverse, axis1=1, axis2=2), axis=1))
         bound = np.finfo(float).eps * kappa * np.max(gram_diag / diag, axis=1)
-    bad |= np.array([x is not None for x in problems], dtype=bool)
+    bad = np.array([x is not None for x in problems], dtype=bool)
     return np.where(bad | ~np.isfinite(bound), np.inf, bound)
 
 
@@ -184,8 +195,7 @@ def flip(stack, idx, design, signs, new_signs, sums, grams, rise):
     ``idx`` (``check_moments``, in place) from their residuals' signs
     ``signs`` to ``new_signs``: by 2 tau - 1 times the moments of each
     block's flipped rows.  Returns, per panel, whether no sign flipped."""
-    whole = idx.size == stack.size
-    sign, part_sums, part_grams = ((a if whole else a[idx]) for a in (signs, sums, grams))
+    _, sign, part_sums, part_grams = stack.part(idx, signs, sums, grams)
     flipped = new_signs != sign
     for k in np.flatnonzero(flipped.any(axis=(0, 2)) & (rise != 0.0)).tolist():
         d_sums, d_grams = flip_moments(design, stack.codes, stack.n_subjects, idx,
@@ -194,6 +204,6 @@ def flip(stack, idx, design, signs, new_signs, sums, grams, rise):
         d_grams *= rise[k]
         part_sums[:, k] += d_sums
         part_grams[:, k] += d_grams
-    if not whole:
+    if part_sums is not sums:
         sums[idx], grams[idx] = part_sums, part_grams
     return ~flipped.any(axis=(1, 2))

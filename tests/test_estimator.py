@@ -651,6 +651,34 @@ def test_flip_updated_rounds_equal_full_rounds(case, rounds):
     assert np.array_equal(cov.vc, vc, equal_nan=True)
 
 
+def test_a_round_solves_its_refreshed_and_updated_panels_at_once(monkeypatch):
+    # The first panel's residuals are +-1 plus a small slope, so round 1
+    # flips none of its signs and it takes its full round in round 2, while
+    # the second panel still takes an updated one.  Round 2 refreshes the
+    # first panel's moments from all rows and solves both panels in one
+    # call: every round makes one solve, after the within round's.
+    rng = np.random.default_rng(5)
+    codes = np.repeat(np.arange(8), 4)
+    x, x2 = rng.standard_normal((2, 32, 1))
+    stack = stack_panels([
+        _build(codes, 0.01 * x[:, 0] + np.tile([1.0, -1.0], 16), x),
+        _build(codes, x2[:, 0] + rng.standard_normal(32), x2)])
+    events = []
+    solve, refresh = erfe.estimator._solve, erfe.estimator.sign_moments
+    monkeypatch.setattr(erfe.estimator, "_solve", lambda design, *args: events.append(
+        ("solve", design.shape[0])) or solve(design, *args))
+    monkeypatch.setattr(erfe.estimator, "sign_moments", lambda design, *args: events.append(
+        ("refresh", design.shape[0])) or refresh(design, *args))
+    fit = fit_stack(stack, (0.8,))
+    assert fit.iterations.ravel().tolist() == [2, 3]
+    assert events == [("solve", 2), ("solve", 2), ("refresh", 1), ("solve", 2),
+                      ("refresh", 1), ("solve", 1)]
+    betas, resid, iterations, errors = oracles.full_round_fit(stack, (0.8,))
+    assert np.array_equal(fit.betas, betas) and np.array_equal(fit.residuals_star, resid)
+    assert np.array_equal(fit.iterations, iterations)
+    _same_errors(fit.errors, errors)
+
+
 def test_cycling_fit_stops_and_says_so():
     # The signs before rounds 4 and 5 are those before rounds 2 and 3, so
     # round 5's test repeats round 3's: the fit cycles with period 2 from

@@ -31,6 +31,7 @@ def test_stacked_solve_gives_each_system_its_own_bits():
 
 @pytest.mark.parametrize("make_singular, message", [
     (lambda g: g - np.outer(g[:, 0], g[0]) / g[0, 0], "non-positive diagonal"),
+    (lambda g: np.diag([-1e-17, 1.0, 1.0]), "has a non-positive diagonal entry"),
     (lambda g: np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 2.5e-15, 0.0], [0.0, 0.0, 1.0]]),
      r"rank deficient \(pivot \d\.\d+e-08\)"),
     (lambda g: np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
