@@ -80,8 +80,9 @@ before, redone in full from its signs (``rounds.full_system``).  So
 slopes, residuals and round counts have the full rounds' bits.
 
 Each fit keeps, per panel, the system of its last refreshed round and a
-digest of the signs it was built on (``LastSystem``), written as that
-round assembles it.  A converged fit's final residuals have those signs,
+digest of the signs it was built on (``LastSystem``): the round's own
+arrays when it refreshed every panel, else written as that round
+assembles it.  A converged fit's final residuals have those signs,
 and its sandwich on the same stack reuses the system as the bread; where
 they do not, ``fit_system`` assembles the bread once more with
 ``rounds.full_system``.
@@ -108,6 +109,20 @@ Carlo block, in one call: the stack's screen (``PanelStack.constant``),
 one within round and the start's moments, then the rounds of each fit.
 ``fit_erfe_single`` and ``fit_erfe_multi`` are its call with one panel, on
 a stack of one that each call builds.
+
+A fit holds each large array once.  Beside the stack's own, the N-sized
+arrays alive at once are: the fit's design ((p + 1) N: the stack's
+demeaned rows, or a joint fit's copy), the within round's residuals (N)
+until the last fit starts, which a last fit of one point takes as its
+own, and each fit's residual blocks (q N for q points) with their signs.
+A round of every panel writes its residuals over the last round's and its
+refreshed moments over the running ones.  A refreshed block's pass adds,
+one block at a time, its check weights and weighted regressor rows
+((p + 1) N), and the residual pass one N-vector.  Per subject, each fit
+holds its running moments (q (p + 2) floats) and its ``LastSystem``
+(q p + 1), and, until the moments of the last fits are made, the
+all-rows and positive-row sums ((p + 2) floats each).  A finished fit
+keeps its residuals and ``LastSystem`` for the sandwich.
 """
 from __future__ import annotations
 
@@ -214,8 +229,11 @@ class LastSystem:
     ``source`` (a weak reference): the digest (``digests``, B) of the sign
     masks of the residual blocks it was built on, ``signs``,
     and ``concentrated_system``'s system (B x q*p x q*p), couplings
-    (B x q*p x n) and D (B x n).  The entries of a panel whose fit stopped
-    with an error mean nothing."""
+    (B x q*p x n) and D (B x n).  After a round that refreshed every panel
+    these are that round's own arrays; a round that refreshed only some
+    writes their entries into the arrays kept, made at the fit's first
+    such round if there are none.  The entries of a panel whose fit
+    stopped with an error mean nothing."""
 
     source: weakref.ref
     signs: np.ndarray
@@ -292,9 +310,12 @@ def fit_regressors(stack: PanelStack, q: int) -> np.ndarray:
 
 def fit_design(stack: PanelStack, q: int) -> np.ndarray:
     """The rows [X; y] (B x (p + 1) x N) that a fit of ``q`` asymmetric
-    points works on: the demeaned rows for one point; for a joint fit of
-    several, raw X and demeaned y, built on each call so that no result
-    keeps the copy alive."""
+    points works on: the stack's demeaned rows for one point; for a joint
+    fit of several, raw X and demeaned y in a new C-order array, built on
+    each call so that no result keeps it alive.  That copy is the one
+    N-sized array a joint fit holds beyond a plain fit's: each Gram takes
+    its y column from the same ``np.matmul`` as its X columns, and a y
+    column taken apart from them does not round the same."""
     if q == 1:
         return stack.demeaned
     design = np.empty(stack.demeaned.shape)
@@ -303,17 +324,18 @@ def fit_design(stack: PanelStack, q: int) -> np.ndarray:
     return design
 
 
-def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y):
+def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y, out=None):
     """Solve a ``concentrated_system`` of A stacked panels.  Returns the
-    slopes (A x q x p), the residual blocks (A x q x N) and, per panel, the
-    reason its system has no solution, or None (``spd_solve``'s problems);
-    a panel with a problem has NaN slopes."""
+    slopes (A x q x p), the residual blocks (A x q x N), written into
+    ``out`` when it is given, and, per panel, the reason its system has no
+    solution, or None (``spd_solve``'s problems); a panel with a problem
+    has NaN slopes."""
     betas, problems = spd_solve(system, rhs)
     alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
     betas = betas.reshape(design.shape[0], q, -1)
     net = alpha.ravel()[codes.ravel()].reshape(codes.shape)
     np.subtract(design[:, -1], net, out=net)
-    fitted = np.matmul(betas, design[:, :-1])
+    fitted = np.matmul(betas, design[:, :-1], out=out)
     return betas, np.subtract(net[:, None], fitted, out=fitted), problems
 
 
@@ -396,26 +418,38 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
         stand, and the bound on its slopes' distance from the full round's
         (0 for a fresh panel).  ``prior`` is that bound for ``old``."""
         nonlocal betas, resid, last
+        # A round of every panel writes its residuals over the last round's,
+        # which ``signs`` has replaced; one that refreshes every panel also
+        # writes its moments in place and keeps its own system as the last.
+        every = ids.size == size
+        renew = every and fresh.all()
         if fresh.any():
             codes, rows, sign = stack.part(ids[fresh], design, signs)
-            sums[ids[fresh]], grams[ids[fresh]] = sign_moments(rows, codes, n_subjects,
-                                                               taus, sign)
+            if renew:
+                sign_moments(rows, codes, n_subjects, taus, sign, out=(sums, grams))
+            else:
+                sums[ids[fresh]], grams[ids[fresh]] = sign_moments(rows, codes, n_subjects,
+                                                                   taus, sign)
         codes, rows, part_sums, part_grams, span = stack.part(ids, design, sums, grams,
                                                               reach)
         system = concentrated_system(v, part_sums, part_grams)
         if fresh.any():
             kept = [a if fresh.all() else a[fresh]
                     for a in (cycles.history[-1][ids], system[0], system[2], system[3])]
-            # Made at the first refreshed round, not before the rounds: made
-            # earlier, its couplings (q*p floats per subject) split the heap,
-            # and a joint fit of 1M rows peaked 22 MB higher.
-            if last is None:
-                last = LastSystem(weakref.ref(stack), *(
-                    np.zeros((size, *a.shape[1:]), dtype=a.dtype) for a in kept))
-            for whole, part in zip((last.signs, last.system, last.couplings, last.denom),
-                                   kept):
-                whole[ids[fresh]] = part
-        new_betas, new_resid, problems = _solve(rows, codes, q, *system)
+            if renew:
+                last = LastSystem(weakref.ref(stack), *kept)
+            else:
+                # Made at the first refreshed round, not before the rounds:
+                # made earlier, its couplings (q*p floats per subject) split
+                # the heap, and a joint fit of 1M rows peaked 22 MB higher.
+                if last is None:
+                    last = LastSystem(weakref.ref(stack), *(
+                        np.zeros((size, *a.shape[1:]), dtype=a.dtype) for a in kept))
+                for whole, part in zip((last.signs, last.system, last.couplings,
+                                        last.denom), kept):
+                    whole[ids[fresh]] = part
+        new_betas, new_resid, problems = _solve(rows, codes, q, *system,
+                                                out=resid if every else None)
         unsure, band = np.zeros(ids.size, dtype=bool), np.zeros(ids.size)
         if not fresh.all():
             error = MARGIN * error_scale(system[0], part_grams, v)
@@ -430,8 +464,8 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
             unsure |= ~np.isfinite(band) | np.array([x is not None for x in problems])
             unsure &= ~fresh
             band[fresh | unsure] = 0.0
-        if ids.size == size:
-            betas, resid = new_betas, new_resid
+        if every:
+            betas = new_betas
         else:
             betas[ids], resid[ids] = new_betas, new_resid
         return problems, unsure, band
@@ -551,9 +585,10 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
     within round runs once, and each fit's rounds start from its own copy
     of that round and from the moments of its design over all rows and
     over the rows with positive within residuals, taken once for every
-    fit.  Each panel gets the numbers its own fits give, bit for bit, and a
-    fit that fails gets its error in ``errors`` without changing the
-    others.
+    fit; a fit's running moments are made from them as it starts, or with
+    those of every fit left once two or fewer are.  Each panel gets the
+    numbers its own fits give, bit for bit, and a fit that fails gets its
+    error in ``errors`` without changing the others.
     """
     taus = validate_taus(taus)
     q = len(taus)
@@ -567,19 +602,28 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
         all_rows = weighted_moments(design, codes, n_subjects, np.ones(stack.y.shape))
     positive = weighted_moments(design, codes, n_subjects,
                                 (start_resid[:, 0] > 0).astype(float))
+    # max |row|, without an N-sized temporary.
+    reach = np.maximum(design.max(axis=2), -design.min(axis=2))
     fits = fit_slices(q, joint)
-    moments = [check_moments(all_rows, positive, taus[points]) for points in fits]
-    del all_rows, positive
-    reach = np.max(np.abs(design), axis=2)
-    parts, systems, errors = [], [], [[] for _ in range(stack.size)]
-    for points in fits:
-        n, group = points.stop - points.start, list(screened)
-        # Each fit gets its start as new arrays that only its rounds hold, so
-        # each copy is freed once the first round replaces it; so are its
-        # moments once it ends.
+    parts, systems, errors, moments = [], [], [[] for _ in range(stack.size)], []
+    for f, points in enumerate(fits):
+        n, group, left = points.stop - points.start, list(screened), len(fits) - f
+        # A fit's moments are made as it starts, until two or fewer fits are
+        # left: theirs then take no more room than all_rows and positive, so
+        # all of them are made and those two are freed.
+        if not moments:
+            moments = [check_moments(all_rows, positive, taus[s])
+                       for s in (fits[f:] if left <= 2 else [points])]
+            if left <= 2:
+                del all_rows, positive
+        # Each fit's rounds write into their own start residuals: a copy of
+        # the within round's, which the last fit of one point takes as they are.
+        resid = start_resid if left == 1 and n == 1 else np.repeat(start_resid, n, axis=1)
+        if left == 1:
+            del start_resid
         betas, resid, rounds, converged, cycles, last = _irls(
             stack, design, taus[points], v[points], np.repeat(start_betas, n, axis=1),
-            np.repeat(start_resid, n, axis=1), group, moments.pop(0), reach)
+            resid, group, moments.pop(0), reach)
         parts.append((betas, resid, np.repeat(rounds[:, None], n, axis=1)))
         systems.append(last)
         for row, error, ok, cycle in zip(errors, group, converged.tolist(), cycles):

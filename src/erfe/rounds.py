@@ -39,13 +39,14 @@ __all__ = [
 ]
 
 
-def weighted_moments(design, codes, n_subjects, weights):
+def weighted_moments(design, codes, n_subjects, weights, out=(None, None)):
     """The subject sums (A x (p + 2) x n, as ``weighted_subject_sums``) and
     the Gram matrices (A x p x (p + 1)) of A stacked panels' rows [X; y]
-    ``design`` under ``weights`` (A x N): one pass over the rows."""
-    sums, weighted = weighted_subject_sums(design, weights, codes, n_subjects)
-    p = design.shape[1] - 1
-    return sums, weighted[:p].transpose(1, 0, 2) @ design.transpose(0, 2, 1)
+    ``design`` under ``weights`` (A x N): one pass over the rows.  ``out``
+    may hold arrays of those shapes to write them into."""
+    sums, weighted = weighted_subject_sums(design, weights, codes, n_subjects, out=out[0])
+    return sums, np.matmul(weighted.transpose(1, 0, 2), design.transpose(0, 2, 1),
+                           out=out[1])
 
 
 def concentrated_system(v, sums, grams):
@@ -71,17 +72,18 @@ def concentrated_system(v, sums, grams):
     return system, rhs, couplings, denom, pooled_y
 
 
-def sign_moments(design, codes, n_subjects, taus, signs):
+def sign_moments(design, codes, n_subjects, taus, signs, out=None):
     """The subject sums (A x q x (p + 2) x n) and Grams (A x q x p x (p + 1))
     of A stacked panels' rows ``design`` under the check weights at ``taus``
     of the residual signs ``signs`` (A x q x N): one pass over the rows per
-    block, in order."""
+    block, in order, each written into the block's slice of ``out`` (sums,
+    Grams) when it is given, else of new arrays."""
     items, p = design.shape[0], design.shape[1] - 1
-    sums = np.empty((items, len(taus), p + 2, n_subjects))
-    grams = np.empty((items, len(taus), p, p + 1))
+    sums, grams = out or (np.empty((items, len(taus), p + 2, n_subjects)),
+                          np.empty((items, len(taus), p, p + 1)))
     for k, tau in enumerate(taus):
-        sums[:, k], grams[:, k] = weighted_moments(design, codes, n_subjects,
-                                                   np.where(signs[:, k], tau, 1.0 - tau))
+        weighted_moments(design, codes, n_subjects, np.where(signs[:, k], tau, 1.0 - tau),
+                         out=(sums[:, k], grams[:, k]))
     return sums, grams
 
 
@@ -186,8 +188,11 @@ def check_moments(all_rows, positive, taus):
     they are 1 - tau times the moments over all rows plus 2 tau - 1 times
     those over the positive rows."""
     tau = np.array(taus)[:, None, None]
-    return tuple((1.0 - tau) * whole[:, None] + (2.0 * tau - 1.0) * part[:, None]
-                 for whole, part in zip(all_rows, positive))
+    moments = []
+    for whole, part in zip(all_rows, positive):
+        moments.append((1.0 - tau) * whole[:, None])
+        moments[-1] += (2.0 * tau - 1.0) * part[:, None]
+    return tuple(moments)
 
 
 def flip(stack, idx, design, signs, new_signs, sums, grams, rise):

@@ -31,30 +31,36 @@ def _subject_sums(values: np.ndarray, panel: PanelData) -> np.ndarray:
     return np.bincount(panel.codes, weights=values, minlength=panel.n_subjects)
 
 
-def weighted_subject_sums(rows, weights, codes, n_subjects: int):
+def weighted_subject_sums(rows, weights, codes, n_subjects: int, out=None):
     """Per-subject sums of the rows of B stacked panels under ``weights``.
 
     ``rows`` is (B, k, N), ``weights`` (B, N) and ``codes`` the panels'
     subject codes offset as in ``PanelStack`` (B x N, panel b's codes
     starting at b * ``n_subjects``).  Returns ``sums`` of shape
     (B, k + 1, n), whose row 0 holds each subject's sum of the weights and
-    row j + 1 its sum of the weights times ``rows[:, j]``, and the weighted
-    rows themselves, laid out (k, B, N) so that each weighted row of the
-    stack is one contiguous run, from which callers form the weighted Gram
-    matrices.  These are the sufficient statistics of every weighted within
-    transform: the weighted subject means are ``sums[:, 1:] / sums[:, :1]``.
+    row j + 1 its sum of the weights times ``rows[:, j]``, written into
+    ``out`` when it is given, and the weighted rows but the last, laid out
+    (k - 1, B, N) so that each weighted row of the stack is one contiguous
+    run, from which callers form the weighted Gram matrices of [X; y]: the
+    last row, y, enters them only as a column, so its weighted row is
+    summed and dropped.  These are the sufficient statistics of every
+    weighted within transform: the weighted subject means are
+    ``sums[:, 1:] / sums[:, :1]``.
     """
     n_items, n_bins = weights.shape[0], weights.shape[0] * n_subjects
-    weighted = np.empty((rows.shape[1], *weights.shape))
-    for j in range(rows.shape[1]):
-        np.multiply(rows[:, j], weights, out=weighted[j])
     codes = codes.ravel()
-    sums = np.empty((n_items, rows.shape[1] + 1, n_subjects))
-    sums[:, 0] = np.bincount(codes, weights=weights.ravel(),
-                             minlength=n_bins).reshape(n_items, n_subjects)
-    for j in range(rows.shape[1]):
-        sums[:, j + 1] = np.bincount(codes, weights=weighted[j].ravel(),
-                                     minlength=n_bins).reshape(n_items, n_subjects)
+    sums = np.empty((n_items, rows.shape[1] + 1, n_subjects)) if out is None else out
+
+    def into(j, values):
+        sums[:, j] = np.bincount(codes, weights=values.ravel(),
+                                 minlength=n_bins).reshape(n_items, n_subjects)
+
+    into(0, weights)
+    into(rows.shape[1], rows[:, -1] * weights)
+    weighted = np.empty((rows.shape[1] - 1, *weights.shape))
+    for j in range(rows.shape[1] - 1):
+        np.multiply(rows[:, j], weights, out=weighted[j])
+        into(j + 1, weighted[j])
     return sums, weighted
 
 

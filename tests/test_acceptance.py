@@ -178,6 +178,47 @@ def test_criterion_06_location_scale_slope_law():
     _report("criterion-06", worst_z <= 3.0, "; ".join(details))
 
 
+def test_criterion_06_reason_is_an_order_one_over_m_bias():
+    """Criterion-06's reason, checked: x2's bias is O(1/m), toward the midpoint.
+
+    Criterion-06's design (gaussian errors, gamma = 0.3) at m = 5 and
+    m = 20.  At tau = 0.1 and 0.9 the x2 slope is biased toward its
+    midpoint value by more than three Monte Carlo standard errors at both
+    m, and m times that bias agrees across the two m within four standard
+    errors of the difference, as an O(1/m) bias does (over 4000 and 1500
+    replications it measured 0.633 and 0.592 at tau = 0.1, -0.623 and
+    -0.627 at tau = 0.9).  At the midpoint the bias is within three
+    standard errors at both m.
+    """
+    cells = {}
+    for m, replications in ((5, 600), (20, 300)):
+        config = erfe.SimulationConfig(
+            n=100, m=m, gamma=0.3, error_dist="gaussian",
+            taus=(0.1, 0.5, 0.9), replications=replications, seed=606)
+        cells[m] = {row.tau: (row.bias, row.sd / np.sqrt(row.replications_used),
+                              row.true_value)
+                    for row in erfe.run_monte_carlo(config, workers=1).rows
+                    if row.coefficient == "x2"}
+    midpoint = cells[5][0.5][2]
+    ok, details = True, []
+    for tau in (0.1, 0.9):
+        for m, cell in cells.items():
+            bias, se, truth = cell[tau]
+            toward = np.sign(midpoint - truth) * bias / se
+            ok &= toward > 3.0
+            details.append(f"tau={tau} m={m}: {toward:.1f} se toward the midpoint")
+        (bias_a, se_a, _), (bias_b, se_b, _) = cells[5][tau], cells[20][tau]
+        gap = abs(5 * bias_a - 20 * bias_b) / np.hypot(5 * se_a, 20 * se_b)
+        ok &= gap <= 4.0
+        details.append(f"tau={tau}: m*bias {5 * bias_a:.3f} vs {20 * bias_b:.3f} "
+                       f"({gap:.1f} se apart)")
+    for m, cell in cells.items():
+        bias, se, _ = cell[0.5]
+        ok &= abs(bias) <= 3.0 * se
+        details.append(f"tau=0.5 m={m}: z={bias / se:.1f}")
+    _report("criterion-06-reason", bool(ok), "; ".join(details))
+
+
 def test_criterion_07_iteration_economy(location_shift_cell):
     """Median iteration count at most 6 per tau; no convergence failures."""
     _, metrics, _ = location_shift_cell

@@ -57,6 +57,22 @@ def test_check_moments_are_a_pass_at_the_check_weights():
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
+def test_sign_moments_written_in_place_keep_their_bits():
+    # A round of every panel writes its moments into the fit's running
+    # arrays; the Grams' np.matmul and the sums' bincounts give the bits of
+    # new arrays, for a stack of several panels too.
+    rng, stack = _stack(84)
+    taus = (0.2, 0.5, 0.9)
+    args = (stack.demeaned, stack.codes, stack.n_subjects, taus,
+            rng.standard_normal((stack.size, 3, stack.y.shape[1])) > 0)
+    want = sign_moments(*args)
+    out = tuple(np.full(a.shape, np.nan) for a in want)
+    got = sign_moments(*args, out=out)
+    for a, b, into in zip(got, want, out):
+        assert a is into
+        assert np.array_equal(a, b)
+
+
 def test_error_scale_is_its_formula():
     # u |S~|_F tr(S~^-1) rho, with S~ the system scaled to a unit diagonal
     # inverted by np.linalg.inv, and rho the largest weighted Gram diagonal
