@@ -53,7 +53,6 @@ from .montecarlo import (
     ScenarioMetrics,
     SimulationConfig,
     generate_dgp,
-    metrics_to_csv,
     run_monte_carlo,
     true_coefficients,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "fit_erfe_single",
     "gaussian",
     "generate_dgp",
-    "metrics_to_csv",
     "normal_quantile",
     "read_panel_csv",
     "recover_fixed_effects",

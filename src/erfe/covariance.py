@@ -162,7 +162,7 @@ def sandwich_stack(stack: PanelStack, fit: StackFit):
         idx = np.flatnonzero([row[points.start] is None for row in fit.errors])
         part, part_errors = _sandwiches(stack, idx, fit.residuals_star[:, points],
                                         fit.taus[points], fit.v[points],
-                                        fit.systems[f] if fit.systems else None)
+                                        fit.systems[f])
         for name in ("d0_hat", "d1_hat", "vc"):
             fields[name][idx, rows, rows] = getattr(part, name)
         fields["se"][idx, rows] = part.se

@@ -67,7 +67,10 @@ the signs, so it refreshes every round.
 A guard keeps the updated rounds on the full rounds' path.  Let e = u
 kappa rho bound the rounding relative to the scale of the slopes
 (``rounds.error_scale``), that scale being |beta| + |y| / |x|, and let s
-be the scale of the rows.  An updated round that leaves a residual within
+be the scale of the rows.  kappa needs tr(S~^-1) of the round's system S
+scaled to a unit diagonal: the round solves S against its right-hand side
+and the identity at once, so one Cholesky factorization per round gives
+both the slopes and S^-1.  An updated round that leaves a residual within
 ``MARGIN`` e s of zero, or its step within ``MARGIN`` e (|beta| + |y| /
 |x|) of ``TOL`` (widened by the round before's own bound when that round
 was updated too), is solved again, refreshed: only those panels take a
@@ -256,8 +259,7 @@ class StackFit:
     error is its own, whatever was stacked with it.  The points of a joint
     fit share its rounds and its error.  ``systems`` holds, per fit of
     ``fit_slices``, its ``LastSystem``, which ``sandwich_stack`` reuses as
-    the bread; a fit made without them (the default) has every bread
-    assembled anew.
+    the bread.
     """
 
     taus: tuple[float, ...]
@@ -267,7 +269,7 @@ class StackFit:
     residuals_star: np.ndarray
     iterations: np.ndarray
     errors: tuple
-    systems: tuple = ()
+    systems: tuple
 
 
 def fit_slices(q: int, joint: bool) -> list[slice]:
@@ -325,18 +327,23 @@ def fit_design(stack: PanelStack, q: int) -> np.ndarray:
 
 
 def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y, out=None):
-    """Solve a ``concentrated_system`` of A stacked panels.  Returns the
-    slopes (A x q x p), the residual blocks (A x q x N), written into
-    ``out`` when it is given, and, per panel, the reason its system has no
+    """Solve a ``concentrated_system`` of A stacked panels against its
+    right-hand side and the identity, one factorization per system
+    (``spd_solve``).  Returns the slopes (A x q x p), the residual blocks
+    (A x q x N), written into ``out`` when it is given, the system's
+    inverse (A x q*p x q*p), and, per panel, the reason its system has no
     solution, or None (``spd_solve``'s problems); a panel with a problem
-    has NaN slopes."""
-    betas, problems = spd_solve(system, rhs)
+    has NaN slopes and inverse."""
+    solved, problems = spd_solve(system, np.concatenate(
+        (rhs[:, :, None], np.broadcast_to(np.eye(rhs.shape[1]), system.shape)), axis=2))
+    # In C order: a strided slope column rounds the effects otherwise.
+    betas = np.ascontiguousarray(solved[:, :, 0])
     alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
     betas = betas.reshape(design.shape[0], q, -1)
     net = alpha.ravel()[codes.ravel()].reshape(codes.shape)
     np.subtract(design[:, -1], net, out=net)
     fitted = np.matmul(betas, design[:, :-1], out=out)
-    return betas, np.subtract(net[:, None], fitted, out=fitted), problems
+    return betas, np.subtract(net[:, None], fitted, out=fitted), solved[:, :, 1:], problems
 
 
 def _within_round(stack: PanelStack, errors):
@@ -350,7 +357,7 @@ def _within_round(stack: PanelStack, errors):
     sums, grams = weighted_moments(design, codes, stack.n_subjects,
                            np.full(stack.y.shape, 0.5))
     system = concentrated_system(np.ones(1), sums[:, None], grams[:, None])
-    betas, resid, problems = _solve(design, codes, 1, *system)
+    betas, resid, _, problems = _solve(design, codes, 1, *system)
     _record(errors, np.arange(stack.size), problems, stack.column_names, None)
     return betas, resid, (2.0 * sums, 2.0 * grams)
 
@@ -448,11 +455,11 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
                 for whole, part in zip((last.signs, last.system, last.couplings,
                                         last.denom), kept):
                     whole[ids[fresh]] = part
-        new_betas, new_resid, problems = _solve(rows, codes, q, *system,
-                                                out=resid if every else None)
+        new_betas, new_resid, inverse, problems = _solve(rows, codes, q, *system,
+                                                         out=resid if every else None)
         unsure, band = np.zeros(ids.size, dtype=bool), np.zeros(ids.size)
         if not fresh.all():
-            error = MARGIN * error_scale(system[0], part_grams, v)
+            error = MARGIN * error_scale(system[0], inverse, part_grams, v)
             move = np.max(np.abs(new_betas - old), axis=(1, 2))
             scale_r = span[:, -1] + np.max(np.abs(new_betas) @ span[:, :-1, None], axis=(1, 2))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -461,7 +468,7 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
                                 + np.max(span[:, -1:] / span[:, :-1], axis=1))
                 unsure = ((move <= TOL + band + prior)
                           | (np.min(np.abs(new_resid), axis=(1, 2)) <= error * scale_r))
-            unsure |= ~np.isfinite(band) | np.array([x is not None for x in problems])
+            unsure |= ~np.isfinite(band)
             unsure &= ~fresh
             band[fresh | unsure] = 0.0
         if every:

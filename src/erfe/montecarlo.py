@@ -16,7 +16,6 @@ worker count.  ``generate_dgp`` draws one replication as a panel.
 from __future__ import annotations
 
 import dataclasses
-import io
 import operator
 import os
 from collections import Counter
@@ -41,10 +40,8 @@ __all__ = [
     "SimulationConfig",
     "block_size",
     "estimates_table",
-    "estimates_to_csv",
     "generate_dgp",
     "metrics_table",
-    "metrics_to_csv",
     "run_monte_carlo",
     "true_coefficients",
     "validate_workers",
@@ -355,19 +352,3 @@ def estimates_table(config: SimulationConfig, metrics: ScenarioMetrics):
                     np.tile(_REGRESSORS, reps * q), metrics.estimates.ravel(),
                     metrics.standard_errors.ravel(),
                     np.repeat(metrics.iterations.ravel(), p)]
-
-
-def _csv_text(header, columns) -> str:
-    buf = io.StringIO()
-    write_table(buf, header, columns)
-    return buf.getvalue()
-
-
-def metrics_to_csv(metrics: ScenarioMetrics) -> str:
-    """Serialize the summary rows as CSV (17 significant digits)."""
-    return _csv_text(*metrics_table(metrics))
-
-
-def estimates_to_csv(config: SimulationConfig, metrics: ScenarioMetrics) -> str:
-    """Per-replication estimate dump for external plotting."""
-    return _csv_text(*estimates_table(config, metrics))

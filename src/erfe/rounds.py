@@ -14,7 +14,8 @@ times their value over the rows with positive residuals
 moments of the rows whose signs flipped (``flip``), gathered so that the
 work is O(flips * p^2), not a pass (``flip_moments``).  Moments moved so are
 rounded otherwise than a pass would round them; ``error_scale`` bounds how
-far that moves the slopes of a round that is not refreshed.  ``digests``
+far that moves the slopes of a round that is not refreshed, from the
+inverse that the round's own solve returns (``estimator._solve``).  ``digests``
 condenses each panel's sign masks to 64 bits, and ``Cycles`` keeps them
 round by round.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import spd_inverse
 from .within import weighted_subject_sums
 
 __all__ = [
@@ -131,27 +131,26 @@ def digests(signs):
     return np.array([hash(row) for row in map(bytes, packed)], dtype=np.int64)
 
 
-def error_scale(system, grams, v):
+def error_scale(system, inverse, grams, v):
     """Per panel, u * kappa * rho: the machine epsilon u times a bound kappa
     on the condition number of the system S scaled to a unit diagonal, S~,
     and the ratio rho of the largest weighted Gram diagonal to the system's,
     which the concentration cancels.  kappa is |S~|_F tr(S~^-1), which is
     |S~|_F |L^-1|_F^2 for S~ = L L' (Cholesky) and at most (q*p)^1.5 times
-    the condition number; tr(S~^-1) is sum_i S_ii (S^-1)_ii.  Rounding the
+    the condition number; tr(S~^-1) is sum_i S_ii (S^-1)_ii, read from
+    ``inverse``, S^-1 as the round's own solve returns it.  Rounding the
     sums by u relative to their terms moves the slopes by about this much
     relative to their scale (see ``estimator.MARGIN``); it is infinite for
-    a system that ``spd_inverse`` finds no inverse of."""
+    a system that the solve finds no inverse of, whose ``inverse`` is NaN."""
     items, _, p = grams.shape[:3]
     diag = np.diagonal(system, axis1=1, axis2=2)
     gram_diag = (v[:, None] * np.diagonal(grams[..., :p], axis1=2, axis2=3)).reshape(items, -1)
-    inverse, problems = spd_inverse(system)
     with np.errstate(all="ignore"):
         scaled = system / np.sqrt(diag[:, :, None] * diag[:, None, :])
         kappa = (np.linalg.norm(scaled, axis=(1, 2))
                  * np.sum(diag * np.diagonal(inverse, axis1=1, axis2=2), axis=1))
         bound = np.finfo(float).eps * kappa * np.max(gram_diag / diag, axis=1)
-    bad = np.array([x is not None for x in problems], dtype=bool)
-    return np.where(bad | ~np.isfinite(bound), np.inf, bound)
+    return np.where(np.isfinite(bound), bound, np.inf)
 
 
 class Cycles:

@@ -13,6 +13,7 @@ import pytest
 
 import erfe.cli
 import erfe.estimator
+import erfe.linalg
 import erfe.montecarlo
 import erfe.panel
 
@@ -51,4 +52,6 @@ def test_names_the_benchmark_calls_exist():
     assert callable(erfe.cli.main)
     assert callable(erfe.panel._assemble_panel)
     assert callable(erfe.estimator.fit_erfe_single)
+    # spans.py times the engine's solves through this name in the estimator.
+    assert erfe.estimator.spd_solve is erfe.linalg.spd_solve
     assert callable(erfe.montecarlo._error_expectile.cache_clear)

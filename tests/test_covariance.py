@@ -156,7 +156,7 @@ def test_stacked_bread_failure_is_the_panels_own():
     resid = np.ones((4, 1, 24))
     fit = StackFit(taus=(0.1,), v=np.ones(1), joint=False, betas=np.zeros((4, 1, 2)),
                    residuals_star=resid, iterations=np.ones((4, 1), dtype=int),
-                   errors=((None,),) * 4)
+                   errors=((None,),) * 4, systems=(None,))
     cov, errors = sandwich_stack(stack_panels(panels), fit)
     singles = [erfe.FitResult(tau=0.1, beta=np.zeros(2), alpha=np.zeros(6),
                               residuals_star=resid[b, 0], iterations=1,

@@ -653,18 +653,24 @@ def test_flip_updated_rounds_equal_full_rounds(case, rounds):
     assert np.array_equal(cov.vc, vc, equal_nan=True)
 
 
-def test_a_round_solves_its_refreshed_and_updated_panels_at_once(monkeypatch):
-    # The first panel's residuals are +-1 plus a small slope, so round 1
-    # flips none of its signs and it takes its full round in round 2, while
-    # the second panel still takes an updated one.  Round 2 refreshes the
-    # first panel's moments from all rows and solves both panels in one
-    # call: every round makes one solve, after the within round's.
+def _calm_and_flipping_stack():
+    """Two panels: the first's residuals are +-1 plus a small slope, so its
+    first round flips none of its signs, while the second's keep flipping."""
     rng = np.random.default_rng(5)
     codes = np.repeat(np.arange(8), 4)
     x, x2 = rng.standard_normal((2, 32, 1))
-    stack = stack_panels([
+    return stack_panels([
         _build(codes, 0.01 * x[:, 0] + np.tile([1.0, -1.0], 16), x),
         _build(codes, x2[:, 0] + rng.standard_normal(32), x2)])
+
+
+def test_a_round_solves_its_refreshed_and_updated_panels_at_once(monkeypatch):
+    # Round 1 flips none of the first panel's signs, so it takes its full
+    # round in round 2, while the second panel still takes an updated one.
+    # Round 2 refreshes the first panel's moments from all rows and solves
+    # both panels in one call: every round makes one solve, after the
+    # within round's.
+    stack = _calm_and_flipping_stack()
     events = []
     solve, refresh = erfe.estimator._solve, erfe.estimator.sign_moments
     monkeypatch.setattr(erfe.estimator, "_solve", lambda design, *args, **kw: events.append(
@@ -679,6 +685,20 @@ def test_a_round_solves_its_refreshed_and_updated_panels_at_once(monkeypatch):
     assert np.array_equal(fit.betas, betas) and np.array_equal(fit.residuals_star, resid)
     assert np.array_equal(fit.iterations, iterations)
     _same_errors(fit.errors, errors)
+
+
+def test_a_round_factors_its_system_once(monkeypatch):
+    # Updated rounds read their guard's condition bound from the inverse
+    # their own solve returns: each system is factored once, by the solve.
+    factors, solves = [], []
+    cholesky, solve = np.linalg.cholesky, erfe.estimator._solve
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a, *args, **kw: factors.append(
+        a.shape) or cholesky(a, *args, **kw))
+    monkeypatch.setattr(erfe.estimator, "_solve", lambda *args, **kw: solves.append(
+        args[3].shape) or solve(*args, **kw))
+    fit = fit_stack(_calm_and_flipping_stack(), (0.8,))
+    assert fit.iterations.ravel().tolist() == [2, 3]
+    assert factors == solves
 
 
 def test_cycling_fit_stops_and_says_so():

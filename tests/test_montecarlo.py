@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import io
 import re
 
 import numpy as np
@@ -12,8 +13,15 @@ import erfe
 from erfe import montecarlo
 from erfe.cli import main
 from erfe.errors import BudgetExceededError, NonincreasingTausError
-from erfe.montecarlo import estimates_to_csv, metrics_to_csv
-from erfe.panel import stack_panels
+from erfe.montecarlo import estimates_table, metrics_table
+from erfe.panel import stack_panels, write_table
+
+
+def _csv(header, columns):
+    """The CSV text that ``write_table`` makes of a table."""
+    buf = io.StringIO()
+    write_table(buf, header, columns)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------
@@ -215,13 +223,13 @@ def test_reproducible_across_worker_counts(blocks_of_16):
     assert np.array_equal(serial.estimates, parallel.estimates)
     assert np.array_equal(serial.standard_errors, parallel.standard_errors)
     assert np.array_equal(serial.iterations, parallel.iterations)
-    assert metrics_to_csv(serial) == metrics_to_csv(parallel)
+    assert _csv(*metrics_table(serial)) == _csv(*metrics_table(parallel))
 
 
 def _outputs(config, metrics):
     return (metrics.estimates, metrics.standard_errors, metrics.iterations,
-            metrics.failure_causes, metrics_to_csv(metrics),
-            estimates_to_csv(config, metrics))
+            metrics.failure_causes, _csv(*metrics_table(metrics)),
+            _csv(*estimates_table(config, metrics)))
 
 
 @pytest.mark.parametrize("joint", [False, True])
@@ -407,7 +415,7 @@ def test_pool_is_no_larger_than_the_blocks(blocks_of_16, monkeypatch):
     assert sizes == []
     pooled = erfe.run_monte_carlo(config, workers=1000)
     assert sizes == [3]
-    assert metrics_to_csv(pooled) == metrics_to_csv(serial)
+    assert _csv(*metrics_table(pooled)) == _csv(*metrics_table(serial))
     for name in ("estimates", "standard_errors", "iterations"):
         assert np.array_equal(getattr(pooled, name), getattr(serial, name))
     # One block takes no pool at all.
@@ -485,7 +493,7 @@ def test_joint_mode_smoke():
 def test_metrics_csv_layout():
     config = _small_config(replications=3)
     metrics = erfe.run_monte_carlo(config)
-    text = metrics_to_csv(metrics)
+    text = _csv(*metrics_table(metrics))
     lines = text.strip().split("\n")
     assert lines[0] == ("tau,coefficient,true_value,mean_estimate,bias,sd,"
                         "mean_se,se_sd_ratio,replications_used,failures")
@@ -498,7 +506,7 @@ def test_metrics_csv_layout():
 def test_estimates_dump_roundtrip():
     config = _small_config(replications=3)
     metrics = erfe.run_monte_carlo(config)
-    text = estimates_to_csv(config, metrics)
+    text = _csv(*estimates_table(config, metrics))
     lines = text.strip().split("\n")
     assert lines[0] == "replication,tau,coefficient,estimate,std_error,iterations"
     assert len(lines) == 1 + 3 * len(config.taus) * 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from erfe.linalg import spd_inverse, spd_solve
 from erfe.panel import stack_panels
 from erfe.rounds import (
     Cycles,
@@ -76,9 +77,11 @@ def test_sign_moments_written_in_place_keep_their_bits():
 def test_error_scale_is_its_formula():
     # u |S~|_F tr(S~^-1) rho, with S~ the system scaled to a unit diagonal
     # inverted by np.linalg.inv, and rho the largest weighted Gram diagonal
-    # over the system's.  A system that is not positive definite, or that
-    # has a negative diagonal entry, gets an infinite bound, without a
-    # warning.
+    # over the system's, from the inverse that spd_solve returns.  A system
+    # that is not positive definite, or that has a negative diagonal entry,
+    # gets an infinite bound, without a warning.  The bound has the bits it
+    # has when tr(S~^-1) is read from spd_inverse's symmetrized inverse,
+    # whose diagonal is the same.
     rng, stack = _stack(83)
     taus, v = (0.2, 0.7), np.array([0.5, 2.0])
     signs = rng.standard_normal((stack.size, 2, stack.y.shape[1])) > 0
@@ -87,8 +90,19 @@ def test_error_scale_is_its_formula():
     k = system.shape[-1]
     system[2] = 2.0 * np.ones((k, k)) - np.eye(k)
     system[3, 1, 1] = -1e-17
-    got = error_scale(system, grams, v)
+    inverse = spd_solve(system, np.broadcast_to(np.eye(k), system.shape))[0]
+    got = error_scale(system, inverse, grams, v)
     assert np.isposinf(got[2:]).all()
+    diag = np.diagonal(system, axis1=1, axis2=2)
+    gram_diag = np.concatenate([v[b] * np.diagonal(grams[:, b, :, :-1], axis1=1, axis2=2)
+                                for b in range(2)], axis=1)
+    with np.errstate(all="ignore"):
+        scaled = system / np.sqrt(diag[:, :, None] * diag[:, None, :])
+        kappa = (np.linalg.norm(scaled, axis=(1, 2))
+                 * np.sum(diag * np.diagonal(spd_inverse(system)[0], axis1=1, axis2=2),
+                          axis=1))
+        bits = np.finfo(float).eps * kappa * np.max(gram_diag / diag, axis=1)
+    assert np.array_equal(got[:2], bits[:2])
     for i in range(2):
         d = np.diag(system[i])
         scaled = system[i] / np.sqrt(np.outer(d, d))
