@@ -25,17 +25,18 @@ digits, NaN as NA, and every other column as ``str`` of its values, quoted
 as ``csv.writer`` quotes them, a value holding a bare "\\r" too, so that
 the reader reads it back, or as the text of one
 ``json.dumps(records, indent=2)``, NaN as null: both carry identical values.
-Each block of rows is written through one ``%``-template, a row's text
-with one format per column.  A column whose text is one ``%`` format of
-its Python numbers enters as those numbers: a float column that holds no
-NaN (CSV) or no non-finite value (JSON), and in JSON an int column.  Every
-other column is first made into text cells, as no ``%`` format writes its
-values: a float column holding NaN (NA or null) or, in JSON, an infinity
-(Infinity), and str, bool or object columns, whose labels may need quoting
-or escaping, each distinct label formatted once.  The writer keeps a block
-of rows, not the whole table: only one block's cells are alive at once,
-and each row's text only until it is written, where one string of a table
-twice the input's rows would raise the peak memory.
+Both are written a block of rows at a time: only one block's cells and text
+are alive at once, where one string of a table twice the input's rows would
+raise the peak memory.  A CSV block is one byte matrix, a row per table row
+and a fixed run of bytes per cell, padded with a byte that UTF-8 text never
+holds and that one ``bytes.translate`` drops.  A float cell is laid out from
+the value's 17 significant digits, computed exactly with integer and float64
+arithmetic, and only zeros, non-finite values and the values ``"%.17g"``
+writes with an exponent are formatted one by one; the cells of every other
+column are encoded once per distinct text.  A JSON block is written through
+one ``%``-template, a row's text with one format per column: finite floats
+and ints enter as those numbers, and every other column as text cells, each
+distinct label dumped once.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import codecs
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -375,11 +377,149 @@ _DIALECT = dict(delimiter=",", quotechar='"', comments=None, encoding="utf-8-sig
 _LABEL_SLACK, _HEAD_RECORDS = 4, 1024
 
 
-# Both formats are written a block of rows at a time: the cells of one block
-# are alive at once, and each row's text only until it is written.
-_BLOCK_ROWS = 65536
+# Both formats are written a block of rows at a time: only one block's cells
+# and text are alive at once.  A CSV block of 16384 rows of five float
+# columns and a label is a byte matrix of about 3.4 MB.
+_BLOCK_ROWS = 16384
 # A field holding one of these is quoted (see ``_csv_fields``).
 _CSV_SPECIAL = re.compile('[,"\r\n]').search
+# Fills the slots of a CSV block's byte matrix that hold no character; UTF-8
+# text never holds this byte.
+_PAD = b"\xff"
+# The bytes of a float cell and its separator (see ``_float_tables``).
+_FLOAT_WIDTH = 40
+
+
+def _split(x):
+    """Veltkamp's split of each x into hi + lo, exactly, each with at most
+    26 significant bits, so that a product of two halves is exact."""
+    c = 134217729.0 * x  # 2 ** 27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _float_tables():
+    """The tables of ``_float_cells``, made on its first call, so that a
+    command that writes no float cell makes none.
+
+    A float cell's 40 byte slots are five 8-byte words: "-0.000", the first
+    digit and a point, then four words of four digits, each digit followed
+    by a point.  Returns the words, those of each 4-digit group (0 .. 9999)
+    followed by the first word of each first digit (10000 .. 10009); each
+    group's trailing zeros, as written with four digits; per (sign, exponent
+    -4 .. 16, index of the last nonzero digit), the mask of the words that
+    pads every slot ``"%.17g"`` leaves out, the last slot, never a point of
+    the text, carrying the field's separator; and the rows 10 ** s, its hi
+    and its lo half (``_split``), for s = 0 .. 21, each exact in float64 as
+    5 ** s < 2 ** 53."""
+    # In bytes throughout: int64 temporaries would leave heap resident.
+    ascii_digits = np.arange(48, 58, dtype=np.uint8)
+    digits = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"), axis=-1)
+    digits = digits.reshape(-1, 4)
+    words = np.full((10_010, 8), ord("."), np.uint8)
+    words[:10_000, ::2] = digits
+    words[10_000:, :6] = np.frombuffer(b"-0.000", np.uint8)
+    words[10_000:, 6] = ascii_digits
+    zeros = digits[:, ::-1] == 48
+    trailing = np.cumprod(zeros, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+    sign = np.arange(2)[:, None, None]
+    exp = np.arange(-4, 17)[:, None, None]
+    last = np.arange(17)[:, None]
+    keep = np.empty((2, 21, 17, _FLOAT_WIDTH), bool)
+    keep[..., 0] = sign == 1
+    keep[..., 1:3] = exp < 0
+    keep[..., 3:6] = np.arange(3) < -1 - exp
+    keep[..., 6::2] = np.arange(17) <= np.maximum(exp, last)
+    keep[..., 7:39:2] = (np.arange(16) == exp) & (last > exp)
+    keep[..., 39] = True
+    masks = np.where(keep, np.uint8(0), np.uint8(_PAD[0])).reshape(-1, _FLOAT_WIDTH)
+    powers = np.cumprod(np.r_[1.0, np.full(21, 10.0)])
+    # Read-only, as every call shares them.
+    return tuple(map(_freeze, (words.view(np.uint64)[:, 0], trailing,
+                               masks.view(np.uint64), np.stack([powers, *_split(powers)]))))
+
+
+def _significands(a, exps, powers):
+    """round(a * 10 ** (16 - exps)) half to even, exactly, as int64: the 17
+    digits of each ``a`` > 0 where ``exps`` (-4 .. 16) is its decimal
+    exponent; ``powers`` are the rows of ``_float_tables``.
+
+    The product is p + e exactly, p its float64 rounding and e the error,
+    by Dekker's product of the halves of a and 10 ** (16 - exps).  Where the
+    product is at least 10 ** 16 > 2 ** 53, p is an even integer, so rint(e),
+    half to even, rounds p + e; below, the result is at most 10 ** 16."""
+    b, b_hi, b_lo = powers.take(16 - exps, axis=1)
+    p = a * b
+    a_hi, a_lo = _split(a)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _float_cells(col, sep):
+    """The cells of a float column as ``"%.17g"`` writes them, NaN as NA,
+    each followed by ``sep``: a (rows, 40) byte matrix padded with _PAD.
+
+    A value x whose decimal exponent E is in -4 .. 16, where "%.17g" writes
+    no exponent, is written from its 17 digits
+    D = round(|x| * 10 ** (16 - E)), half to even (``_significands``).
+    E starts as floor(log10 |x|), which may be one off either way, and is
+    tried one higher where D >= 10 ** 17 and one lower where D <= 10 ** 16,
+    to which a product just below 10 ** 16 also rounds.  Zeros, non-finite
+    values and every other exponent are formatted one by one.  A column of
+    another float dtype is written as its float64 values, as "%.17g" takes
+    them."""
+    word_table, trailing_zeros, masks, powers = _float_tables()
+    col = col.astype(np.float64, copy=False)
+    a = np.abs(col)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.floor(np.log10(a))
+    fast = (guess >= -4) & (guess <= 16)
+    a = np.where(fast, a, 2.0)
+    exps = np.where(fast, guess, 0.0).astype(np.intp)
+    digits = _significands(a, exps, powers)
+    up, down = digits >= 10 ** 17, digits <= 10 ** 16
+    exps += up
+    exps -= down
+    redo = np.flatnonzero((up | down) & (exps >= -4) & (exps <= 16))
+    if redo.size:
+        again = _significands(a[redo], exps[redo], powers)
+        # One exponent lower, a product of at least 10 ** 16 - 0.05 rounds
+        # to 10 ** 17 or more: it keeps its exponent, and D = 10 ** 16.
+        carry = again >= 10 ** 17
+        again[carry] = 10 ** 16
+        exps[redo[carry]] += 1
+        digits[redo] = again
+    fast &= (exps >= -4) & (exps <= 16)
+
+    # Each cell's words: its first digit's, then those of its four groups.
+    index = np.empty((5, col.size), np.intp)
+    lead = np.floor_divide(digits, 10 ** 16, out=index[0])
+    rest = digits - lead * 10 ** 16
+    top = rest // 10 ** 8
+    for k, half in ((1, top), (3, rest - top * 10 ** 8)):
+        high = np.floor_divide(half, 10 ** 4, out=index[k])
+        np.subtract(half, high * 10 ** 4, out=index[k + 1])
+    # Trailing zeros, read further only where a group is all zeros.
+    trailing = trailing_zeros.take(index[4])
+    rows = np.flatnonzero(index[4] == 0)
+    for k in (3, 2, 1):
+        trailing[rows] += trailing_zeros.take(index[k, rows])
+        rows = rows[index[k, rows] == 0]
+    index[0] += 10_000
+    words = word_table.take(index.T)
+
+    layout = ((col < 0) * 21 + exps + 4) * 17 + 16 - trailing
+    slow = np.flatnonzero(~fast)
+    layout[slow] = 0
+    words |= masks.take(layout, axis=0)
+    cells = words.view(np.uint8)
+    cells[:, -1] = ord(sep)
+    if slow.size:
+        text = (("NA" if v != v else "%.17g" % v).encode().ljust(_FLOAT_WIDTH - 1, _PAD)
+                + sep.encode() for v in col[slow].tolist())
+        cells[slow] = np.frombuffer(b"".join(text), np.uint8).reshape(slow.size, -1)
+    return cells
 
 
 def _blocks(columns):
@@ -409,20 +549,21 @@ def _csv_fields(values, lone):
     return list(map(quoted.get, texts, texts)) if quoted else texts
 
 
-def _csv_column(col, lone):
-    """One block of a column as its row-template format and its values: a
-    float column without NaN as "%.17g" of its floats, every other one as
-    "%s" of text cells, NaN as NA."""
-    values = col.tolist()
-    if col.dtype.kind != "f":
-        return "%s", _csv_fields(values, lone)
-    nan = np.flatnonzero(np.isnan(col)).tolist()
-    if not nan:
-        return "%.17g", values
-    cells = list(map("%.17g".__mod__, values))
-    for i in nan:
-        cells[i] = "NA"
-    return "%s", cells
+def _text_cells(col, lone, sep):
+    """The cells of a column that is not float, as ``_csv_fields`` writes
+    them, each followed by ``sep``: a (rows, width) byte matrix padded with
+    _PAD, each distinct cell encoded once."""
+    texts = list(map(str, col.tolist()))
+    distinct = dict.fromkeys(texts)
+    index = dict(zip(distinct, itertools.count()))
+    # "surrogatepass" carries a lone surrogate through, for ``fh`` to judge.
+    encoded = [cell.encode("utf-8", "surrogatepass") + sep.encode()
+               for cell in _csv_fields(distinct, lone)]
+    width = max(map(len, encoded))
+    table = np.frombuffer(b"".join(cell.ljust(width, _PAD) for cell in encoded),
+                          np.uint8).reshape(len(encoded), width)
+    return table.take(np.fromiter(map(index.__getitem__, texts), np.intp, len(texts)),
+                      axis=0)
 
 
 def _json_column(col):
@@ -450,9 +591,24 @@ def _json_column(col):
 def _write_csv(fh, header, columns):
     fh.write(_csv_line(header))
     lone = len(columns) == 1
+    seps = [","] * (len(columns) - 1) + ["\n"]
     for block in _blocks(columns):
-        formats, cells = zip(*(_csv_column(col, lone) for col in block))
-        fh.writelines(map((",".join(formats) + "\n").__mod__, zip(*cells)))
+        # Text cells are encoded first, as their width is known only then;
+        # each float column's cells are made as they are copied in.
+        text_cells = [None if col.dtype.kind == "f" else _text_cells(col, lone, sep)
+                      for col, sep in zip(block, seps)]
+        widths = [_FLOAT_WIDTH if cells is None else cells.shape[1] for cells in text_cells]
+        data = bytearray(len(block[0]) * sum(widths))
+        rows = np.frombuffer(data, np.uint8).reshape(len(block[0]), -1)
+        start = 0
+        for col, sep, cells, width in zip(block, seps, text_cells, widths):
+            if cells is None:
+                cells = _float_cells(col, sep)
+            # Each row's cell is copied as one item of ``width`` bytes.
+            item = f"V{width}"
+            rows[:, start:start + width].view(item)[:, 0] = cells.view(item)[:, 0]
+            start += width
+        fh.write(data.translate(None, _PAD).decode("utf-8", "surrogatepass"))
 
 
 def _write_json(fh, header, columns):

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -214,6 +215,68 @@ def test_write_table_matches_the_per_cell_reference(block_rows, fmt, table):
     with mock.patch("erfe.panel._BLOCK_ROWS", block_rows):
         write_table(got, header, arrays, fmt)
     assert got.getvalue() == expected.getvalue()
+
+
+# Raw float64 bit patterns: about 97% have a decimal exponent outside
+# -4 .. 16 and are formatted one by one.
+_RAW_FLOATS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64)))
+# sign * mantissa * 10 ** E: mostly exponents the CSV writer lays out from
+# the value's 17 digits.
+_SCALED_FLOATS = st.builds(lambda sign, mantissa, exp: sign * mantissa * 10.0 ** exp,
+                           st.sampled_from([1.0, -1.0]),
+                           st.floats(1.0, 10.0, exclude_max=True), st.integers(-5, 17))
+_POWERS_OF_TEN = [float(f"{sign}1e{k}") for sign in "+-" for k in range(-5, 18)]
+# Values whose 18th significant digit is an exact 5, the last nonzero one,
+# so that their 17 digits are a tie, rounded half to even.
+_TIES = [1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+         123456789012345.375, -(12345678901 + 1 / 2 ** 7), 99999 / 2 ** 18,
+         1049 / 2 ** 20, 1051 / 2 ** 20]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RAW_FLOATS, max_size=20), st.lists(_SCALED_FLOATS, max_size=20))
+@example([0.5, 0.9, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+          math.nan, 1e-4, 9.9999999999999995e-05, 1e-5],
+         [2.0 ** 53 - 2, 2.0 ** 53 + 2, 99999999999999999.0, *_TIES])
+@example([float(np.nextafter(x, 0.0)) for x in _POWERS_OF_TEN] + _POWERS_OF_TEN,
+         [float(np.nextafter(x, 2.0 * x)) for x in _POWERS_OF_TEN])
+def test_csv_float_cells_are_17_significant_digits(raw, scaled):
+    # Every float cell, whichever way it is formatted, is "%.17g" of the
+    # value, NaN as NA.
+    values = raw + scaled
+    out = io.StringIO()
+    write_table(out, ["x", "y"], [np.array(values), np.array(values[::-1])])
+    expected = ["NA" if v != v else "%.17g" % v for v in values]
+    assert out.getvalue().splitlines()[1:] == list(map(",".join, zip(expected,
+                                                                      expected[::-1])))
+
+
+def test_csv_writing_holds_one_block():
+    # The traced peak of writing a table of 5 float columns and a label
+    # column, above its starting level, to a sink that keeps nothing: four
+    # blocks of rows peak as one does, at about 580 bytes per block row.  A
+    # writer that held its blocks' cells while compacting them peaked at 840.
+    rows = erfe.panel._BLOCK_ROWS
+    rng = np.random.default_rng(28)
+    labels = np.array([f"s{i:07d}" for i in range(1000)], dtype=object)
+    table = [labels[rng.integers(0, 1000, 4 * rows)],
+             *rng.standard_normal((5, 4 * rows)) * np.exp(rng.uniform(-5, 5, (5, 4 * rows)))]
+    sink = type("Sink", (), {"write": lambda self, text: None})()
+    write_table(sink, ["x"], [np.ones(1)])  # makes the float tables, once
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_table(sink, ["subject", *"abcde"], [col[:n] for col in table])
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(rows), peak(4 * rows)
+    assert four <= 1.1 * one
+    assert four / rows <= 700
 
 
 # ---------------------------------------------------------------------
