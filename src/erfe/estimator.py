@@ -68,13 +68,14 @@ A guard keeps the updated rounds on the full rounds' path.  Let e = u
 kappa rho bound the rounding relative to the scale of the slopes
 (``rounds.error_scale``), that scale being |beta| + |y| / |x|, and let s
 be the scale of the rows.  kappa needs tr(S~^-1) of the round's system S
-scaled to a unit diagonal: the round solves S against its right-hand side
-and the identity at once, so one Cholesky factorization per round gives
-both the slopes and S^-1.  An updated round that leaves a residual within
-``MARGIN`` e s of zero, or its step within ``MARGIN`` e (|beta| + |y| /
-|x|) of ``TOL`` (widened by the round before's own bound when that round
-was updated too), is solved again, refreshed: only those panels take a
-second solve.  So every round starts from the signs the full rounds give.
+scaled to a unit diagonal: an updated round solves S against its
+right-hand side and the identity at once, so one Cholesky factorization
+per round gives both the slopes and S^-1; other rounds read no S^-1.  An
+updated round that leaves a residual within ``MARGIN`` e s of zero, or its
+step within ``MARGIN`` e (|beta| + |y| / |x|) of ``TOL`` (widened by the
+round before's own bound when that round was updated too), is solved
+again, refreshed: only those panels take a second solve.  So every round
+starts from the signs the full rounds give.
 A full round's step is measured from the last full round, as the full
 rounds measure it: after a round that flipped no sign the full rounds
 repeat themselves, so the step is 0; after an updated round, a step
@@ -326,16 +327,22 @@ def fit_design(stack: PanelStack, q: int) -> np.ndarray:
     return design
 
 
-def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y, out=None):
+def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y, out=None,
+           invert=False):
     """Solve a ``concentrated_system`` of A stacked panels against its
-    right-hand side and the identity, one factorization per system
-    (``spd_solve``).  Returns the slopes (A x q x p), the residual blocks
-    (A x q x N), written into ``out`` when it is given, the system's
-    inverse (A x q*p x q*p), and, per panel, the reason its system has no
-    solution, or None (``spd_solve``'s problems); a panel with a problem
-    has NaN slopes and inverse."""
-    solved, problems = spd_solve(system, np.concatenate(
-        (rhs[:, :, None], np.broadcast_to(np.eye(rhs.shape[1]), system.shape)), axis=2))
+    right-hand side, and against the identity too when ``invert``, one
+    factorization per system (``spd_solve``).  Returns the slopes
+    (A x q x p), the residual blocks (A x q x N), written into ``out`` when
+    it is given, the system's inverse (A x q*p x q*p) when ``invert``, else
+    None, and, per panel, the reason its system has no solution, or None
+    (``spd_solve``'s problems); a panel with a problem has NaN slopes and
+    inverse.  Each column is solved on its own, so the slopes keep their
+    bits either way."""
+    rhs = rhs[:, :, None]
+    if invert:
+        rhs = np.concatenate((rhs, np.broadcast_to(np.eye(rhs.shape[1]), system.shape)),
+                             axis=2)
+    solved, problems = spd_solve(system, rhs)
     # In C order: a strided slope column rounds the effects otherwise.
     betas = np.ascontiguousarray(solved[:, :, 0])
     alpha = (pooled_y - (betas[:, None] @ couplings)[:, 0]) / denom
@@ -343,7 +350,8 @@ def _solve(design, codes, q, system, rhs, couplings, denom, pooled_y, out=None):
     net = alpha.ravel()[codes.ravel()].reshape(codes.shape)
     np.subtract(design[:, -1], net, out=net)
     fitted = np.matmul(betas, design[:, :-1], out=out)
-    return betas, np.subtract(net[:, None], fitted, out=fitted), solved[:, :, 1:], problems
+    return (betas, np.subtract(net[:, None], fitted, out=fitted),
+            solved[:, :, 1:] if invert else None, problems)
 
 
 def _within_round(stack: PanelStack, errors):
@@ -455,8 +463,9 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
                 for whole, part in zip((last.signs, last.system, last.couplings,
                                         last.denom), kept):
                     whole[ids[fresh]] = part
-        new_betas, new_resid, inverse, problems = _solve(rows, codes, q, *system,
-                                                         out=resid if every else None)
+        # Only a round that is not refreshed reads the inverse (``error_scale``).
+        new_betas, new_resid, inverse, problems = _solve(
+            rows, codes, q, *system, out=resid if every else None, invert=not fresh.all())
         unsure, band = np.zeros(ids.size, dtype=bool), np.zeros(ids.size)
         if not fresh.all():
             error = MARGIN * error_scale(system[0], inverse, part_grams, v)
@@ -635,7 +644,9 @@ def fit_stack(stack: PanelStack, taus, v=None, joint: bool = False) -> StackFit:
         systems.append(last)
         for row, error, ok, cycle in zip(errors, group, converged.tolist(), cycles):
             row += [error or (None if ok else _no_convergence(taus[points], cycle))] * n
-    betas, resid, iterations = (np.concatenate(arrays, axis=1) for arrays in zip(*parts))
+    # A lone fit's arrays are returned as they are, not copied.
+    betas, resid, iterations = (parts[0] if len(parts) == 1 else
+                                (np.concatenate(arrays, axis=1) for arrays in zip(*parts)))
     return StackFit(taus=taus, v=v, joint=joint, betas=betas, residuals_star=resid,
                     iterations=iterations, errors=tuple(map(tuple, errors)),
                     systems=tuple(systems))

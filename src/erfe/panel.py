@@ -29,14 +29,15 @@ Both are written a block of rows at a time: only one block's cells and text
 are alive at once, where one string of a table twice the input's rows would
 raise the peak memory.  A CSV block is one byte matrix, a row per table row
 and a fixed run of bytes per cell, padded with a byte that UTF-8 text never
-holds and that one ``bytes.translate`` drops.  A float cell is laid out from
-the value's 17 significant digits, computed exactly with integer and float64
-arithmetic, and only zeros, non-finite values and the values ``"%.17g"``
-writes with an exponent are formatted one by one; the cells of every other
-column are encoded once per distinct text.  A JSON block is written through
-one ``%``-template, a row's text with one format per column: finite floats
-and ints enter as those numbers, and every other column as text cells, each
-distinct label dumped once.
+holds and that one ``bytes.translate`` drops.  A float cell is 25 bytes laid
+out from the value's 17 significant digits, computed exactly with integer and
+float64 arithmetic, its point moved into place for all the rows of one
+exponent at once; only zeros, non-finite values and the values ``"%.17g"``
+writes with an exponent are formatted one by one.  The cells of every other
+column are encoded once per distinct value and table.  A JSON block is
+written through one ``%``-template, a row's text with one format per column:
+finite floats and ints enter as those numbers, and every other column as
+text cells, each distinct label dumped once.
 """
 
 from __future__ import annotations
@@ -379,7 +380,7 @@ _LABEL_SLACK, _HEAD_RECORDS = 4, 1024
 
 # Both formats are written a block of rows at a time: only one block's cells
 # and text are alive at once.  A CSV block of 16384 rows of five float
-# columns and a label is a byte matrix of about 3.4 MB.
+# columns and a label is a byte matrix of about 2.2 MB.
 _BLOCK_ROWS = 16384
 # A field holding one of these is quoted (see ``_csv_fields``).
 _CSV_SPECIAL = re.compile('[,"\r\n]').search
@@ -387,7 +388,7 @@ _CSV_SPECIAL = re.compile('[,"\r\n]').search
 # text never holds this byte.
 _PAD = b"\xff"
 # The bytes of a float cell and its separator (see ``_float_tables``).
-_FLOAT_WIDTH = 40
+_FLOAT_WIDTH = 25
 
 
 def _split(x):
@@ -401,43 +402,37 @@ def _split(x):
 @functools.cache
 def _float_tables():
     """The tables of ``_float_cells``, made on its first call, so that a
-    command that writes no float cell makes none.
-
-    A float cell's 40 byte slots are five 8-byte words: "-0.000", the first
-    digit and a point, then four words of four digits, each digit followed
-    by a point.  Returns the words, those of each 4-digit group (0 .. 9999)
-    followed by the first word of each first digit (10000 .. 10009); each
+    command that writes no float cell makes none.  A float cell is seven
+    4-byte words: "-0.0", "00" and the first digit and a point, four of
+    the other 16 digits each, the separator.  Returns the words of each
+    4-digit group (0 .. 9999) and of each first digit (10000 .. 10009); each
     group's trailing zeros, as written with four digits; per (sign, exponent
-    -4 .. 16, index of the last nonzero digit), the mask of the words that
-    pads every slot ``"%.17g"`` leaves out, the last slot, never a point of
-    the text, carrying the field's separator; and the rows 10 ** s, its hi
-    and its lo half (``_split``), for s = 0 .. 21, each exact in float64 as
-    5 ** s < 2 ** 53."""
+    -4 .. 16, index of the last nonzero digit), as 7 rows of words, those
+    OR-ed into a cell, which hold "-0.000" and the point as if the exponent
+    were 0, and pad every byte ``"%.17g"`` leaves out; and the rows 10 ** s,
+    its hi and its lo half (``_split``), for s = 0 .. 21, each exact in
+    float64 as 5 ** s < 2 ** 53."""
     # In bytes throughout: int64 temporaries would leave heap resident.
     ascii_digits = np.arange(48, 58, dtype=np.uint8)
-    digits = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"), axis=-1)
-    digits = digits.reshape(-1, 4)
-    words = np.full((10_010, 8), ord("."), np.uint8)
-    words[:10_000, ::2] = digits
-    words[10_000:, :6] = np.frombuffer(b"-0.000", np.uint8)
-    words[10_000:, 6] = ascii_digits
-    zeros = digits[:, ::-1] == 48
-    trailing = np.cumprod(zeros, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-    sign = np.arange(2)[:, None, None]
-    exp = np.arange(-4, 17)[:, None, None]
-    last = np.arange(17)[:, None]
-    keep = np.empty((2, 21, 17, _FLOAT_WIDTH), bool)
-    keep[..., 0] = sign == 1
-    keep[..., 1:3] = exp < 0
-    keep[..., 3:6] = np.arange(3) < -1 - exp
-    keep[..., 6::2] = np.arange(17) <= np.maximum(exp, last)
-    keep[..., 7:39:2] = (np.arange(16) == exp) & (last > exp)
-    keep[..., 39] = True
-    masks = np.where(keep, np.uint8(0), np.uint8(_PAD[0])).reshape(-1, _FLOAT_WIDTH)
+    words = np.zeros((10_010, 4), np.uint8)
+    words[:10_000] = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"), -1).reshape(-1, 4)
+    words[10_000:, 2] = ascii_digits
+    trailing = np.cumprod(words[:10_000, ::-1] == 48, axis=1, dtype=np.uint8).sum(1, np.uint8)
+    exp, last = np.arange(-4, 17)[:, None, None], np.arange(17)[:, None]
+    text = np.zeros((2, 21, 17, 28), np.uint8)
+    text[..., :8] = np.frombuffer(b"-0.000\0.", np.uint8)
+    pad = np.zeros(text.shape, bool)
+    pad[0, ..., 0] = True
+    pad[..., 1:3] = exp >= 0
+    pad[..., 3:6] = np.arange(3) >= -1 - exp
+    pad[..., 7:8] = (exp < 0) | (last <= exp)
+    pad[..., 8:24] = np.arange(1, 17) > np.maximum(exp, last)
+    text[pad] = _PAD[0]
     powers = np.cumprod(np.r_[1.0, np.full(21, 10.0)])
     # Read-only, as every call shares them.
-    return tuple(map(_freeze, (words.view(np.uint64)[:, 0], trailing,
-                               masks.view(np.uint64), np.stack([powers, *_split(powers)]))))
+    return tuple(map(_freeze, (words.view("<u4")[:, 0], trailing,
+                               text.reshape(-1, 28).view("<u4").T.copy(),
+                               np.stack([powers, *_split(powers)]))))
 
 
 def _significands(a, exps, powers):
@@ -458,7 +453,8 @@ def _significands(a, exps, powers):
 
 def _float_cells(col, sep):
     """The cells of a float column as ``"%.17g"`` writes them, NaN as NA,
-    each followed by ``sep``: a (rows, 40) byte matrix padded with _PAD.
+    each followed by ``sep``: the first 25 bytes of each row of a (rows, 28)
+    byte matrix, padded with _PAD.
 
     A value x whose decimal exponent E is in -4 .. 16, where "%.17g" writes
     no exponent, is written from its 17 digits
@@ -490,7 +486,8 @@ def _float_cells(col, sep):
         again[carry] = 10 ** 16
         exps[redo[carry]] += 1
         digits[redo] = again
-    fast &= (exps >= -4) & (exps <= 16)
+    slow = np.flatnonzero(~(fast & (exps >= -4) & (exps <= 16)))
+    exps[slow] = 0
 
     # Each cell's words: its first digit's, then those of its four groups.
     index = np.empty((5, col.size), np.intp)
@@ -507,18 +504,21 @@ def _float_cells(col, sep):
         trailing[rows] += trailing_zeros.take(index[k, rows])
         rows = rows[index[k, rows] == 0]
     index[0] += 10_000
-    words = word_table.take(index.T)
-
-    layout = ((col < 0) * 21 + exps + 4) * 17 + 16 - trailing
-    slow = np.flatnonzero(~fast)
-    layout[slow] = 0
-    words |= masks.take(layout, axis=0)
-    cells = words.view(np.uint8)
-    cells[:, -1] = ord(sep)
+    # Word by word, then one copy to a row per cell.
+    words = masks.take(((col < 0) * 21 + exps + 4) * 17 + 16 - trailing, axis=1)
+    words[1:6] |= word_table.take(index)
+    cells = np.ascontiguousarray(words.T).view(np.uint8)
+    cells[:, _FLOAT_WIDTH - 1] = ord(sep)
+    # The point follows digit E: for all rows of each E > 0 at once, the E
+    # digits after the first move one byte back, the point or its pad after.
+    moved = np.flatnonzero(exps > 0)
+    for e in np.flatnonzero(np.bincount(exps[moved], minlength=17)[1:]) + 1:
+        rows = moved[exps[moved] == e]
+        cells[rows, 7:8 + e] = cells[rows[:, None], [*range(8, 8 + e), 7]]
     if slow.size:
-        text = (("NA" if v != v else "%.17g" % v).encode().ljust(_FLOAT_WIDTH - 1, _PAD)
-                + sep.encode() for v in col[slow].tolist())
-        cells[slow] = np.frombuffer(b"".join(text), np.uint8).reshape(slow.size, -1)
+        text = b"".join(("NA" if v != v else "%.17g" % v).encode().ljust(
+            _FLOAT_WIDTH - 1, _PAD) + sep.encode() for v in col[slow].tolist())
+        cells[slow, :_FLOAT_WIDTH] = np.frombuffer(text, np.uint8).reshape(slow.size, -1)
     return cells
 
 
@@ -549,21 +549,37 @@ def _csv_fields(values, lone):
     return list(map(quoted.get, texts, texts)) if quoted else texts
 
 
-def _text_cells(col, lone, sep):
+def _text_cells(col, lone, sep, cache):
     """The cells of a column that is not float, as ``_csv_fields`` writes
     them, each followed by ``sep``: a (rows, width) byte matrix padded with
-    _PAD, each distinct cell encoded once."""
-    texts = list(map(str, col.tolist()))
-    distinct = dict.fromkeys(texts)
-    index = dict(zip(distinct, itertools.count()))
-    # "surrogatepass" carries a lone surrogate through, for ``fh`` to judge.
-    encoded = [cell.encode("utf-8", "surrogatepass") + sep.encode()
-               for cell in _csv_fields(distinct, lone)]
-    width = max(map(len, encoded))
-    table = np.frombuffer(b"".join(cell.ljust(width, _PAD) for cell in encoded),
-                          np.uint8).reshape(len(encoded), width)
-    return table.take(np.fromiter(map(index.__getitem__, texts), np.intp, len(texts)),
-                      axis=0)
+    _PAD.  ``cache``, [sorted keys, their rows, table of cells], keeps the
+    column's distinct values across blocks, each encoded once, until it
+    holds more than a block's rows.  A value's key is its identity in an
+    object column, as equal objects of different types write differently
+    (1 == 1.0 == True), and the value itself in any other."""
+    keys = np.fromiter(map(id, col), np.intp, col.size) if col.dtype.kind == "O" else col
+    known, rows, table = cache
+    if known.size > _BLOCK_ROWS or known.dtype != keys.dtype:
+        known, rows, table = keys[:0], rows[:0], table[:0, :0]
+    at = np.minimum(np.searchsorted(known, keys), known.size - 1)
+    fresh = np.flatnonzero(known[at] != keys) if known.size else np.arange(keys.size)
+    if fresh.size:
+        _, first = np.unique(keys[fresh], return_index=True)
+        first = fresh[first]
+        # "surrogatepass" carries a lone surrogate through, for ``fh`` to judge.
+        encoded = [cell.encode("utf-8", "surrogatepass") + sep.encode()
+                   for cell in _csv_fields(col[first].tolist(), lone)]
+        width = max(table.shape[1], *map(len, encoded))
+        table = np.concatenate([
+            np.pad(table, ((0, 0), (0, width - table.shape[1])), constant_values=_PAD[0]),
+            np.frombuffer(b"".join(cell.ljust(width, _PAD) for cell in encoded),
+                          np.uint8).reshape(len(encoded), width)])
+        known = np.concatenate([known, keys[first]])
+        order = np.argsort(known, kind="stable")
+        known, rows = known[order], np.r_[rows, len(rows) + np.arange(first.size)][order]
+        at = np.searchsorted(known, keys)
+    cache[:] = known, rows, table
+    return table.take(rows[at], axis=0)
 
 
 def _json_column(col):
@@ -592,11 +608,13 @@ def _write_csv(fh, header, columns):
     fh.write(_csv_line(header))
     lone = len(columns) == 1
     seps = [","] * (len(columns) - 1) + ["\n"]
+    caches = [[np.empty(0), np.empty(0, np.intp), np.empty((0, 0), np.uint8)]
+              for _ in columns]
     for block in _blocks(columns):
         # Text cells are encoded first, as their width is known only then;
         # each float column's cells are made as they are copied in.
-        text_cells = [None if col.dtype.kind == "f" else _text_cells(col, lone, sep)
-                      for col, sep in zip(block, seps)]
+        text_cells = [None if col.dtype.kind == "f" else _text_cells(col, lone, sep, cache)
+                      for col, sep, cache in zip(block, seps, caches)]
         widths = [_FLOAT_WIDTH if cells is None else cells.shape[1] for cells in text_cells]
         data = bytearray(len(block[0]) * sum(widths))
         rows = np.frombuffer(data, np.uint8).reshape(len(block[0]), -1)
@@ -606,7 +624,7 @@ def _write_csv(fh, header, columns):
                 cells = _float_cells(col, sep)
             # Each row's cell is copied as one item of ``width`` bytes.
             item = f"V{width}"
-            rows[:, start:start + width].view(item)[:, 0] = cells.view(item)[:, 0]
+            rows[:, start:start + width].view(item)[:, 0] = cells[:, :width].view(item)[:, 0]
             start += width
         fh.write(data.translate(None, _PAD).decode("utf-8", "surrogatepass"))
 

@@ -252,6 +252,71 @@ def test_csv_float_cells_are_17_significant_digits(raw, scaled):
                                                                       expected[::-1])))
 
 
+def test_csv_label_cells_are_encoded_once_across_blocks(monkeypatch):
+    # An object column in blocks of 4 rows: labels first seen in later
+    # blocks, the longest last, so that the cell width grows after the first
+    # block, equal values of different types, which write differently, and
+    # labels that need quoting.  Its cells are str of its values, which the
+    # reference is given as text.
+    labels = [1, "a", 1, 1.0, True, "1", "a", 1.0, 'say "hi"', "b,c", True, "x\ry",
+              "1", 1, "a", "the longest label, and the last"]
+    column = np.empty(len(labels), dtype=object)
+    column[:] = labels
+    floats = np.linspace(-1.0, 1.0, len(labels))
+    monkeypatch.setattr("erfe.panel._BLOCK_ROWS", 4)
+    for header, columns, reference in ((["s"], [column], [list(map(str, labels))]),
+                                       (["s", "y", "t"], [column, floats, column[::-1]],
+                                        [list(map(str, labels)), floats,
+                                         list(map(str, labels[::-1]))])):
+        expected, got = io.StringIO(), io.StringIO()
+        oracles.write_table_reference(expected, header, reference)
+        write_table(got, header, columns)
+        assert got.getvalue() == expected.getvalue()
+
+
+def _float_layout(text):
+    """The sign, decimal exponent and count of digits of a "%.17g" text
+    written without an exponent."""
+    body = text.lstrip("-")
+    whole, _, fraction = body.partition(".")
+    if whole == "0":
+        digits = fraction.lstrip("0")
+        return text[0] == "-", len(digits) - len(fraction) - 1, len(digits)
+    return text[0] == "-", len(whole) - 1, len(whole + fraction)
+
+
+def test_csv_float_cells_of_every_layout(monkeypatch):
+    # At each exponent E of -4 .. 16 and both signs, a value written with
+    # each count of digits that an integer (E >= 0) or a dyadic fraction
+    # k / 2 ** j, whose j decimals are exact, gives there: from E + 1 digits
+    # for E >= 0, and from 2 |E| - 1 for E < 0, as a dyadic fraction in
+    # [10 ** E, 10 ** (E + 1)) has at least that many, to 17.  Each value's
+    # neighbours are written too.  Every cell, in blocks of 64 rows, is
+    # "%.17g" of its value.
+    values = []
+    for exp in range(-4, 17):
+        for count in range(1, 18):
+            decimals = count - exp - 1
+            if decimals <= 0:  # an integer of ``count`` digits, then zeros
+                value = float(int("9" + "12345678901234567"[:count - 1]) * 10 ** -decimals)
+            else:  # the least dyadic fraction of ``decimals`` decimals at E
+                k = math.ceil(10.0 ** exp * 2 ** decimals) | 1
+                whole = int("1234567890123456"[:exp + 1]) if exp >= 0 else 0
+                value = whole + (k if exp < 0 else 1) / 2 ** decimals
+            values += [value, -value]
+    values += [float(np.nextafter(v, w)) for v in values for w in (0.0, 2.0 * v)]
+    texts = ["%.17g" % v for v in values]
+    layouts = {_float_layout(t) for t in texts if "e" not in t}
+    for negative in (False, True):
+        for exp in range(-4, 17):
+            least = exp + 1 if exp >= 0 else -2 * exp - 1
+            assert {(negative, exp, n) for n in range(least, 18)} <= layouts, exp
+    monkeypatch.setattr("erfe.panel._BLOCK_ROWS", 64)
+    out = io.StringIO()
+    write_table(out, ["x", "y"], [np.array(values), np.array(values[::-1])])
+    assert out.getvalue().splitlines()[1:] == list(map(",".join, zip(texts, texts[::-1])))
+
+
 def test_csv_writing_holds_one_block():
     # The traced peak of writing a table of 5 float columns and a label
     # column, above its starting level, to a sink that keeps nothing: four
