@@ -5,12 +5,13 @@ dependent within a subject, independent across subjects); the bread is
 the system the fit solves, ``estimator.concentrated_system`` at the final
 residuals, so the covariance is that of the fully profiled M-estimator
 (Stefanski and Boos, The calculus of M-estimation, 2002).  The estimator
-hands over that system (``estimator.fit_system``): the one its last round
-solved, when the final residuals have the signs it was built on and the
-stack is the fit's, else assembled once more; this module only sums the
-scores.  The variance of the coefficient estimates divides the sandwich
-by the total observation count, matching the root-(nm) normalization of
-the limit theory.
+hands over that system (``estimator.fit_system``): the one the fit
+assembled from its running moments when its rounds ended, which is the
+system its last round solved, when the final residuals have the signs
+that round was built on and the stack is the fit's; else it is assembled
+once more.  This module only sums the scores.  The variance of the
+coefficient estimates divides the sandwich by the total observation
+count, matching the root-(nm) normalization of the limit theory.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError, SingularBreadError
+from .errors import NotPositiveSemidefiniteError, ShapeMismatchError, SingularBreadError
 from .estimator import (
     FitResult,
     MultiFitResult,
@@ -60,8 +61,8 @@ class SandwichCovariance:
 def _sandwiches(stack: PanelStack, idx, resid, taus, v, last=None):
     """The sandwiches of the panels ``idx`` of ``stack`` for their fit at
     ``taus`` (one point, or several fitted jointly with the influence
-    weights ``v``), from the residual blocks ``resid`` (B x q x N) and the
-    fit's ``LastSystem`` ``last``, if any.
+    weights ``v``), from the residual blocks ``resid`` (B x q x N, else a
+    ShapeMismatchError) and the fit's ``LastSystem`` ``last``, if any.
 
     The bread is the fit's concentrated system over N, on the fit's own
     design (``estimator.fit_system``).  Subject i's block-k score is v_k
@@ -72,6 +73,11 @@ def _sandwiches(stack: PanelStack, idx, resid, taus, v, last=None):
     """
     q, p = len(taus), stack.X.shape[-1]
     n_obs, n_subjects = stack.y.shape[1], stack.n_subjects
+    if resid.shape != (stack.size, q, n_obs):
+        raise ShapeMismatchError(
+            f"residual blocks {resid.shape} do not match {q} point(s) on "
+            f"{stack.size} panel(s) of {n_obs} rows"
+        )
     system, couplings, denom = fit_system(stack, idx, resid, taus, v, last)
     codes, rows, resid = stack.part(idx, fit_regressors(stack, q), resid)
     scores = np.empty(couplings.shape)

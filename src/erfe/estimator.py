@@ -83,13 +83,14 @@ within that round's bound of ``TOL`` is measured again from the round
 before, redone in full from its signs (``rounds.full_system``).  So
 slopes, residuals and round counts have the full rounds' bits.
 
-Each fit keeps, per panel, the system of its last refreshed round and a
-digest of the signs it was built on (``LastSystem``): the round's own
-arrays when it refreshed every panel, else written as that round
-assembles it.  A converged fit's final residuals have those signs,
-and its sandwich on the same stack reuses the system as the bread; where
-they do not, ``fit_system`` assembles the bread once more with
-``rounds.full_system``.
+When its rounds end, each fit assembles ``concentrated_system`` once
+from its running moments and keeps it with, per panel, the digest of the
+signs its last refreshed round started from (``LastSystem``).  A
+converged panel's last round is refreshed (an updated round with a step
+within ``TOL`` is unsure).  If it flipped no sign, the running moments
+are its pass and the system the one it solved, which the sandwich on the
+same stack reuses as its bread; if it flipped one, the digest differs
+and ``fit_system`` assembles the bread anew (``rounds.full_system``).
 
 A full round's slopes depend only on the signs it starts from, so the
 convergence test of round r is fixed by the signs before rounds r - 1 and
@@ -123,10 +124,10 @@ A round of every panel writes its residuals over the last round's and its
 refreshed moments over the running ones.  A refreshed block's pass adds,
 one block at a time, its check weights and weighted regressor rows
 ((p + 1) N), and the residual pass one N-vector.  Per subject, each fit
-holds its running moments (q (p + 2) floats) and its ``LastSystem``
-(q p + 1), and, until the moments of the last fits are made, the
-all-rows and positive-row sums ((p + 2) floats each).  A finished fit
-keeps its residuals and ``LastSystem`` for the sandwich.
+holds its running moments (q (p + 2) floats), and, until the moments of
+the last fits are made, the all-rows and positive-row sums ((p + 2)
+floats each).  A finished fit keeps its residuals and its ``LastSystem``
+(q p + 1 floats per subject) for the sandwich.
 """
 from __future__ import annotations
 
@@ -229,15 +230,13 @@ class MultiFitResult:
 
 @dataclass(frozen=True)
 class LastSystem:
-    """The system of the last refreshed round of one fit, per panel of the stack
-    ``source`` (a weak reference): the digest (``digests``, B) of the sign
-    masks of the residual blocks it was built on, ``signs``,
-    and ``concentrated_system``'s system (B x q*p x q*p), couplings
-    (B x q*p x n) and D (B x n).  After a round that refreshed every panel
-    these are that round's own arrays; a round that refreshed only some
-    writes their entries into the arrays kept, made at the fit's first
-    such round if there are none.  The entries of a panel whose fit
-    stopped with an error mean nothing."""
+    """The last system of one fit, per panel of the stack ``source`` (a
+    weak reference): ``signs``, the digest (``digests``, B) of the sign
+    masks that the panel's last refreshed round started from, and the
+    system (B x q*p x q*p), couplings (B x q*p x n) and D (B x n) that
+    ``concentrated_system`` assembles from the fit's running moments when
+    its rounds end.  The entries of a panel whose fit stopped with an
+    error mean nothing."""
 
     source: weakref.ref
     signs: np.ndarray
@@ -422,25 +421,27 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
     # would only solve again: such a fit refreshes every round.
     fixed = not rise.any()
     before = np.packbits(signs, axis=2)
-    cycles, found, last = Cycles(signs), [None] * size, None
+    cycles, found = Cycles(signs), [None] * size
+    # Per panel, the digest of the signs its last refreshed round started from.
+    refreshed = np.zeros(size, dtype=np.int64)
 
     def solve(ids, fresh, old, prior):
         """Take the round of the panels ``ids`` from their slopes ``old`` on
         the running moments, those of the panels ``fresh`` first refreshed
-        from all rows at their signs: their round is the full round, and its
-        system their ``LastSystem``.  Returns the problems and, per panel,
+        from all rows at their signs, whose digest goes into ``refreshed``:
+        their round is the full round.  Returns the problems and, per panel,
         whether it is not fresh and its round is too near a decision to
         stand, and the bound on its slopes' distance from the full round's
         (0 for a fresh panel).  ``prior`` is that bound for ``old``."""
-        nonlocal betas, resid, last
+        nonlocal betas, resid
         # A round of every panel writes its residuals over the last round's,
         # which ``signs`` has replaced; one that refreshes every panel also
-        # writes its moments in place and keeps its own system as the last.
+        # writes its moments in place.
         every = ids.size == size
-        renew = every and fresh.all()
         if fresh.any():
+            refreshed[ids[fresh]] = cycles.history[-1][ids[fresh]]
             codes, rows, sign = stack.part(ids[fresh], design, signs)
-            if renew:
+            if every and fresh.all():
                 sign_moments(rows, codes, n_subjects, taus, sign, out=(sums, grams))
             else:
                 sums[ids[fresh]], grams[ids[fresh]] = sign_moments(rows, codes, n_subjects,
@@ -448,21 +449,6 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
         codes, rows, part_sums, part_grams, span = stack.part(ids, design, sums, grams,
                                                               reach)
         system = concentrated_system(v, part_sums, part_grams)
-        if fresh.any():
-            kept = [a if fresh.all() else a[fresh]
-                    for a in (cycles.history[-1][ids], system[0], system[2], system[3])]
-            if renew:
-                last = LastSystem(weakref.ref(stack), *kept)
-            else:
-                # Made at the first refreshed round, not before the rounds:
-                # made earlier, its couplings (q*p floats per subject) split
-                # the heap, and a joint fit of 1M rows peaked 22 MB higher.
-                if last is None:
-                    last = LastSystem(weakref.ref(stack), *(
-                        np.zeros((size, *a.shape[1:]), dtype=a.dtype) for a in kept))
-                for whole, part in zip((last.signs, last.system, last.couplings,
-                                        last.denom), kept):
-                    whole[ids[fresh]] = part
         # Only a round that is not refreshed reads the inverse (``error_scale``).
         new_betas, new_resid, inverse, problems = _solve(
             rows, codes, q, *system, out=resid if every else None, invert=not fresh.all())
@@ -538,7 +524,9 @@ def _irls(stack: PanelStack, design, taus, v, betas, resid, errors, moments, rea
         for i, start in zip(idx[cycled].tolist(), repeats[cycled].tolist()):
             found[i] = (start, r - start)
         live[idx[cycled]] = False
-    return betas, resid, iterations, converged, found, last
+    system, _, couplings, denom, _ = concentrated_system(v, sums, grams)
+    return (betas, resid, iterations, converged, found,
+            LastSystem(weakref.ref(stack), refreshed, system, couplings, denom))
 
 
 def _single_result(panel: PanelData, tau, beta, resid, iterations,

@@ -652,6 +652,8 @@ def _write_json(fh, header, columns):
 def write_table(fh, header, columns, fmt: str = "csv"):
     """Write a table, given as its header and its columns, each taken as one
     numpy array, to ``fh`` as ``fmt``, "csv" or "json" (see the module docstring)."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown table format {fmt!r}: expected 'csv' or 'json'")
     columns = [np.asarray(col) for col in columns]
     (_write_json if fmt == "json" else _write_csv)(fh, header, columns)
 

@@ -150,6 +150,16 @@ def test_json_output_of_an_empty_table():
     assert out.getvalue() == json.dumps([], indent=2) + "\n" == "[]\n"
 
 
+@pytest.mark.parametrize("fmt", ["xml", "JSON"])
+def test_write_table_rejects_an_unknown_format(fmt):
+    # The CLI's --format admits only csv and json; a library caller's other
+    # format is an error, not a CSV table.
+    out = io.StringIO()
+    with pytest.raises(ValueError, match=rf"'{fmt}'.*'csv' or 'json'"):
+        write_table(out, ["tau"], [np.array([0.5])], fmt)
+    assert out.getvalue() == ""
+
+
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
                    1e308, 1.7976931348623157e308]
 _TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "%", "a", "Z", "7", "é",

@@ -9,7 +9,7 @@ import pytest
 
 import erfe
 from erfe.covariance import SandwichCovariance, sandwich_stack
-from erfe.errors import SingularBreadError
+from erfe.errors import ShapeMismatchError, SingularBreadError
 from erfe.estimator import StackFit, fit_stack
 from erfe.panel import stack_panels
 
@@ -224,6 +224,21 @@ def test_sandwich_on_another_stack_assembles_its_breads(monkeypatch):
                                          fit.residuals_star, fit.errors)
     assert np.array_equal(cov.se, se)
     assert np.array_equal(cov.vc, vc, equal_nan=True)
+
+
+def test_sandwich_on_residuals_of_another_shape_says_so():
+    # Residuals fitted on a panel of 30 rows do not fit one of 36, and a
+    # joint fit's residual blocks must be one per point.
+    rng = np.random.default_rng(75)
+    p30, p36 = (oracles.random_panel(rng, 6, m, 2)[0] for m in (5, 6))
+    with pytest.raises(ShapeMismatchError, match=r"\(1, 1, 30\).*1 point\(s\).*36 rows"):
+        erfe.sandwich_single(p36, erfe.fit_erfe_single(p30, 0.7))
+    multi = erfe.fit_erfe_multi(p30, (0.3, 0.7))
+    with pytest.raises(ShapeMismatchError, match=r"\(1, 2, 30\).*36 rows"):
+        erfe.sandwich_multi(p36, multi)
+    with pytest.raises(ShapeMismatchError, match=r"\(1, 1, 30\).*2 point\(s\)"):
+        erfe.sandwich_multi(p30, dataclasses.replace(
+            multi, residuals_star=multi.residuals_star[:1]))
 
 
 # ---------------------------------------------------------------------

@@ -653,6 +653,41 @@ def test_flip_updated_rounds_equal_full_rounds(case, rounds):
     assert np.array_equal(cov.vc, vc, equal_nan=True)
 
 
+# Integer rows, full of ties: some residuals are zero up to rounding, so a
+# panel can converge in a round after which one of them has changed sign.
+_FLIPPED_IN_THE_LAST_ROUND = _drawn_panels(343, [2, 3, 4, 3], 2, 3, True, "unit")
+
+
+def test_a_fit_whose_last_round_flips_a_sign_gets_its_bread_assembled(monkeypatch):
+    # A fit's last system was built on the signs its last round started
+    # from.  Where that round flipped a sign, the sandwich must assemble that
+    # panel's bread from the final residuals, and only that panel's.
+    stack, taus = _FLIPPED_IN_THE_LAST_ROUND, (0.7,)
+    fit = fit_stack(stack, taus)
+    assert all(error is None for row in fit.errors for error in row)
+    assert fit.iterations.ravel().tolist() == [3, 4, 2]
+    flipped = []
+    for b, rounds in enumerate(fit.iterations[:, 0].tolist()):
+        # The residuals the panel's last round started from, by full rounds.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(erfe.estimator, "MAX_ROUNDS", rounds - 1)
+            start = oracles.full_round_fit(stack, taus)[1][b]
+        if not np.array_equal(start > 0, fit.residuals_star[b] > 0):
+            flipped.append(b)
+    assert flipped == [0]
+    assembled = []
+    full_system = erfe.estimator.full_system
+    monkeypatch.setattr(erfe.estimator, "full_system",
+                        lambda design, *args: assembled.append(design)
+                        or full_system(design, *args))
+    cov, _ = sandwich_stack(stack, fit)
+    assert len(assembled) == 1 and np.array_equal(assembled[0], stack.demeaned[flipped])
+    se, vc = oracles.full_round_sandwich(stack, fit.taus, fit.v, False,
+                                         fit.residuals_star, fit.errors)
+    assert np.array_equal(cov.se, se)
+    assert np.array_equal(cov.vc, vc)
+
+
 def _calm_and_flipping_stack():
     """Two panels: the first's residuals are +-1 plus a small slope, so its
     first round flips none of its signs, while the second's keep flipping."""
