@@ -1,17 +1,20 @@
 """Command-line front-end: fit, simulate, expectile, transform.
 
 Outputs are deterministic functions of (input bytes, flags, seed), each
-a table of numpy columns written by ``panel.write_table`` in CSV or JSON.
-``fit`` and ``transform`` fit one stack, the input's panel less the
-regressors constant within subjects.  Every failure reaches ``main``,
-which prints one ``error:`` line.  Exit codes: 0 on success with full
-convergence, 1 on file/parse/rank errors, 2 when some requested fit did
-not converge (best-effort estimates are still printed).
+a table written in CSV or JSON by ``panel.write_table`` from numpy columns,
+or, for ``transform``, by ``panel.write_blocks`` from blocks of rows made
+as they are written from each tau's subject means, its subjects given as
+the panel's labels and codes.  ``fit`` and ``transform`` fit one stack,
+the input's panel less the regressors constant within subjects.  Every
+failure reaches ``main``, which prints one ``error:`` line.  Exit codes: 0
+on success with full convergence, 1 on file/parse/rank errors, 2 when some
+requested fit did not converge (best-effort estimates are still printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -29,14 +32,16 @@ from .montecarlo import (
     validate_workers,
 )
 from .panel import (
+    block_rows,
     read_csv_column,
     read_panel_csv,
     stack_panels,
     validate_taus,
     validate_v,
+    write_blocks,
     write_table,
 )
-from .within import apply_within, subject_weights
+from .within import subject_means, subject_weights
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -62,12 +67,19 @@ def _argument(parse):
     return convert
 
 
-def _emit(header, columns, fmt: str, out: str | None):
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The text stream of ``--out``: stdout for none or "-"."""
     if out in (None, "-"):
-        write_table(sys.stdout, header, columns, fmt)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            write_table(fh, header, columns, fmt)
+            yield fh
+
+
+def _emit(header, columns, fmt: str, out: str | None):
+    with _output(out) as fh:
+        write_table(fh, header, columns, fmt)
 
 
 def _read_estimable(args):
@@ -147,6 +159,19 @@ def cmd_expectile(args) -> int:
     return EXIT_OK
 
 
+def _transform_blocks(panel, taus, means):
+    """The blocks of the transform's table, tau by tau: of each row its tau,
+    its subject, as the panel's (labels, codes), and its y and X less its
+    subject's weighted means at that tau, one (n, p + 1) array of ``means``
+    per tau, as ``within.apply_within`` subtracts them."""
+    for tau, mean in zip(taus, means):
+        for rows in block_rows(panel.n_obs):
+            codes = panel.codes[rows]
+            at = mean[codes]
+            yield [np.full(codes.size, tau), (panel.subject_labels, codes),
+                   panel.y[rows] - at[:, 0], *(panel.X[rows] - at[:, 1:]).T]
+
+
 def cmd_transform(args) -> int:
     panel, kept, stack = _read_estimable(args)
     # tau = 0.5 is the plain within transform; every other tau needs a fit.
@@ -159,23 +184,19 @@ def cmd_transform(args) -> int:
         fit = fit_stack(stack, fitted)
         _stop_on_failure(fit.errors[0])
         partial = any(e is not None for e in fit.errors[0])
-    y_blocks, x_blocks = [], []
+    # Per tau, each subject's weighted means of y and of every regressor,
+    # (n, p + 1); the table's rows are made from them as they are written.
+    means = []
     for tau in args.tau:
-        if tau == 0.5:
-            weights = subject_weights(np.zeros(panel.n_obs), 0.5, panel)
-        else:
-            weights = subject_weights(fit.residuals_star[0, fitted.index(tau)], tau,
-                                      panel)
-        y_blocks.append(apply_within(panel.y, weights, panel))
-        x_blocks.append(apply_within(panel.X, weights, panel))
+        residuals = (np.zeros(panel.n_obs) if tau == 0.5
+                     else fit.residuals_star[0, fitted.index(tau)])
+        weights = subject_weights(residuals, tau, panel)
+        means.append(np.column_stack([subject_means(col, weights, panel)
+                                      for col in (panel.y, *panel.X.T)]))
     header = ["tau", "subject", f"{args.response_col}_star",
               *(f"{name}_star" for name in panel.column_names)]
-    # The labels as objects, so that the column refers to the n distinct ones.
-    columns = [np.repeat(np.asarray(args.tau, dtype=float), panel.n_obs),
-               panel.subject_labels.astype(object)[np.tile(panel.codes, len(args.tau))],
-               np.concatenate(y_blocks),
-               *np.concatenate(x_blocks).T]
-    _emit(header, columns, args.format, args.out)
+    with _output(args.out) as fh:
+        write_blocks(fh, header, _transform_blocks(panel, args.tau, means), args.format)
     return EXIT_PARTIAL if partial else EXIT_OK
 
 

@@ -19,11 +19,14 @@ not parse, a non-finite value and bytes that are not UTF-8 are reported as
 ``path:line``, the physical line the record or byte is on, which is looked
 up only once the read has failed.
 
-Tables are written by ``write_table`` from a header and numpy columns, one
-dtype each: as CSV with "\\n" line endings, float columns in 17 significant
-digits, NaN as NA, and every other column as ``str`` of its values, quoted
-as ``csv.writer`` quotes them, a value holding a bare "\\r" too, so that
-the reader reads it back, or as the text of one
+Tables are written by ``write_blocks`` from a header and blocks of rows,
+which a caller may make as they are written, or by ``write_table`` from a
+header and whole columns, which it splits into blocks.  A column is a numpy
+array of one dtype, or a pair (labels, codes) of arrays whose rows are
+``labels[codes]``, and it is written as CSV with "\\n" line endings, float
+columns in 17 significant digits, NaN as NA, and every other column as
+``str`` of its values, quoted as ``csv.writer`` quotes them, a value holding
+a bare "\\r" too, so that the reader reads it back, or as the text of one
 ``json.dumps(records, indent=2)``, NaN as null: both carry identical values.
 Both are written a block of rows at a time: only one block's cells and text
 are alive at once, where one string of a table twice the input's rows would
@@ -34,10 +37,13 @@ out from the value's 17 significant digits, computed exactly with integer and
 float64 arithmetic, its point moved into place for all the rows of one
 exponent at once; only zeros, non-finite values and the values ``"%.17g"``
 writes with an exponent are formatted one by one.  The cells of every other
-column are encoded once per distinct value and table.  A JSON block is
+column are encoded once per distinct value and block, and a coded column's
+once per label and table, each row taking its cell by code.  A JSON block is
 written through one ``%``-template, a row's text with one format per column:
 finite floats and ints enter as those numbers, and every other column as
-text cells, each distinct label dumped once.
+text cells, each distinct value dumped once per block, or label per table.
+A block whose columns disagree with the header or with each other in
+length is an error, raised before any of its bytes is written.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ __all__ = [
     "PanelData",
     "PanelStack",
     "asymmetric_loss",
+    "block_rows",
     "build_panel",
     "build_stack",
     "check_weight",
@@ -77,6 +84,7 @@ __all__ = [
     "validate_tau",
     "validate_taus",
     "validate_v",
+    "write_blocks",
     "write_table",
 ]
 
@@ -522,10 +530,52 @@ def _float_cells(col, sep):
     return cells
 
 
+def block_rows(n_rows: int):
+    """The row slices of a table of ``n_rows`` rows, ``_BLOCK_ROWS`` rows
+    each but the last: the blocks ``write_table`` writes, and those in which
+    a caller of ``write_blocks`` may make its table."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n_rows, _BLOCK_ROWS))
+
+
 def _blocks(columns):
     n_rows = len(columns[0]) if columns else 0
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        yield [col[start:start + _BLOCK_ROWS] for col in columns]
+    for rows in block_rows(n_rows):
+        yield [col[rows] for col in columns]
+
+
+def _checked(header, block):
+    """The columns of one block of a table with ``header``, each an array or
+    a pair of arrays (labels, codes), and the block's number of rows.
+    Raises ShapeMismatchError unless the block has one column per name, each
+    one-dimensional, every column, or its codes, holds as many rows, and
+    every code is an integer index of its labels."""
+    columns = [tuple(map(np.asarray, col)) if isinstance(col, tuple) else np.asarray(col)
+               for col in block]
+    if len(columns) != len(header):
+        raise ShapeMismatchError(f"a header of {len(header)} names over a block of "
+                                 f"{len(columns)} columns")
+    lengths = set()
+    for col in columns:
+        labels, codes = col if isinstance(col, tuple) else (col, col)
+        if labels.ndim != 1 or codes.ndim != 1:
+            raise ShapeMismatchError("a table's columns, labels and codes are "
+                                     "one-dimensional")
+        if isinstance(col, tuple) and codes.size and not (
+                codes.dtype.kind in "iu" and 0 <= codes.min() and codes.max() < labels.size):
+            raise ShapeMismatchError(f"codes that are not indices of {labels.size} labels")
+        lengths.add(codes.size)
+    if len(lengths) > 1:
+        raise ShapeMismatchError(f"a block's columns hold {sorted(lengths)} rows")
+    return columns, lengths.pop() if lengths else 0
+
+
+def _label_cells(tables, j, labels, cells_of):
+    """``cells_of(labels)``, the cells of the labels of column ``j`` given as
+    (labels, codes), made once per table: ``tables`` keeps them by column
+    until a block brings another array of labels."""
+    if j not in tables or tables[j][0] is not labels:
+        tables[j] = labels, cells_of(labels)
+    return tables[j][1]
 
 
 def _csv_line(fields) -> str:
@@ -549,37 +599,22 @@ def _csv_fields(values, lone):
     return list(map(quoted.get, texts, texts)) if quoted else texts
 
 
-def _text_cells(col, lone, sep, cache):
-    """The cells of a column that is not float, as ``_csv_fields`` writes
-    them, each followed by ``sep``: a (rows, width) byte matrix padded with
-    _PAD.  ``cache``, [sorted keys, their rows, table of cells], keeps the
-    column's distinct values across blocks, each encoded once, until it
-    holds more than a block's rows.  A value's key is its identity in an
-    object column, as equal objects of different types write differently
-    (1 == 1.0 == True), and the value itself in any other."""
+def _csv_cells(col, lone, sep):
+    """The cells of a column, each followed by ``sep``, as a (rows, width)
+    byte matrix padded with _PAD: a float column's as ``_float_cells``
+    writes them, and any other's as ``_csv_fields`` does, each distinct
+    value encoded once.  Objects are told apart by identity, not equality,
+    as equal objects of different types write differently (1 == 1.0 == True)."""
+    if col.dtype.kind == "f":
+        return _float_cells(col, sep)[:, :_FLOAT_WIDTH]
     keys = np.fromiter(map(id, col), np.intp, col.size) if col.dtype.kind == "O" else col
-    known, rows, table = cache
-    if known.size > _BLOCK_ROWS or known.dtype != keys.dtype:
-        known, rows, table = keys[:0], rows[:0], table[:0, :0]
-    at = np.minimum(np.searchsorted(known, keys), known.size - 1)
-    fresh = np.flatnonzero(known[at] != keys) if known.size else np.arange(keys.size)
-    if fresh.size:
-        _, first = np.unique(keys[fresh], return_index=True)
-        first = fresh[first]
-        # "surrogatepass" carries a lone surrogate through, for ``fh`` to judge.
-        encoded = [cell.encode("utf-8", "surrogatepass") + sep.encode()
-                   for cell in _csv_fields(col[first].tolist(), lone)]
-        width = max(table.shape[1], *map(len, encoded))
-        table = np.concatenate([
-            np.pad(table, ((0, 0), (0, width - table.shape[1])), constant_values=_PAD[0]),
-            np.frombuffer(b"".join(cell.ljust(width, _PAD) for cell in encoded),
-                          np.uint8).reshape(len(encoded), width)])
-        known = np.concatenate([known, keys[first]])
-        order = np.argsort(known, kind="stable")
-        known, rows = known[order], np.r_[rows, len(rows) + np.arange(first.size)][order]
-        at = np.searchsorted(known, keys)
-    cache[:] = known, rows, table
-    return table.take(rows[at], axis=0)
+    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    # "surrogatepass" carries a lone surrogate through, for ``fh`` to judge.
+    encoded = [cell.encode("utf-8", "surrogatepass") + sep.encode()
+               for cell in _csv_fields(col[first].tolist(), lone)]
+    width = max(map(len, encoded), default=1)
+    table = np.frombuffer(b"".join(cell.ljust(width, _PAD) for cell in encoded), np.uint8)
+    return table.reshape(len(encoded), width).take(codes, axis=0)
 
 
 def _json_column(col):
@@ -604,40 +639,61 @@ def _json_column(col):
     return "%s", list(map(dumped.__getitem__, keys))
 
 
-def _write_csv(fh, header, columns):
-    fh.write(_csv_line(header))
-    lone = len(columns) == 1
-    seps = [","] * (len(columns) - 1) + ["\n"]
-    caches = [[np.empty(0), np.empty(0, np.intp), np.empty((0, 0), np.uint8)]
-              for _ in columns]
-    for block in _blocks(columns):
-        # Text cells are encoded first, as their width is known only then;
-        # each float column's cells are made as they are copied in.
-        text_cells = [None if col.dtype.kind == "f" else _text_cells(col, lone, sep, cache)
-                      for col, sep, cache in zip(block, seps, caches)]
-        widths = [_FLOAT_WIDTH if cells is None else cells.shape[1] for cells in text_cells]
-        data = bytearray(len(block[0]) * sum(widths))
-        rows = np.frombuffer(data, np.uint8).reshape(len(block[0]), -1)
+def _write_csv(fh, header, blocks):
+    head = _csv_line(header)
+    lone = len(header) == 1
+    seps = [","] * (len(header) - 1) + ["\n"]
+    tables = {}
+    for block in blocks:
+        block, n_rows = _checked(header, block)
+        fh.write(head)
+        head = ""
+        if not n_rows:
+            continue
+        # Text and label cells are made first, as their width is known only
+        # then; each float column's cells are made as they are copied in.
+        cells = []
+        for j, (col, sep) in enumerate(zip(block, seps)):
+            if isinstance(col, tuple):
+                labels = _label_cells(tables, j, col[0], lambda v: _csv_cells(v, lone, sep))
+                cells.append(labels.take(col[1], axis=0))
+            else:
+                cells.append(None if col.dtype.kind == "f" else _csv_cells(col, lone, sep))
+        widths = [_FLOAT_WIDTH if c is None else c.shape[1] for c in cells]
+        data = bytearray(n_rows * sum(widths))
+        rows = np.frombuffer(data, np.uint8).reshape(n_rows, -1)
         start = 0
-        for col, sep, cells, width in zip(block, seps, text_cells, widths):
-            if cells is None:
-                cells = _float_cells(col, sep)
+        for col, sep, col_cells, width in zip(block, seps, cells, widths):
+            if col_cells is None:
+                col_cells = _csv_cells(col, lone, sep)
             # Each row's cell is copied as one item of ``width`` bytes.
             item = f"V{width}"
-            rows[:, start:start + width].view(item)[:, 0] = cells[:, :width].view(item)[:, 0]
+            rows[:, start:start + width].view(item)[:, 0] = col_cells.view(item)[:, 0]
             start += width
         fh.write(data.translate(None, _PAD).decode("utf-8", "surrogatepass"))
+    fh.write(head)
 
 
-def _write_json(fh, header, columns):
+def _write_json(fh, header, blocks):
     # The records are dicts: a key repeated in the header keeps its first
     # place and its last column.
     index = {key: j for j, key in enumerate(header)}
     keys = [json.dumps(key).replace("%", "%%") for key in index]
-    columns = [columns[j] for j in index.values()]
+    tables = {}
     opening = "[\n"
-    for block in _blocks(columns):
-        formats, cells = zip(*map(_json_column, block))
+    for block in blocks:
+        block, n_rows = _checked(header, block)
+        if not n_rows:
+            continue
+        columns = []
+        for j in index.values():
+            col = block[j]
+            if isinstance(col, tuple):
+                fmt, cells = _label_cells(tables, j, col[0], _json_column)
+                columns.append((fmt, list(map(cells.__getitem__, col[1].tolist()))))
+            else:
+                columns.append(_json_column(col))
+        formats, cells = zip(*columns)
         fields = ",\n".join(f"    {key}: {fmt}" for key, fmt in zip(keys, formats))
         # Each record starts with the separator from the one before it, laid
         # out as in json.dumps(records, indent=2).
@@ -649,13 +705,31 @@ def _write_json(fh, header, columns):
     fh.write("[]\n" if opening else "\n]\n")
 
 
-def write_table(fh, header, columns, fmt: str = "csv"):
-    """Write a table, given as its header and its columns, each taken as one
-    numpy array, to ``fh`` as ``fmt``, "csv" or "json" (see the module docstring)."""
+def write_blocks(fh, header, blocks, fmt: str = "csv"):
+    """Write a table, given as its header and an iterable of blocks of rows,
+    to ``fh`` as ``fmt``, "csv" or "json" (see the module docstring), one
+    block at a time, so that a caller may make each block as it is written.
+
+    A block is a list of one column per name of ``header``, all of one
+    length.  A column is a one-dimensional numpy array, or a pair (labels,
+    codes) of them, which holds the rows ``labels[codes]``: its labels' cells
+    are made once per table, while the same array of labels comes, and each
+    block takes its rows' cells by code.  Raises ShapeMismatchError for a
+    block of another shape before writing any of it."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown table format {fmt!r}: expected 'csv' or 'json'")
+    (_write_json if fmt == "json" else _write_csv)(fh, header, blocks)
+
+
+def write_table(fh, header, columns, fmt: str = "csv"):
+    """Write a table, given as its header and its columns, each taken as one
+    numpy array, to ``fh`` as ``fmt``, "csv" or "json": ``write_blocks`` of
+    its blocks of ``block_rows``.  Raises ShapeMismatchError, and writes
+    nothing, unless there is one one-dimensional column per name, each of
+    one length."""
     columns = [np.asarray(col) for col in columns]
-    (_write_json if fmt == "json" else _write_csv)(fh, header, columns)
+    _checked(header, columns)
+    write_blocks(fh, header, _blocks(columns), fmt)
 
 
 def _read_header(path) -> tuple[list[str], int, list[int]]:

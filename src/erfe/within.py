@@ -10,7 +10,9 @@ The fits and the sandwich covariance never build a transformed copy of
 the data: the estimator concentrates the effects out of per-subject sums
 (``weighted_subject_sums``) of the rows ``estimator.fit_design`` picks,
 taken for a whole stack of panels (``PanelStack``) at once, whose plain
-within transform ``panel.build_stack`` computes once.
+within transform ``panel.build_stack`` computes once.  Nor does ``erfe
+transform``: it subtracts each subject's ``subject_means`` from a block of
+rows as it writes the block.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .panel import PanelData, check_weight, validate_tau
 
 __all__ = [
     "apply_within",
+    "subject_means",
     "subject_weights",
     "weighted_subject_sums",
 ]
@@ -85,6 +88,13 @@ def subject_weights(residuals, tau, panel: PanelData) -> np.ndarray:
     return psi
 
 
+def subject_means(column, weights, panel: PanelData) -> np.ndarray:
+    """Each subject's weighted average of one N-vector under the normalized
+    weights of ``subject_weights``: its sum of ``weights * column``, an
+    n-vector.  ``apply_within`` subtracts it from the subject's rows."""
+    return _subject_sums(weights * column, panel)
+
+
 def apply_within(values, weights, panel: PanelData):
     """Subtract each subject's weighted average from its observations.
 
@@ -104,5 +114,5 @@ def apply_within(values, weights, panel: PanelData):
     out = np.empty_like(columns)
     for j in range(columns.shape[1]):
         col = columns[:, j]
-        out[:, j] = col - _subject_sums(w * col, panel)[panel.codes]
+        out[:, j] = col - subject_means(col, w, panel)[panel.codes]
     return out.reshape(u.shape)

@@ -160,6 +160,51 @@ def test_write_table_rejects_an_unknown_format(fmt):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [np.array([1.0, 2.0])]),
+    (["a"], [np.array([1.0, 2.0]), np.array([3.0, 4.0])]),
+    (["a", "b"], [np.array([1.0, 2.0]), np.array([3.0])]),
+    (["a", "b"], [np.array([1.0]), np.array([3.0, 4.0])]),
+    (["a"], [np.ones((2, 2))]),
+], ids=["header-long", "header-short", "column-short", "column-long", "two-dimensional"])
+def test_write_table_rejects_a_malformed_table(header, columns, fmt):
+    # A header and columns that disagree, or columns of unequal length, are
+    # an error, raised before any byte is written.
+    out = io.StringIO()
+    with pytest.raises(erfe.errors.ShapeMismatchError):
+        write_table(out, header, columns, fmt)
+    assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [
+    [np.array([1.0])],
+    [np.array([1.0]), np.array([2.0]), np.array([3.0])],
+    [np.array([1.0, 2.0]), np.array([3.0])],
+    [np.array([1.0]), (np.array(["s"]), np.array([0, 0]))],
+    [np.array([1.0, 2.0]), (np.array([["s"]]), np.array([0, 0]))],
+    [np.array([1.0]), (np.array(["s", "t"]), np.array([-1]))],
+    [np.array([1.0]), (np.array(["s", "t"]), np.array([2]))],
+    [np.array([1.0]), (np.array(["s", "t"]), np.array([1.0]))],
+], ids=["too-few", "too-many", "unequal", "codes-longer", "labels-two-dimensional",
+        "code-negative", "code-past-the-labels", "code-not-an-integer"])
+@pytest.mark.parametrize("first", [True, False])
+def test_write_blocks_rejects_a_malformed_block_before_writing_it(bad, first, fmt):
+    # A block is checked before any of its bytes is written: a malformed
+    # first block leaves the stream empty, and a later one leaves the blocks
+    # before it, as they are written alone but for the table's end.
+    header = ["x", "subject"]
+    good = [np.array([0.5]), (np.array(["a,b", "s"]), np.array([0]))]
+    done = io.StringIO()
+    erfe.panel.write_blocks(done, header, [] if first else [good], fmt)
+    out = io.StringIO()
+    with pytest.raises(erfe.errors.ShapeMismatchError):
+        erfe.panel.write_blocks(out, header, [bad] if first else [good, bad], fmt)
+    written = done.getvalue()
+    assert out.getvalue() == ("" if first else written.removesuffix("\n]\n"))
+
+
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
                    1e308, 1.7976931348623157e308]
 _TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "%", "a", "Z", "7", "é",
@@ -445,15 +490,28 @@ _SIMULATE = ["simulate", "--n", "25", "--m", "4", "--tau", "0.1,0.5,0.9",
      "--tau", "0.1,0.9"],
 ], ids=["fit", "fit-json", "fit-joint", "transform", "simulate", "expectile"])
 def test_every_table_reaches_write_table_as_numpy_columns(command, tmp_path, monkeypatch):
+    # A table reaches the writer as whole columns (write_table) or block by
+    # block (write_blocks); every block has one one-dimensional numpy column
+    # per name, all of one length, a label column possibly as (labels, codes).
     tables = []
     monkeypatch.setattr("erfe.cli.write_table",
-                        lambda fh, header, columns, fmt: tables.append((header, columns)))
+                        lambda fh, header, columns, fmt: tables.append((header, [columns])))
+    monkeypatch.setattr("erfe.cli.write_blocks",
+                        lambda fh, header, blocks, fmt: tables.append((header, list(blocks))))
     assert main([arg.format(tmp=tmp_path) for arg in command]) == 0
     assert len(tables) == (2 if command[0] == "simulate" else 1)
-    for header, columns in tables:
-        assert len(columns) == len(header)
-        assert all(isinstance(col, np.ndarray) and col.ndim == 1 for col in columns)
-        assert len({col.shape for col in columns}) == 1
+    for header, blocks in tables:
+        assert blocks
+        for block in blocks:
+            assert len(block) == len(header)
+            rows = set()
+            for col in block:
+                arrays = col if isinstance(col, tuple) else (col,)
+                assert all(isinstance(a, np.ndarray) and a.ndim == 1 for a in arrays)
+                rows.add(arrays[-1].size)
+            assert len(rows) == 1
+            # The transform's subjects are the panel's labels and codes.
+            assert isinstance(block[1], tuple) == (command[0] == "transform")
 
 
 @pytest.mark.parametrize("command", [
@@ -861,6 +919,104 @@ def test_transform_labels_read_back_as_written(tmp_path):
     assert [r["subject"] for r in _read_rows(tmp_path / "tr.csv")] == rows * 2
     records = json.loads((tmp_path / "tr.json").read_text(encoding="utf-8"))
     assert [r["subject"] for r in records] == rows * 2
+
+
+def _transform_reference(path, taus, fmt):
+    """The transform's table built as whole columns, each tau's y and X
+    transformed by ``apply_within``, and written by the per-cell reference."""
+    panel = erfe.read_panel_csv(path, "id", "y")
+    stack = stack_panels([panel])
+    if stack.constant[0].any():
+        stack = stack.keep_regressors(np.flatnonzero(~stack.constant[0]).tolist())
+    fitted = tuple(tau for tau in taus if tau != 0.5)
+    fit = erfe.estimator.fit_stack(stack, fitted) if fitted else None
+    ys, xs = [], []
+    for tau in taus:
+        residuals = (np.zeros(panel.n_obs) if tau == 0.5
+                     else fit.residuals_star[0, fitted.index(tau)])
+        weights = erfe.subject_weights(residuals, tau, panel)
+        ys.append(erfe.apply_within(panel.y, weights, panel))
+        xs.append(erfe.apply_within(panel.X, weights, panel))
+    header = ["tau", "subject", "y_star", *(f"{name}_star" for name in panel.column_names)]
+    columns = [np.repeat(np.array(taus), panel.n_obs),
+               [panel.subject_labels[c] for c in np.tile(panel.codes, len(taus))],
+               np.concatenate(ys), *np.concatenate(xs).T]
+    out = io.StringIO()
+    oracles.write_table_reference(out, header, columns, fmt)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def quoted_panel_csv(tmp_path_factory):
+    """An interleaved panel whose labels need quoting or are not ASCII, with
+    a regressor constant within subjects."""
+    labels = ["a,b", 'say "hi"', "Zürich", "名前", "s5", ""]
+    panel, _, _ = oracles.random_panel(np.random.default_rng(92), len(labels), 5, 2)
+    order = np.argsort(np.tile(np.arange(5), len(labels)), kind="stable")
+    zconst = np.arange(len(labels), dtype=float)[panel.codes] / 3.0
+    path = tmp_path_factory.mktemp("quoted") / "panel.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "y", "x1", "zconst", "x2"])
+        writer.writerows([labels[panel.codes[i]], repr(float(panel.y[i])),
+                          repr(float(panel.X[i, 0])), repr(float(zconst[i])),
+                          repr(float(panel.X[i, 1]))] for i in order)
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block_rows", [1, 3, 7, None])
+@pytest.mark.parametrize("taus", ["0.5,0.8", "0.3,0.5"])
+def test_streamed_transform_keeps_its_bits(quoted_panel_csv, taus, block_rows, fmt,
+                                           tmp_path, monkeypatch):
+    # The table made block by block from each tau's subject means equals the
+    # one built as whole columns by apply_within, byte for byte, with tau =
+    # 0.5 first or last beside a fitted tau, at any block size.  The
+    # constant regressor is written transformed.
+    if block_rows is not None:
+        monkeypatch.setattr("erfe.panel._BLOCK_ROWS", block_rows)
+    out = tmp_path / f"out.{fmt}"
+    assert main(["transform", "--input", quoted_panel_csv, "--subject-col", "id",
+                 "--response-col", "y", "--tau", taus, "--format", fmt,
+                 "--out", str(out)]) == 0
+    expected = _transform_reference(quoted_panel_csv,
+                                    tuple(map(float, taus.split(","))), fmt)
+    assert out.read_text(encoding="utf-8") == expected
+    assert "zconst_star" in expected
+
+
+def test_transform_peaks_as_a_fit_does(tmp_path):
+    # The traced peak of a transform, above where it starts: its table is
+    # made as it is written, so two taus peak as one does, and no higher than
+    # a fit of the same file, on an interleaved panel of 1,000 string
+    # labels.  A transform that builds its 2N-row columns before writing
+    # them peaks at about 1.6 times the fit, and at two taus 1.3 times one.
+    n, m = 1000, 80
+    rng = np.random.default_rng(31)
+    codes = np.tile(np.arange(n), m)
+    X = rng.standard_normal((n * m, 3))
+    y = rng.standard_normal(n)[codes] + X @ [1.0, -0.5, 0.25] + rng.chisquare(3.0, n * m)
+    labels = np.array([f"s{i:07d}" for i in range(n)])[codes]
+    path = tmp_path / "long.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("id,y,x1,x2,x3\n")
+        fh.writelines(f"{s},{a!r},{b!r},{c!r},{d!r}\n"
+                      for s, a, (b, c, d) in zip(labels, y.tolist(), X.tolist()))
+
+    def peak(*args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main([*args, "--input", str(path), "--subject-col", "id",
+                         "--response-col", "y", "--out", str(tmp_path / "out.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    fit = peak("fit", "--tau", "0.9")
+    one, two = peak("transform", "--tau", "0.9"), peak("transform", "--tau", "0.5,0.9")
+    assert two <= 1.15 * fit
+    assert two <= 1.05 * one
 
 
 # ---------------------------------------------------------------------
